@@ -22,6 +22,11 @@ use serde::{Deserialize, Serialize};
 /// spawn would rival the subtree's own arithmetic.
 pub(crate) const PAR_TREE_MIN_ELEMS: usize = 32_768;
 
+/// Columns per tile of [`ModeSet::apply_reconstruction_rows`]: the tile's
+/// weight rows (`2 × modes × tile` doubles) stay cache-resident while every
+/// row of the block streams past them.
+const RECON_TILE: usize = 256;
+
 /// Configuration of the multiresolution recursion.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MrDmdConfig {
@@ -295,6 +300,15 @@ impl ModeSet {
     /// row blocks can be filled concurrently; every element receives exactly
     /// the additions (in the same order) it would in a whole-matrix pass, so
     /// any row chunking produces bitwise-identical output.
+    ///
+    /// The window's columns are walked in tiles of [`RECON_TILE`]: each tile
+    /// first tabulates the per-mode weights `e^{ψ·t}·b` as separate real and
+    /// imaginary rows, then streams the block row by row with the columns
+    /// innermost. Only the real part of `Σₖ φₖ·wₖ` is accumulated, as
+    /// `acc + φ.re·w.re − φ.im·w.im` in mode order. That is exactly the real
+    /// half of [`c64::mul_add`], whose real part never depends on the
+    /// imaginary accumulator, so the output is bitwise that of a full complex
+    /// accumulation.
     #[allow(clippy::too_many_arguments)] // a flat (range, geometry) tuple is clearest here
     pub(crate) fn apply_reconstruction_rows(
         &self,
@@ -306,7 +320,8 @@ impl ModeSet {
         dt: f64,
         sign: f64,
     ) {
-        if self.n_modes() == 0 {
+        let k = self.n_modes();
+        if k == 0 {
             return;
         }
         let node_end = self.start + self.window;
@@ -322,20 +337,35 @@ impl ModeSet {
         if i0 >= i1 {
             return;
         }
-        let mut weights = vec![c64::ZERO; self.n_modes()];
-        for abs in lo..hi {
-            let t_rel = (abs - self.start) as f64 * dt;
-            for ((wgt, &w), &a) in weights.iter_mut().zip(&self.omegas).zip(&self.amplitudes) {
-                *wgt = (w * t_rel).exp() * a;
-            }
-            let col = abs - out_start;
-            for i in i0..i1 {
-                let row = self.modes.row(i);
-                let mut acc = c64::ZERO;
-                for (&phi, &w) in row.iter().zip(&weights) {
-                    acc = acc.mul_add(phi, w);
+        let tile = RECON_TILE.min(hi - lo);
+        let mut w_re = vec![0.0; k * tile];
+        let mut w_im = vec![0.0; k * tile];
+        let mut acc = vec![0.0; tile];
+        for t_lo in (lo..hi).step_by(tile) {
+            let tw = tile.min(hi - t_lo);
+            for c in 0..tw {
+                let t_rel = (t_lo + c - self.start) as f64 * dt;
+                for (j, (&w, &a)) in self.omegas.iter().zip(&self.amplitudes).enumerate() {
+                    let z = (w * t_rel).exp() * a;
+                    w_re[j * tile + c] = z.re;
+                    w_im[j * tile + c] = z.im;
                 }
-                block[(self.row_offset + i - grow0) * out_cols + col] += sign * acc.re;
+            }
+            let col0 = t_lo - out_start;
+            for i in i0..i1 {
+                let acc = &mut acc[..tw];
+                acc.fill(0.0);
+                for (j, phi) in self.modes.row(i).iter().enumerate() {
+                    let wr = &w_re[j * tile..j * tile + tw];
+                    let wi = &w_im[j * tile..j * tile + tw];
+                    for ((a, &r), &im) in acc.iter_mut().zip(wr).zip(wi) {
+                        *a = *a + phi.re * r - phi.im * im;
+                    }
+                }
+                let row = (self.row_offset + i - grow0) * out_cols + col0;
+                for (o, &a) in block[row..row + tw].iter_mut().zip(acc.iter()) {
+                    *o += sign * a;
+                }
             }
         }
     }
@@ -758,6 +788,114 @@ mod tests {
     use super::*;
 
     const TAU: f64 = std::f64::consts::TAU;
+
+    /// The column-order complex loop `apply_reconstruction_rows` replaced:
+    /// one full `c64::mul_add` per mode and element, columns outer.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_apply_rows(
+        node: &ModeSet,
+        block: &mut [f64],
+        grow0: usize,
+        grow1: usize,
+        out_cols: usize,
+        out_start: usize,
+        dt: f64,
+        sign: f64,
+    ) {
+        if node.n_modes() == 0 {
+            return;
+        }
+        let lo = node.start.max(out_start);
+        let hi = (node.start + node.window).min(out_start + out_cols);
+        let i0 = grow0.saturating_sub(node.row_offset);
+        let i1 = node.modes.rows().min(grow1.saturating_sub(node.row_offset));
+        if lo >= hi || i0 >= i1 {
+            return;
+        }
+        let mut weights = vec![c64::ZERO; node.n_modes()];
+        for abs in lo..hi {
+            let t_rel = (abs - node.start) as f64 * dt;
+            for ((wgt, &w), &a) in weights.iter_mut().zip(&node.omegas).zip(&node.amplitudes) {
+                *wgt = (w * t_rel).exp() * a;
+            }
+            let col = abs - out_start;
+            for i in i0..i1 {
+                let mut acc = c64::ZERO;
+                for (&phi, &w) in node.modes.row(i).iter().zip(&weights) {
+                    acc = acc.mul_add(phi, w);
+                }
+                block[(node.row_offset + i - grow0) * out_cols + col] += sign * acc.re;
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruction_kernel_is_bitwise_the_complex_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let dt = 0.37;
+        let (n_rows, out_cols) = (13, 700);
+        let mut cases = 0;
+        for k in [1usize, 3, 8, 17] {
+            for row_offset in [0usize, 4] {
+                // Node windows: inside the output, straddling either edge,
+                // covering it, wider than one column tile, and disjoint.
+                for (start, window, out_start) in [
+                    (10usize, 40usize, 0usize),
+                    (0, 300, 120),
+                    (600, 400, 0),
+                    (50, 900, 100),
+                    (5, 3, 0),
+                    (900, 50, 0),
+                ] {
+                    let p = 9;
+                    let node = ModeSet {
+                        level: 2,
+                        start,
+                        window,
+                        step: 1,
+                        row_offset,
+                        modes: CMat::from_fn(p, k, |_, _| c64::new(rnd(), rnd())),
+                        lambdas: vec![c64::ONE; k],
+                        omegas: (0..k)
+                            .map(|_| c64::new(0.02 * rnd(), 3.0 * rnd()))
+                            .collect(),
+                        amplitudes: (0..k).map(|_| c64::new(rnd(), rnd())).collect(),
+                    };
+                    for (grow0, grow1) in
+                        [(0usize, n_rows), (2, 7), (6, n_rows), (0, 3), (11, n_rows)]
+                    {
+                        for sign in [1.0, -1.0] {
+                            let init: Vec<f64> =
+                                (0..(grow1 - grow0) * out_cols).map(|_| rnd()).collect();
+                            let mut got = init.clone();
+                            let mut want = init;
+                            node.apply_reconstruction_rows(
+                                &mut got, grow0, grow1, out_cols, out_start, dt, sign,
+                            );
+                            reference_apply_rows(
+                                &node, &mut want, grow0, grow1, out_cols, out_start, dt, sign,
+                            );
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "k {k}, offset {row_offset}, window {start}+{window}, out {out_start}, rows {grow0}..{grow1}, sign {sign}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 2 * 6 * 5 * 2);
+    }
 
     /// Multiscale signal: slow global traveling wave + fast traveling wave
     /// present only in the second half + high-frequency ripple. Traveling

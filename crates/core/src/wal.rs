@@ -50,9 +50,9 @@
 use crate::checkpoint::is_valid_shard_name;
 use crate::storage::{self, fsync_dir, u32_at, u64_at, HeaderError, FRAME_HEAD, MAX_FRAME_PAYLOAD};
 use hpc_linalg::Mat;
+use std::cell::Cell;
 use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// First token of every WAL file's header line.
 pub const WAL_MAGIC: &str = "IMRDMD-WAL";
@@ -151,37 +151,35 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// Pending injected append failures (usize::MAX = fail every append).
-static APPEND_FAILURES: AtomicUsize = AtomicUsize::new(0);
-
-/// Arms the next `count` [`Wal::append`] calls to fail with
-/// [`WalError::Injected`] — the disk-full simulation the degradation
-/// tests use. `usize::MAX` makes the failure sticky.
-pub fn arm_append_failure(count: usize) {
-    APPEND_FAILURES.store(count, Ordering::SeqCst);
+thread_local! {
+    /// Pending injected append failures of this thread (usize::MAX = fail
+    /// every append).
+    static APPEND_FAILURES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Clears any armed append failures.
+/// Arms the next `count` [`Wal::append`] calls **on the calling thread** to
+/// fail with [`WalError::Injected`] — the disk-full simulation the
+/// degradation tests use. `usize::MAX` makes the failure sticky. The count
+/// is per thread so that concurrently running tests never consume each
+/// other's injected failures.
+pub fn arm_append_failure(count: usize) {
+    APPEND_FAILURES.with(|n| n.set(count));
+}
+
+/// Clears any append failures armed on the calling thread.
 pub fn disarm_append_failure() {
-    APPEND_FAILURES.store(0, Ordering::SeqCst);
+    APPEND_FAILURES.with(|n| n.set(0));
 }
 
 fn take_append_failure() -> bool {
-    loop {
-        let n = APPEND_FAILURES.load(Ordering::SeqCst);
-        if n == 0 {
-            return false;
+    APPEND_FAILURES.with(|n| match n.get() {
+        0 => false,
+        usize::MAX => true,
+        k => {
+            n.set(k - 1);
+            true
         }
-        if n == usize::MAX {
-            return true;
-        }
-        if APPEND_FAILURES
-            .compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return true;
-        }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -622,6 +620,14 @@ mod tests {
         let dir = scratch("failpoint");
         let mut wal = Wal::open(&dir, "t0", Durability::Interval).expect("open");
         arm_append_failure(1);
+        // Armed per thread: another thread's append neither fails nor
+        // consumes the failure.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut other = Wal::open(&dir, "t1", Durability::Interval).expect("open");
+                assert!(other.append(0, &batch(0, 4)).is_ok());
+            });
+        });
         assert!(matches!(
             wal.append(0, &batch(0, 4)),
             Err(WalError::Injected)

@@ -18,26 +18,49 @@ pub struct Qr {
 /// Computes the thin QR factorisation of `a` (`m ≥ n` not required: for wide
 /// matrices `q` is `m × m` and `r` is `m × n`).
 ///
-/// Reflectors live in one flat recycled scratch buffer and are applied
-/// row-wise (`w = vᵀR`, then `R -= 2·v·wᵀ`), so both passes stream the
-/// row-major storage contiguously instead of walking columns.
+/// Works on one pooled transposed copy, so every reflector reads and updates
+/// a column of `a` as a contiguous row.
 pub fn qr(a: &Mat) -> Qr {
     let _span = crate::obs::QR_NS.span();
     crate::obs::QR_CALLS.inc();
     let m = a.rows();
     let n = a.cols();
     let k = m.min(n);
-    let mut r = workspace::pooled_copy(a);
-    // Reflector j occupies vs[j*m .. j*m + (m - j)] (unit norm, or all-zero
-    // for a null column). One flat pooled buffer instead of k Vecs.
+    let mut w = workspace::pooled_transpose(a);
     let mut vs = workspace::ScratchVec::zeros(k * m);
-    // Shared row-application scratch: w = vᵀ · R[j.., j..] (length ≤ n).
-    let mut w = workspace::ScratchVec::zeros(n.max(k));
+    householder_rows(&mut w, k, &mut vs);
+    // Thin Q: the reflectors applied to the first k columns of I.
+    let mut q = Mat::zeros(m, k);
+    for j in 0..k {
+        q[(j, j)] = 1.0;
+    }
+    apply_reflectors(&vs, k, &mut q);
+    // R row i holds entries i.. of every reduced column (the strictly-lower
+    // triangle, numerical dust, stays zero).
+    let mut r = Mat::zeros(k, n);
+    for i in 0..k {
+        for j in i..n {
+            r[(i, j)] = w[(j, i)];
+        }
+    }
+    Qr { q, r }
+}
+
+/// Householder reduction of the `m × n` matrix whose **columns** are the
+/// rows of `w` (`w` is `n × m`): the first `k ≤ min(m, n)` columns are
+/// reduced in place, leaving column `c` of `R` in `w.row(c)[..=c]`.
+///
+/// Reflector `j` is written to `vs[j·m .. j·m + (m − j)]` (unit norm, or
+/// all-zero for a null column) for [`apply_reflectors`]. Every dot product
+/// and update streams a contiguous row. Records no metrics: callers that
+/// embed the factorisation in a larger kernel (the preconditioned SVD)
+/// report it under their own span.
+pub(crate) fn householder_rows(w: &mut Mat, k: usize, vs: &mut [f64]) {
+    let (n, m) = w.shape();
+    debug_assert!(k <= m.min(n) && vs.len() >= k * m);
     for j in 0..k {
         let v = &mut vs[j * m..j * m + (m - j)];
-        for (ii, x) in v.iter_mut().enumerate() {
-            *x = r[(j + ii, j)];
-        }
+        v.copy_from_slice(&w.row(j)[j..]);
         let alpha = norm2(v);
         if alpha == 0.0 {
             v.fill(0.0);
@@ -53,56 +76,62 @@ pub fn qr(a: &Mat) -> Qr {
         for x in v.iter_mut() {
             *x /= vnorm;
         }
-        // Apply (I − 2vvᵀ) to R[j.., j..]: w = vᵀR, then each row ii of R
-        // gets `row -= 2·v[ii]·w`. Both loops stream rows contiguously.
+        // Apply (I − 2vvᵀ) to columns j.. : x −= 2(vᵀx)·v. The dot products
+        // run four columns at a time so their independent sequential chains
+        // overlap; each chain still sums in element order. A short last
+        // group repeats its final column in the spare lanes.
         let v = &vs[j * m..j * m + (m - j)];
-        let wj = &mut w[..n - j];
-        wj.fill(0.0);
-        for (ii, &vi) in v.iter().enumerate() {
-            for (wc, &rv) in wj.iter_mut().zip(&r.row(j + ii)[j..]) {
-                *wc += vi * rv;
+        for c0 in (j..n).step_by(4) {
+            let cols = 4.min(n - c0);
+            let data = w.as_slice();
+            let col = |t: usize| {
+                let c = c0 + t.min(cols - 1);
+                &data[c * m + j..(c + 1) * m]
+            };
+            let mut d = [0.0; 4];
+            for ((((&vi, &x0), &x1), &x2), &x3) in
+                v.iter().zip(col(0)).zip(col(1)).zip(col(2)).zip(col(3))
+            {
+                d[0] += vi * x0;
+                d[1] += vi * x1;
+                d[2] += vi * x2;
+                d[3] += vi * x3;
             }
-        }
-        for (ii, &vi) in v.iter().enumerate() {
-            let t = 2.0 * vi;
-            for (rv, &wc) in r.row_mut(j + ii)[j..].iter_mut().zip(wj.iter()) {
-                *rv -= t * wc;
+            for (t, &dt) in d.iter().enumerate().take(cols) {
+                let d2 = 2.0 * dt;
+                for (xi, &vi) in w.row_mut(c0 + t)[j..].iter_mut().zip(v) {
+                    *xi -= vi * d2;
+                }
             }
         }
     }
-    // Accumulate thin Q by applying the reflectors to the first k columns of I.
-    let qcols = k;
-    let mut q = Mat::zeros(m, qcols);
-    for j in 0..qcols {
-        q[(j, j)] = 1.0;
-    }
+}
+
+/// `x ← H₀·H₁⋯H_{k−1}·x` for the first `k` reflectors [`householder_rows`]
+/// stored in `vs` (`x` has `m` rows, the reflectors' ambient length).
+/// Applied to `[I; 0]` this forms the thin `Q`; applied to `[Y; 0]` it
+/// forms `Q·Y` without materialising `Q`. Rows stream contiguously.
+pub(crate) fn apply_reflectors(vs: &[f64], k: usize, x: &mut Mat) {
+    let m = x.rows();
+    let mut w = workspace::ScratchVec::zeros(x.cols());
     for j in (0..k).rev() {
         let v = &vs[j * m..j * m + (m - j)];
-        if v.iter().all(|&x| x == 0.0) {
+        if v.iter().all(|&vi| vi == 0.0) {
             continue;
         }
-        let wj = &mut w[..qcols];
-        wj.fill(0.0);
+        w.fill(0.0);
         for (ii, &vi) in v.iter().enumerate() {
-            for (wc, &qv) in wj.iter_mut().zip(q.row(j + ii)) {
-                *wc += vi * qv;
+            for (wc, &xv) in w.iter_mut().zip(x.row(j + ii)) {
+                *wc += vi * xv;
             }
         }
         for (ii, &vi) in v.iter().enumerate() {
             let t = 2.0 * vi;
-            for (qv, &wc) in q.row_mut(j + ii).iter_mut().zip(wj.iter()) {
-                *qv -= t * wc;
+            for (xv, &wc) in x.row_mut(j + ii).iter_mut().zip(w.iter()) {
+                *xv -= t * wc;
             }
         }
     }
-    // Trim R to k×n and zero the strictly-lower triangle (numerical dust).
-    let mut r_out = Mat::zeros(k, n);
-    for i in 0..k {
-        for j in i..n {
-            r_out[(i, j)] = r[(i, j)];
-        }
-    }
-    Qr { q, r: r_out }
 }
 
 /// Minimum rows before [`tsqr`] splits into panels at all; below this a
