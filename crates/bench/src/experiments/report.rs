@@ -87,31 +87,6 @@ pub fn run(opts: &Opts) -> std::io::Result<usize> {
         }
     }
     if let Some(text) = read_if_exists(dir, "metrics.prom") {
-        // Batched-execution panel: the `batch.*` series the cross-tree
-        // engine records (same-shape kernel groups dispatched, small-op
-        // bypasses, ops folded per group), pulled out of the registry text
-        // as a table of the scalar samples (counters plus histogram
-        // sum/count — bucket lines stay in the full registry below).
-        let batch_rows: Vec<(String, String)> = text
-            .lines()
-            .filter(|l| l.starts_with("batch_") && !l.contains('{'))
-            .filter_map(|l| l.split_once(' '))
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if !batch_rows.is_empty() {
-            report.heading("Observability — batched execution");
-            report.paragraph(
-                "Kernel batching activity of the cross-tree execution engine during the \
-                 streaming run: how many same-shape groups the batch executor dispatched, \
-                 how many ops bypassed grouping as too small to pay for packing, and the \
-                 ops-per-group histogram totals.",
-            );
-            let borrowed: Vec<(&str, String)> = batch_rows
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            report.kv_table(&borrowed);
-        }
         report.heading("Observability — metrics registry");
         report.preformatted(&text);
         included += 1;

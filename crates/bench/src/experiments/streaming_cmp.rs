@@ -44,10 +44,7 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<StrategyResult>> {
     let mr = Workloads::imrdmd_config(&scenario, 6).mr;
     let mut results = Vec::new();
 
-    // --- I-mrDMD (streamed through the batched execution engine, the
-    //     suite's production dispatch path — bitwise identical to the
-    //     one-tree `partial_fit` loop, and it lights up the `batch.*`
-    //     series the dashboard's batched-execution panel renders). ---
+    // --- I-mrDMD (the paper's incremental update). ---
     {
         let cfg = IMrDmdConfig::builder()
             .mr(mr)
@@ -55,21 +52,11 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<StrategyResult>> {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         imrdmd::obs::reset();
         let mut model = IMrDmd::fit(&data.cols_range(0, t0), &cfg);
-        let mut engine = Engine::with_threads(1);
         let mut times = Vec::new();
         for b in 0..batches {
             let lo = t0 + b * batch_len;
             let batch = data.cols_range(lo, lo + batch_len);
-            let (secs, _) = timeit(|| {
-                let mut jobs = vec![FleetJob {
-                    tree: &mut model,
-                    batch: &batch,
-                    guard: None,
-                }];
-                for res in engine.run_fleet(&mut jobs) {
-                    res.expect("engine round");
-                }
-            });
+            let (secs, _) = timeit(|| model.partial_fit(&batch));
             times.push(secs);
         }
         // Per-round timing + metrics artefacts for the dashboard's

@@ -648,13 +648,10 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Streams `input` through a fit (first chunk cold-start, rest dispatched
-/// through the batched execution [`Engine`]) and prints the final process
-/// metrics snapshot. Metrics are process-local, so the subcommand generates
-/// its own workload rather than reading a model file; routing the rounds
-/// through the engine makes the `batch.*` series (kernel groups dispatched,
-/// bypasses, ops per group) report the values a fleet deployment would see
-/// instead of zeros.
+/// Streams `input` through a fit (first chunk cold-start, rest as
+/// `partial_fit` rounds) and prints the final process metrics snapshot.
+/// Metrics are process-local, so the subcommand generates its own workload
+/// rather than reading a model file.
 fn metrics(
     input: &Path,
     dt: f64,
@@ -685,19 +682,10 @@ fn metrics(
     let cfg = stream_config(dt, levels, 2, 0, strategy)?;
     let first = chunk.min(total);
     let mut model = IMrDmd::fit(&data.cols_range(0, first), &cfg);
-    let mut engine = Engine::with_threads(1);
     let mut done = first;
     while done < total {
         let hi = (done + chunk).min(total);
-        let batch = data.cols_range(done, hi);
-        let mut jobs = vec![FleetJob {
-            tree: &mut model,
-            batch: &batch,
-            guard: None,
-        }];
-        for res in engine.run_fleet(&mut jobs) {
-            res.map_err(|e| CliError(format!("engine round failed: {e}")))?;
-        }
+        model.partial_fit(&data.cols_range(done, hi));
         done = hi;
     }
     let snap = MetricsSnapshot::capture();

@@ -365,28 +365,6 @@ pub struct Dmd {
     pub eig_stats: EigStats,
 }
 
-/// Outcome of [`Dmd::try_prepare`]: the fit either resolved immediately
-/// (retained rank 0) or still owes the `B = Y·vs` product.
-#[derive(Clone, Debug)]
-pub enum DmdPrep {
-    /// Rank-0 short circuit — the decomposition is already complete.
-    Done(Dmd),
-    /// Deferred product; execute `B = Y·vs` and call [`Dmd::try_finish`].
-    Plan(DmdPlan),
-}
-
-/// Deferred tail of a DMD fit (see [`Dmd::try_prepare`]): the rank-resolved
-/// factors with the dominant `B = Y·vs` product still outstanding, so a
-/// batching engine can execute many trees' products in one packed pass.
-#[derive(Clone, Debug)]
-pub struct DmdPlan {
-    /// Truncated left basis `U` (`P × r`).
-    pub u: Mat,
-    /// `V·Σ⁻¹` (`T−1 × r`): right operand of the outstanding product.
-    pub vs: Mat,
-    dt: f64,
-}
-
 impl Dmd {
     /// Fits an exact DMD to the snapshot matrix `data` (`P × T`, `T ≥ 2`).
     ///
@@ -468,89 +446,43 @@ impl Dmd {
 
     /// Fallible twin of [`from_svd`](Self::from_svd); see
     /// [`try_fit`](Self::try_fit) for the error contract.
-    ///
-    /// Internally this is [`try_prepare`](Self::try_prepare) → the `B = Y·vs`
-    /// product → [`try_finish`](Self::try_finish); the batched execution
-    /// engine drives the same three stages with the product executed in a
-    /// cross-tree GEMM batch, so the two paths are bitwise interchangeable.
     pub fn try_from_svd(
         svd_x: &Svd,
         y: &Mat,
         data: &Mat,
         cfg: &DmdConfig,
     ) -> Result<Dmd, CoreError> {
-        match Self::try_prepare(svd_x, y, cfg)? {
-            DmdPrep::Done(d) => Ok(d),
-            DmdPrep::Plan(plan) => {
-                let b = y.matmul(&plan.vs);
-                Self::try_finish(&plan, &b, data)
-            }
-        }
-    }
-
-    /// First stage of [`try_from_svd`](Self::try_from_svd): validates the
-    /// configuration, resolves the retained rank, and either completes
-    /// immediately (rank 0) or returns a [`DmdPlan`] whose outstanding
-    /// `B = Y·vs` product the caller executes — directly or inside a
-    /// cross-tree [`gemm_batch`](hpc_linalg::gemm_batch).
-    pub fn try_prepare(svd_x: &Svd, y: &Mat, cfg: &DmdConfig) -> Result<DmdPrep, CoreError> {
-        Self::try_prepare_parts(&svd_x.u, &svd_x.s, &svd_x.v, y, cfg)
-    }
-
-    /// Borrowed-factor twin of [`try_prepare`](Self::try_prepare): takes the
-    /// SVD of `X` as its parts, so an incrementally maintained factorisation
-    /// (whose `u`/`s`/`v` live inside the streaming state) can feed a fit
-    /// without first being cloned into an owned [`Svd`].
-    pub fn try_prepare_parts(
-        u_x: &Mat,
-        s_x: &[f64],
-        v_x: &Mat,
-        y: &Mat,
-        cfg: &DmdConfig,
-    ) -> Result<DmdPrep, CoreError> {
         cfg.validate()?;
         let p = y.rows();
-        let r = cfg.rank.resolve(s_x, p, v_x.rows());
+        let r = cfg.rank.resolve(&svd_x.s, p, svd_x.v.rows());
         // Never exceed the numerical rank of X: directions with negligible
-        // singular values carry no dynamics, only amplified noise
-        // (`Svd::numerical_rank` at tol 1e-10, inlined for the slice form).
-        let s0 = s_x.first().copied().unwrap_or(0.0);
-        let num_rank = s_x.iter().take_while(|&&x| x > 1e-10 * s0).count();
-        let r = r.min(num_rank);
+        // singular values carry no dynamics, only amplified noise.
+        let r = r.min(svd_x.numerical_rank(1e-10));
         if r == 0 {
-            return Ok(DmdPrep::Done(Dmd {
+            return Ok(Dmd {
                 modes: CMat::zeros(p, 0),
                 lambdas: vec![],
                 omegas: vec![],
                 amplitudes: vec![],
                 dt: cfg.dt,
                 eig_stats: EigStats::default(),
-            }));
+            });
         }
-        let u = u_x.cols_range(0, r);
-        let v = v_x.cols_range(0, r);
-        let sinv: Vec<f64> = s_x[..r]
+        let u = svd_x.u.cols_range(0, r);
+        let v = svd_x.v.cols_range(0, r);
+        let sinv: Vec<f64> = svd_x.s[..r]
             .iter()
             .map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 })
             .collect();
-        // B = Y·V·Σ⁻¹ (P × r): shared by Ã and the exact modes. The plan
-        // carries V·Σ⁻¹ so B itself can be computed in a batch.
-        let vs = scale_cols_real(&v, &sinv);
-        Ok(DmdPrep::Plan(DmdPlan { u, vs, dt: cfg.dt }))
-    }
-
-    /// Final stage of [`try_from_svd`](Self::try_from_svd): consumes the
-    /// plan together with the computed product `b = Y·vs` (`P × r`) and the
-    /// full snapshot matrix (first column feeds the amplitude fit).
-    pub fn try_finish(plan: &DmdPlan, b: &Mat, data: &Mat) -> Result<Dmd, CoreError> {
-        let r = plan.u.cols();
-        let a_tilde = plan.u.t_matmul(b); // r × r
+        // B = Y·V·Σ⁻¹ (P × r): shared by Ã and the exact modes.
+        let b = y.matmul(&scale_cols_real(&v, &sinv));
+        let a_tilde = u.t_matmul(&b); // r × r
         let eig = try_eig_real(&a_tilde).map_err(|e| CoreError::Numerical {
             context: format!("eigendecomposition of the {r}×{r} reduced operator"),
             source: e,
         })?;
         // Exact modes Φ = B·W.
-        let modes = CMat::from_real(b).matmul(&eig.vectors);
+        let modes = CMat::from_real(&b).matmul(&eig.vectors);
         let lambdas = eig.values;
         let omegas: Vec<c64> = lambdas
             .iter()
@@ -560,7 +492,7 @@ impl Dmd {
                     // left half-plane so exp(ψt) vanishes.
                     c64::new(-1e6, 0.0)
                 } else {
-                    l.ln() / plan.dt
+                    l.ln() / cfg.dt
                 }
             })
             .collect();
@@ -579,7 +511,7 @@ impl Dmd {
             lambdas,
             omegas,
             amplitudes,
-            dt: plan.dt,
+            dt: cfg.dt,
             eig_stats: eig.stats,
         })
     }

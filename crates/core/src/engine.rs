@@ -1,34 +1,21 @@
-//! Cross-tree batched execution engine for fleet-scale streaming rounds.
+//! Fleet rounds: one streaming round for every tree of a fleet.
 //!
-//! A sharded deployment runs hundreds of small per-rack [`IMrDmd`] trees,
-//! and a fleet round executed one tree at a time degenerates into thousands
-//! of tiny kernel calls — each paying GEMM dispatch, packing-buffer
-//! acquisition, span/counter recording, and per-column drift allocations.
-//! The engine executes a whole fleet round as a *plan*: every tree's round
-//! is decomposed into the staged fragments of `partial_fit_inner` (see
-//! `imrdmd.rs`), the kernel work between stages is collected across trees
-//! into plain-data op lists ([`ExecPlan`]), bucketed by shape, and
-//! dispatched as packed batches over the engine's permit
-//! [`WorkerPool`] — while the per-tree scratch
-//! (drift evaluation buffers) lives in one arena reused across every tree
-//! and every round, so steady-state fleet rounds allocate nothing in the
-//! drift stage.
+//! A sharded deployment runs hundreds of small per-rack [`IMrDmd`] trees.
+//! [`Engine::run_fleet`] takes one batch per tree and runs each tree's
+//! round — shape check, optional ingest guard, then the same
+//! [`IMrDmd::try_partial_fit`] round a single tree runs — fanning the trees
+//! out over the engine's [`WorkerPool`], one tree per task.
 //!
 //! ## Determinism
 //!
-//! Engine rounds are bitwise-identical to legacy per-tree rounds. Each
-//! staged fragment replicates the corresponding `partial_fit_inner`
-//! arithmetic exactly; the batched GEMMs compute each op with standalone
-//! [`gemm`](hpc_linalg::gemm::gemm) arithmetic (itself thread-count
-//! invariant); and per-tree state is only ever mutated serially, in job
-//! order, between batches. Shard count, worker threads, and submission
-//! order therefore cannot change any tree's state.
+//! Trees are independent: a round reads and writes only its own tree and
+//! guard, and each job's result lands in its own slot. Shard count, worker
+//! threads and submission order therefore change wall-clock time only,
+//! never any tree's state or report.
 
 use crate::error::CoreError;
-use crate::imrdmd::{DriftScratch, EngineRound, IMrDmd, RootStage, RoundReport};
-use crate::ingest::{IngestGuard, RepairReport};
-use hpc_linalg::batch::{gemm_batch_pooled, GemmOp};
-use hpc_linalg::gemm::Trans;
+use crate::imrdmd::{IMrDmd, RoundReport};
+use crate::ingest::IngestGuard;
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::Mat;
 
@@ -45,23 +32,22 @@ pub struct FleetJob<'a> {
     pub guard: Option<&'a mut IngestGuard>,
 }
 
-/// One kernel op recorded in the engine's [`ExecPlan`] — the data-object
-/// form of the work a fleet round dispatched in batches.
+/// One kernel op of a fleet round, recorded in the engine's [`ExecPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelOp {
-    /// A streaming-SVD basis projection `d ← Uᵀ·x_block` for one tree.
+    /// The streaming root factorisation of one tree absorbed new decimated
+    /// columns (its basis projection `Uᵀ·X`).
     IsvdProject {
         /// Index of the tree in the submitted job slice.
         tree: usize,
-        /// Current rank of that tree's streaming SVD (rows of `d`).
+        /// Rank of that tree's root factorisation before the update.
         rank: usize,
         /// Sensor rows of the projected block.
         rows: usize,
-        /// New decimated columns entering the SVD.
+        /// New decimated columns entering the factorisation.
         cols: usize,
     },
-    /// The deferred root product `B ← Y·vs` of one tree's rank-resolved
-    /// root DMD fit.
+    /// One tree's root DMD was re-solved (its `B = Y·V·Σ⁻¹` product).
     RootProduct {
         /// Index of the tree in the submitted job slice.
         tree: usize,
@@ -69,47 +55,25 @@ pub enum KernelOp {
         rows: usize,
         /// Inner dimension (decimated columns of `Y`).
         inner: usize,
-        /// Resolved root rank (columns of `vs`).
+        /// Rank of the root factorisation the solve ran from.
         cols: usize,
     },
 }
 
-/// The kernel-level plan of the last fleet round: every batched op, in the
-/// order it was collected (tree order per stage). Useful for tests and for
-/// observing how well a fleet coalesces.
+/// The kernel-level plan of the last fleet round: the root work each tree
+/// did, for tests and for observing how many trees advanced their root.
 #[derive(Clone, Debug, Default)]
 pub struct ExecPlan {
-    /// The recorded ops, projection stage first, then root products.
+    /// The recorded ops: every projection in job order, then every root
+    /// product in job order.
     pub ops: Vec<KernelOp>,
 }
 
-/// Per-tree round state held between engine stages.
-struct Slot {
-    round: EngineRound,
-    clean: Option<Mat>,
-    repairs: RepairReport,
-}
-
-enum SlotState {
-    /// Shape mismatch or guard rejection; the error is taken at assembly.
-    Failed(Option<CoreError>),
-    /// Empty effective batch: the round is a no-op report, as in the legacy
-    /// `t1 == 0` early return.
-    Empty {
-        repairs: RepairReport,
-    },
-    Active(Box<Slot>),
-}
-
-/// The batched fleet-round executor.
-///
-/// Owns the permit worker pool the kernel batches dispatch over and the
-/// arena scratch reused across rounds. One engine drives any number of
-/// fleets/shards; [`Engine::run_fleet`] borrows the trees only for the
-/// duration of the call.
+/// The fleet-round executor: owns the worker pool the trees fan out over.
+/// One engine drives any number of fleets/shards; [`Engine::run_fleet`]
+/// borrows the trees only for the duration of the call.
 pub struct Engine {
     pool: WorkerPool,
-    scratch: DriftScratch,
     last_plan: ExecPlan,
 }
 
@@ -119,6 +83,15 @@ impl Default for Engine {
     }
 }
 
+/// One job's slot while the fleet round is in flight.
+struct Task<'j, 'a> {
+    index: usize,
+    job: &'j mut FleetJob<'a>,
+    result: Option<Result<RoundReport, CoreError>>,
+    project: Option<KernelOp>,
+    product: Option<KernelOp>,
+}
+
 impl Engine {
     /// An engine over the process-default worker budget
     /// ([`WorkerPool::new(0)`](hpc_linalg::pool::WorkerPool::new)).
@@ -126,12 +99,11 @@ impl Engine {
         Engine::with_threads(0)
     }
 
-    /// An engine whose kernel batches dispatch over `n` permit workers
-    /// (`0` = auto). Results are identical at every thread count.
+    /// An engine whose trees fan out over `n` workers (`0` = auto). Results
+    /// are identical at every thread count.
     pub fn with_threads(n: usize) -> Engine {
         Engine {
             pool: WorkerPool::new(n),
-            scratch: DriftScratch::default(),
             last_plan: ExecPlan::default(),
         }
     }
@@ -141,8 +113,7 @@ impl Engine {
         &self.last_plan
     }
 
-    /// Executes one streaming round for every job, batching the kernel work
-    /// across trees.
+    /// Executes one streaming round for every job.
     ///
     /// Per-tree results (state and [`RoundReport`]) are bitwise-identical
     /// to calling [`IMrDmd::try_partial_fit`] /
@@ -150,220 +121,65 @@ impl Engine {
     /// Errors are per-job: one tree's shape mismatch or guard rejection
     /// never blocks the rest of the fleet.
     pub fn run_fleet(&mut self, jobs: &mut [FleetJob<'_>]) -> Vec<Result<RoundReport, CoreError>> {
-        let Engine {
-            pool,
-            scratch,
-            last_plan,
-        } = self;
-        last_plan.ops.clear();
-        let _span = crate::obs::ROUND_NS.span();
-        let timing = std::env::var_os("ENGINE_STAGE_TIMING").is_some();
-        let mut marks: Vec<(&str, std::time::Instant)> = Vec::new();
-        let mark = |label: &'static str, marks: &mut Vec<(&str, std::time::Instant)>| {
-            if timing {
-                marks.push((label, std::time::Instant::now()));
-            }
-        };
-        mark("start", &mut marks);
-
-        // Stage 0+1: per-tree repair + round begin (serial, job order).
-        let mut slots: Vec<SlotState> = Vec::with_capacity(jobs.len());
-        for job in jobs.iter_mut() {
-            if job.batch.rows() != job.tree.n_rows() {
-                slots.push(SlotState::Failed(Some(CoreError::ShapeMismatch {
-                    expected_rows: job.tree.n_rows(),
-                    got_rows: job.batch.rows(),
-                })));
-                continue;
-            }
-            let (clean, repairs) = match job.guard.as_mut() {
-                Some(g) => match g.repair(job.batch) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        slots.push(SlotState::Failed(Some(e)));
-                        continue;
-                    }
-                },
-                None => (None, RepairReport::default()),
-            };
-            let eff = clean.as_ref().unwrap_or(job.batch);
-            if eff.cols() == 0 {
-                slots.push(SlotState::Empty { repairs });
-                continue;
-            }
-            let round = job.tree.engine_begin(eff);
-            slots.push(SlotState::Active(Box::new(Slot {
-                round,
-                clean,
-                repairs,
-            })));
-        }
-        mark("begin", &mut marks);
-
-        // Stage 2: every tree's basis projection `d ← Uᵀ·x_block` (`Qᵀ` for
-        // sketched trees — `root_basis` picks the active factor), bucketed
-        // by shape and dispatched as one batched pass over the pool.
-        {
-            let mut ops: Vec<GemmOp<'_>> = Vec::new();
-            for (i, (job, slot)) in jobs.iter_mut().zip(slots.iter_mut()).enumerate() {
-                let SlotState::Active(s) = slot else { continue };
-                if s.round.n_new == 0 {
-                    continue;
-                }
-                let EngineRound { x_block, d, .. } = &mut s.round;
-                last_plan.ops.push(KernelOp::IsvdProject {
-                    tree: i,
-                    rank: d.rows(),
-                    rows: x_block.rows(),
-                    cols: x_block.cols(),
-                });
-                ops.push(GemmOp {
-                    alpha: 1.0,
-                    a: job.tree.root_basis(),
-                    ta: Trans::Yes,
-                    b: &*x_block,
-                    tb: Trans::No,
-                    beta: 0.0,
-                    c: d,
-                });
-            }
-            gemm_batch_pooled(&mut ops, pool);
-        }
-        mark("project", &mut marks);
-
-        // Stage 3: fold projections into each streaming SVD (serial).
-        for (job, slot) in jobs.iter_mut().zip(slots.iter()) {
-            if let SlotState::Active(s) = slot {
-                job.tree.engine_fold(&s.round);
-            }
-        }
-        mark("fold", &mut marks);
-
-        // Stage 4: displace + rank-resolve every root fit (serial); trees
-        // whose fit owes a `B = Y·vs` product park it in `root_stage`.
-        for (job, slot) in jobs.iter_mut().zip(slots.iter_mut()) {
-            if let SlotState::Active(s) = slot {
-                job.tree.engine_root_begin(&mut s.round);
-            }
-        }
-        mark("root_begin", &mut marks);
-
-        // Stage 5: all deferred root products in one batched pass.
-        {
-            let mut ops: Vec<GemmOp<'_>> = Vec::new();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let SlotState::Active(s) = slot else { continue };
-                let Some(RootStage { plan, y, b }) = s.round.root_stage.as_mut() else {
-                    continue;
-                };
-                last_plan.ops.push(KernelOp::RootProduct {
-                    tree: i,
-                    rows: y.rows(),
-                    inner: y.cols(),
-                    cols: plan.vs.cols(),
-                });
-                ops.push(GemmOp {
-                    alpha: 1.0,
-                    a: &*y,
-                    ta: Trans::No,
-                    b: &plan.vs,
-                    tb: Trans::No,
-                    beta: 0.0,
-                    c: b,
-                });
-            }
-            gemm_batch_pooled(&mut ops, pool);
-        }
-        mark("root_prod", &mut marks);
-
-        // Stages 6–7: finish root solves, then measure drift into the shared
-        // arena scratch (serial, job order).
-        for (job, slot) in jobs.iter_mut().zip(slots.iter_mut()) {
-            if let SlotState::Active(s) = slot {
-                job.tree.engine_root_finish(&mut s.round);
-            }
-        }
-        mark("root_finish", &mut marks);
-        for (job, slot) in jobs.iter_mut().zip(slots.iter_mut()) {
-            if let SlotState::Active(s) = slot {
-                job.tree.engine_drift(&mut s.round, scratch);
-            }
-        }
-        mark("drift", &mut marks);
-
-        // Stage 8: tails + unified report assembly, mirroring the
-        // instrumented single-tree `round`.
-        let out: Vec<Result<RoundReport, CoreError>> = jobs
+        let mut tasks: Vec<Task<'_, '_>> = jobs
             .iter_mut()
-            .zip(slots.iter_mut())
-            .map(|(job, slot)| match slot {
-                SlotState::Failed(e) => Err(e.take().unwrap_or(CoreError::ShapeMismatch {
-                    expected_rows: job.tree.n_rows(),
-                    got_rows: job.batch.rows(),
-                })),
-                SlotState::Empty { repairs } => {
-                    crate::obs::ROUND_COUNT.inc();
-                    let fit = job.tree.engine_empty_report();
-                    crate::obs::ROUND_PENDING.set(fit.pending as f64);
-                    crate::obs::ROUND_DRIFT.set(fit.drift);
-                    let health = job.tree.health();
-                    crate::obs::HEALTH_COVERAGE.set(health.coverage);
-                    Ok(RoundReport {
-                        batch_len: fit.batch_len,
-                        new_root_cols: fit.new_root_cols,
-                        drift: fit.drift,
-                        stale: fit.stale,
-                        new_subtree_modes: fit.new_subtree_modes,
-                        pending: fit.pending,
-                        new_faults: fit.new_faults,
-                        repairs: std::mem::take(repairs),
-                        faults: Vec::new(),
-                        health,
-                    })
-                }
-                SlotState::Active(s) => {
-                    crate::obs::ROUND_COUNT.inc();
-                    let eff = s.clean.as_ref().unwrap_or(job.batch);
-                    let fit = job.tree.engine_tail(eff, &s.round);
-                    crate::obs::FIT_FAULTS.add(fit.new_faults as u64);
-                    crate::obs::ROUND_PENDING.set(fit.pending as f64);
-                    crate::obs::ROUND_DRIFT.set(fit.drift);
-                    let health = job.tree.health();
-                    crate::obs::HEALTH_COVERAGE.set(health.coverage);
-                    Ok(RoundReport {
-                        batch_len: fit.batch_len,
-                        new_root_cols: fit.new_root_cols,
-                        drift: fit.drift,
-                        stale: fit.stale,
-                        new_subtree_modes: fit.new_subtree_modes,
-                        pending: fit.pending,
-                        new_faults: fit.new_faults,
-                        repairs: std::mem::take(&mut s.repairs),
-                        faults: job.tree.faults_since(s.round.faults_before),
-                        health,
-                    })
-                }
+            .enumerate()
+            .map(|(index, job)| Task {
+                index,
+                job,
+                result: None,
+                project: None,
+                product: None,
             })
             .collect();
-        mark("tail", &mut marks);
-        if timing {
-            let mut line = String::from("engine stages:");
-            for pair in marks.windows(2) {
-                let dt = pair[1].1.duration_since(pair[0].1);
-                line.push_str(&format!(" {}={:.0}us", pair[1].0, dt.as_secs_f64() * 1e6));
+        self.pool.for_each(&mut tasks, &|t: &mut Task<'_, '_>| {
+            let tree = &mut *t.job.tree;
+            let (rank, rows) = (tree.root_rank(), tree.n_rows());
+            let res = tree.try_round(t.job.batch, t.job.guard.as_deref_mut());
+            if let Ok(r) = &res {
+                if r.new_root_cols > 0 {
+                    t.project = Some(KernelOp::IsvdProject {
+                        tree: t.index,
+                        rank,
+                        rows,
+                        cols: r.new_root_cols,
+                    });
+                    if r.health.root.is_healthy() {
+                        t.product = Some(KernelOp::RootProduct {
+                            tree: t.index,
+                            rows,
+                            inner: tree.root_stream_len() - 1,
+                            cols: tree.root_rank(),
+                        });
+                    }
+                }
             }
-            eprintln!("{line}");
-        }
-        out
+            t.result = Some(res);
+        });
+        let plan = &mut self.last_plan.ops;
+        plan.clear();
+        plan.extend(tasks.iter().filter_map(|t| t.project));
+        plan.extend(tasks.iter().filter_map(|t| t.product));
+        // `for_each` visits every task exactly once, so every slot is
+        // filled; the fallback only keeps this path panic-free.
+        tasks
+            .into_iter()
+            .map(|t| {
+                t.result.unwrap_or_else(|| {
+                    Err(CoreError::ShapeMismatch {
+                        expected_rows: t.job.tree.n_rows(),
+                        got_rows: t.job.batch.rows(),
+                    })
+                })
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dmd::FitStrategy;
     use crate::imrdmd::IMrDmdConfig;
-    use crate::ingest::GapPolicy;
     use crate::mrdmd::MrDmdConfig;
 
     fn signal(p: usize, t: usize, seed: usize) -> Mat {
@@ -384,211 +200,6 @@ mod tests {
             .drift_threshold(1e6)
             .build()
             .unwrap_or_default()
-    }
-
-    fn state_json(tree: &IMrDmd) -> String {
-        serde_json::to_string(tree).unwrap_or_default()
-    }
-
-    #[test]
-    fn engine_round_is_bitwise_identical_to_legacy() {
-        // Heterogeneous fleet: varying widths, depths, window sizes. Stream
-        // several rounds (mixed batch lengths, one empty) through the legacy
-        // per-tree path and the batched engine; state must match bit for bit
-        // after every round, at every engine thread count.
-        let shapes = [(8usize, 3usize, 4usize), (8, 2, 4), (12, 3, 6), (8, 3, 4)];
-        for threads in [1usize, 2] {
-            let mut legacy: Vec<IMrDmd> = Vec::new();
-            let mut batched: Vec<IMrDmd> = Vec::new();
-            for (s, &(p, levels, win)) in shapes.iter().enumerate() {
-                let cfg = fleet_cfg(levels, win);
-                let data = signal(p, 60, s);
-                legacy.push(IMrDmd::fit(&data, &cfg));
-                batched.push(IMrDmd::fit(&data, &cfg));
-            }
-            let mut engine = Engine::with_threads(threads);
-            for round in 0..4 {
-                let batches: Vec<Mat> = shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &(p, _, _))| {
-                        // Tree 1 sits out round 2 (empty batch).
-                        let len = if s == 1 && round == 2 {
-                            0
-                        } else {
-                            5 + s + round
-                        };
-                        signal(p, len, s + 10 * (round + 1))
-                    })
-                    .collect();
-                let want: Vec<String> = legacy
-                    .iter_mut()
-                    .zip(&batches)
-                    .map(|(tree, b)| {
-                        tree.partial_fit(b);
-                        state_json(tree)
-                    })
-                    .collect();
-                let mut jobs: Vec<FleetJob<'_>> = batched
-                    .iter_mut()
-                    .zip(&batches)
-                    .map(|(tree, b)| FleetJob {
-                        tree,
-                        batch: b,
-                        guard: None,
-                    })
-                    .collect();
-                let reports = engine.run_fleet(&mut jobs);
-                drop(jobs);
-                for (s, r) in reports.iter().enumerate() {
-                    assert!(r.is_ok(), "round {round} tree {s}: {r:?}");
-                }
-                for (s, (tree, w)) in batched.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        state_json(tree),
-                        *w,
-                        "state diverged: round {round} tree {s} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_sketched_round_is_bitwise_identical_to_legacy() {
-        // Same fleet/round structure as the exact-strategy test, but every
-        // tree runs `FitStrategy::Sketched`: the engine's batched Qᵀ·X
-        // projection plus `absorb_projected` fold must be bit-identical to
-        // the legacy per-tree `absorb` path at every shard/thread count.
-        let shapes = [(8usize, 3usize, 4usize), (12, 3, 6), (8, 2, 4)];
-        for threads in [1usize, 2, 4] {
-            let mut legacy: Vec<IMrDmd> = Vec::new();
-            let mut batched: Vec<IMrDmd> = Vec::new();
-            for (s, &(p, levels, win)) in shapes.iter().enumerate() {
-                let mut cfg = fleet_cfg(levels, win);
-                cfg.mr.strategy = FitStrategy::Sketched {
-                    rank_oversample: 4,
-                    power_iters: 1,
-                    seed: 41 + s as u64,
-                };
-                let data = signal(p, 60, s);
-                legacy.push(IMrDmd::fit(&data, &cfg));
-                batched.push(IMrDmd::fit(&data, &cfg));
-            }
-            let mut engine = Engine::with_threads(threads);
-            for round in 0..4 {
-                let batches: Vec<Mat> = shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &(p, _, _))| {
-                        // Tree 1 sits out round 2 (empty batch).
-                        let len = if s == 1 && round == 2 {
-                            0
-                        } else {
-                            5 + s + round
-                        };
-                        signal(p, len, s + 10 * (round + 1))
-                    })
-                    .collect();
-                let want: Vec<String> = legacy
-                    .iter_mut()
-                    .zip(&batches)
-                    .map(|(tree, b)| {
-                        tree.partial_fit(b);
-                        state_json(tree)
-                    })
-                    .collect();
-                let mut jobs: Vec<FleetJob<'_>> = batched
-                    .iter_mut()
-                    .zip(&batches)
-                    .map(|(tree, b)| FleetJob {
-                        tree,
-                        batch: b,
-                        guard: None,
-                    })
-                    .collect();
-                let reports = engine.run_fleet(&mut jobs);
-                drop(jobs);
-                for (s, r) in reports.iter().enumerate() {
-                    assert!(r.is_ok(), "round {round} tree {s}: {r:?}");
-                }
-                for (s, (tree, w)) in batched.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        state_json(tree),
-                        *w,
-                        "sketched state diverged: round {round} tree {s} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::panic)]
-    fn engine_guarded_round_matches_try_partial_fit() {
-        let cfg = fleet_cfg(3, 4);
-        let data = signal(6, 50, 1);
-        let mut legacy = IMrDmd::fit(&data, &cfg);
-        let mut batched = legacy.clone();
-        let mut g1 = IngestGuard::new(GapPolicy::HoldLast, 6);
-        let mut g2 = IngestGuard::new(GapPolicy::HoldLast, 6);
-        let mut batch = signal(6, 8, 7);
-        batch.row_mut(2)[3] = f64::NAN;
-        batch.row_mut(4)[6] = f64::INFINITY;
-        let want = legacy.try_partial_fit(&batch, &mut g1);
-        let mut jobs = vec![FleetJob {
-            tree: &mut batched,
-            batch: &batch,
-            guard: Some(&mut g2),
-        }];
-        let got = Engine::new().run_fleet(&mut jobs).remove(0);
-        drop(jobs);
-        assert_eq!(state_json(&legacy), state_json(&batched));
-        match (want, got) {
-            (Ok(w), Ok(g)) => {
-                let wj = serde_json::to_string(&w).unwrap_or_default();
-                let gj = serde_json::to_string(&g).unwrap_or_default();
-                assert_eq!(wj, gj, "reports diverged");
-                assert!(!w.repairs.is_clean(), "repair should have fired");
-            }
-            (w, g) => panic!("expected both Ok, got {w:?} vs {g:?}"),
-        }
-    }
-
-    #[test]
-    fn engine_sub_step_rounds_match_legacy_bitwise() {
-        // Per-snapshot streaming: with root_step > 1, most 1-column rounds
-        // advance no decimated column (`n_new == 0`) and take the engine's
-        // window-extend fast path (no root clone, no drift scan). State —
-        // including `drift_log` — must still match the legacy path bit for
-        // bit on every round.
-        let cfg = fleet_cfg(2, 8);
-        let data = signal(6, 64, 3); // subsample_step(64) = 4
-        let mut legacy = IMrDmd::fit(&data, &cfg);
-        let mut batched = legacy.clone();
-        let mut engine = Engine::new();
-        let mut skipped = 0usize;
-        for round in 0..12 {
-            let batch = signal(6, 1, 100 + round);
-            let want = legacy.partial_fit(&batch);
-            if want.new_root_cols == 0 {
-                skipped += 1;
-            }
-            let mut jobs = vec![FleetJob {
-                tree: &mut batched,
-                batch: &batch,
-                guard: None,
-            }];
-            let got = engine.run_fleet(&mut jobs).remove(0);
-            drop(jobs);
-            assert!(got.is_ok(), "round {round}: {got:?}");
-            assert_eq!(
-                state_json(&legacy),
-                state_json(&batched),
-                "state diverged at sub-step round {round}"
-            );
-        }
-        assert!(skipped > 0, "workload never exercised the n_new == 0 path");
     }
 
     #[test]

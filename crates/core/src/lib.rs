@@ -76,10 +76,8 @@ pub mod prelude {
     pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
-    #[allow(deprecated)]
     pub use crate::imrdmd::{
-        AsyncRefit, IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, IngestReport, PartialFitReport,
-        RoundReport,
+        AsyncRefit, IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, PartialFitReport, RoundReport,
     };
     pub use crate::ingest::{GapPolicy, IngestGuard, RepairReport};
     pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig, MrDmdConfigBuilder};

@@ -404,27 +404,43 @@ impl ModeSet {
     /// **without clipping to the window** — extrapolation for forecasting.
     /// Returns one value per mode-local row.
     pub fn eval_extrapolated(&self, abs: usize, dt: f64) -> Vec<f64> {
-        let p = self.modes.rows();
-        let mut out = vec![0.0; p];
+        let mut out = Vec::new();
+        self.eval_extrapolated_into(abs, dt, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`eval_extrapolated`](Self::eval_extrapolated) into caller-owned
+    /// buffers: `weights` receives the per-mode weights `e^{ψ·t}·b`, `out`
+    /// the node's rows. Reusing both across calls makes a scan over many
+    /// time points allocation-free.
+    pub fn eval_extrapolated_into(
+        &self,
+        abs: usize,
+        dt: f64,
+        weights: &mut Vec<c64>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(self.modes.rows(), 0.0);
         if self.n_modes() == 0 || abs < self.start {
-            return out;
+            return;
         }
         let t_rel = (abs - self.start) as f64 * dt;
-        let weights: Vec<c64> = self
-            .omegas
-            .iter()
-            .zip(&self.amplitudes)
-            .map(|(&w, &a)| (w * t_rel).exp() * a)
-            .collect();
+        weights.clear();
+        weights.extend(
+            self.omegas
+                .iter()
+                .zip(&self.amplitudes)
+                .map(|(&w, &a)| (w * t_rel).exp() * a),
+        );
         for (i, o) in out.iter_mut().enumerate() {
             let row = self.modes.row(i);
             let mut acc = c64::ZERO;
-            for (&phi, &w) in row.iter().zip(&weights) {
+            for (&phi, &w) in row.iter().zip(weights.iter()) {
                 acc = acc.mul_add(phi, w);
             }
             *o = acc.re;
         }
-        out
     }
 }
 

@@ -492,25 +492,6 @@ pub static ISVD_UPDATES: Counter =
 pub static ISVD_UPDATE_NS: Histogram =
     Histogram::new("isvd.update_ns", "Wall time per incremental-SVD update");
 
-/// Same-shape kernel groups dispatched by the batch executor
-/// ([`crate::batch::gemm_batch`]).
-pub static BATCH_GROUPS: Counter = Counter::new(
-    "batch.groups",
-    "Same-shape kernel groups dispatched by the batch executor",
-);
-/// Batched ops that ran without a same-shape partner (singleton groups) —
-/// a high ratio of bypass to groups means the fleet's shapes are too
-/// heterogeneous to coalesce.
-pub static BATCH_BYPASS: Counter = Counter::new(
-    "batch.bypass",
-    "Batch ops dispatched alone (no same-shape partner)",
-);
-/// Ops per dispatched batch group. This histogram counts *ops*, not
-/// nanoseconds: `count` is the number of groups and `sum` the total ops,
-/// so `sum / count` is the mean coalescing factor.
-pub static BATCH_OPS_PER_GROUP: Histogram =
-    Histogram::new("batch.ops_per_group", "Ops per same-shape batch group");
-
 /// Sketched truncated-SVD fits (the `FitStrategy::Sketched` kernel; exact
 /// fallbacks for probes as wide as the matrix do not count).
 pub static SKETCH_FITS: Counter = Counter::new("sketch.fits", "Sketched truncated-SVD fits");
@@ -544,7 +525,7 @@ pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", "Process-wide worker
 
 /// Captures every metric of this crate, in fixed catalogue order.
 pub fn collect() -> Vec<MetricRecord> {
-    let counters: [&Counter; 17] = [
+    let counters: [&Counter; 15] = [
         &GEMM_CALLS,
         &GEMM_FLOPS,
         &QR_CALLS,
@@ -559,8 +540,6 @@ pub fn collect() -> Vec<MetricRecord> {
         &SKETCH_PROBES,
         &SKETCH_REFRESHES,
         &SKETCH_COMPRESSIONS,
-        &BATCH_GROUPS,
-        &BATCH_BYPASS,
         &POOL_FORKS,
     ];
     let mut out = Vec::new();
@@ -588,7 +567,6 @@ pub fn collect() -> Vec<MetricRecord> {
         &SKETCH_NS,
         &EIG_NS,
         &ISVD_UPDATE_NS,
-        &BATCH_OPS_PER_GROUP,
     ] {
         out.push(MetricRecord {
             name: h.name,
@@ -616,8 +594,6 @@ pub fn reset() {
         &SKETCH_PROBES,
         &SKETCH_REFRESHES,
         &SKETCH_COMPRESSIONS,
-        &BATCH_GROUPS,
-        &BATCH_BYPASS,
         &POOL_FORKS,
         &POOL_TASKS,
     ] {
@@ -631,7 +607,6 @@ pub fn reset() {
         &SKETCH_NS,
         &EIG_NS,
         &ISVD_UPDATE_NS,
-        &BATCH_OPS_PER_GROUP,
     ] {
         h.reset();
     }

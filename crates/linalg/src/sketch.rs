@@ -14,8 +14,7 @@
 //! projected).
 //!
 //! The struct mirrors [`crate::isvd::IncrementalSvd`]'s surface where the
-//! streaming pipeline needs it (`absorb` / `absorb_projected` split for the
-//! batched cross-tree engine, `to_svd`, serde state) and is bitwise
+//! streaming pipeline needs it (`absorb`, `to_svd`, serde state) and is bitwise
 //! deterministic at any thread count: the probe is seeded, panel geometry is
 //! shape-derived, and all products route through the deterministic GEMM.
 
@@ -125,8 +124,7 @@ impl SketchSvd {
         self.max_rank
     }
 
-    /// Width of the current range basis (the projection dimension the
-    /// batched engine sizes its scratch by).
+    /// Width of the current range basis.
     pub fn basis_cols(&self) -> usize {
         self.q.cols()
     }
@@ -158,46 +156,15 @@ impl SketchSvd {
         }
         let mut d = workspace::pooled_zeros(self.q.cols(), block.cols());
         gemm(1.0, &self.q, Trans::Yes, block, Trans::No, 0.0, &mut d);
-        self.fold_projected(block, &d);
-    }
-
-    /// [`SketchSvd::absorb`] entered with the basis projection `d = Qᵀ·block`
-    /// already computed — e.g. by a batched cross-tree projection pass
-    /// ([`crate::batch::sketch_project_batch`]). Performs the exact same
-    /// arithmetic from that point on, so the two paths are bitwise
-    /// interchangeable.
-    ///
-    /// # Panics
-    /// Panics if the block's row count differs from the stream or the
-    /// projection is not `basis_cols × block.cols()`.
-    pub fn absorb_projected(&mut self, block: &Mat, d: &Mat) {
-        assert_eq!(
-            block.rows(),
-            self.q.rows(),
-            "row count must match the stream"
-        );
-        if block.cols() == 0 {
-            return;
-        }
-        assert_eq!(
-            d.shape(),
-            (self.q.cols(), block.cols()),
-            "projection must be basis_cols × block cols"
-        );
-        self.fold_projected(block, d);
-    }
-
-    /// Shared tail of the absorb: refresh the basis with the residual of
-    /// `block` given its projection `d`, append the projected columns, and
-    /// compress if the basis overgrew its cap.
-    fn fold_projected(&mut self, block: &Mat, d: &Mat) {
+        // Refresh the basis with the residual of `block`, append the
+        // projected columns, and compress if the basis overgrew its cap.
         let _span = crate::obs::SKETCH_NS.span();
         let c = block.cols();
         let lq = self.q.cols();
         let t = self.b.cols();
         // resid = block − Q·d, fused into one gemm (β = 1 on a pooled copy).
         let mut resid = workspace::pooled_copy(block);
-        gemm(-1.0, &self.q, Trans::No, d, Trans::No, 1.0, &mut resid);
+        gemm(-1.0, &self.q, Trans::No, &d, Trans::No, 1.0, &mut resid);
         let e = orthonormal_complement(&self.q, &resid, 1e-12); // m × j
         let j = e.cols();
         if j > 0 {
@@ -308,19 +275,6 @@ mod tests {
             );
         }
         assert!(f.reconstruct().fro_dist(&a) < 1e-6 * a.fro_norm());
-    }
-
-    #[test]
-    fn absorb_projected_is_bitwise_identical_to_absorb() {
-        let a = low_rank_stream(80, 60, 5);
-        let mut lhs = SketchSvd::new(&a.cols_range(0, 20), 6, 4, 1, 3);
-        let mut rhs = lhs.clone();
-        let block = a.cols_range(20, 40);
-        lhs.absorb(&block);
-        let d = rhs.basis().t_matmul(&block);
-        rhs.absorb_projected(&block, &d);
-        assert_eq!(lhs.b.as_slice(), rhs.b.as_slice());
-        assert_eq!(lhs.q.as_slice(), rhs.q.as_slice());
     }
 
     #[test]

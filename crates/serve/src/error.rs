@@ -71,7 +71,7 @@ impl ServeError {
 
     /// Seconds the client should wait before retrying, when this error
     /// carries a `Retry-After` contract: load sheds retry quickly (the
-    /// wave in flight drains in well under a second), the tenant cap
+    /// ingests in flight drain in well under a second), the tenant cap
     /// retries slower (slots only free when the operator prunes).
     pub fn retry_after(&self) -> Option<u64> {
         match self {

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod gate;
 pub mod http;
 pub mod manager;
 pub mod obs;
@@ -37,11 +36,7 @@ pub mod server;
 pub mod shard;
 
 pub use error::ServeError;
-pub use gate::EngineGate;
 pub use http::{HttpError, HttpLimits, Request, Response};
 pub use manager::{lock_shard, IngestPermit, ManagerConfig, ShardCell, ShardManager};
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use shard::{
-    IngestReply, PreparedIngest, PreparedRound, RecoveredShard, Shard, ShardSnapshot, ShardState,
-    ShardStatus,
-};
+pub use shard::{IngestReply, RecoveredShard, Shard, ShardSnapshot, ShardState, ShardStatus};

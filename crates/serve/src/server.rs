@@ -47,7 +47,6 @@ use imrdmd::{mode_spectrum, GapPolicy, IMrDmdConfig};
 use serde::Serialize;
 
 use crate::error::ServeError;
-use crate::gate::EngineGate;
 use crate::http::{read_request, HttpLimits, Request, Response};
 use crate::manager::{lock_shard, ManagerConfig, ShardManager};
 use crate::obs;
@@ -102,7 +101,6 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 struct ServerState {
     manager: ShardManager,
-    gate: EngineGate,
     limits: HttpLimits,
     read_timeout: Duration,
     max_connections: usize,
@@ -175,7 +173,6 @@ impl Server {
         let (restored, corrupt) = manager.restore();
         let state = Arc::new(ServerState {
             manager,
-            gate: EngineGate::new(),
             limits: cfg.limits,
             read_timeout: cfg.read_timeout,
             max_connections: cfg.max_connections.max(1),
@@ -401,12 +398,8 @@ fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, 
     let _permit = state.manager.admit_ingest()?;
     let (batch, first_step) = parse_batch(req)?;
     let cell = state.manager.shard_or_create(tenant)?;
-    // Through the flat-combining gate: concurrent tenants' rounds coalesce
-    // into one batched engine wave (bitwise-identical to per-shard ingest).
-    let _span = obs::INGEST_NS.span();
-    let reply: IngestReply = state.gate.submit(
-        cell,
-        batch,
+    let reply: IngestReply = lock_shard(&cell).ingest(
+        &batch,
         first_step,
         state.manager.model_config(),
         state.manager.gap_policy(),

@@ -198,6 +198,49 @@ fn root_health_walks_degraded_to_stale_and_recovers() {
     assert!(model.health().root.is_healthy());
 }
 
+/// A failed root solve inside `add_series` keeps the old-row root in
+/// service with no contribution to the appended rows (instead of slicing
+/// rows it lacks), and counts toward the same degraded → stale streak as a
+/// failed round, keeping the first failure's step as the onset.
+#[test]
+fn add_series_root_failure_degrades_without_panicking() {
+    let _g = FailpointGuard::acquire();
+    let all = signal(9, 704);
+    let mut model = IMrDmd::fit(&all.cols_range(0, 512).rows_range(0, 6), &cfg(1));
+    assert!(model.root_health().is_healthy());
+
+    failpoint::arm_eig_nonconvergence(1);
+    model.add_series(&all.cols_range(0, 512).rows_range(6, 9));
+    assert_eq!(model.n_rows(), 9);
+    let onset = match model.root_health() {
+        SubtreeHealth::Degraded { since, .. } => *since,
+        h => panic!("expected a degraded root after the failed solve, got {h:?}"),
+    };
+    assert_eq!(onset, 512);
+    let root = model.root();
+    assert_eq!(root.modes.rows(), 9);
+    assert!((6..9).all(|i| root.modes.row(i).iter().all(|m| m.re == 0.0 && m.im == 0.0)));
+    let rec = model.reconstruct();
+    assert_eq!(rec.rows(), 9);
+    assert!(rec.as_slice().iter().all(|v| v.is_finite()));
+
+    failpoint::arm_eig_nonconvergence(usize::MAX);
+    let mut lo = 512;
+    for _ in 1..ROOT_STALE_AFTER {
+        model.partial_fit(&all.cols_range(lo, lo + 64));
+        lo += 64;
+    }
+    match model.root_health() {
+        SubtreeHealth::Stale { since, .. } => assert_eq!(*since, onset),
+        h => panic!("expected stale after {ROOT_STALE_AFTER} failures, got {h:?}"),
+    }
+    failpoint::disarm_all();
+
+    model.partial_fit(&all.cols_range(lo, lo + 64));
+    assert!(model.root_health().is_healthy());
+    assert_eq!(model.root().modes.rows(), 9);
+}
+
 /// Kill-and-resume: a checkpoint taken while degraded restores the entire
 /// model — health state included — bitwise.
 #[test]
