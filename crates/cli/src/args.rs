@@ -1,7 +1,8 @@
 //! Argument parsing — hand-rolled `--flag value` pairs, no dependencies.
 
 use crate::CliError;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// A parsed CLI invocation.
@@ -231,280 +232,195 @@ pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info
 /// Flags that take no value: their presence means `true`.
 const BOOL_FLAGS: &[&str] = &["resume"];
 
+/// The `--flag value` pairs of one invocation. Every lookup marks its
+/// flag as read, so [`Flags::finish`] can reject the ones the subcommand
+/// never asked for — a misspelled `--levles 3` is an error, not a
+/// silent default.
+struct Flags {
+    values: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
+}
+
+impl Flags {
+    fn opt(&self, name: &str) -> Option<String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name).cloned()
+    }
+
+    fn get(&self, name: &str) -> Result<String, CliError> {
+        self.opt(name).ok_or_else(|| missing(name))
+    }
+
+    fn or(&self, name: &str, default: &str) -> String {
+        self.opt(name).unwrap_or_else(|| default.to_string())
+    }
+
+    fn opt_num(&self, name: &str) -> Result<Option<f64>, CliError> {
+        self.opt(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError(format!("--{name} must be a number")))
+            })
+            .transpose()
+    }
+
+    fn num(&self, name: &str) -> Result<f64, CliError> {
+        self.opt_num(name)?.ok_or_else(|| missing(name))
+    }
+
+    fn opt_int<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.opt(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError(format!("--{name} must be an integer")))
+            })
+            .transpose()
+    }
+
+    fn int(&self, name: &str) -> Result<usize, CliError> {
+        self.opt_int(name)?.ok_or_else(|| missing(name))
+    }
+
+    /// `cmd` once every flag given was read, else an error naming the
+    /// first flag the subcommand does not take.
+    fn finish(self, sub: &str, cmd: Command) -> Result<Command, CliError> {
+        let read = self.read.into_inner();
+        match self.values.keys().find(|k| !read.contains(*k)) {
+            Some(flag) => Err(CliError(format!(
+                "unknown flag --{flag} for `{sub}`\n{USAGE}"
+            ))),
+            None => Ok(cmd),
+        }
+    }
+}
+
+fn missing(name: &str) -> CliError {
+    CliError(format!("missing required --{name}\n{USAGE}"))
+}
+
 /// Parses an argv slice (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let Some(cmd) = args.first() else {
+    let Some(sub) = args.first() else {
         return Err(CliError(USAGE.into()));
     };
-    let mut flags: BTreeMap<String, String> = BTreeMap::new();
+    let mut values: BTreeMap<String, String> = BTreeMap::new();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(CliError(format!("expected a --flag, got `{flag}`")));
         };
         if BOOL_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
+            values.insert(name.to_string(), "true".to_string());
             continue;
         }
         let Some(value) = it.next() else {
             return Err(CliError(format!("flag --{name} needs a value")));
         };
-        flags.insert(name.to_string(), value.clone());
+        values.insert(name.to_string(), value.clone());
     }
-    let get = |name: &str| -> Result<String, CliError> {
-        flags
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CliError(format!("missing required --{name}\n{USAGE}")))
+    let f = Flags {
+        values,
+        read: RefCell::new(BTreeSet::new()),
     };
-    let num = |name: &str| -> Result<f64, CliError> {
-        get(name)?
-            .parse()
-            .map_err(|_| CliError(format!("--{name} must be a number")))
+    let cmd = match sub.as_str() {
+        "synth" => Command::Synth {
+            nodes: f.int("nodes")?,
+            steps: f.int("steps")?,
+            seed: f.opt_int("seed")?.unwrap_or(42),
+            out: f.get("out")?.into(),
+        },
+        "fit" => Command::Fit {
+            input: f.get("input")?.into(),
+            dt: f.num("dt")?,
+            levels: f.opt_int("levels")?.unwrap_or(6),
+            max_cycles: f.opt_int("max-cycles")?.unwrap_or(2),
+            threads: f.opt_int("threads")?.unwrap_or(0),
+            fit_strategy: f.or("fit-strategy", "exact"),
+            sketch_seed: f.opt_int("sketch-seed")?,
+            model: f.get("model")?.into(),
+        },
+        "update" => Command::Update {
+            model: f.get("model")?.into(),
+            input: f.get("input")?.into(),
+            model_out: f.opt("model-out").map(PathBuf::from),
+            threads: f.opt_int("threads")?,
+        },
+        "analyze" => Command::Analyze {
+            model: f.get("model")?.into(),
+            input: f.get("input")?.into(),
+            band_lo: f.opt_num("band-lo")?,
+            band_hi: f.opt_num("band-hi")?,
+        },
+        "render" => Command::Render {
+            model: f.get("model")?.into(),
+            input: f.get("input")?.into(),
+            layout: f.get("layout")?,
+            out: f.get("out")?.into(),
+        },
+        "info" => Command::Info {
+            model: f.get("model")?.into(),
+        },
+        "health" => Command::Health {
+            model: f.get("model")?.into(),
+        },
+        "stream" => Command::Stream {
+            input: f.get("input")?.into(),
+            dt: f.num("dt")?,
+            chunk: f.opt_int("chunk")?.unwrap_or(64),
+            levels: f.opt_int("levels")?.unwrap_or(6),
+            threads: f.opt_int("threads")?.unwrap_or(0),
+            gap_policy: f.or("gap-policy", "reject"),
+            fit_strategy: f.or("fit-strategy", "exact"),
+            sketch_seed: f.opt_int("sketch-seed")?,
+            store_dir: f.opt("store-dir").map(PathBuf::from),
+            checkpoint_dir: f.opt("checkpoint-dir").map(PathBuf::from),
+            checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(1),
+            resume: f.opt("resume").is_some(),
+            metrics_every: f.opt_int("metrics-every")?.unwrap_or(0),
+            model: f.get("model")?.into(),
+        },
+        "serve" => Command::Serve {
+            addr: f.get("addr")?,
+            dt: f.num("dt")?,
+            levels: f.opt_int("levels")?.unwrap_or(6),
+            threads: f.opt_int("threads")?.unwrap_or(0),
+            gap_policy: f.or("gap-policy", "interpolate"),
+            fit_strategy: f.or("fit-strategy", "exact"),
+            sketch_seed: f.opt_int("sketch-seed")?,
+            store_dir: f.opt("store-dir").map(PathBuf::from),
+            checkpoint_dir: f.opt("checkpoint-dir").map(PathBuf::from),
+            checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(1),
+            keep_checkpoints: f.opt_int("keep-checkpoints")?.unwrap_or(3),
+            durability: f.or("durability", "interval"),
+            max_body_mb: f.opt_int("max-body-mb")?.unwrap_or(32),
+            max_tenants: f.opt_int("max-tenants")?.unwrap_or(4096),
+            max_inflight: f.opt_int("max-inflight")?.unwrap_or(256),
+        },
+        "metrics" => Command::Metrics {
+            input: f.get("input")?.into(),
+            dt: f.num("dt")?,
+            levels: f.opt_int("levels")?.unwrap_or(6),
+            chunk: f.opt_int("chunk")?.unwrap_or(64),
+            fit_strategy: f.or("fit-strategy", "exact"),
+            sketch_seed: f.opt_int("sketch-seed")?,
+            format: f.or("format", "json"),
+        },
+        "archive" => Command::Archive {
+            model: f.get("model")?.into(),
+            tier: f.or("tier", "q16"),
+            out: f.opt("out").map(PathBuf::from),
+            store_dir: f.opt("store-dir").map(PathBuf::from),
+        },
+        "replay" => Command::Replay {
+            archive: f.opt("archive").map(PathBuf::from),
+            store_dir: f.opt("store-dir").map(PathBuf::from),
+            from: f.opt_int("from")?,
+            to: f.opt_int("to")?,
+            out: f.opt("out").map(PathBuf::from),
+        },
+        other => return Err(CliError(format!("unknown subcommand `{other}`\n{USAGE}"))),
     };
-    let int = |name: &str| -> Result<usize, CliError> {
-        get(name)?
-            .parse()
-            .map_err(|_| CliError(format!("--{name} must be an integer")))
-    };
-    let opt_num = |name: &str| -> Result<Option<f64>, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| CliError(format!("--{name} must be a number")))
-            })
-            .transpose()
-    };
-    let opt_int = |name: &str| -> Result<Option<usize>, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| CliError(format!("--{name} must be an integer")))
-            })
-            .transpose()
-    };
-    let strategy = || {
-        flags
-            .get("fit-strategy")
-            .cloned()
-            .unwrap_or_else(|| "exact".to_string())
-    };
-    let sketch_seed = || -> Result<Option<u64>, CliError> {
-        flags
-            .get("sketch-seed")
-            .map(|v| v.parse())
-            .transpose()
-            .map_err(|_| CliError("--sketch-seed must be an integer".into()))
-    };
-    match cmd.as_str() {
-        "synth" => Ok(Command::Synth {
-            nodes: int("nodes")?,
-            steps: int("steps")?,
-            seed: flags
-                .get("seed")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--seed must be an integer".into()))?
-                .unwrap_or(42),
-            out: get("out")?.into(),
-        }),
-        "fit" => Ok(Command::Fit {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            max_cycles: flags
-                .get("max-cycles")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-cycles must be an integer".into()))?
-                .unwrap_or(2),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            model: get("model")?.into(),
-        }),
-        "update" => Ok(Command::Update {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            model_out: flags.get("model-out").map(PathBuf::from),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?,
-        }),
-        "analyze" => Ok(Command::Analyze {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            band_lo: opt_num("band-lo")?,
-            band_hi: opt_num("band-hi")?,
-        }),
-        "render" => Ok(Command::Render {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            layout: get("layout")?,
-            out: get("out")?.into(),
-        }),
-        "info" => Ok(Command::Info {
-            model: get("model")?.into(),
-        }),
-        "health" => Ok(Command::Health {
-            model: get("model")?.into(),
-        }),
-        "stream" => Ok(Command::Stream {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            chunk: flags
-                .get("chunk")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--chunk must be an integer".into()))?
-                .unwrap_or(64),
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            gap_policy: flags
-                .get("gap-policy")
-                .cloned()
-                .unwrap_or_else(|| "reject".to_string()),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
-            checkpoint_every: flags
-                .get("checkpoint-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--checkpoint-every must be an integer".into()))?
-                .unwrap_or(1),
-            resume: flags.contains_key("resume"),
-            metrics_every: flags
-                .get("metrics-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--metrics-every must be an integer".into()))?
-                .unwrap_or(0),
-            model: get("model")?.into(),
-        }),
-        "serve" => Ok(Command::Serve {
-            addr: get("addr")?,
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            gap_policy: flags
-                .get("gap-policy")
-                .cloned()
-                .unwrap_or_else(|| "interpolate".to_string()),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
-            checkpoint_every: flags
-                .get("checkpoint-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--checkpoint-every must be an integer".into()))?
-                .unwrap_or(1),
-            keep_checkpoints: flags
-                .get("keep-checkpoints")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--keep-checkpoints must be an integer".into()))?
-                .unwrap_or(3),
-            durability: flags
-                .get("durability")
-                .cloned()
-                .unwrap_or_else(|| "interval".to_string()),
-            max_body_mb: flags
-                .get("max-body-mb")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-body-mb must be an integer".into()))?
-                .unwrap_or(32),
-            max_tenants: flags
-                .get("max-tenants")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-tenants must be an integer".into()))?
-                .unwrap_or(4096),
-            max_inflight: flags
-                .get("max-inflight")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-inflight must be an integer".into()))?
-                .unwrap_or(256),
-        }),
-        "metrics" => Ok(Command::Metrics {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            chunk: flags
-                .get("chunk")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--chunk must be an integer".into()))?
-                .unwrap_or(64),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            format: flags
-                .get("format")
-                .cloned()
-                .unwrap_or_else(|| "json".to_string()),
-        }),
-        "archive" => Ok(Command::Archive {
-            model: get("model")?.into(),
-            tier: flags
-                .get("tier")
-                .cloned()
-                .unwrap_or_else(|| "q16".to_string()),
-            out: flags.get("out").map(PathBuf::from),
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-        }),
-        "replay" => Ok(Command::Replay {
-            archive: flags.get("archive").map(PathBuf::from),
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            from: opt_int("from")?,
-            to: opt_int("to")?,
-            out: flags.get("out").map(PathBuf::from),
-        }),
-        other => Err(CliError(format!("unknown subcommand `{other}`\n{USAGE}"))),
-    }
+    f.finish(sub, cmd)
 }
 
 #[cfg(test)]
@@ -886,6 +802,23 @@ mod tests {
             Command::Serve { store_dir, .. } => assert_eq!(store_dir, Some("store".into())),
             _ => panic!("wrong variant"),
         }
+    }
+
+    #[test]
+    fn misspelled_flags_are_rejected_by_name() {
+        for cmd in [
+            "fit --input a.csv --dt 20 --model m.json --levles 3",
+            "stream --input a.csv --dt 20 --model m.json --levles 3",
+            "serve --addr 127.0.0.1:0 --dt 20 --levles 3",
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert!(e.0.contains("unknown flag --levles"), "{cmd}: {e}");
+        }
+        // A flag another subcommand takes is still foreign here.
+        let e = parse_args(&argv("fit --input a.csv --dt 20 --model m.json --resume")).unwrap_err();
+        assert!(e.0.contains("unknown flag --resume for `fit`"), "{e}");
+        let e = parse_args(&argv("info --model m.json --bogus-flag x")).unwrap_err();
+        assert!(e.0.contains("unknown flag --bogus-flag"), "{e}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use hpc_telemetry::{
 };
 use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
+use imrdmd_serve::Shard;
 use rackviz::RackView;
 use std::fmt::Write as _;
 use std::fs;
@@ -330,8 +331,11 @@ fn load_model(path: &Path) -> Result<IMrDmd, CliError> {
     Ok(serde_json::from_str(&json)?)
 }
 
+/// Writes the model JSON atomically, so a crash mid-write (e.g. `update`
+/// overwriting its own input) never truncates the only copy.
 fn save_model(path: &Path, model: &IMrDmd) -> Result<(), CliError> {
-    fs::write(path, serde_json::to_string(model)?)?;
+    let json = serde_json::to_string(model)?;
+    imrdmd::storage::atomic_write(path, json.as_bytes(), true)?;
     Ok(())
 }
 
@@ -523,6 +527,13 @@ fn render(model_path: &Path, input: &Path, layout: &str, out: &Path) -> Result<S
     Ok(format!("rack view written to {}", out.display()))
 }
 
+/// Shard namespace of the `stream` subcommand's checkpoints
+/// (`ckpt-stream-<steps>.ckpt`).
+const STREAM_SHARD: &str = "stream";
+
+/// Streams the CSV in chunks through an [`imrdmd_serve::Shard`] — the
+/// daemon's tenant lifecycle, without a WAL — so cold start, guarded
+/// rounds, checkpoints and `--resume` behave exactly as a served tenant's.
 fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     if o.dt <= 0.0 {
         return Err(CliError("--dt must be positive".into()));
@@ -540,48 +551,59 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
         ));
     }
     let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
+    let cfg = stream_config(o.dt, o.levels, 2, o.threads, strategy)?;
     let data = load_csv(o.input)?;
     let total = data.cols();
+    let checkpointer = ckpt_dir
+        .map(|dir| Checkpointer::for_shard(dir, o.checkpoint_every, STREAM_SHARD))
+        .transpose()?;
 
-    // Resume from the newest checkpoint if asked; otherwise cold-start from
-    // the first chunk. A resumed model already absorbed `n_steps()` columns
-    // (including any pending sub-window — it is checkpointed too), so the
-    // stream picks up exactly where the interrupted run stopped.
-    let mut resumed_from = None;
-    let mut guard = IngestGuard::new(policy, data.rows());
-    let (mut model, mut done) = match (o.resume, ckpt_dir) {
-        (true, Some(dir)) => match latest_checkpoint(dir)? {
-            Some(path) => {
-                let model = load_checkpoint(&path)?;
-                if model.n_rows() != data.rows() {
-                    return Err(CliError(format!(
-                        "checkpoint tracks {} series but the input has {}",
-                        model.n_rows(),
-                        data.rows()
-                    )));
-                }
-                let done = model.n_steps();
-                resumed_from = Some((path, done));
-                (Some(model), done)
+    // Resume from the newest valid shard checkpoint if asked. It carries
+    // the model (pending sub-window included) and the gap guard's
+    // per-sensor carry, so the stream picks up exactly where the
+    // interrupted run stopped, bitwise, under every gap policy.
+    let mut out = String::new();
+    let mut shard = match (o.resume, ckpt_dir) {
+        (true, Some(dir)) => {
+            let rec = Shard::recover(dir, STREAM_SHARD, &cfg, policy, checkpointer);
+            if let Some(cause) = rec.shard.status().corrupt_cause {
+                return Err(CliError(format!(
+                    "cannot resume from {}: {cause}",
+                    dir.display()
+                )));
             }
-            None => (None, 0),
-        },
-        _ => (None, 0),
+            if rec.from_checkpoint {
+                let _ = writeln!(
+                    out,
+                    "resumed from {} at snapshot {}",
+                    dir.display(),
+                    rec.shard.status().steps
+                );
+            } else {
+                let _ = writeln!(out, "no stream checkpoint in {}: cold start", dir.display());
+            }
+            rec.shard
+        }
+        _ => Shard::new(STREAM_SHARD, checkpointer),
     };
-    if done > total {
+    let skipped = shard.status().steps;
+    if let Ok(rows) = shard.with_model(IMrDmd::n_rows) {
+        if rows != data.rows() {
+            return Err(CliError(format!(
+                "checkpoint tracks {rows} series but the input has {}",
+                data.rows()
+            )));
+        }
+    }
+    if skipped > total {
         return Err(CliError(format!(
-            "checkpoint spans {done} snapshots but the input has only {total}"
+            "checkpoint spans {skipped} snapshots but the input has only {total}"
         )));
     }
 
-    let skipped = done;
-    let mut checkpointer = ckpt_dir
-        .map(|dir| Checkpointer::new(dir, o.checkpoint_every))
-        .transpose()?;
+    let mut done = skipped;
     let mut repairs = RepairReport::default();
     let mut chunks = 0usize;
-    let mut ckpts = 0usize;
-    let mut out = String::new();
     // Metrics are process-wide monotonic totals; zero them at stream start so
     // the emitted JSON-lines count exactly this stream's work.
     if o.metrics_every > 0 {
@@ -589,38 +611,15 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     }
     while done < total {
         let hi = (done + o.chunk).min(total);
-        let batch = data.cols_range(done, hi);
-        match &mut model {
-            None => {
-                // First chunk: repair it stand-alone, then cold-start.
-                let (clean, rep) = guard.repair(&batch)?;
-                repairs.merge(&rep);
-                let cfg = stream_config(o.dt, o.levels, 2, o.threads, strategy)?;
-                model = Some(IMrDmd::fit(clean.as_ref().unwrap_or(&batch), &cfg));
-            }
-            Some(m) => {
-                let report = m.try_partial_fit(&batch, &mut guard)?;
-                repairs.merge(&report.repairs);
-            }
-        }
+        let reply = shard.ingest(&data.cols_range(done, hi), Some(done), &cfg, policy)?;
+        repairs.merge(&reply.repairs);
         done = hi;
         chunks += 1;
         if o.metrics_every > 0 && chunks.is_multiple_of(o.metrics_every) {
             let _ = writeln!(out, "{}", MetricsLine::capture(done, chunks).to_json());
         }
-        if let (Some(ck), Some(m)) = (&mut checkpointer, &model) {
-            if ck.tick(m)?.is_some() {
-                ckpts += 1;
-            }
-        }
     }
 
-    let model =
-        model.ok_or_else(|| CliError("nothing to stream: the input CSV has no columns".into()))?;
-    save_model(o.model, &model)?;
-    if let Some((path, at)) = resumed_from {
-        let _ = writeln!(out, "resumed from {} at snapshot {at}", path.display());
-    }
     let _ = writeln!(
         out,
         "streamed {chunks} chunks ({} snapshots, policy {policy}): {} gaps, {} repaired{}",
@@ -633,18 +632,31 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
             format!(", {} rows masked", repairs.masked_rows.len())
         }
     );
-    if ckpts > 0 {
-        let _ = writeln!(out, "wrote {ckpts} checkpoints");
+    if let Some(dir) = ckpt_dir {
+        let retained = shard_checkpoint_history(dir, STREAM_SHARD)?;
+        if let Some((steps, _)) = retained.first() {
+            let _ = writeln!(
+                out,
+                "newest checkpoint at snapshot {steps} ({} retained in {})",
+                retained.len(),
+                dir.display()
+            );
+        }
     }
-    let _ = writeln!(out, "health: {}", model.health().summary());
-    let _ = writeln!(
-        out,
-        "model now spans {} snapshots ({} modes, {} pending) → {}",
-        model.n_steps(),
-        model.n_modes(),
-        model.pending_len(),
-        o.model.display()
-    );
+    let summary = shard
+        .with_model(|model| {
+            save_model(o.model, model)?;
+            Ok::<_, CliError>(format!(
+                "health: {}\nmodel now spans {} snapshots ({} modes, {} pending) → {}\n",
+                model.health().summary(),
+                model.n_steps(),
+                model.n_modes(),
+                model.pending_len(),
+                o.model.display()
+            ))
+        })
+        .map_err(|_| CliError("nothing to stream: the input CSV has no columns".into()))??;
+    out.push_str(&summary);
     Ok(out)
 }
 
@@ -1126,7 +1138,10 @@ mod tests {
         assert!(r.contains("streamed 6 chunks"), "{r}");
         assert!(r.contains("3 gaps, 3 repaired"), "{r}");
         assert!(r.contains("600 snapshots"), "{r}");
-        assert!(r.contains("wrote 3 checkpoints"), "{r}");
+        assert!(
+            r.contains("newest checkpoint at snapshot 600 (3 retained"),
+            "{r}"
+        );
         assert!(r.contains("health: root healthy"), "{r}");
 
         // Resume: the newest checkpoint spans all 600 snapshots, so a
@@ -1169,6 +1184,39 @@ mod tests {
         .unwrap())
         .unwrap_err();
         assert!(err.0.contains("non-finite"), "{err}");
+    }
+
+    #[test]
+    fn resume_over_bare_model_checkpoints_cold_starts() {
+        let csv = tmp("legacy.csv");
+        let model = tmp("legacy.json");
+        let ckpts = tmp("legacy_ckpts");
+        let _ = fs::remove_dir_all(&ckpts);
+        fs::create_dir_all(&ckpts).unwrap();
+        run(&parse_args(&argv(&format!(
+            "synth --nodes 8 --steps 300 --seed 4 --out {}",
+            csv.display()
+        )))
+        .unwrap())
+        .unwrap();
+        // A bare-model checkpoint under the retired unsharded name.
+        let data = load_csv(&csv).unwrap();
+        let cfg = stream_config(20.0, 3, 2, 0, FitStrategy::Exact).unwrap();
+        let bare = IMrDmd::fit(&data.cols_range(0, 200), &cfg);
+        save_state_checkpoint(&bare, &ckpts.join("ckpt-000000000200.ckpt")).unwrap();
+
+        let r = run(&parse_args(&argv(&format!(
+            "stream --input {} --dt 20 --chunk 100 --levels 3 \
+             --checkpoint-dir {} --resume --model {}",
+            csv.display(),
+            ckpts.display(),
+            model.display()
+        )))
+        .unwrap())
+        .unwrap();
+        assert!(r.contains("no stream checkpoint in"), "{r}");
+        assert!(r.contains("cold start"), "{r}");
+        assert!(r.contains("streamed 3 chunks (300 snapshots"), "{r}");
     }
 
     #[test]

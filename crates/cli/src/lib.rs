@@ -16,7 +16,15 @@
 //! ```
 //!
 //! Snapshot CSVs use the `hpc-telemetry` format (header `series,t0,t1,…`);
-//! models are the serde-JSON form of [`imrdmd::IMrDmd`].
+//! models are the serde-JSON form of [`imrdmd::IMrDmd`], written
+//! atomically. Every subcommand rejects flags it does not take.
+//!
+//! `stream` drives one [`imrdmd_serve::Shard`] — the daemon's tenant
+//! lifecycle, without a WAL — so its checkpoints are shard snapshots
+//! (`ckpt-stream-<steps>.ckpt`: model, ingest guard, round count) and
+//! `--resume` is bitwise under every gap policy. A checkpoint directory
+//! with no shard snapshot in it (e.g. only pre-shard bare-model files)
+//! cold-starts, and the report says so.
 
 #![warn(missing_docs)]
 pub mod args;
@@ -58,6 +66,15 @@ impl From<serde_json::Error> for CliError {
 impl From<imrdmd::CoreError> for CliError {
     fn from(e: imrdmd::CoreError) -> Self {
         CliError(e.to_string())
+    }
+}
+
+impl From<imrdmd_serve::ServeError> for CliError {
+    fn from(e: imrdmd_serve::ServeError) -> Self {
+        match e {
+            imrdmd_serve::ServeError::Core(e) => e.into(),
+            other => CliError(other.to_string()),
+        }
     }
 }
 

@@ -1,32 +1,36 @@
-//! Checkpoint/restore of the streaming decomposition state.
+//! Checkpoint/restore of streaming state.
 //!
 //! A long-running monitor must survive collector restarts and crashes
-//! without refitting from scratch. This module persists the full
-//! [`IMrDmd`] state (including the streaming SVD) as versioned,
-//! checksummed snapshots written atomically: the payload goes to a `.tmp`
-//! sibling first and is renamed into place, so a crash mid-write can never
-//! leave a torn file under the final name. Restore verifies the magic,
-//! format version, payload length, and CRC-32 before decoding, so
-//! truncated or bit-flipped files are rejected with a clean error instead
-//! of resuming from silently corrupt state.
+//! without refitting from scratch. This module persists serialisable
+//! state — in practice a whole serving shard: the [`IMrDmd`] model with
+//! its streaming SVD, the ingest guard's per-sensor carry, and the round
+//! count — as versioned, checksummed snapshots written atomically: the
+//! payload goes to a `.tmp` sibling first and is renamed into place, so a
+//! crash mid-write can never leave a torn file under the final name.
+//! Restore verifies the magic, format version, payload length, and CRC-32
+//! before decoding, so truncated or bit-flipped files are rejected with a
+//! clean error instead of resuming from silently corrupt state.
 //!
 //! The durability primitives (CRC-32, atomic rename + directory fsync,
 //! versioned headers, keep-last-K retention) live in [`crate::storage`]
 //! and are shared with the WAL and the mode archive; this module owns
-//! only the checkpoint wire format and file-name grammar.
+//! only the checkpoint wire format and the `ckpt-<shard>-<steps>.ckpt`
+//! file-name grammar.
 //!
 //! On-disk layout (one header line, then the payload):
 //!
 //! ```text
 //! IMRDMD-CKPT v1 <payload-bytes> <crc32-hex>\n
-//! { ...serde-JSON IMrDmd... }
+//! { ...serde-JSON state... }
 //! ```
 //!
 //! Floats serialise via Rust's shortest round-trip representation, so a
 //! restored model's [`IMrDmd::reconstruct`] is bitwise-identical to the
 //! checkpointed one.
+//!
+//! [`IMrDmd`]: crate::imrdmd::IMrDmd
+//! [`IMrDmd::reconstruct`]: crate::imrdmd::IMrDmd::reconstruct
 
-use crate::imrdmd::IMrDmd;
 use crate::storage::{self, HeaderError};
 use std::path::{Path, PathBuf};
 
@@ -119,10 +123,9 @@ fn encode<T: serde::Serialize>(state: &T) -> Result<String, CheckpointError> {
 }
 
 /// Writes any serialisable `state` to `path` atomically (unique temp
-/// sibling + rename + fsync), in the same versioned, checksummed wire
-/// format as model checkpoints. This is the building block the serving
-/// layer uses to persist whole shards (model + ingest guard) rather than
-/// a bare model.
+/// sibling + rename + fsync) in the versioned, checksummed wire format.
+/// The serving layer persists whole shards (model + ingest guard) this
+/// way; a bare [`IMrDmd`](crate::imrdmd::IMrDmd) round-trips the same.
 pub fn save_state_checkpoint<T: serde::Serialize>(
     state: &T,
     path: &Path,
@@ -132,11 +135,6 @@ pub fn save_state_checkpoint<T: serde::Serialize>(
     crate::obs::CHECKPOINT_SAVES.inc();
     crate::obs::CHECKPOINT_BYTES.add(bytes.len() as u64);
     storage::atomic_write(path, bytes.as_bytes(), true).map_err(CheckpointError::Io)
-}
-
-/// Writes a checkpoint of `model` to `path` atomically.
-pub fn save_checkpoint(model: &IMrDmd, path: &Path) -> Result<(), CheckpointError> {
-    save_state_checkpoint(model, path)
 }
 
 /// Restores any state written by [`save_state_checkpoint`], verifying
@@ -191,12 +189,6 @@ pub fn load_state_checkpoint<T: serde::de::DeserializeOwned>(
     serde_json::from_str(payload).map_err(|e| CheckpointError::Codec(e.to_string()))
 }
 
-/// Restores a model from a checkpoint written by [`save_checkpoint`],
-/// verifying magic, version, length, and checksum first.
-pub fn load_checkpoint(path: &Path) -> Result<IMrDmd, CheckpointError> {
-    load_state_checkpoint(path)
-}
-
 /// True if `shard` is usable as a checkpoint-file namespace: non-empty,
 /// at most 64 bytes, only `[A-Za-z0-9_-]`. The same rule bounds tenant
 /// names on the serving path, so a tenant id can never traverse out of
@@ -210,27 +202,19 @@ pub fn is_valid_shard_name(shard: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// Splits a checkpoint file name into `(shard, steps)`.
-///
-/// Unsharded files are `ckpt-<steps>.ckpt` (shard `None`); sharded files
-/// are `ckpt-<shard>-<steps>.ckpt`. Steps are the *last* `-`-separated
-/// token, so shard names may themselves contain dashes.
-fn parse_ckpt_name(name: &str) -> Option<(Option<&str>, u64)> {
+/// Splits a checkpoint file name `ckpt-<shard>-<steps>.ckpt` into
+/// `(shard, steps)`. Steps are the *last* `-`-separated token, so shard
+/// names may themselves contain dashes.
+fn parse_ckpt_name(name: &str) -> Option<(&str, u64)> {
     let stem = name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?;
-    if let Ok(steps) = stem.parse::<u64>() {
-        return Some((None, steps));
-    }
     let (shard, steps) = stem.rsplit_once('-')?;
     if shard.is_empty() {
         return None;
     }
-    steps.parse::<u64>().ok().map(|s| (Some(shard), s))
+    steps.parse::<u64>().ok().map(|s| (shard, s))
 }
 
-fn scan_dir(
-    dir: &Path,
-    mut visit: impl FnMut(Option<&str>, u64, PathBuf),
-) -> Result<(), CheckpointError> {
+fn scan_dir(dir: &Path, mut visit: impl FnMut(&str, u64, PathBuf)) -> Result<(), CheckpointError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -242,39 +226,12 @@ fn scan_dir(
             .file_name()
             .and_then(|n| n.to_str())
             .and_then(parse_ckpt_name)
-            .map(|(shard, steps)| (shard.map(str::to_string), steps));
+            .map(|(shard, steps)| (shard.to_string(), steps));
         if let Some((shard, steps)) = parsed {
-            visit(shard.as_deref(), steps, path);
+            visit(&shard, steps, path);
         }
     }
     Ok(())
-}
-
-/// Newest unsharded checkpoint in `dir` (by absorbed-snapshot count
-/// encoded in the file name), if any. Ignores foreign, in-flight
-/// (`.tmp`), and shard-namespaced files.
-pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    scan_dir(dir, |shard, steps, path| {
-        if shard.is_none() && best.as_ref().is_none_or(|(b, _)| steps > *b) {
-            best = Some((steps, path));
-        }
-    })?;
-    Ok(best.map(|(_, p)| p))
-}
-
-/// Newest checkpoint for one shard (`ckpt-<shard>-<steps>.ckpt`), if any.
-pub fn latest_checkpoint_for_shard(
-    dir: &Path,
-    shard: &str,
-) -> Result<Option<PathBuf>, CheckpointError> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    scan_dir(dir, |s, steps, path| {
-        if s == Some(shard) && best.as_ref().is_none_or(|(b, _)| steps > *b) {
-            best = Some((steps, path));
-        }
-    })?;
-    Ok(best.map(|(_, p)| p))
 }
 
 /// All shards with at least one checkpoint in `dir`, each mapped to its
@@ -283,13 +240,10 @@ pub fn latest_checkpoint_for_shard(
 pub fn shard_checkpoints(dir: &Path) -> Result<Vec<(String, PathBuf)>, CheckpointError> {
     let mut best: std::collections::BTreeMap<String, (u64, PathBuf)> =
         std::collections::BTreeMap::new();
-    scan_dir(dir, |shard, steps, path| {
-        let Some(shard) = shard else { return };
-        match best.get(shard) {
-            Some((b, _)) if *b >= steps => {}
-            _ => {
-                best.insert(shard.to_string(), (steps, path));
-            }
+    scan_dir(dir, |shard, steps, path| match best.get(shard) {
+        Some((b, _)) if *b >= steps => {}
+        _ => {
+            best.insert(shard.to_string(), (steps, path));
         }
     })?;
     Ok(best.into_iter().map(|(s, (_, p))| (s, p)).collect())
@@ -305,7 +259,7 @@ pub fn shard_checkpoint_history(
 ) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     let mut v = Vec::new();
     scan_dir(dir, |s, steps, path| {
-        if s == Some(shard) {
+        if s == shard {
             v.push((steps, path));
         }
     })?;
@@ -313,30 +267,44 @@ pub fn shard_checkpoint_history(
     Ok(v)
 }
 
-/// Periodic checkpoint driver: call [`Checkpointer::tick`] once per absorbed
-/// batch and it writes `ckpt-<steps>.ckpt` into the directory every
-/// `every` batches, pruning all but the newest
+/// Periodic checkpoint driver for one shard namespace: call
+/// [`Checkpointer::due`] once per absorbed batch, and when it says so write
+/// the state with [`Checkpointer::write_state`] as
+/// `ckpt-<shard>-<steps>.ckpt`, pruning all but the newest
 /// [`Checkpointer::with_retention`] files after each write.
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
     every: usize,
     since: usize,
-    shard: Option<String>,
+    shard: String,
     keep: usize,
 }
 
 impl Checkpointer {
     /// A checkpointer writing into `dir` every `every` batches
-    /// (`every == 0` is treated as 1). Creates the directory.
-    pub fn new(dir: impl Into<PathBuf>, every: usize) -> Result<Checkpointer, CheckpointError> {
+    /// (`every == 0` is treated as 1), its files namespaced to one shard
+    /// so many shards can share a single checkpoint directory without
+    /// their file names — or their atomic-rename temp siblings —
+    /// colliding. `shard` must satisfy [`is_valid_shard_name`]. Creates
+    /// the directory.
+    pub fn for_shard(
+        dir: impl Into<PathBuf>,
+        every: usize,
+        shard: &str,
+    ) -> Result<Checkpointer, CheckpointError> {
+        if !is_valid_shard_name(shard) {
+            return Err(CheckpointError::BadHeader(format!(
+                "invalid shard name `{shard}`: need 1-64 chars of [A-Za-z0-9_-]"
+            )));
+        }
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Checkpointer {
             dir,
             every: every.max(1),
             since: 0,
-            shard: None,
+            shard: shard.to_string(),
             keep: 3,
         })
     }
@@ -350,84 +318,15 @@ impl Checkpointer {
         self
     }
 
-    /// A checkpointer whose files are namespaced to one shard
-    /// (`ckpt-<shard>-<steps>.ckpt`), so many shards can share a single
-    /// checkpoint directory without their file names — or their atomic-rename
-    /// temp siblings — colliding. `shard` must satisfy
-    /// [`is_valid_shard_name`].
-    pub fn for_shard(
-        dir: impl Into<PathBuf>,
-        every: usize,
-        shard: &str,
-    ) -> Result<Checkpointer, CheckpointError> {
-        if !is_valid_shard_name(shard) {
-            return Err(CheckpointError::BadHeader(format!(
-                "invalid shard name `{shard}`: need 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
-        let mut ck = Checkpointer::new(dir, every)?;
-        ck.shard = Some(shard.to_string());
-        Ok(ck)
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The shard namespace, if this checkpointer was built with
-    /// [`Checkpointer::for_shard`].
-    pub fn shard(&self) -> Option<&str> {
-        self.shard.as_deref()
-    }
-
-    fn path_for(&self, steps: usize) -> PathBuf {
-        match &self.shard {
-            Some(s) => self.dir.join(format!("ckpt-{s}-{steps:012}.ckpt")),
-            None => self.dir.join(format!("ckpt-{steps:012}.ckpt")),
-        }
-    }
-
-    /// Registers one absorbed batch; writes a checkpoint when due and
-    /// returns its path.
-    pub fn tick(&mut self, model: &IMrDmd) -> Result<Option<PathBuf>, CheckpointError> {
+    /// Registers one absorbed batch; true when a checkpoint is due (every
+    /// `every`-th call).
+    pub fn due(&mut self) -> bool {
         self.since += 1;
         if self.since < self.every {
-            return Ok(None);
+            return false;
         }
         self.since = 0;
-        self.write(model).map(Some)
-    }
-
-    /// Registers one absorbed batch of arbitrary serialisable state
-    /// (e.g. a whole serving shard); writes when due, keyed by `steps`.
-    pub fn tick_state<T: serde::Serialize>(
-        &mut self,
-        steps: usize,
-        state: &T,
-    ) -> Result<Option<PathBuf>, CheckpointError> {
-        self.tick_state_with(steps, || state)
-    }
-
-    /// Like [`Checkpointer::tick_state`], but builds the state lazily —
-    /// only on the ticks that actually write. Lets callers skip an
-    /// expensive snapshot clone on the `every - 1` quiet ticks.
-    pub fn tick_state_with<T: serde::Serialize>(
-        &mut self,
-        steps: usize,
-        state: impl FnOnce() -> T,
-    ) -> Result<Option<PathBuf>, CheckpointError> {
-        self.since += 1;
-        if self.since < self.every {
-            return Ok(None);
-        }
-        self.since = 0;
-        self.write_state(steps, &state()).map(Some)
-    }
-
-    /// Writes a checkpoint unconditionally.
-    pub fn write(&self, model: &IMrDmd) -> Result<PathBuf, CheckpointError> {
-        self.write_state(model.n_steps(), model)
+        true
     }
 
     /// Writes arbitrary serialisable state unconditionally, keyed by
@@ -437,24 +336,14 @@ impl Checkpointer {
         steps: usize,
         state: &T,
     ) -> Result<PathBuf, CheckpointError> {
-        let path = self.path_for(steps);
+        let path = self
+            .dir
+            .join(format!("ckpt-{}-{steps:012}.ckpt", self.shard));
         save_state_checkpoint(state, &path)?;
         // Retention is best-effort: a failed prune never fails the save
         // that just succeeded.
         let _ = self.prune();
         Ok(path)
-    }
-
-    /// Checkpoints in this checkpointer's namespace, newest first.
-    pub fn retained(&self) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
-        let mut v = Vec::new();
-        scan_dir(&self.dir, |s, steps, path| {
-            if s == self.shard.as_deref() {
-                v.push((steps, path));
-            }
-        })?;
-        v.sort_by_key(|e| std::cmp::Reverse(e.0));
-        Ok(v)
     }
 
     /// Deletes all but the newest `keep` checkpoints in this namespace
@@ -464,7 +353,7 @@ impl Checkpointer {
     /// valid replay base. No-op (returning the current floor) when
     /// retention is disabled or nothing is due.
     pub fn prune(&self) -> Result<Option<u64>, CheckpointError> {
-        let files = self.retained()?;
+        let files = shard_checkpoint_history(&self.dir, &self.shard)?;
         let pruned = storage::prune_keep_last(&files, self.keep);
         for _ in 0..pruned.deleted {
             crate::obs::CHECKPOINT_PRUNED.inc();

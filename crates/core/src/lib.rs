@@ -65,9 +65,8 @@ pub mod prelude {
         ZThresholds,
     };
     pub use crate::checkpoint::{
-        is_valid_shard_name, latest_checkpoint, latest_checkpoint_for_shard, load_checkpoint,
-        load_state_checkpoint, save_checkpoint, save_state_checkpoint, shard_checkpoint_history,
-        shard_checkpoints, CheckpointError, Checkpointer,
+        is_valid_shard_name, load_state_checkpoint, save_state_checkpoint,
+        shard_checkpoint_history, shard_checkpoints, CheckpointError, Checkpointer,
     };
     pub use crate::compression::{compression_report, CompressionReport};
     pub use crate::dmd::{

@@ -109,9 +109,6 @@ pub static WAL_TRUNCATIONS: Counter = Counter::new(
 /// Torn WAL tails truncated during recovery.
 pub static WAL_TORN_TAILS: Counter =
     Counter::new("wal.torn_tails", "Torn WAL tails truncated during recovery");
-/// WAL frames replayed during recovery.
-pub static WAL_REPLAYED: Counter =
-    Counter::new("wal.replayed_frames", "WAL frames replayed during recovery");
 /// Wall time per WAL append, retention pass, or recovery scan.
 pub static WAL_NS: Histogram = Histogram::new(
     "wal.ns",
@@ -134,37 +131,40 @@ pub static ARCHIVE_BLOCKS_READ: Counter = Counter::new(
 pub static ARCHIVE_NS: Histogram =
     Histogram::new("archive.ns", "Wall time per archive write or range replay");
 
+const COUNTERS: [&Counter; 18] = [
+    &ROUND_COUNT,
+    &INGEST_GAPS,
+    &INGEST_REPAIRED_CELLS,
+    &INGEST_MASKED_ROWS,
+    &FIT_FAULTS,
+    &CHECKPOINT_SAVES,
+    &CHECKPOINT_LOADS,
+    &CHECKPOINT_BYTES,
+    &CHECKPOINT_PRUNED,
+    &WAL_APPENDS,
+    &WAL_BYTES,
+    &WAL_FSYNCS,
+    &WAL_TRUNCATIONS,
+    &WAL_TORN_TAILS,
+    &ARCHIVE_SAVES,
+    &ARCHIVE_BYTES,
+    &ARCHIVE_REPLAYS,
+    &ARCHIVE_BLOCKS_READ,
+];
+const GAUGES: [&Gauge; 3] = [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE];
+const HISTOGRAMS: [&Histogram; 5] = [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS];
+
 /// Captures every metric in the process — the linalg kernel catalogue
 /// followed by this crate's pipeline catalogue — in fixed order.
 pub fn collect() -> Vec<MetricRecord> {
     let mut out = collect_linalg();
-    for c in [
-        &ROUND_COUNT,
-        &INGEST_GAPS,
-        &INGEST_REPAIRED_CELLS,
-        &INGEST_MASKED_ROWS,
-        &FIT_FAULTS,
-        &CHECKPOINT_SAVES,
-        &CHECKPOINT_LOADS,
-        &CHECKPOINT_BYTES,
-        &CHECKPOINT_PRUNED,
-        &WAL_APPENDS,
-        &WAL_BYTES,
-        &WAL_FSYNCS,
-        &WAL_TRUNCATIONS,
-        &WAL_TORN_TAILS,
-        &WAL_REPLAYED,
-        &ARCHIVE_SAVES,
-        &ARCHIVE_BYTES,
-        &ARCHIVE_REPLAYS,
-        &ARCHIVE_BLOCKS_READ,
-    ] {
+    for c in COUNTERS {
         out.push(record_counter(c));
     }
-    for g in [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE] {
+    for g in GAUGES {
         out.push(record_gauge(g));
     }
-    for h in [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS] {
+    for h in HISTOGRAMS {
         out.push(record_histogram(h));
     }
     out
@@ -173,33 +173,13 @@ pub fn collect() -> Vec<MetricRecord> {
 /// Zeroes every metric in the process (linalg + core catalogues).
 pub fn reset() {
     reset_linalg();
-    for c in [
-        &ROUND_COUNT,
-        &INGEST_GAPS,
-        &INGEST_REPAIRED_CELLS,
-        &INGEST_MASKED_ROWS,
-        &FIT_FAULTS,
-        &CHECKPOINT_SAVES,
-        &CHECKPOINT_LOADS,
-        &CHECKPOINT_BYTES,
-        &CHECKPOINT_PRUNED,
-        &WAL_APPENDS,
-        &WAL_BYTES,
-        &WAL_FSYNCS,
-        &WAL_TRUNCATIONS,
-        &WAL_TORN_TAILS,
-        &WAL_REPLAYED,
-        &ARCHIVE_SAVES,
-        &ARCHIVE_BYTES,
-        &ARCHIVE_REPLAYS,
-        &ARCHIVE_BLOCKS_READ,
-    ] {
+    for c in COUNTERS {
         c.reset();
     }
-    for g in [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE] {
+    for g in GAUGES {
         g.reset();
     }
-    for h in [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS] {
+    for h in HISTOGRAMS {
         h.reset();
     }
 }

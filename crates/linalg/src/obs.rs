@@ -523,51 +523,52 @@ pub static POOL_TASKS: Counter =
 /// Process-wide worker-thread budget currently configured.
 pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", "Process-wide worker-thread budget");
 
+const COUNTERS: [&Counter; 16] = [
+    &GEMM_CALLS,
+    &GEMM_FLOPS,
+    &QR_CALLS,
+    &SVD_CALLS,
+    &SVD_ESCALATIONS,
+    &SVD_FAILURES,
+    &EIG_CALLS,
+    &EIG_ESCALATIONS,
+    &EIG_FAILURES,
+    &ISVD_UPDATES,
+    &SKETCH_FITS,
+    &SKETCH_PROBES,
+    &SKETCH_REFRESHES,
+    &SKETCH_COMPRESSIONS,
+    &POOL_FORKS,
+    &POOL_TASKS,
+];
+const GAUGES: [&Gauge; 1] = [&POOL_THREADS];
+const HISTOGRAMS: [&Histogram; 6] = [
+    &GEMM_NS,
+    &QR_NS,
+    &SVD_NS,
+    &SKETCH_NS,
+    &EIG_NS,
+    &ISVD_UPDATE_NS,
+];
+
 /// Captures every metric of this crate, in fixed catalogue order.
 pub fn collect() -> Vec<MetricRecord> {
-    let counters: [&Counter; 15] = [
-        &GEMM_CALLS,
-        &GEMM_FLOPS,
-        &QR_CALLS,
-        &SVD_CALLS,
-        &SVD_ESCALATIONS,
-        &SVD_FAILURES,
-        &EIG_CALLS,
-        &EIG_ESCALATIONS,
-        &EIG_FAILURES,
-        &ISVD_UPDATES,
-        &SKETCH_FITS,
-        &SKETCH_PROBES,
-        &SKETCH_REFRESHES,
-        &SKETCH_COMPRESSIONS,
-        &POOL_FORKS,
-    ];
     let mut out = Vec::new();
-    for c in counters {
+    for c in COUNTERS {
         out.push(MetricRecord {
             name: c.name,
             help: c.help,
             value: MetricValue::Counter(c.value()),
         });
     }
-    out.push(MetricRecord {
-        name: POOL_TASKS.name,
-        help: POOL_TASKS.help,
-        value: MetricValue::Counter(POOL_TASKS.value()),
-    });
-    out.push(MetricRecord {
-        name: POOL_THREADS.name,
-        help: POOL_THREADS.help,
-        value: MetricValue::Gauge(POOL_THREADS.value()),
-    });
-    for h in [
-        &GEMM_NS,
-        &QR_NS,
-        &SVD_NS,
-        &SKETCH_NS,
-        &EIG_NS,
-        &ISVD_UPDATE_NS,
-    ] {
+    for g in GAUGES {
+        out.push(MetricRecord {
+            name: g.name,
+            help: g.help,
+            value: MetricValue::Gauge(g.value()),
+        });
+    }
+    for h in HISTOGRAMS {
         out.push(MetricRecord {
             name: h.name,
             help: h.help,
@@ -579,35 +580,13 @@ pub fn collect() -> Vec<MetricRecord> {
 
 /// Zeroes every metric of this crate (counters, gauges, histograms).
 pub fn reset() {
-    for c in [
-        &GEMM_CALLS,
-        &GEMM_FLOPS,
-        &QR_CALLS,
-        &SVD_CALLS,
-        &SVD_ESCALATIONS,
-        &SVD_FAILURES,
-        &EIG_CALLS,
-        &EIG_ESCALATIONS,
-        &EIG_FAILURES,
-        &ISVD_UPDATES,
-        &SKETCH_FITS,
-        &SKETCH_PROBES,
-        &SKETCH_REFRESHES,
-        &SKETCH_COMPRESSIONS,
-        &POOL_FORKS,
-        &POOL_TASKS,
-    ] {
+    for c in COUNTERS {
         c.reset();
     }
-    POOL_THREADS.reset();
-    for h in [
-        &GEMM_NS,
-        &QR_NS,
-        &SVD_NS,
-        &SKETCH_NS,
-        &EIG_NS,
-        &ISVD_UPDATE_NS,
-    ] {
+    for g in GAUGES {
+        g.reset();
+    }
+    for h in HISTOGRAMS {
         h.reset();
     }
 }

@@ -225,9 +225,6 @@ impl ShardManager {
                 self.checkpointer_for(&tenant),
             );
             obs::CHECKPOINT_FALLBACKS.add(rec.fallbacks as u64);
-            if rec.torn_wal {
-                obs::WAL_TORN_TAILS.inc();
-            }
             let shard = if rec.shard.state() == crate::shard::ShardState::Corrupt {
                 corrupt += 1;
                 rec.shard

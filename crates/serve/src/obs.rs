@@ -46,14 +46,6 @@ pub static CHECKPOINT_FAILURES: Counter = Counter::new(
     "serve.checkpoint_failures",
     "Shard checkpoint writes that failed",
 );
-/// WAL frames appended on the serving path (one per acked batch).
-pub static WAL_APPENDS: Counter = Counter::new(
-    "serve.wal.appends",
-    "WAL frames appended before ingest acks",
-);
-/// Bytes of WAL frames appended on the serving path.
-pub static WAL_BYTES: Counter =
-    Counter::new("serve.wal.bytes", "WAL bytes appended before ingest acks");
 /// WAL appends that failed (the shard degraded; ingest still succeeds).
 pub static WAL_APPEND_FAILURES: Counter = Counter::new(
     "serve.wal.append_failures",
@@ -68,11 +60,6 @@ pub static WAL_TRUNCATIONS: Counter = Counter::new(
 pub static WAL_REPLAYED: Counter = Counter::new(
     "serve.wal.replayed_frames",
     "WAL frames replayed during shard recovery",
-);
-/// Torn WAL tails truncated while rebuilding shards on boot.
-pub static WAL_TORN_TAILS: Counter = Counter::new(
-    "serve.wal.torn_tails",
-    "Torn WAL tails truncated during shard recovery",
 );
 /// Corrupt newest checkpoints skipped for an older retained one.
 pub static CHECKPOINT_FALLBACKS: Counter = Counter::new(
@@ -146,7 +133,7 @@ fn entry_histogram(h: &'static Histogram) -> MetricEntry {
     }
 }
 
-const COUNTERS: [&Counter; 18] = [
+const COUNTERS: [&Counter; 15] = [
     &REQUESTS,
     &RESPONSES_2XX,
     &RESPONSES_4XX,
@@ -157,12 +144,9 @@ const COUNTERS: [&Counter; 18] = [
     &INGEST_SNAPSHOTS,
     &BYTES_IN,
     &CHECKPOINT_FAILURES,
-    &WAL_APPENDS,
-    &WAL_BYTES,
     &WAL_APPEND_FAILURES,
     &WAL_TRUNCATIONS,
     &WAL_REPLAYED,
-    &WAL_TORN_TAILS,
     &CHECKPOINT_FALLBACKS,
     &LOAD_SHED,
 ];

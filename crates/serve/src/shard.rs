@@ -8,11 +8,15 @@
 //! checkpoint wire format, namespaced per shard so a whole fleet shares
 //! one `--checkpoint-dir`.
 //!
+//! This is the one stream lifecycle in the workspace: the daemon's
+//! tenants, `imrdmd-cli stream` and the `streaming_monitor` example all
+//! cold-start, absorb, checkpoint and resume through a `Shard`.
+//!
 //! Lifecycle: a shard is **empty** until its first batch (cold start:
-//! guard repair + [`IMrDmd::fit`], mirroring `imrdmd-cli stream`), then
-//! **ready** (batches flow through [`IMrDmd::try_partial_fit`]), or
-//! **corrupt** if its checkpoint failed to restore — a corrupt shard
-//! answers 503 on every route but never takes the daemon down.
+//! guard repair + [`IMrDmd::fit`]), then **ready** (batches flow through
+//! [`IMrDmd::try_partial_fit`]), or **corrupt** if its checkpoint failed
+//! to restore — a corrupt shard answers 503 on every route but never
+//! takes the daemon down.
 //!
 //! Durability: when a [`Wal`] is attached, every acked batch is logged —
 //! **repaired** (post-[`GapPolicy`]) so replay is deterministic — before
@@ -28,7 +32,9 @@ use imrdmd::checkpoint::{
     load_state_checkpoint, shard_checkpoint_history, CheckpointError, Checkpointer,
 };
 use imrdmd::wal::Wal;
-use imrdmd::{GapPolicy, HealthSnapshot, IMrDmd, IMrDmdConfig, IngestGuard, RoundReport};
+use imrdmd::{
+    GapPolicy, HealthSnapshot, IMrDmd, IMrDmdConfig, IngestGuard, RepairReport, RoundReport,
+};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -95,8 +101,20 @@ pub struct IngestReply {
     /// True for the batch that cold-started the shard (fit, not
     /// partial-fit; there is no [`RoundReport`] for it).
     pub cold_start: bool,
+    /// What the gap guard repaired in this batch, cold start included.
+    pub repairs: RepairReport,
     /// The round report, absent on cold start.
     pub report: Option<RoundReport>,
+}
+
+/// What one absorb step did to a batch.
+struct Absorbed {
+    /// The repaired copy of the batch, when it had gaps.
+    repaired: Option<Mat>,
+    /// What the guard repaired.
+    repairs: RepairReport,
+    /// The round report, absent on cold start.
+    report: Option<RoundReport>,
 }
 
 /// What [`Shard::recover`] rebuilt, with its provenance.
@@ -239,6 +257,17 @@ impl Shard {
         Ok(f(self.fitted()?))
     }
 
+    /// The persistent state — model, ingest guard and round count — as
+    /// one checkpoint payload; `None` while the shard is empty or corrupt.
+    pub fn snapshot(&self) -> Option<ShardSnapshot> {
+        Some(ShardSnapshot {
+            tenant: self.tenant.clone(),
+            model: self.model.clone()?,
+            guard: self.guard.clone()?,
+            rounds: self.rounds,
+        })
+    }
+
     /// Absorbs one batch: cold-start fit on the first, `try_partial_fit`
     /// after, and a checkpoint tick on success. `first_step` (from the
     /// CSV header) is validated against the shard clock so duplicated
@@ -271,55 +300,65 @@ impl Shard {
                 });
             }
         }
+        if self.model.is_none() && batch.cols() < 2 {
+            return Err(ServeError::BadBody(format!(
+                "cold-start batch needs at least 2 snapshots, got {}",
+                batch.cols()
+            )));
+        }
+        let absorbed = self.absorb(batch, cfg, policy)?;
+        // The WAL append comes before the reply (the ack) is built, so an
+        // acked batch is always recoverable; the cold-start frame starts
+        // the shard's WAL at step 0.
+        self.wal_append(steps_now, absorbed.repaired.as_ref().unwrap_or(batch));
+        obs::INGEST_BATCHES.inc();
+        obs::INGEST_SNAPSHOTS.add(batch.cols() as u64);
+        self.tick_checkpoint();
+        Ok(IngestReply {
+            tenant: self.tenant.clone(),
+            round: self.rounds,
+            steps: self.model.as_ref().map_or(0, |m| m.n_steps()),
+            cold_start: absorbed.report.is_none(),
+            repairs: absorbed.repairs,
+            report: absorbed.report,
+        })
+    }
+
+    /// The one absorb step behind live ingest and WAL replay: gap repair
+    /// under `policy`, then a cold-start fit on the first batch or a
+    /// guarded round after. A WAL frame is already repaired, so its repair
+    /// pass is a bitwise no-op that advances `last_good` exactly as the
+    /// original round did. A failed cold start leaves the shard empty.
+    fn absorb(
+        &mut self,
+        batch: &Mat,
+        cfg: &IMrDmdConfig,
+        policy: GapPolicy,
+    ) -> Result<Absorbed, imrdmd::CoreError> {
         let Some(model) = &mut self.model else {
-            if batch.cols() < 2 {
-                return Err(ServeError::BadBody(format!(
-                    "cold-start batch needs at least 2 snapshots, got {}",
-                    batch.cols()
-                )));
-            }
             let mut guard = IngestGuard::new(policy, batch.rows());
-            let (clean, _rep) = guard.repair(batch)?;
-            let effective = clean.as_ref().unwrap_or(batch);
-            let model = IMrDmd::fit(effective, cfg);
-            let steps = model.n_steps();
-            self.model = Some(model);
+            let (repaired, repairs) = guard.repair(batch)?;
+            self.model = Some(IMrDmd::fit(repaired.as_ref().unwrap_or(batch), cfg));
             self.guard = Some(guard);
             self.rounds = 1;
-            // Log the repaired batch before the ack is built; the
-            // cold-start frame starts the shard's WAL at step 0.
-            self.wal_append(steps_now, effective);
-            let reply = IngestReply {
-                tenant: self.tenant.clone(),
-                round: 1,
-                steps,
-                cold_start: true,
+            return Ok(Absorbed {
+                repaired,
+                repairs,
                 report: None,
-            };
-            self.absorb_bookkeeping(batch.cols());
-            return Ok(reply);
+            });
         };
         let guard = self
             .guard
             .get_or_insert_with(|| IngestGuard::new(policy, batch.rows()));
-        let (clean, repairs) = guard.repair(batch)?;
-        let effective = clean.as_ref().unwrap_or(batch);
-        let mut report = model.try_partial_fit(effective, guard)?;
-        report.repairs = repairs;
-        let steps = model.n_steps();
+        let (repaired, repairs) = guard.repair(batch)?;
+        let mut report = model.try_partial_fit(repaired.as_ref().unwrap_or(batch), guard)?;
+        report.repairs = repairs.clone();
         self.rounds += 1;
-        // The WAL append comes before the reply (the ack) is built, so an
-        // acked batch is always recoverable.
-        self.wal_append(steps_now, effective);
-        let reply = IngestReply {
-            tenant: self.tenant.clone(),
-            round: self.rounds,
-            steps,
-            cold_start: false,
+        Ok(Absorbed {
+            repaired,
+            repairs,
             report: Some(report),
-        };
-        self.absorb_bookkeeping(effective.cols());
-        Ok(reply)
+        })
     }
 
     /// Appends one repaired batch to the WAL. A failed append is *not* an
@@ -333,24 +372,10 @@ impl Shard {
         let Some(wal) = &mut self.wal else {
             return;
         };
-        match wal.append(first_step as u64, effective) {
-            Ok(bytes) => {
-                obs::WAL_APPENDS.inc();
-                obs::WAL_BYTES.add(bytes);
-            }
-            Err(e) => {
-                obs::WAL_APPEND_FAILURES.inc();
-                self.degraded_cause = Some(e.to_string());
-            }
+        if let Err(e) = wal.append(first_step as u64, effective) {
+            obs::WAL_APPEND_FAILURES.inc();
+            self.degraded_cause = Some(e.to_string());
         }
-    }
-
-    /// Shared tail of every successful absorb: ingest counters and the
-    /// checkpoint tick.
-    fn absorb_bookkeeping(&mut self, batch_cols: usize) {
-        obs::INGEST_BATCHES.inc();
-        obs::INGEST_SNAPSHOTS.add(batch_cols as u64);
-        self.tick_checkpoint();
     }
 
     /// Advances the checkpoint schedule. A failed write is *not* an
@@ -362,32 +387,28 @@ impl Shard {
     /// checkpoint — so any retained checkpoint plus the remaining tail
     /// can still rebuild the shard.
     fn tick_checkpoint(&mut self) {
-        let wrote = {
-            let (Some(model), Some(guard)) = (&self.model, &self.guard) else {
-                return;
-            };
-            let Some(ck) = &mut self.checkpointer else {
-                return;
-            };
-            let steps = model.n_steps();
-            let tenant = &self.tenant;
-            let rounds = self.rounds;
-            match ck.tick_state_with(steps, || ShardSnapshot {
-                tenant: tenant.clone(),
-                model: model.clone(),
-                guard: guard.clone(),
-                rounds,
-            }) {
-                Ok(path) => path.is_some(),
-                Err(_) => {
-                    obs::CHECKPOINT_FAILURES.inc();
-                    false
-                }
-            }
-        };
-        if wrote {
-            self.truncate_wal();
+        if !self.checkpointer.as_mut().is_some_and(Checkpointer::due) {
+            return;
         }
+        match self.write_checkpoint() {
+            Ok(true) => self.truncate_wal(),
+            Ok(false) => {}
+            Err(_) => obs::CHECKPOINT_FAILURES.inc(),
+        }
+    }
+
+    /// Writes [`Shard::snapshot`] through the checkpointer. `Ok(false)`
+    /// when there is nothing to write: no checkpointer, or an empty or
+    /// corrupt shard.
+    fn write_checkpoint(&self) -> Result<bool, CheckpointError> {
+        let Some(ck) = &self.checkpointer else {
+            return Ok(false);
+        };
+        let Some(snap) = self.snapshot() else {
+            return Ok(false);
+        };
+        ck.write_state(snap.model.n_steps(), &snap)?;
+        Ok(true)
     }
 
     /// Drops WAL frames made redundant by checkpoint retention.
@@ -407,21 +428,8 @@ impl Shard {
     /// Writes a final checkpoint unconditionally (graceful shutdown),
     /// then syncs and trims the WAL. No-op for empty or corrupt shards.
     pub fn checkpoint_now(&mut self) -> Result<(), CheckpointError> {
-        {
-            let (Some(model), Some(guard), Some(ck)) =
-                (&self.model, &self.guard, &self.checkpointer)
-            else {
-                return Ok(());
-            };
-            ck.write_state(
-                model.n_steps(),
-                &ShardSnapshot {
-                    tenant: self.tenant.clone(),
-                    model: model.clone(),
-                    guard: guard.clone(),
-                    rounds: self.rounds,
-                },
-            )?;
+        if !self.write_checkpoint()? {
+            return Ok(());
         }
         if let Some(wal) = &mut self.wal {
             let _ = wal.sync();
@@ -504,9 +512,7 @@ impl Shard {
                 // Already inside the restored checkpoint.
                 continue;
             }
-            if frame.first_step > steps_now
-                || shard.replay_frame(&frame.batch, cfg, policy).is_err()
-            {
+            if frame.first_step > steps_now || shard.absorb(&frame.batch, cfg, policy).is_err() {
                 // A gap (stale log vs a newer checkpoint) or a replay
                 // fault: stop here and serve what was rebuilt.
                 break;
@@ -521,36 +527,6 @@ impl Shard {
             replayed,
             torn_wal,
         }
-    }
-
-    /// Applies one WAL frame through the live pipeline, without WAL
-    /// appends, checkpoint ticks, or serve counters. The frame is already
-    /// repaired, so the guard's repair pass is a bitwise no-op that
-    /// advances `last_good` exactly as the original round did.
-    fn replay_frame(
-        &mut self,
-        batch: &Mat,
-        cfg: &IMrDmdConfig,
-        policy: GapPolicy,
-    ) -> Result<(), imrdmd::CoreError> {
-        match &mut self.model {
-            None => {
-                let mut guard = IngestGuard::new(policy, batch.rows());
-                let (clean, _rep) = guard.repair(batch)?;
-                let model = IMrDmd::fit(clean.as_ref().unwrap_or(batch), cfg);
-                self.model = Some(model);
-                self.guard = Some(guard);
-                self.rounds = 1;
-            }
-            Some(model) => {
-                let guard = self
-                    .guard
-                    .get_or_insert_with(|| IngestGuard::new(policy, batch.rows()));
-                model.try_partial_fit(batch, guard)?;
-                self.rounds += 1;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -593,6 +569,39 @@ mod tests {
         assert_eq!(r1.steps, 200);
         assert!(r1.report.is_some());
         assert!(shard.health().is_ok());
+    }
+
+    #[test]
+    fn cold_start_reports_its_repairs() {
+        let sc = Scenario::sc_log(theta().scaled(4), 100, 3);
+        let mut batch = sc.generate(0, 100);
+        batch[(1, 10)] = f64::NAN;
+        batch[(2, 0)] = f64::NAN;
+        batch[(2, 1)] = f64::NAN;
+        let mut shard = Shard::new("t0", None);
+        let r = shard
+            .ingest(&batch, Some(0), &cfg(), GapPolicy::Interpolate)
+            .unwrap();
+        assert!(r.cold_start);
+        assert!(r.report.is_none());
+        assert_eq!((r.repairs.gaps, r.repairs.repaired), (3, 3));
+
+        // The snapshot carries the guard's carry, so a shard rebuilt from
+        // it repairs a leading gap in the next batch exactly as the
+        // original does.
+        let mut twin = Shard::from_snapshot(shard.snapshot().unwrap(), None);
+        let mut next = sc.generate(100, 200);
+        next[(2, 0)] = f64::NAN;
+        for s in [&mut shard, &mut twin] {
+            let r = s
+                .ingest(&next, Some(100), &cfg(), GapPolicy::Interpolate)
+                .unwrap();
+            assert_eq!(r.report.unwrap().repairs.gaps, 1);
+        }
+        assert_eq!(
+            serde_json::to_string(&shard.snapshot().unwrap()).unwrap(),
+            serde_json::to_string(&twin.snapshot().unwrap()).unwrap()
+        );
     }
 
     #[test]

@@ -3,18 +3,23 @@
 //! Telemetry arrives in fixed-size chunks through a fault injector (NaN
 //! runs, dropped samples, sensor dropout, and occasional rank-collapsing
 //! pathological batches — the stream hygiene of real facility feeds); every
-//! chunk passes the gap-repairing ingest guard and is folded into the
-//! I-mrDMD state with `try_partial_fit`. Each round prints the model's
-//! numerical health summary alongside drift and z-score status. Z-scores are
-//! refreshed against a baseline band, hot/idle nodes are reported, and when
-//! the root drift crosses the configured threshold a full refit is launched
-//! on a background thread (the paper's "embarrassingly parallel" levels-2..L
-//! refresh) and swapped in when ready — without stalling the stream.
+//! chunk is ingested by an `imrdmd_serve::Shard` — the daemon's tenant
+//! lifecycle — which repairs gaps with its ingest guard and folds the chunk
+//! into the I-mrDMD state with `try_partial_fit`. Each round prints the
+//! model's numerical health summary alongside drift and z-score status.
+//! Z-scores are refreshed against a baseline band, hot/idle nodes are
+//! reported, and when the root drift crosses the configured threshold a
+//! full refit is launched on a background thread (the paper's
+//! "embarrassingly parallel" levels-2..L refresh) and swapped into the
+//! shard when ready — without stalling the stream.
 //!
-//! With `--checkpoint-dir` the model is snapshotted atomically every
-//! `--checkpoint-every` chunks; `--resume` restarts from the newest
-//! checkpoint instead of refitting from scratch (kill it mid-run and rerun
-//! with `--resume` to see crash recovery).
+//! With `--checkpoint-dir` the shard (model, ingest guard and round count)
+//! is snapshotted atomically every `--checkpoint-every` chunks as
+//! `ckpt-monitor-<steps>.ckpt`; `--resume` restarts from the newest one
+//! through `Shard::recover` instead of refitting from scratch (kill it
+//! mid-run and rerun with `--resume` to see crash recovery). Resume prints
+//! `resumed from …`, or says it cold-started when the directory holds no
+//! shard checkpoint.
 //!
 //! ```sh
 //! cargo run --release --example streaming_monitor -- \
@@ -24,8 +29,12 @@
 //!     --checkpoint-dir /tmp/monitor-ckpts --resume
 //! ```
 
+use imrdmd_serve::{ServeError, Shard};
 use mrdmd_suite::prelude::*;
 use std::path::PathBuf;
+
+/// Shard namespace of the monitor's checkpoints.
+const SHARD: &str = "monitor";
 
 struct Opts {
     checkpoint_dir: Option<PathBuf>,
@@ -56,6 +65,33 @@ fn parse_opts() -> Opts {
     o
 }
 
+/// Hot/idle summary of the model's z-scores against a mid-band baseline of
+/// the data seen so far.
+fn zscore_status(m: &IMrDmd, seen: &Mat, th: &ZThresholds) -> String {
+    let mags = row_mode_magnitudes(m.nodes(), &BandFilter::all(), seen.rows());
+    let baseline = select_baseline_rows(seen, 40.0, 50.0);
+    if baseline.is_empty() {
+        return "no baseline band".to_string();
+    }
+    let z = ZScores::from_baseline(&mags, &baseline);
+    let states = z.states(th);
+    let hot: Vec<usize> = states
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| **s == NodeState::Hot)
+        .map(|(i, _)| i)
+        .collect();
+    let idle = states.iter().filter(|s| **s == NodeState::Idle).count();
+    format!(
+        "{} hot {:?}{}, {} idle, {:.0}% near baseline",
+        hot.len(),
+        &hot[..hot.len().min(6)],
+        if hot.len() > 6 { "…" } else { "" },
+        idle,
+        z.fraction_near(th) * 100.0
+    )
+}
+
 fn main() {
     let opts = parse_opts();
     let n_nodes = 128;
@@ -84,27 +120,35 @@ fn main() {
         .build()
         .expect("static config is valid");
 
-    // Resume from the newest checkpoint, or prime with the first chunk.
-    let mut model: Option<IMrDmd> = None;
-    if opts.resume {
+    // The monitor is one shard: no WAL, checkpoints under its own
+    // namespace. Resume restores the newest valid snapshot.
+    let policy = GapPolicy::Interpolate;
+    let checkpointer = || {
+        opts.checkpoint_dir.as_deref().map(|dir| {
+            Checkpointer::for_shard(dir, opts.checkpoint_every, SHARD).expect("checkpoint dir")
+        })
+    };
+    let mut shard = if opts.resume {
         let dir = opts
             .checkpoint_dir
             .as_deref()
             .expect("--resume needs --checkpoint-dir");
-        if let Some(path) = latest_checkpoint(dir).expect("scan checkpoint dir") {
-            let m = load_checkpoint(&path).expect("checkpoint loads");
-            println!(
-                "resumed from {} at snapshot {} ({} modes)",
-                path.display(),
-                m.n_steps(),
-                m.n_modes()
-            );
-            model = Some(m);
-        } else {
-            println!("no checkpoint found — cold start");
+        let rec = Shard::recover(dir, SHARD, &cfg, policy, checkpointer());
+        match rec.shard.with_model(|m| (m.n_steps(), m.n_modes())) {
+            Ok((steps, modes)) => println!(
+                "resumed from {} at snapshot {steps} ({modes} modes)",
+                dir.display()
+            ),
+            Err(ServeError::ShardCorrupt { cause, .. }) => {
+                panic!("cannot resume from {}: {cause}", dir.display())
+            }
+            Err(_) => println!("no checkpoint found — cold start"),
         }
-    }
-    let start = model.as_ref().map_or(0, IMrDmd::n_steps);
+        rec.shard
+    } else {
+        Shard::new(SHARD, checkpointer())
+    };
+    let start = shard.status().steps;
 
     // Corrupt the stream the way real facility feeds are corrupted, and
     // keep the clean stream around to regenerate already-seen history.
@@ -122,11 +166,6 @@ fn main() {
         faults,
         start,
     );
-    let mut guard = IngestGuard::new(GapPolicy::Interpolate, scenario.n_series());
-    let mut checkpointer = opts
-        .checkpoint_dir
-        .as_deref()
-        .map(|dir| Checkpointer::new(dir, opts.checkpoint_every).expect("checkpoint dir"));
 
     let th = ZThresholds::default();
     let mut refit: Option<AsyncRefit> = None;
@@ -134,25 +173,13 @@ fn main() {
     let mut total_gaps = 0usize;
 
     for (round, batch) in stream.enumerate() {
-        let (report, repairs) = match &mut model {
-            None => {
-                // Prime: repair stand-alone, then cold-start the model.
-                let (clean, repairs) = guard.repair(&batch).expect("first chunk repairable");
-                model = Some(IMrDmd::fit(clean.as_ref().unwrap_or(&batch), &cfg));
-                (None, repairs)
-            }
-            Some(m) => {
-                let r = m
-                    .try_partial_fit(&batch, &mut guard)
-                    .expect("guarded ingest");
-                (Some(r.fit_summary()), r.repairs)
-            }
-        };
-        let m = model.as_mut().expect("model primed above");
-        total_gaps += repairs.gaps;
+        let reply = shard
+            .ingest(&batch, None, &cfg, policy)
+            .expect("guarded ingest");
+        total_gaps += reply.repairs.gaps;
         // The guard repaired `batch`'s gaps before the fit; replaying the
         // clean generator keeps `seen` an honest record for refits.
-        let clean_batch = scenario.generate(m.n_steps() - batch.cols(), m.n_steps());
+        let clean_batch = scenario.generate(reply.steps - batch.cols(), reply.steps);
         seen = if seen.cols() == 0 {
             clean_batch
         } else {
@@ -160,54 +187,27 @@ fn main() {
         };
 
         // Refresh z-scores against a mid-band baseline of the data so far.
-        let mags = row_mode_magnitudes(m.nodes(), &BandFilter::all(), seen.rows());
-        let baseline = select_baseline_rows(&seen, 40.0, 50.0);
-        let status = if baseline.is_empty() {
-            "no baseline band".to_string()
-        } else {
-            let z = ZScores::from_baseline(&mags, &baseline);
-            let states = z.states(&th);
-            let hot: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == NodeState::Hot)
-                .map(|(i, _)| i)
-                .collect();
-            let idle = states.iter().filter(|s| **s == NodeState::Idle).count();
-            format!(
-                "{} hot {:?}{}, {} idle, {:.0}% near baseline",
-                hot.len(),
-                &hot[..hot.len().min(6)],
-                if hot.len() > 6 { "…" } else { "" },
-                idle,
-                z.fraction_near(&th) * 100.0
-            )
-        };
+        let (status, health) = shard
+            .with_model(|m| (zscore_status(m, &seen, &th), m.health().summary()))
+            .expect("shard is fitted");
         println!(
             "round {:>2}: T = {:>5}, drift {:>9.2e}{}, {:>3} gaps repaired | {} | {}",
             round + 1,
-            m.n_steps(),
-            report.as_ref().map_or(0.0, |r| r.drift),
-            if report.as_ref().is_some_and(|r| r.stale) {
+            reply.steps,
+            reply.report.as_ref().map_or(0.0, |r| r.drift),
+            if reply.report.as_ref().is_some_and(|r| r.stale) {
                 " [STALE]"
             } else {
                 ""
             },
-            repairs.repaired,
+            reply.repairs.repaired,
             status,
-            m.health().summary()
+            health
         );
 
-        // Periodic atomic checkpoint: kill the process at any point and
-        // `--resume` picks up from the last one.
-        if let Some(ck) = &mut checkpointer {
-            if let Some(path) = ck.tick(m).expect("checkpoint write") {
-                println!("          checkpoint → {}", path.display());
-            }
-        }
-
         // Drift exceeded: launch (or harvest) the asynchronous refit.
-        if m.is_stale() && refit.is_none() {
+        let stale = shard.with_model(IMrDmd::is_stale).expect("shard is fitted");
+        if stale && refit.is_none() {
             println!("          drift threshold exceeded — spawning background refit");
             refit = Some(AsyncRefit::spawn(seen.clone(), cfg));
         }
@@ -216,16 +216,23 @@ fn main() {
                 Ok(Some(mut fresh)) => {
                     // The refit covers data up to its spawn point; replay any
                     // chunks that arrived since.
-                    if fresh.n_steps() < m.n_steps() {
-                        let missing = seen.cols_range(fresh.n_steps(), m.n_steps());
+                    if fresh.n_steps() < reply.steps {
+                        let missing = seen.cols_range(fresh.n_steps(), reply.steps);
                         fresh.partial_fit(&missing);
                     }
+                    // Swap the model inside the shard's snapshot; the ingest
+                    // guard's carry and the round count stay as they were.
+                    // The swapped-in model is checkpointed at once, and the
+                    // checkpoint cadence restarts from the swap.
+                    let mut snap = shard.snapshot().expect("shard is fitted");
                     println!(
                         "          background refit absorbed ({} modes → {} modes)",
-                        m.n_modes(),
+                        snap.model.n_modes(),
                         fresh.n_modes()
                     );
-                    *m = fresh;
+                    snap.model = fresh;
+                    shard = Shard::from_snapshot(snap, checkpointer());
+                    shard.checkpoint_now().expect("checkpoint write");
                     refit = None;
                 }
                 Ok(None) => {} // still running
@@ -242,7 +249,10 @@ fn main() {
         // Drain any in-flight refit so the thread finishes cleanly.
         let _ = r.take();
     }
-    let model = model.expect("stream produced at least one chunk");
+    let model = shard
+        .snapshot()
+        .expect("stream produced at least one chunk")
+        .model;
 
     // Final verdict against the injected ground truth.
     println!("\n{total_gaps} corrupted readings repaired in-stream");

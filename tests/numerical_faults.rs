@@ -255,8 +255,8 @@ fn degraded_health_survives_checkpoint_bitwise() {
     assert!(!model.fit_faults().is_empty());
 
     let path = tmp("degraded.ckpt");
-    save_checkpoint(&model, &path).unwrap();
-    let restored = load_checkpoint(&path).unwrap();
+    save_state_checkpoint(&model, &path).unwrap();
+    let restored: IMrDmd = load_state_checkpoint(&path).unwrap();
 
     let before = serde_json::to_string(&model).unwrap();
     let after = serde_json::to_string(&restored).unwrap();

@@ -3,6 +3,7 @@
 //! fixed has a regression test that fails on the pre-PR code.
 
 use mrdmd_suite::prelude::*;
+use mrdmd_suite::telemetry::write_snapshots_csv;
 use std::fs;
 use std::path::PathBuf;
 
@@ -157,18 +158,21 @@ fn kill_and_resume_from_checkpoint_is_bitwise_identical() {
     // the model), restore, and stream the rest.
     let dir = tmp("kill-and-resume");
     let _ = fs::remove_dir_all(&dir);
-    let mut ck = Checkpointer::new(&dir, 1).unwrap();
+    let mut ck = Checkpointer::for_shard(&dir, 1, "model").unwrap();
     let mut m = IMrDmd::fit(&data.cols_range(0, 128), &c);
     let mut lo = 128;
     while lo < 384 {
         m.partial_fit(&data.cols_range(lo, lo + chunk));
-        ck.tick(&m).unwrap();
+        if ck.due() {
+            ck.write_state(m.n_steps(), &m).unwrap();
+        }
         lo += chunk;
     }
     drop(m); // the crash
 
-    let newest = latest_checkpoint(&dir).unwrap().expect("checkpoints exist");
-    let mut resumed = load_checkpoint(&newest).unwrap();
+    let history = shard_checkpoint_history(&dir, "model").unwrap();
+    let (_, newest) = history.first().expect("checkpoints exist");
+    let mut resumed: IMrDmd = load_state_checkpoint(newest).unwrap();
     assert_eq!(resumed.n_steps(), 384, "newest checkpoint is the latest");
     let mut lo = resumed.n_steps();
     while lo < total {
@@ -201,8 +205,8 @@ fn pending_buffer_survives_checkpoint_roundtrip() {
     );
 
     let path = tmp("pending.ckpt");
-    save_checkpoint(&m, &path).unwrap();
-    let restored = load_checkpoint(&path).unwrap();
+    save_state_checkpoint(&m, &path).unwrap();
+    let restored: IMrDmd = load_state_checkpoint(&path).unwrap();
     assert_eq!(restored.pending_len(), 7);
     assert_eq!(restored.n_steps(), m.n_steps());
     assert_eq!(bits(&restored.reconstruct()), bits(&m.reconstruct()));
@@ -217,14 +221,17 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     let data = signal(8, 128, dt);
     let m = IMrDmd::fit(&data, &cfg(dt, 3));
     let path = tmp("corrupt.ckpt");
-    save_checkpoint(&m, &path).unwrap();
+    save_state_checkpoint(&m, &path).unwrap();
     let good = fs::read(&path).unwrap();
-    assert!(load_checkpoint(&path).is_ok(), "pristine file loads");
+    assert!(
+        load_state_checkpoint::<IMrDmd>(&path).is_ok(),
+        "pristine file loads"
+    );
 
     // Truncated at 60%: length check trips before the codec ever runs.
     fs::write(&path, &good[..good.len() * 6 / 10]).unwrap();
     assert!(matches!(
-        load_checkpoint(&path),
+        load_state_checkpoint::<IMrDmd>(&path),
         Err(CheckpointError::LengthMismatch { .. })
     ));
 
@@ -234,7 +241,7 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     flipped[at] ^= 0x10;
     fs::write(&path, &flipped).unwrap();
     assert!(matches!(
-        load_checkpoint(&path),
+        load_state_checkpoint::<IMrDmd>(&path),
         Err(CheckpointError::ChecksumMismatch { .. })
     ));
 
@@ -243,7 +250,7 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     vandalised[0] = b'X';
     fs::write(&path, &vandalised).unwrap();
     assert!(matches!(
-        load_checkpoint(&path),
+        load_state_checkpoint::<IMrDmd>(&path),
         Err(CheckpointError::BadHeader(_))
     ));
 
@@ -253,13 +260,13 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
         .replacen(" v1 ", " v9 ", 1);
     fs::write(&path, future).unwrap();
     assert!(matches!(
-        load_checkpoint(&path),
+        load_state_checkpoint::<IMrDmd>(&path),
         Err(CheckpointError::UnsupportedVersion(9))
     ));
 
     // And the pristine bytes still load after all that.
     fs::write(&path, &good).unwrap();
-    let restored = load_checkpoint(&path).unwrap();
+    let restored: IMrDmd = load_state_checkpoint(&path).unwrap();
     assert_eq!(bits(&restored.reconstruct()), bits(&m.reconstruct()));
 }
 
@@ -378,7 +385,8 @@ fn concurrent_checkpoint_saves_to_one_path_never_collide() {
             let path = path.clone();
             std::thread::spawn(move || {
                 for _ in 0..12 {
-                    save_checkpoint(&model, &path).expect("save must never fail under contention");
+                    save_state_checkpoint(&model, &path)
+                        .expect("save must never fail under contention");
                 }
             })
         })
@@ -388,7 +396,8 @@ fn concurrent_checkpoint_saves_to_one_path_never_collide() {
     let mut observed = 0usize;
     while workers.iter().any(|w| !w.is_finished()) {
         if path.exists() {
-            let restored = load_checkpoint(&path).expect("visible checkpoint must be whole");
+            let restored: IMrDmd =
+                load_state_checkpoint(&path).expect("visible checkpoint must be whole");
             assert_eq!(restored.n_steps(), model.n_steps());
             observed += 1;
         }
@@ -397,7 +406,7 @@ fn concurrent_checkpoint_saves_to_one_path_never_collide() {
         w.join().unwrap();
     }
     assert!(observed > 0, "reader must actually race the writers");
-    let restored = load_checkpoint(&path).unwrap();
+    let restored: IMrDmd = load_state_checkpoint(&path).unwrap();
     assert_eq!(bits(&restored.reconstruct()), bits(&model.reconstruct()));
     // No temp litter left behind.
     let dir = path.parent().unwrap();
@@ -412,8 +421,7 @@ fn concurrent_checkpoint_saves_to_one_path_never_collide() {
 
 /// Shard-namespaced checkpointers sharing one `--checkpoint-dir`: each
 /// tenant's files live under its own `ckpt-<shard>-<steps>` namespace, so
-/// concurrent fleets neither collide nor cross-restore, and the legacy
-/// unsharded scan does not pick shard files up.
+/// concurrent fleets neither collide nor cross-restore.
 #[test]
 fn sharded_checkpointers_share_a_directory_without_crosstalk() {
     let dt = 20.0;
@@ -429,7 +437,8 @@ fn sharded_checkpointers_share_a_directory_without_crosstalk() {
                 let data = signal(4 + k, 128, dt);
                 let model = IMrDmd::fit(&data, &cfg(dt, 3));
                 let mut ck = Checkpointer::for_shard(&dir, 1, &format!("shard-{k}")).unwrap();
-                ck.tick(&model).unwrap();
+                assert!(ck.due(), "every = 1 writes on the first batch");
+                ck.write_state(model.n_steps(), &model).unwrap();
                 model
             })
         })
@@ -440,10 +449,11 @@ fn sharded_checkpointers_share_a_directory_without_crosstalk() {
     assert_eq!(found.len(), 6);
     for (k, model) in models.iter().enumerate() {
         let shard = format!("shard-{k}");
-        let path = latest_checkpoint_for_shard(&dir, &shard)
-            .unwrap()
+        let history = shard_checkpoint_history(&dir, &shard).unwrap();
+        let (_, path) = history
+            .first()
             .unwrap_or_else(|| panic!("missing checkpoint for {shard}"));
-        let restored = load_checkpoint(&path).unwrap();
+        let restored: IMrDmd = load_state_checkpoint(path).unwrap();
         assert_eq!(
             bits(&restored.reconstruct()),
             bits(&model.reconstruct()),
@@ -451,7 +461,66 @@ fn sharded_checkpointers_share_a_directory_without_crosstalk() {
         );
     }
     // Shard names may themselves contain dashes; the steps suffix still
-    // parses. And the unsharded legacy scan ignores all shard files.
+    // parses.
     assert!(is_valid_shard_name("rack-a-12"));
-    assert_eq!(latest_checkpoint(&dir).unwrap(), None);
+}
+
+/// `imrdmd-cli stream --resume` restarts from a shard checkpoint, which
+/// carries the ingest guard's per-sensor last-good carry along with the
+/// model. A stream resumed with a NaN run straddling the resume point must
+/// therefore write the same model file, byte for byte, as a stream that
+/// never stopped — under every repairing gap policy. (A bare-model
+/// checkpoint loses the carry, and the boundary gap repairs differently.)
+#[test]
+fn cli_stream_resume_is_bitwise_under_gap_repair() {
+    let dt = 20.0;
+    let mut data = signal(10, 600, dt);
+    for j in 396..404 {
+        data[(3, j)] = f64::NAN;
+    }
+    let full = tmp("cli-resume-full.csv");
+    let prefix = tmp("cli-resume-prefix.csv");
+    for (path, m) in [(&full, data.clone()), (&prefix, data.cols_range(0, 400))] {
+        let mut f = fs::File::create(path).unwrap();
+        write_snapshots_csv(&mut f, &m, 0).unwrap();
+    }
+    let cli = |args: String| -> String {
+        let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+        imrdmd_cli::run(&imrdmd_cli::parse_args(&argv).unwrap()).unwrap()
+    };
+    for policy in ["hold", "interpolate", "mask"] {
+        let store = tmp(&format!("cli-resume-{policy}"));
+        let _ = fs::remove_dir_all(&store);
+        let whole = tmp(&format!("cli-resume-{policy}-whole.json"));
+        let resumed = tmp(&format!("cli-resume-{policy}-resumed.json"));
+        let common = format!("--dt {dt} --chunk 100 --levels 4 --gap-policy {policy}");
+
+        cli(format!(
+            "stream --input {} {common} --model {}",
+            full.display(),
+            whole.display()
+        ));
+        cli(format!(
+            "stream --input {} {common} --store-dir {} --model {}",
+            prefix.display(),
+            store.display(),
+            resumed.display()
+        ));
+        let out = cli(format!(
+            "stream --input {} {common} --store-dir {} --resume --model {}",
+            full.display(),
+            store.display(),
+            resumed.display()
+        ));
+        assert!(out.contains("resumed from"), "{policy}: {out}");
+        assert!(out.contains("at snapshot 400"), "{policy}: {out}");
+        assert!(
+            out.contains("streamed 2 chunks (200 snapshots"),
+            "{policy}: {out}"
+        );
+        assert!(
+            fs::read(&whole).unwrap() == fs::read(&resumed).unwrap(),
+            "{policy}: the resumed model file differs from the uninterrupted run's"
+        );
+    }
 }
