@@ -39,10 +39,16 @@
 //! the floating-point addition order of the admitted nodes unchanged —
 //! which is what makes f64-tier replay of any range bitwise-identical to
 //! [`IMrDmd::reconstruct_range`] on the live model.
+//!
+//! Every block decodes through [`storage::ByteReader`], so no declared
+//! length can overrun its block. `open` requires the first index entry to
+//! be the root window `[0, n_steps)`; replay requires each node block to
+//! agree with its index entry and the metadata's row count before the
+//! output is sized. A damaged archive is a typed error, never a panic.
 
 use crate::imrdmd::IMrDmd;
 use crate::mrdmd::{reconstruct_nodes, ModeSet};
-use crate::storage::{self, u32_at, u64_at, BlockError, HeaderError};
+use crate::storage::{self, BlockError, ByteReader, HeaderError};
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{c64, CMat, Mat};
 use std::io::{Read as _, Seek as _};
@@ -124,13 +130,14 @@ impl QuantTier {
         }
     }
 
-    /// Bytes the mode matrix of a `rows × k` node occupies at this tier.
-    fn modes_bytes(self, rows: usize, k: usize) -> usize {
+    /// Bytes one `rows`-long mode column occupies at this tier, or `None`
+    /// when that overflows.
+    fn column_bytes(self, rows: usize) -> Option<usize> {
         match self {
-            QuantTier::F64 => rows * k * 16,
-            QuantTier::F32 => rows * k * 8,
+            QuantTier::F64 => rows.checked_mul(16),
+            QuantTier::F32 => rows.checked_mul(8),
             // Per-column f64 scale + 2 × i16 per element.
-            QuantTier::Q16 => k * 8 + rows * k * 4,
+            QuantTier::Q16 => rows.checked_mul(4)?.checked_add(8),
         }
     }
 }
@@ -285,7 +292,8 @@ fn encode_modes(out: &mut Vec<u8>, modes: &CMat, tier: QuantTier) {
 
 fn encode_node(node: &ModeSet, tier: QuantTier) -> Vec<u8> {
     let (rows, k) = (node.modes.rows(), node.modes.cols());
-    let mut out = Vec::with_capacity(NODE_PREFIX + 3 * k * 16 + tier.modes_bytes(rows, k));
+    let column = 48 + tier.column_bytes(rows).unwrap_or(0);
+    let mut out = Vec::with_capacity(NODE_PREFIX + k * column);
     for v in [
         node.level as u64,
         node.start as u64,
@@ -307,34 +315,27 @@ fn encode_node(node: &ModeSet, tier: QuantTier) -> Vec<u8> {
     out
 }
 
-fn c64_vec_at(payload: &[u8], at: usize, k: usize) -> Option<Vec<c64>> {
-    let mut vs = Vec::with_capacity(k);
-    for n in 0..k {
-        let re = f64::from_bits(u64_at(payload, at + 16 * n)?);
-        let im = f64::from_bits(u64_at(payload, at + 16 * n + 8)?);
-        vs.push(c64::new(re, im));
-    }
-    Some(vs)
+/// `k` exact complex values.
+fn read_c64s(r: &mut ByteReader, k: usize) -> Option<Vec<c64>> {
+    let mut vs = r.records(k, 16)?;
+    (0..k)
+        .map(|_| Some(c64::new(vs.f64()?, vs.f64()?)))
+        .collect()
 }
 
-fn u16_at(bytes: &[u8], at: usize) -> Option<u16> {
-    bytes
-        .get(at..at + 2)
-        .and_then(|b| b.try_into().ok())
-        .map(u16::from_le_bytes)
-}
-
-fn decode_modes(payload: &[u8], at: usize, rows: usize, k: usize, tier: QuantTier) -> Option<CMat> {
-    let mut cells = vec![c64::new(0.0, 0.0); rows * k];
-    let mut at = at;
+fn decode_modes(r: &mut ByteReader, rows: usize, k: usize, tier: QuantTier) -> Option<CMat> {
+    // The records check bounds `rows × k` by the block's length, so the
+    // matrix is never larger than the bytes that fill it.
+    let mut col = r.records(k, tier.column_bytes(rows)?)?;
+    let mut modes = CMat::zeros(rows, k);
+    let cells = modes.as_mut_slice();
     match tier {
         QuantTier::F64 => {
             for j in 0..k {
                 let (mut re, mut im) = (0u64, 0u64);
                 for i in 0..rows {
-                    re ^= u64_at(payload, at)?;
-                    im ^= u64_at(payload, at + 8)?;
-                    at += 16;
+                    re ^= col.u64()?;
+                    im ^= col.u64()?;
                     cells[i * k + j] = c64::new(f64::from_bits(re), f64::from_bits(im));
                 }
             }
@@ -343,9 +344,8 @@ fn decode_modes(payload: &[u8], at: usize, rows: usize, k: usize, tier: QuantTie
             for j in 0..k {
                 let (mut re, mut im) = (0u32, 0u32);
                 for i in 0..rows {
-                    re ^= u32_at(payload, at)?;
-                    im ^= u32_at(payload, at + 4)?;
-                    at += 8;
+                    re ^= col.u32()?;
+                    im ^= col.u32()?;
                     cells[i * k + j] =
                         c64::new(f32::from_bits(re) as f64, f32::from_bits(im) as f64);
                 }
@@ -353,48 +353,33 @@ fn decode_modes(payload: &[u8], at: usize, rows: usize, k: usize, tier: QuantTie
         }
         QuantTier::Q16 => {
             for j in 0..k {
-                let scale = f64::from_bits(u64_at(payload, at)?);
-                at += 8;
+                let scale = col.f64()?;
                 let (mut re, mut im) = (0u16, 0u16);
                 for i in 0..rows {
-                    re = re.wrapping_add(u16_at(payload, at)?);
-                    im = im.wrapping_add(u16_at(payload, at + 2)?);
-                    at += 4;
+                    re = re.wrapping_add(col.u16()?);
+                    im = im.wrapping_add(col.u16()?);
                     cells[i * k + j] =
                         c64::new((re as i16) as f64 * scale, (im as i16) as f64 * scale);
                 }
             }
         }
     }
-    Some(CMat::from_fn(rows, k, |i, j| cells[i * k + j]))
+    Some(modes)
 }
 
-fn decode_node(payload: &[u8], tier: QuantTier) -> Result<ModeSet, ArchiveError> {
-    let truncated = || ArchiveError::Codec("truncated node block".into());
-    let level = u64_at(payload, 0).ok_or_else(truncated)? as usize;
-    let start = u64_at(payload, 8).ok_or_else(truncated)? as usize;
-    let window = u64_at(payload, 16).ok_or_else(truncated)? as usize;
-    let step = u64_at(payload, 24).ok_or_else(truncated)? as usize;
-    let row_offset = u64_at(payload, 32).ok_or_else(truncated)? as usize;
-    let rows = u32_at(payload, 40).ok_or_else(truncated)? as usize;
-    let k = u32_at(payload, 44).ok_or_else(truncated)? as usize;
-    let expected = k
-        .checked_mul(48)
-        .and_then(|e| e.checked_add(tier.modes_bytes(rows, k)))
-        .and_then(|e| e.checked_add(NODE_PREFIX))
-        .ok_or_else(|| ArchiveError::Codec("node block shape overflows".into()))?;
-    if payload.len() != expected {
-        return Err(ArchiveError::Codec(format!(
-            "node block is {} bytes, shape {rows}×{k} at tier {} needs {expected}",
-            payload.len(),
-            tier.as_str()
-        )));
-    }
-    let lambdas = c64_vec_at(payload, NODE_PREFIX, k).ok_or_else(truncated)?;
-    let omegas = c64_vec_at(payload, NODE_PREFIX + 16 * k, k).ok_or_else(truncated)?;
-    let amplitudes = c64_vec_at(payload, NODE_PREFIX + 32 * k, k).ok_or_else(truncated)?;
-    let modes = decode_modes(payload, NODE_PREFIX + 48 * k, rows, k, tier).ok_or_else(truncated)?;
-    Ok(ModeSet {
+/// Decodes one node block; `None` when the payload does not hold exactly
+/// the shape it declares.
+fn decode_node(payload: &[u8], tier: QuantTier) -> Option<ModeSet> {
+    let mut r = ByteReader::new(payload);
+    let head = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let [level, start, window, step, row_offset] = head.map(|v| v as usize);
+    let (rows, k) = (r.u32()? as usize, r.u32()? as usize);
+    let lambdas = read_c64s(&mut r, k)?;
+    let omegas = read_c64s(&mut r, k)?;
+    let amplitudes = read_c64s(&mut r, k)?;
+    let modes = decode_modes(&mut r, rows, k, tier)?;
+    r.finish()?;
+    Some(ModeSet {
         level,
         start,
         window,
@@ -525,7 +510,20 @@ impl IndexEntry {
     /// The node-admission rule reconstruction uses: does this node's
     /// window overlap `[t0, t1)`?
     pub fn admits(&self, t0: usize, t1: usize) -> bool {
-        (self.start as usize) < t1 && self.start as usize + self.window as usize > t0
+        self.start < t1 as u64 && self.start.saturating_add(self.window) > t0 as u64
+    }
+
+    /// Reads one 32-byte entry; `None` past the end or when its window
+    /// `start + window` overflows.
+    fn read(r: &mut ByteReader) -> Option<IndexEntry> {
+        let entry = IndexEntry {
+            start: r.u64()?,
+            window: r.u64()?,
+            offset: r.u64()?,
+            len: r.u32()?,
+            level: r.u32()?,
+        };
+        entry.start.checked_add(entry.window).map(|_| entry)
     }
 }
 
@@ -545,26 +543,21 @@ impl ArchiveReader {
     pub fn open(path: &Path) -> Result<ArchiveReader, ArchiveError> {
         let mut file = std::fs::File::open(path)?;
         let total = file.metadata()?.len();
-        // Header line.
-        let mut head = [0u8; 64];
-        let n = file.read(&mut head)?;
-        let header_cap = 2 + ARCHIVE_MAGIC.len() + 8 + 8;
-        let line_end = head[..n.min(header_cap)]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| ArchiveError::BadHeader("no header line".into()))?;
-        let line = std::str::from_utf8(&head[..line_end])
-            .map_err(|_| ArchiveError::BadHeader("header not valid UTF-8".into()))?;
-        storage::parse_text_header(line, ARCHIVE_MAGIC, ARCHIVE_VERSION).map_err(|e| match e {
-            HeaderError::BadMagic => {
-                ArchiveError::BadHeader(format!("missing `{ARCHIVE_MAGIC}` magic"))
-            }
-            HeaderError::NoVersion => ArchiveError::BadHeader("missing version token".into()),
-            HeaderError::Unsupported(v) => ArchiveError::BadHeader(format!(
-                "archive format v{v} is newer than supported v{ARCHIVE_VERSION}"
-            )),
-        })?;
-        let header_end = (line_end + 1) as u64;
+        let header = storage::read_text_header(&mut file, ARCHIVE_MAGIC, ARCHIVE_VERSION);
+        let header_end = header
+            .map_err(|e| match e {
+                HeaderError::Io(e) => ArchiveError::Io(e),
+                HeaderError::NoLine => ArchiveError::BadHeader("no header line".into()),
+                HeaderError::NotUtf8 => ArchiveError::BadHeader("header not valid UTF-8".into()),
+                HeaderError::BadMagic => {
+                    ArchiveError::BadHeader(format!("missing `{ARCHIVE_MAGIC}` magic"))
+                }
+                HeaderError::NoVersion => ArchiveError::BadHeader("missing version token".into()),
+                HeaderError::Unsupported(v) => ArchiveError::BadHeader(format!(
+                    "archive format v{v} is newer than supported v{ARCHIVE_VERSION}"
+                )),
+            })?
+            .len as u64;
         // Trailer → index offset.
         if total < header_end + TRAILER_LEN as u64 {
             return Err(ArchiveError::BadHeader("file too short for trailer".into()));
@@ -572,17 +565,15 @@ impl ArchiveReader {
         let mut trailer = [0u8; TRAILER_LEN];
         file.seek(std::io::SeekFrom::Start(total - TRAILER_LEN as u64))?;
         file.read_exact(&mut trailer)?;
-        if &trailer[12..20] != TRAILER_MAGIC {
+        // Fixed-size reads of a fixed-size array: none can come up short.
+        let mut t = ByteReader::new(&trailer);
+        let (index_offset, trailer_crc) = (t.u64().unwrap_or(0), t.u32().unwrap_or(0));
+        if t.bytes(TRAILER_MAGIC.len()) != Some(&TRAILER_MAGIC[..]) {
             return Err(ArchiveError::BadHeader("missing trailer magic".into()));
         }
-        let offset_bytes = &trailer[..8];
-        let trailer_crc =
-            u32_at(&trailer, 8).ok_or_else(|| ArchiveError::BadHeader("short trailer".into()))?;
-        if storage::crc32(offset_bytes) != trailer_crc {
+        if storage::crc32(&index_offset.to_le_bytes()) != trailer_crc {
             return Err(ArchiveError::BadHeader("trailer checksum mismatch".into()));
         }
-        let index_offset =
-            u64_at(&trailer, 0).ok_or_else(|| ArchiveError::BadHeader("short trailer".into()))?;
         if index_offset < header_end || index_offset >= total {
             return Err(ArchiveError::BadHeader(
                 "trailer points outside the file".into(),
@@ -590,33 +581,47 @@ impl ArchiveReader {
         }
         // Metadata block (always the first block, right after the header).
         let meta = storage::read_block_at(&mut file, header_end)?;
+        let mut m = ByteReader::new(&meta);
         let bad_meta = || ArchiveError::Codec("truncated metadata block".into());
-        let tier_code = u32_at(&meta, 0).ok_or_else(bad_meta)?;
+        let tier_code = m.u32().ok_or_else(bad_meta)?;
         let tier = QuantTier::from_code(tier_code)
             .ok_or_else(|| ArchiveError::Codec(format!("unknown quantization tier {tier_code}")))?;
-        let n_nodes = u32_at(&meta, 4).ok_or_else(bad_meta)? as usize;
-        let n_rows = u64_at(&meta, 8).ok_or_else(bad_meta)? as usize;
-        let n_steps = u64_at(&meta, 16).ok_or_else(bad_meta)? as usize;
-        let dt = f64::from_bits(u64_at(&meta, 24).ok_or_else(bad_meta)?);
+        let n_nodes = m.u32().ok_or_else(bad_meta)? as usize;
+        let n_rows = m.u64().ok_or_else(bad_meta)? as usize;
+        let n_steps = m.u64().ok_or_else(bad_meta)? as usize;
+        let dt = m.f64().ok_or_else(bad_meta)?;
         // Index block.
         let raw = storage::read_block_at(&mut file, index_offset)?;
+        let mut r = ByteReader::new(&raw);
         let bad_index = || ArchiveError::Codec("truncated index block".into());
-        let count = u32_at(&raw, 0).ok_or_else(bad_index)? as usize;
-        if count != n_nodes || raw.len() != 4 + 32 * count {
+        let count = r.u32().ok_or_else(bad_index)? as usize;
+        let mut entries = match r.records(count, 32) {
+            Some(entries) if count == n_nodes && r.finish().is_some() => entries,
+            _ => {
+                return Err(ArchiveError::Codec(format!(
+                    "index lists {count} blocks, metadata promises {n_nodes}"
+                )))
+            }
+        };
+        let index = (0..count)
+            .map(|_| IndexEntry::read(&mut entries))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| ArchiveError::Codec("index entry window overflows".into()))?;
+        // Replay sizes its output from the metadata and trusts the root to
+        // cover the whole timeline, so the two must agree.
+        let root = index.first();
+        if !root.is_some_and(|r| r.level == 1 && r.start == 0 && r.window == n_steps as u64) {
             return Err(ArchiveError::Codec(format!(
-                "index lists {count} blocks, metadata promises {n_nodes}"
+                "first index entry is not the root window [0, {n_steps})"
             )));
         }
-        let mut index = Vec::with_capacity(count);
-        for e in 0..count {
-            let at = 4 + 32 * e;
-            index.push(IndexEntry {
-                start: u64_at(&raw, at).ok_or_else(bad_index)?,
-                window: u64_at(&raw, at + 8).ok_or_else(bad_index)?,
-                offset: u64_at(&raw, at + 16).ok_or_else(bad_index)?,
-                len: u32_at(&raw, at + 24).ok_or_else(bad_index)?,
-                level: u32_at(&raw, at + 28).ok_or_else(bad_index)?,
-            });
+        if n_rows
+            .checked_mul(n_steps)
+            .is_none_or(|n| n > isize::MAX as usize / 8)
+        {
+            return Err(ArchiveError::Codec(format!(
+                "{n_rows} rows × {n_steps} steps overflow a replay"
+            )));
         }
         Ok(ArchiveReader {
             file,
@@ -662,16 +667,36 @@ impl ArchiveReader {
                 n_steps: self.info.n_steps,
             });
         }
-        let admitted: Vec<IndexEntry> = self
-            .index
-            .iter()
-            .filter(|e| e.admits(t0, t1))
-            .copied()
-            .collect();
-        let mut nodes = Vec::with_capacity(admitted.len());
-        for entry in &admitted {
+        let (tier, n_rows) = (self.info.tier, self.info.n_rows);
+        let mut nodes = Vec::new();
+        for (i, entry) in self.index.iter().enumerate() {
+            if !entry.admits(t0, t1) {
+                continue;
+            }
             let payload = storage::read_block_at(&mut self.file, entry.offset)?;
-            nodes.push(decode_node(&payload, self.info.tier)?);
+            let node = decode_node(&payload, tier).ok_or_else(|| {
+                ArchiveError::Codec(format!(
+                    "node block {i} of {} bytes does not decode at tier {tier}",
+                    payload.len()
+                ))
+            })?;
+            // Reconstruction trusts the node's window and rows, and the
+            // output is sized from the metadata: all three must agree, and
+            // the root must span exactly the archive's rows.
+            let rows = node.modes.rows();
+            let fits = node
+                .row_offset
+                .checked_add(rows)
+                .is_some_and(|end| end <= n_rows);
+            if !fits
+                || (i == 0 && rows != n_rows)
+                || (node.start as u64, node.window as u64) != (entry.start, entry.window)
+            {
+                return Err(ArchiveError::Codec(format!(
+                    "node block {i} disagrees with its index entry or the archive's {n_rows} rows"
+                )));
+            }
+            nodes.push(node);
             self.blocks_read += 1;
             crate::obs::ARCHIVE_BLOCKS_READ.inc();
         }
@@ -679,7 +704,7 @@ impl ArchiveReader {
         crate::obs::ARCHIVE_REPLAYS.inc();
         Ok(reconstruct_nodes(
             &refs,
-            self.info.n_rows,
+            n_rows,
             t0,
             t1,
             self.info.dt,
@@ -814,6 +839,89 @@ mod tests {
         assert!(matches!(
             ArchiveReader::open(&path),
             Err(ArchiveError::BadHeader(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites the payload of the frame at `offset` with `edit` and
+    /// recomputes its CRC, so the damage reaches the decoder behind it.
+    fn edit_block(bytes: &mut [u8], offset: usize, edit: impl FnOnce(&mut [u8])) {
+        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("head")) as usize;
+        let payload = offset + storage::FRAME_HEAD;
+        edit(&mut bytes[payload..payload + len]);
+        let crc = storage::crc32(&bytes[payload..payload + len]);
+        bytes[offset + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn archived(name: &str, tier: QuantTier) -> (PathBuf, PathBuf, Vec<u8>, Vec<IndexEntry>) {
+        let dir = scratch(name);
+        let path = dir.join("model.arch");
+        write_archive(&fitted(16, 256), &path, tier).expect("write");
+        let index = ArchiveReader::open(&path).expect("open").index().to_vec();
+        let bytes = std::fs::read(&path).expect("read");
+        (dir, path, bytes, index)
+    }
+
+    /// A CRC-valid node block declaring `rows = k = u32::MAX` used to
+    /// overflow the mode-matrix length product during replay.
+    #[test]
+    fn node_block_with_overflowing_shape_is_a_codec_error() {
+        let (dir, path, mut bytes, index) = archived("node-shape", QuantTier::F64);
+        edit_block(&mut bytes, index[0].offset as usize, |p| {
+            p[40..48].copy_from_slice(&[0xff; 8]);
+        });
+        std::fs::write(&path, &bytes).expect("write");
+        let mut reader = ArchiveReader::open(&path).expect("open: index intact");
+        assert!(matches!(reader.replay_all(), Err(ArchiveError::Codec(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An index entry whose `start + window` overflows is rejected at open,
+    /// before any admission test adds the two.
+    #[test]
+    fn index_entry_with_overflowing_window_is_rejected_at_open() {
+        let (dir, path, mut bytes, index) = archived("index-window", QuantTier::F64);
+        let index_offset = u64::from_le_bytes(
+            bytes[bytes.len() - 20..bytes.len() - 12]
+                .try_into()
+                .expect("8 bytes"),
+        );
+        let last = 4 + 32 * (index.len() - 1);
+        edit_block(&mut bytes, index_offset as usize, |p| {
+            p[last..last + 8].copy_from_slice(&1u64.to_le_bytes());
+            p[last + 8..last + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        });
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            ArchiveReader::open(&path),
+            Err(ArchiveError::Codec(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Metadata that disagrees with the tree is a typed error. A corrupt
+    /// row count used to size the replay output unchecked (an allocation
+    /// of ~10^18 bytes that aborts the process); a corrupt step count no
+    /// longer matches the root window.
+    #[test]
+    fn metadata_that_disagrees_with_the_tree_is_a_codec_error() {
+        let (dir, path, bytes, _) = archived("meta", QuantTier::Q16);
+        let header_end = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+        let mut rows = bytes.clone();
+        edit_block(&mut rows, header_end, |p| {
+            p[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        std::fs::write(&path, &rows).expect("write");
+        let mut reader = ArchiveReader::open(&path).expect("open: rows are checked at replay");
+        assert!(matches!(reader.replay_all(), Err(ArchiveError::Codec(_))));
+        let mut steps = bytes;
+        edit_block(&mut steps, header_end, |p| {
+            p[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        std::fs::write(&path, &steps).expect("write");
+        assert!(matches!(
+            ArchiveReader::open(&path),
+            Err(ArchiveError::Codec(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -146,14 +146,12 @@ pub fn load_state_checkpoint<T: serde::de::DeserializeOwned>(
     let raw = std::fs::read(path)?;
     crate::obs::CHECKPOINT_LOADS.inc();
     crate::obs::CHECKPOINT_BYTES.add(raw.len() as u64);
-    let text = std::str::from_utf8(&raw)
-        .map_err(|_| CheckpointError::BadHeader("not valid UTF-8".into()))?;
-    let (header, payload) = text
-        .split_once('\n')
-        .ok_or_else(|| CheckpointError::BadHeader("no header line".into()))?;
-    let parsed =
-        storage::parse_text_header(header, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).map_err(|e| {
-            match e {
+    let header =
+        storage::read_text_header(&mut raw.as_slice(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+            .map_err(|e| match e {
+                HeaderError::Io(e) => CheckpointError::Io(e),
+                HeaderError::NoLine => CheckpointError::BadHeader("no header line".into()),
+                HeaderError::NotUtf8 => CheckpointError::BadHeader("not valid UTF-8".into()),
                 HeaderError::BadMagic => {
                     CheckpointError::BadHeader(format!("missing `{CHECKPOINT_MAGIC}` magic"))
                 }
@@ -161,31 +159,33 @@ pub fn load_state_checkpoint<T: serde::de::DeserializeOwned>(
                     CheckpointError::BadHeader("missing version token".into())
                 }
                 HeaderError::Unsupported(v) => CheckpointError::UnsupportedVersion(v),
-            }
-        })?;
-    let expected_len: usize = parsed
+            })?;
+    let expected_len: usize = header
         .rest
         .first()
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| CheckpointError::BadHeader("missing payload length".into()))?;
-    let expected_crc: u32 = parsed
+    let expected_crc: u32 = header
         .rest
         .get(1)
         .and_then(|v| u32::from_str_radix(v, 16).ok())
         .ok_or_else(|| CheckpointError::BadHeader("missing checksum".into()))?;
+    let payload = raw.get(header.len..).unwrap_or_default();
     if payload.len() != expected_len {
         return Err(CheckpointError::LengthMismatch {
             expected: expected_len,
             got: payload.len(),
         });
     }
-    let got_crc = crc32(payload.as_bytes());
+    let got_crc = crc32(payload);
     if got_crc != expected_crc {
         return Err(CheckpointError::ChecksumMismatch {
             expected: expected_crc,
             got: got_crc,
         });
     }
+    let payload =
+        std::str::from_utf8(payload).map_err(|e| CheckpointError::Codec(e.to_string()))?;
     serde_json::from_str(payload).map_err(|e| CheckpointError::Codec(e.to_string()))
 }
 
@@ -214,38 +214,23 @@ fn parse_ckpt_name(name: &str) -> Option<(&str, u64)> {
     steps.parse::<u64>().ok().map(|s| (shard, s))
 }
 
-fn scan_dir(dir: &Path, mut visit: impl FnMut(&str, u64, PathBuf)) -> Result<(), CheckpointError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        let parsed = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_ckpt_name)
-            .map(|(shard, steps)| (shard.to_string(), steps));
-        if let Some((shard, steps)) = parsed {
-            visit(&shard, steps, path);
-        }
-    }
-    Ok(())
-}
-
 /// All shards with at least one checkpoint in `dir`, each mapped to its
 /// newest checkpoint file, sorted by shard name. This is what a restarting
 /// daemon scans on boot to rebuild its fleet.
 pub fn shard_checkpoints(dir: &Path) -> Result<Vec<(String, PathBuf)>, CheckpointError> {
     let mut best: std::collections::BTreeMap<String, (u64, PathBuf)> =
         std::collections::BTreeMap::new();
-    scan_dir(dir, |shard, steps, path| match best.get(shard) {
-        Some((b, _)) if *b >= steps => {}
-        _ => {
-            best.insert(shard.to_string(), (steps, path));
-        }
+    let found = storage::list_dir(dir, |name| {
+        parse_ckpt_name(name).map(|(shard, steps)| (shard.to_string(), steps))
     })?;
+    for ((shard, steps), path) in found {
+        match best.get(&shard) {
+            Some((b, _)) if *b >= steps => {}
+            _ => {
+                best.insert(shard, (steps, path));
+            }
+        }
+    }
     Ok(best.into_iter().map(|(s, (_, p))| (s, p)).collect())
 }
 
@@ -257,11 +242,8 @@ pub fn shard_checkpoint_history(
     dir: &Path,
     shard: &str,
 ) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
-    let mut v = Vec::new();
-    scan_dir(dir, |s, steps, path| {
-        if s == shard {
-            v.push((steps, path));
-        }
+    let mut v = storage::list_dir(dir, |name| {
+        parse_ckpt_name(name).and_then(|(s, steps)| (s == shard).then_some(steps))
     })?;
     v.sort_by_key(|e| std::cmp::Reverse(e.0));
     Ok(v)

@@ -3,25 +3,24 @@
 //! Three formats persist state next to each other — JSON checkpoints
 //! ([`crate::checkpoint`]), the binary write-ahead log ([`crate::wal`]),
 //! and the compressed mode archive ([`crate::archive`]) — and all three
-//! share the same durability discipline. This module owns the shared
-//! primitives so the discipline lives in exactly one place:
+//! share one durability discipline and one decode path, owned here:
 //!
 //! * [`crc32`] — CRC-32 (IEEE 802.3, reflected), the checksum every
 //!   format frames its payloads with;
-//! * [`format_text_header`] / [`parse_text_header`] — the one-line
-//!   `MAGIC v<version> <tokens...>\n` versioned header grammar;
+//! * [`format_text_header`] / [`read_text_header`] — the one-line
+//!   `MAGIC v<version> <tokens...>\n` versioned header, read with a
+//!   bounded read that decodes only that line as text;
 //! * [`atomic_write`] — unique temp sibling + rename + file fsync +
 //!   parent-directory fsync, so a crash mid-write can never leave a torn
 //!   file under the final name;
-//! * [`BlockWriter`] / [`BlockReader`] / [`read_block_at`] — the
+//! * [`append_frame`] / [`BlockReader`] / [`read_block_at`] — the
 //!   `[u32 len LE][u32 crc32 LE][payload]` block framing, with sequential
 //!   intact-prefix scans (WAL recovery) and seekable single-block reads
 //!   (archive replay);
+//! * [`ByteReader`] — the checked reader every payload decodes through;
+//! * [`list_dir`] — the directory walk behind checkpoint and WAL discovery;
 //! * [`prune_keep_last`] — keep-last-K retention over `(sort-key, path)`
 //!   file lists, returning the truncation floor a WAL may advance to.
-//!
-//! The wire formats themselves are unchanged by this extraction: a
-//! checkpoint or WAL written before this module existed still loads.
 
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -145,11 +144,21 @@ pub fn atomic_write(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result
 // Versioned text headers
 // ---------------------------------------------------------------------------
 
-/// Why a versioned header line did not parse. Callers map these onto
+/// Longest header line any format writes, newline included: header reads
+/// look no further.
+pub const MAX_HEADER_LINE: usize = 128;
+
+/// Why a versioned header line did not read back. Callers map these onto
 /// their format-specific error types (and error strings), so existing
 /// messages stay stable.
 #[derive(Debug)]
 pub enum HeaderError {
+    /// Reading the header bytes failed.
+    Io(std::io::Error),
+    /// No newline within the first [`MAX_HEADER_LINE`] bytes.
+    NoLine,
+    /// The header line is not valid UTF-8.
+    NotUtf8,
     /// The line does not start with the expected magic token.
     BadMagic,
     /// The `v<N>` version token is missing or malformed.
@@ -160,11 +169,14 @@ pub enum HeaderError {
 
 /// A parsed `MAGIC v<version> <tokens...>` header line.
 #[derive(Debug)]
-pub struct TextHeader<'a> {
+pub struct TextHeader {
     /// The format version the file declares.
     pub version: u32,
     /// The format-specific tokens after the version, in order.
-    pub rest: Vec<&'a str>,
+    pub rest: Vec<String>,
+    /// Byte length of the header line with its newline: where the body
+    /// starts.
+    pub len: usize,
 }
 
 /// Formats the one-line versioned header every format starts with:
@@ -180,13 +192,24 @@ pub fn format_text_header(magic: &str, version: u32, rest: &[&str]) -> String {
     line
 }
 
-/// Parses a header line (without the trailing newline) against `magic`,
-/// rejecting versions newer than `max_version`.
-pub fn parse_text_header<'a>(
-    line: &'a str,
+/// Reads the header line at the start of `src` — at most
+/// [`MAX_HEADER_LINE`] bytes — and parses it against `magic`, rejecting
+/// versions newer than `max_version`. Only the header line is decoded as
+/// text; the body is the format's business.
+pub fn read_text_header(
+    src: &mut impl Read,
     magic: &str,
     max_version: u32,
-) -> Result<TextHeader<'a>, HeaderError> {
+) -> Result<TextHeader, HeaderError> {
+    let mut head = Vec::with_capacity(MAX_HEADER_LINE);
+    src.take(MAX_HEADER_LINE as u64)
+        .read_to_end(&mut head)
+        .map_err(HeaderError::Io)?;
+    let line_end = head
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or(HeaderError::NoLine)?;
+    let line = std::str::from_utf8(&head[..line_end]).map_err(|_| HeaderError::NotUtf8)?;
     let mut parts = line.split(' ');
     if parts.next() != Some(magic) {
         return Err(HeaderError::BadMagic);
@@ -201,8 +224,82 @@ pub fn parse_text_header<'a>(
     }
     Ok(TextHeader {
         version,
-        rest: parts.collect(),
+        rest: parts.map(str::to_string).collect(),
+        len: line_end + 1,
     })
+}
+
+// ---------------------------------------------------------------------------
+// Checked decoding
+// ---------------------------------------------------------------------------
+
+/// Sequential little-endian reader over stored bytes: the one place the
+/// crate turns a payload back into fields. Every read is bounds-checked
+/// and yields `None` past the end; a decoder calls
+/// [`ByteReader::records`] before allocating room for `count` values, so
+/// a damaged count never asks for more memory than the payload holds.
+#[derive(Clone, Copy, Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+#[deny(clippy::arithmetic_side_effects)]
+impl<'a> ByteReader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { rest: bytes }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.rest.split_first_chunk::<N>()?;
+        self.rest = rest;
+        Some(*head)
+    }
+
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `f64`, stored as its little-endian bit pattern.
+    pub fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A reader over the next `count` records of `width` bytes each;
+    /// `None` when `count × width` overflows or exceeds the bytes left.
+    pub fn records(&mut self, count: usize, width: usize) -> Option<ByteReader<'a>> {
+        let len = count.checked_mul(width)?;
+        self.bytes(len).map(ByteReader::new)
+    }
+
+    /// `Some` only when every byte has been read — a decoder's last step,
+    /// so a payload longer than its declared shape is rejected too.
+    pub fn finish(self) -> Option<()> {
+        self.rest.is_empty().then_some(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,17 +350,6 @@ impl From<std::io::Error> for BlockError {
     }
 }
 
-/// Where a written block landed: the absolute offset of its frame head
-/// and the payload length. An index built from these handles lets a
-/// reader seek straight to any block.
-#[derive(Clone, Copy, Debug)]
-pub struct BlockHandle {
-    /// Absolute byte offset of the `[len][crc]` frame head.
-    pub offset: u64,
-    /// Payload length in bytes (the frame occupies `FRAME_HEAD + len`).
-    pub len: u32,
-}
-
 /// Appends `[u32 len LE][u32 crc32 LE][payload]` to `out`.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.reserve(FRAME_HEAD + payload.len());
@@ -279,91 +365,15 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates the frame starting at `at` in a byte image and returns its
-/// payload range. `None` means the bytes from `at` on are not an intact
-/// frame — torn tail, bit rot, or an absurd length.
-pub fn frame_payload_at(bytes: &[u8], at: usize) -> Option<std::ops::Range<usize>> {
-    let len = u32_at(bytes, at)?;
-    let crc = u32_at(bytes, at + 4)?;
-    if len > MAX_FRAME_PAYLOAD {
-        return None;
-    }
-    let start = at + FRAME_HEAD;
-    let payload = bytes.get(start..start + len as usize)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some(start..start + len as usize)
-}
-
-/// Little-endian `u32` at `at`, if in bounds.
-pub fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes
-        .get(at..at + 4)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-}
-
-/// Little-endian `u64` at `at`, if in bounds.
-pub fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at + 8)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-}
-
-/// Writes CRC-framed blocks to a byte sink, tracking absolute offsets so
-/// the caller can build a seekable index as it writes.
-#[derive(Debug)]
-pub struct BlockWriter<W: Write> {
-    sink: W,
-    offset: u64,
-}
-
-impl<W: Write> BlockWriter<W> {
-    /// A writer whose next block lands at absolute offset `offset` (the
-    /// bytes before it — e.g. a text header — were written by the caller).
-    pub fn with_offset(sink: W, offset: u64) -> BlockWriter<W> {
-        BlockWriter { sink, offset }
-    }
-
-    /// Frames `payload` and writes it as a single `write_all`, returning
-    /// where it landed.
-    pub fn write_block(&mut self, payload: &[u8]) -> std::io::Result<BlockHandle> {
-        let frame = encode_frame(payload);
-        self.sink.write_all(&frame)?;
-        let handle = BlockHandle {
-            offset: self.offset,
-            len: payload.len() as u32,
-        };
-        self.offset += frame.len() as u64;
-        Ok(handle)
-    }
-
-    /// Absolute offset the next block would land at.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// The underlying sink (e.g. to fsync a file after the last block).
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.sink
-    }
-
-    /// Consumes the writer, returning the sink.
-    pub fn into_inner(self) -> W {
-        self.sink
-    }
-}
-
 /// Sequential scanner over a byte image of CRC-framed blocks: yields each
-/// intact payload in order and stops at the first damaged frame, which is
-/// how WAL recovery finds the intact prefix to truncate back to.
+/// intact payload in order and stops for good at the first damaged frame
+/// (torn tail, bit rot, or an absurd length). [`BlockReader::pos`] is
+/// then the end of the intact prefix, which is where WAL recovery
+/// truncates back to.
 #[derive(Debug)]
 pub struct BlockReader<'a> {
     bytes: &'a [u8],
-    at: usize,
-    torn: bool,
+    rest: ByteReader<'a>,
 }
 
 impl<'a> BlockReader<'a> {
@@ -371,57 +381,61 @@ impl<'a> BlockReader<'a> {
     pub fn new(bytes: &'a [u8], start: usize) -> BlockReader<'a> {
         BlockReader {
             bytes,
-            at: start,
-            torn: false,
-        }
-    }
-
-    /// The next intact block: `(frame-head offset, payload)`. `None` at
-    /// the end of the image or at the first damaged frame (check
-    /// [`BlockReader::torn`] to distinguish).
-    pub fn next_block(&mut self) -> Option<(u64, &'a [u8])> {
-        if self.torn || self.at >= self.bytes.len() {
-            return None;
-        }
-        match frame_payload_at(self.bytes, self.at) {
-            Some(range) => {
-                let head = self.at as u64;
-                self.at = range.end;
-                Some((head, &self.bytes[range]))
-            }
-            None => {
-                self.torn = true;
-                None
-            }
+            rest: ByteReader::new(bytes.get(start..).unwrap_or_default()),
         }
     }
 
     /// Byte offset of the end of the intact prefix scanned so far.
     pub fn pos(&self) -> usize {
-        self.at
+        self.bytes.len() - self.rest.remaining()
     }
+}
 
-    /// True once a damaged frame stopped the scan before the end of the
-    /// image.
-    pub fn torn(&self) -> bool {
-        self.torn
+impl<'a> Iterator for BlockReader<'a> {
+    type Item = &'a [u8];
+
+    /// The next intact payload: `None` at the end of the image and at a
+    /// damaged frame, which the scan never steps past.
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let mut frame = self.rest;
+        let len = frame.u32()?;
+        let crc = frame.u32()?;
+        if len > MAX_FRAME_PAYLOAD {
+            return None;
+        }
+        let payload = frame.bytes(len as usize)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        self.rest = frame;
+        Some(payload)
     }
 }
 
 /// Seeks to `offset` in `src` and reads back one framed block, verifying
 /// length and checksum. This is the random-access read path archive
-/// replay uses to stream only the blocks a time range admits.
+/// replay uses to stream only the blocks a time range admits. Lengths are
+/// checked against the bytes the source still holds before anything is
+/// read, so a damaged frame head never sizes a buffer past the source.
 pub fn read_block_at(src: &mut (impl Read + Seek), offset: u64) -> Result<Vec<u8>, BlockError> {
+    let left = src.seek(std::io::SeekFrom::End(0))?.saturating_sub(offset);
+    let Some(left) = left.checked_sub(FRAME_HEAD as u64) else {
+        return Err(BlockError::Truncated);
+    };
     src.seek(std::io::SeekFrom::Start(offset))?;
     let mut head = [0u8; FRAME_HEAD];
-    read_exact_or_truncated(src, &mut head)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    let expected = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+    src.read_exact(&mut head)?;
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let expected = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > MAX_FRAME_PAYLOAD {
         return Err(BlockError::TooLarge(len));
     }
+    if u64::from(len) > left {
+        return Err(BlockError::Truncated);
+    }
     let mut payload = vec![0u8; len as usize];
-    read_exact_or_truncated(src, &mut payload)?;
+    src.read_exact(&mut payload)?;
     let got = crc32(&payload);
     if got != expected {
         return Err(BlockError::Checksum { expected, got });
@@ -429,14 +443,31 @@ pub fn read_block_at(src: &mut (impl Read + Seek), offset: u64) -> Result<Vec<u8
     Ok(payload)
 }
 
-fn read_exact_or_truncated(src: &mut impl Read, buf: &mut [u8]) -> Result<(), BlockError> {
-    src.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            BlockError::Truncated
-        } else {
-            BlockError::Io(e)
+// ---------------------------------------------------------------------------
+// Directory listing
+// ---------------------------------------------------------------------------
+
+/// Every entry of `dir` whose file name `parse` accepts, as
+/// `(parsed, path)` in directory order; names that are not UTF-8 are
+/// skipped. A missing directory lists as empty: a store that has written
+/// nothing yet has no directory.
+pub fn list_dir<T>(
+    dir: &Path,
+    parse: impl Fn(&str) -> Option<T>,
+) -> std::io::Result<Vec<(T, PathBuf)>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let path = entry?.path();
+        if let Some(t) = path.file_name().and_then(|n| n.to_str()).and_then(&parse) {
+            found.push((t, path));
         }
-    })
+    }
+    Ok(found)
 }
 
 // ---------------------------------------------------------------------------
@@ -498,38 +529,44 @@ mod tests {
     fn text_header_roundtrips() {
         let line = format_text_header("IMRDMD-X", 3, &["abc", "42"]);
         assert_eq!(line, "IMRDMD-X v3 abc 42\n");
-        let h = parse_text_header(line.trim_end(), "IMRDMD-X", 3).expect("parse");
+        let file = format!("{line}body");
+        let h = read_text_header(&mut file.as_bytes(), "IMRDMD-X", 3).expect("parse");
         assert_eq!(h.version, 3);
         assert_eq!(h.rest, vec!["abc", "42"]);
+        assert_eq!(&file[h.len..], "body");
+        let read = |bytes: &[u8]| read_text_header(&mut &bytes[..], "IMRDMD-X", 3);
+        assert!(matches!(read(b"OTHER v1\n"), Err(HeaderError::BadMagic)));
         assert!(matches!(
-            parse_text_header("OTHER v1", "IMRDMD-X", 3),
-            Err(HeaderError::BadMagic)
-        ));
-        assert!(matches!(
-            parse_text_header("IMRDMD-X three", "IMRDMD-X", 3),
+            read(b"IMRDMD-X three\n"),
             Err(HeaderError::NoVersion)
         ));
         assert!(matches!(
-            parse_text_header("IMRDMD-X v4", "IMRDMD-X", 3),
+            read(b"IMRDMD-X v4\n"),
             Err(HeaderError::Unsupported(4))
         ));
+        assert!(matches!(read(b"IMRDMD-X v1"), Err(HeaderError::NoLine)));
+        assert!(matches!(
+            read(&[b'x'; 2 * MAX_HEADER_LINE]),
+            Err(HeaderError::NoLine)
+        ));
+        assert!(matches!(read(b"IMRDMD-X\xff\n"), Err(HeaderError::NotUtf8)));
+        // Only the header line is text: a binary body is not inspected.
+        assert!(read(b"IMRDMD-X v1\n\xff\xfe").is_ok());
     }
 
     #[test]
     fn block_writer_offsets_feed_seekable_reads() {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"HDR\n");
-        let mut w = BlockWriter::with_offset(&mut buf, 4);
-        let a = w.write_block(b"first").expect("write");
-        let b = w.write_block(b"second-block").expect("write");
-        assert_eq!(a.offset, 4);
-        assert_eq!(b.offset, 4 + FRAME_HEAD as u64 + 5);
+        let a = buf.len() as u64;
+        append_frame(&mut buf, b"first");
+        let b = buf.len() as u64;
+        append_frame(&mut buf, b"second-block");
+        assert_eq!(a, 4);
+        assert_eq!(b, 4 + FRAME_HEAD as u64 + 5);
         let mut cur = std::io::Cursor::new(&buf);
-        assert_eq!(
-            read_block_at(&mut cur, b.offset).expect("read"),
-            b"second-block"
-        );
-        assert_eq!(read_block_at(&mut cur, a.offset).expect("read"), b"first");
+        assert_eq!(read_block_at(&mut cur, b).expect("read"), b"second-block");
+        assert_eq!(read_block_at(&mut cur, a).expect("read"), b"first");
     }
 
     #[test]
@@ -542,11 +579,47 @@ mod tests {
         let at = buf.len() - 2;
         buf[at] ^= 0x10; // bit-flip inside the last payload
         let mut r = BlockReader::new(&buf, 0);
-        assert_eq!(r.next_block().map(|(_, p)| p), Some(&b"one"[..]));
-        assert_eq!(r.next_block().map(|(_, p)| p), Some(&b"two"[..]));
-        assert!(r.next_block().is_none());
-        assert!(r.torn());
+        assert_eq!(r.next(), Some(&b"one"[..]));
+        assert_eq!(r.next(), Some(&b"two"[..]));
+        assert!(r.next().is_none());
+        assert!(r.next().is_none(), "the scan never steps past damage");
         assert_eq!(r.pos(), intact_len);
+        assert!(r.pos() < buf.len());
+    }
+
+    #[test]
+    fn byte_reader_checks_lengths_before_reading() {
+        let bytes = [1u8, 0, 2, 0, 0, 0, 0xff];
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.u16(), Some(1));
+        assert_eq!(r.u32(), Some(2));
+        assert_eq!(r.u16(), None, "one byte left");
+        assert_eq!(r.remaining(), 1);
+        assert!(r.records(usize::MAX, 2).is_none(), "product overflows");
+        assert!(r.records(2, 1).is_none(), "more than the bytes left");
+        let mut one = r.records(1, 1).expect("exactly the byte left");
+        assert_eq!(one.bytes(1), Some(&[0xff][..]));
+        assert_eq!(r.finish(), Some(()));
+        assert_eq!(ByteReader::new(&bytes).finish(), None);
+    }
+
+    /// A frame head promising up to the 1 GiB cap is rejected as truncated
+    /// before its payload buffer is allocated.
+    #[test]
+    fn seekable_read_never_allocates_past_the_source() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(b"tiny");
+        let mut cur = std::io::Cursor::new(&buf);
+        assert!(matches!(
+            read_block_at(&mut cur, 0),
+            Err(BlockError::Truncated)
+        ));
+        assert!(matches!(
+            read_block_at(&mut cur, u64::MAX - 2),
+            Err(BlockError::Truncated)
+        ));
     }
 
     #[test]

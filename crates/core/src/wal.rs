@@ -12,9 +12,10 @@
 //! bitwise-reproducible at any thread count — the recovered state is
 //! bitwise-identical to a run that never crashed.
 //!
-//! The framing and durability primitives (CRC-32 block frames, atomic
-//! rewrite + directory fsync, versioned headers) live in
-//! [`crate::storage`] and are shared with checkpoints and the mode
+//! The framing, decoding and durability primitives (CRC-32 block frames
+//! and their [`BlockReader`] scan, the checked [`ByteReader`], atomic
+//! rewrite + directory fsync, versioned headers, directory listing) live
+//! in [`crate::storage`] and are shared with checkpoints and the mode
 //! archive; this module owns only the WAL payload format and recovery
 //! semantics.
 //!
@@ -29,10 +30,12 @@
 //! ```
 //!
 //! Each frame is written with a single `write_all`, so a crash mid-append
-//! leaves a *prefix* of a frame at the tail. [`Wal::recover`] stops at the
-//! first frame whose CRC (or length) does not check out, truncates the
-//! file back to the last intact frame, and reports the tail as torn —
-//! a torn frame is by construction one whose ack never went out.
+//! leaves a *prefix* of a frame at the tail. [`Wal::recover`] scans the
+//! frames with [`BlockReader`], decodes each payload once, and stops at
+//! the first frame whose CRC or length does not check out or whose
+//! payload does not decode; it truncates the file back to the last intact
+//! frame and reports the tail as torn — a torn frame is by construction
+//! one whose ack never went out.
 //!
 //! Durability knob ([`Durability`]): `none` writes no log at all,
 //! `interval` appends each frame but leaves flushing to the OS (survives
@@ -46,12 +49,14 @@
 //! `n_steps`) are both computable from directory state alone.
 //!
 //! [`GapPolicy`]: crate::ingest::GapPolicy
+//! [`BlockReader`]: crate::storage::BlockReader
+//! [`ByteReader`]: crate::storage::ByteReader
 
 use crate::checkpoint::is_valid_shard_name;
-use crate::storage::{self, fsync_dir, u32_at, u64_at, HeaderError, FRAME_HEAD, MAX_FRAME_PAYLOAD};
+use crate::storage::{self, fsync_dir, BlockReader, ByteReader, HeaderError};
 use hpc_linalg::Mat;
 use std::cell::Cell;
-use std::io::{Read as _, Seek as _, Write as _};
+use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// First token of every WAL file's header line.
@@ -213,95 +218,69 @@ fn encode_frame(first_step: u64, batch: &Mat) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
-    let first_step = u64_at(payload, 0)?;
-    let rows = u32_at(payload, 8)? as usize;
-    let cols = u32_at(payload, 12)? as usize;
-    if rows == 0 || cols == 0 || payload.len() != PAYLOAD_PREFIX + 8 * rows * cols {
-        return None;
+    let mut r = ByteReader::new(payload);
+    let (first_step, rows, cols) = (r.u64()?, r.u32()? as usize, r.u32()? as usize);
+    let n = rows.checked_mul(cols).filter(|&n| n > 0)?;
+    let mut cells = r.records(n, 8)?;
+    r.finish()?;
+    let mut data = Vec::with_capacity(n);
+    for _ in 0..n {
+        data.push(cells.f64()?);
     }
-    let mut cells = Vec::with_capacity(rows * cols);
-    for k in 0..rows * cols {
-        cells.push(f64::from_bits(u64_at(payload, PAYLOAD_PREFIX + 8 * k)?));
-    }
-    let batch = Mat::from_fn(rows, cols, |i, j| cells[i * cols + j]);
-    Some(WalFrame { first_step, batch })
+    Some(WalFrame {
+        first_step,
+        batch: Mat::from_vec(rows, cols, data),
+    })
 }
 
-/// Raw scan of a WAL byte image: intact frames (with their byte ranges,
-/// so retention can splice without re-encoding) and where the intact
-/// prefix ends.
-struct RawScan {
-    header_end: usize,
-    /// `(first_step, payload-byte-range)` of every intact frame, in order.
-    frames: Vec<(u64, std::ops::Range<usize>)>,
-    /// Byte length of the intact prefix (header + intact frames).
-    valid_end: usize,
-    /// True when trailing bytes past `valid_end` had to be dropped.
-    torn: bool,
-}
-
-fn parse_header(bytes: &[u8], shard: &str) -> Result<usize, WalError> {
-    let line_end = bytes
-        .iter()
-        .take(2 + WAL_MAGIC.len() + 8 + 64)
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| WalError::BadHeader("no header line".into()))?;
-    let line = std::str::from_utf8(&bytes[..line_end])
-        .map_err(|_| WalError::BadHeader("header not valid UTF-8".into()))?;
-    let parsed = storage::parse_text_header(line, WAL_MAGIC, WAL_VERSION).map_err(|e| match e {
+fn read_header(src: &mut impl std::io::Read, shard: &str) -> Result<usize, WalError> {
+    let header = storage::read_text_header(src, WAL_MAGIC, WAL_VERSION).map_err(|e| match e {
+        HeaderError::Io(e) => WalError::Io(e),
+        HeaderError::NoLine => WalError::BadHeader("no header line".into()),
+        HeaderError::NotUtf8 => WalError::BadHeader("header not valid UTF-8".into()),
         HeaderError::BadMagic => WalError::BadHeader(format!("missing `{WAL_MAGIC}` magic")),
         HeaderError::NoVersion => WalError::BadHeader("missing version token".into()),
         HeaderError::Unsupported(v) => WalError::BadHeader(format!(
             "wal format v{v} is newer than supported v{WAL_VERSION}"
         )),
     })?;
-    if parsed.rest.first() != Some(&shard) {
+    if header.rest.first().map(String::as_str) != Some(shard) {
         return Err(WalError::BadHeader(format!(
             "wal header names a different shard than `{shard}`"
         )));
     }
-    Ok(line_end + 1)
+    Ok(header.len)
 }
 
-fn scan_bytes(bytes: &[u8], shard: &str) -> Result<RawScan, WalError> {
-    let header_end = parse_header(bytes, shard)?;
+/// The intact prefix of a WAL byte image.
+struct Scan<'a> {
+    header_end: usize,
+    /// Every intact frame in order: its payload bytes (so retention can
+    /// splice without re-encoding) and the decoded frame.
+    frames: Vec<(&'a [u8], WalFrame)>,
+    /// Byte length of the intact prefix (header + intact frames).
+    valid_end: usize,
+}
+
+/// Scans `bytes` frame by frame. The prefix ends at the first frame that
+/// fails its CRC or length check or, CRC-valid, does not decode: either
+/// way the frame is tail damage.
+fn scan<'a>(bytes: &'a [u8], shard: &str) -> Result<Scan<'a>, WalError> {
+    let header_end = read_header(&mut &bytes[..], shard)?;
+    let mut blocks = BlockReader::new(bytes, header_end);
     let mut frames = Vec::new();
-    let mut at = header_end;
-    let mut torn = false;
-    while at < bytes.len() {
-        let intact = (|| {
-            let len = u32_at(bytes, at)?;
-            if len < PAYLOAD_PREFIX as u32 || len > MAX_FRAME_PAYLOAD {
-                return None;
-            }
-            let range = storage::frame_payload_at(bytes, at)?;
-            let payload = bytes.get(range.clone())?;
-            // Shape sanity: a CRC-intact frame with inconsistent
-            // dimensions is still unusable, so treat it as tail damage.
-            let rows = u32_at(payload, 8)? as u64;
-            let cols = u32_at(payload, 12)? as u64;
-            if rows == 0 || cols == 0 || len as u64 != PAYLOAD_PREFIX as u64 + 8 * rows * cols {
-                return None;
-            }
-            let first_step = u64_at(payload, 0)?;
-            Some((first_step, range))
-        })();
-        match intact {
-            Some((first_step, range)) => {
-                at = range.end;
-                frames.push((first_step, range));
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
+    let mut valid_end = header_end;
+    while let Some(payload) = blocks.next() {
+        let Some(frame) = decode_payload(payload) else {
+            break;
+        };
+        frames.push((payload, frame));
+        valid_end = blocks.pos();
     }
-    Ok(RawScan {
+    Ok(Scan {
         header_end,
         frames,
-        valid_end: at,
-        torn,
+        valid_end,
     })
 }
 
@@ -359,10 +338,8 @@ impl Wal {
             file.sync_all()?;
             fsync_dir(dir)?;
         } else {
-            let mut head = [0u8; 128];
             file.seek(std::io::SeekFrom::Start(0))?;
-            let n = file.read(&mut head)?;
-            parse_header(&head[..n], shard)?;
+            read_header(&mut file, shard)?;
         }
         Ok(Wal {
             shard: shard.to_string(),
@@ -415,17 +392,15 @@ impl Wal {
     pub fn retain_from(&mut self, keep_from: u64) -> Result<(), WalError> {
         let _span = crate::obs::WAL_NS.span();
         let bytes = std::fs::read(&self.path)?;
-        let scan = scan_bytes(&bytes, &self.shard)?;
-        let drop_frames = scan.frames.iter().filter(|(fs, _)| *fs < keep_from).count();
-        if drop_frames == 0 && !scan.torn {
+        let scan = scan(&bytes, &self.shard)?;
+        let keep = |f: &WalFrame| f.first_step >= keep_from;
+        if scan.valid_end == bytes.len() && scan.frames.iter().all(|(_, f)| keep(f)) {
             return Ok(());
         }
         let mut out = Vec::with_capacity(bytes.len());
         out.extend_from_slice(&bytes[..scan.header_end]);
-        for (first_step, range) in &scan.frames {
-            if *first_step >= keep_from {
-                storage::append_frame(&mut out, &bytes[range.clone()]);
-            }
+        for (payload, _) in scan.frames.iter().filter(|(_, f)| keep(f)) {
+            storage::append_frame(&mut out, payload);
         }
         let durable = self.durability == Durability::Batch;
         storage::atomic_write(&self.path, &out, durable)?;
@@ -452,22 +427,10 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalReplay::default()),
             Err(e) => return Err(e.into()),
         };
-        let scan = scan_bytes(&bytes, shard)?;
-        let mut frames = Vec::with_capacity(scan.frames.len());
-        let mut torn = scan.torn;
-        let mut valid_end = scan.valid_end;
-        for (_, range) in &scan.frames {
-            match decode_payload(&bytes[range.clone()]) {
-                Some(frame) => frames.push(frame),
-                None => {
-                    // CRC passed but the payload would not decode: treat
-                    // everything from this frame on as tail damage.
-                    torn = true;
-                    valid_end = range.start - FRAME_HEAD;
-                    break;
-                }
-            }
-        }
+        let scan = scan(&bytes, shard)?;
+        let torn = scan.valid_end < bytes.len();
+        let valid_end = scan.valid_end;
+        let frames = scan.frames.into_iter().map(|(_, f)| f).collect();
         if torn {
             crate::obs::WAL_TORN_TAILS.inc();
             let f = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -486,26 +449,15 @@ impl Wal {
 /// Lets a restarting daemon find tenants that have logged batches but no
 /// checkpoint yet. A missing directory is an empty fleet.
 pub fn shard_wals(dir: &Path) -> Result<Vec<String>, WalError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut shards = std::collections::BTreeSet::new();
-    for entry in entries {
-        let path = entry?.path();
-        let shard = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(|n| n.strip_prefix("wal-"))
-            .and_then(|n| n.strip_suffix(".wal"));
-        if let Some(s) = shard {
-            if is_valid_shard_name(s) {
-                shards.insert(s.to_string());
-            }
-        }
-    }
-    Ok(shards.into_iter().collect())
+    let mut shards: Vec<String> = storage::list_dir(dir, |name| {
+        let shard = name.strip_prefix("wal-")?.strip_suffix(".wal")?;
+        is_valid_shard_name(shard).then(|| shard.to_string())
+    })?
+    .into_iter()
+    .map(|(shard, _)| shard)
+    .collect();
+    shards.sort();
+    Ok(shards)
 }
 
 #[cfg(test)]
@@ -588,6 +540,40 @@ mod tests {
         let replay = Wal::recover(&dir, "t0").expect("recover");
         assert!(replay.torn);
         assert_eq!(replay.frames.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A CRC-valid frame declaring 2³¹ × 2³¹ cells — a byte length that
+    /// overflows `u64` — after one good frame used to panic recovery. It
+    /// now ends the intact prefix like any other damaged frame.
+    #[test]
+    fn frame_with_overflowing_dimensions_ends_the_intact_prefix() {
+        let dir = scratch("huge-dims");
+        let mut wal = Wal::open(&dir, "t0", Durability::Interval).expect("open");
+        wal.append(0, &batch(0, 4)).expect("append");
+        let good_len = std::fs::metadata(Wal::path_for(&dir, "t0"))
+            .expect("meta")
+            .len();
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        payload.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        payload.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        wal.file
+            .write_all(&storage::encode_frame(&payload))
+            .expect("append hostile frame");
+        drop(wal);
+        let replay = Wal::recover(&dir, "t0").expect("recover");
+        assert!(replay.torn);
+        assert_eq!(replay.frames.len(), 1);
+        assert_eq!(replay.frames[0].batch.as_slice(), batch(0, 4).as_slice());
+        assert_eq!(replay.valid_bytes, good_len);
+        assert_eq!(
+            std::fs::metadata(Wal::path_for(&dir, "t0"))
+                .expect("meta")
+                .len(),
+            good_len,
+            "file truncated before the bad frame"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

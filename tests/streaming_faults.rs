@@ -245,6 +245,16 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
         Err(CheckpointError::ChecksumMismatch { .. })
     ));
 
+    // A flipped high bit makes the JSON payload invalid UTF-8: still a
+    // checksum error, since only the header line is decoded as text.
+    let mut high = good.clone();
+    high[at] ^= 0x80;
+    fs::write(&path, &high).unwrap();
+    assert!(matches!(
+        load_state_checkpoint::<IMrDmd>(&path),
+        Err(CheckpointError::ChecksumMismatch { .. })
+    ));
+
     // Wrong magic.
     let mut vandalised = good.clone();
     vandalised[0] = b'X';
