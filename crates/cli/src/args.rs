@@ -1,6 +1,13 @@
 //! Argument parsing — hand-rolled `--flag value` pairs, no dependencies.
+//!
+//! Every flag is read once, here, straight into the typed value the
+//! library defines ([`IMrDmdConfig`], [`GapPolicy`], [`QuantTier`],
+//! [`ServeConfig`], …), so a bad value fails at parse time and the
+//! commands never see a string.
 
 use crate::CliError;
+use imrdmd::prelude::*;
+use imrdmd_serve::{HttpLimits, ServeConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -23,19 +30,9 @@ pub enum Command {
     Fit {
         /// Input snapshot CSV.
         input: PathBuf,
-        /// Snapshot spacing in seconds.
-        dt: f64,
-        /// Tree depth.
-        levels: usize,
-        /// Slow-mode cycles per window.
-        max_cycles: usize,
-        /// Worker threads (0 = auto, 1 = serial).
-        threads: usize,
-        /// Root fit strategy (`exact` or `sketched`).
-        fit_strategy: String,
-        /// Seed for the sketched strategy's randomized probe (fixed
-        /// default when omitted).
-        sketch_seed: Option<u64>,
+        /// The model flags (`--dt`, `--levels`, `--max-cycles`,
+        /// `--threads`, `--fit-strategy`, `--sketch-seed`).
+        config: IMrDmdConfig,
         /// Output model JSON path.
         model: PathBuf,
     },
@@ -56,10 +53,8 @@ pub enum Command {
         model: PathBuf,
         /// The telemetry CSV the model was fitted on (for baseline bands).
         input: PathBuf,
-        /// Baseline band lower bound (raw units); quantile band if omitted.
-        band_lo: Option<f64>,
-        /// Baseline band upper bound.
-        band_hi: Option<f64>,
+        /// Baseline band `(lo, hi)` in raw units; quantile band if omitted.
+        band: Option<(f64, f64)>,
     },
     /// Render a rack view SVG from a model + layout string.
     Render {
@@ -85,100 +80,35 @@ pub enum Command {
     },
     /// Stream a snapshot CSV through the guarded ingest path in chunks,
     /// with periodic checkpointing and crash-resume.
-    Stream {
-        /// Input snapshot CSV (may contain NaN gaps as empty fields).
-        input: PathBuf,
-        /// Snapshot spacing in seconds.
-        dt: f64,
-        /// Snapshots per ingest batch.
-        chunk: usize,
-        /// Tree depth.
-        levels: usize,
-        /// Worker threads (0 = auto, 1 = serial).
-        threads: usize,
-        /// Gap repair policy (`reject`, `hold`, `interpolate`, `mask`).
-        gap_policy: String,
-        /// Root fit strategy (`exact` or `sketched`).
-        fit_strategy: String,
-        /// Seed for the sketched strategy's randomized probe.
-        sketch_seed: Option<u64>,
-        /// Persistent-store root; checkpoints go to `<store-dir>/checkpoints`.
-        store_dir: Option<PathBuf>,
-        /// Directory for periodic checkpoints (deprecated alias for
-        /// `--store-dir`; still accepted, used verbatim).
-        checkpoint_dir: Option<PathBuf>,
-        /// Checkpoint every N chunks (default 1).
-        checkpoint_every: usize,
-        /// Resume from the newest checkpoint in the checkpoint directory
-        /// instead of fitting from scratch.
-        resume: bool,
-        /// Emit a JSON-line metrics snapshot every N chunks (0 = off).
-        metrics_every: usize,
-        /// Output model JSON path.
-        model: PathBuf,
-    },
+    Stream(StreamArgs),
     /// Run the multi-tenant serving daemon (see `imrdmd-serve`).
     Serve {
         /// Listen address, e.g. `127.0.0.1:8080` or `0.0.0.0:9100`
         /// (`:0` binds an ephemeral port).
         addr: String,
-        /// Snapshot spacing in seconds.
-        dt: f64,
-        /// Tree depth.
-        levels: usize,
-        /// Worker threads shared by all shards (0 = auto, 1 = serial).
-        threads: usize,
-        /// Gap repair policy (`reject`, `hold`, `interpolate`, `mask`).
-        gap_policy: String,
-        /// Root fit strategy (`exact` or `sketched`) for every tenant shard.
-        fit_strategy: String,
-        /// Seed for the sketched strategy's randomized probe.
-        sketch_seed: Option<u64>,
-        /// Persistent-store root; per-shard checkpoints and WALs go to
-        /// `<store-dir>/checkpoints`.
-        store_dir: Option<PathBuf>,
-        /// Shared checkpoint directory (deprecated alias for
-        /// `--store-dir`; still accepted, used verbatim); enables
-        /// crash recovery.
-        checkpoint_dir: Option<PathBuf>,
-        /// Checkpoint every N batches per shard (default 1).
-        checkpoint_every: usize,
-        /// Keep the newest K checkpoints per shard (default 3, 0 = all).
-        keep_checkpoints: usize,
-        /// WAL fsync cadence: `none`, `interval`, or `batch` (default
-        /// `interval`).
-        durability: String,
-        /// Cap on ingest body size, in MiB (default 32).
-        max_body_mb: usize,
-        /// Cap on resident tenants (default 4096).
-        max_tenants: usize,
-        /// Fleet-wide in-flight ingest budget (default 256).
-        max_inflight: usize,
+        /// The daemon configuration: [`ServeConfig::default`] with the
+        /// given flags applied.
+        config: ServeConfig,
     },
     /// Stream a snapshot CSV through a fit and print the final metrics
     /// snapshot (JSON or Prometheus text exposition).
     Metrics {
         /// Input snapshot CSV.
         input: PathBuf,
-        /// Snapshot spacing in seconds.
-        dt: f64,
-        /// Tree depth.
-        levels: usize,
+        /// The model flags (`--dt`, `--levels`, `--fit-strategy`,
+        /// `--sketch-seed`).
+        config: IMrDmdConfig,
         /// Snapshots per ingest batch.
         chunk: usize,
-        /// Root fit strategy (`exact` or `sketched`).
-        fit_strategy: String,
-        /// Seed for the sketched strategy's randomized probe.
-        sketch_seed: Option<u64>,
-        /// Output format: `json` or `prom`.
-        format: String,
+        /// Output format.
+        format: MetricsFormat,
     },
     /// Write a fitted model as a compressed, seekable mode archive.
     Archive {
         /// Model JSON to archive.
         model: PathBuf,
-        /// Quantization tier: `f64` (bitwise), `f32`, or `q16`.
-        tier: String,
+        /// Quantization tier.
+        tier: QuantTier,
         /// Output archive path (overrides `--store-dir`).
         out: Option<PathBuf>,
         /// Persistent-store root; the archive goes to
@@ -201,6 +131,40 @@ pub enum Command {
     },
 }
 
+/// The flags of `stream`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StreamArgs {
+    /// Input snapshot CSV (may contain NaN gaps as empty fields).
+    pub input: PathBuf,
+    /// The model flags (`--dt`, `--levels`, `--threads`, `--fit-strategy`,
+    /// `--sketch-seed`).
+    pub config: IMrDmdConfig,
+    /// Snapshots per ingest batch.
+    pub chunk: usize,
+    /// Gap repair policy.
+    pub policy: GapPolicy,
+    /// Where checkpoints go: `<store-dir>/checkpoints`.
+    pub checkpoint_dir: Option<PathBuf>,
+    /// Checkpoint every N chunks.
+    pub checkpoint_every: usize,
+    /// Resume from the newest checkpoint in the checkpoint directory
+    /// instead of fitting from scratch.
+    pub resume: bool,
+    /// Emit a JSON-line metrics snapshot every N chunks (0 = off).
+    pub metrics_every: usize,
+    /// Output model JSON path.
+    pub model: PathBuf,
+}
+
+/// How `metrics` prints its snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricsFormat {
+    /// One JSON document.
+    Json,
+    /// Prometheus text exposition.
+    Prom,
+}
+
 /// Usage text shown on parse errors.
 pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info|health|stream|serve|metrics|archive|replay> [--flag value]...
   synth   --nodes N --steps T [--seed S] --out FILE.csv
@@ -214,13 +178,11 @@ pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info
   stream  --input FILE.csv --dt SECONDS --model FILE.json [--chunk N] [--levels L] [--threads N]
           [--gap-policy reject|hold|interpolate|mask]
           [--fit-strategy exact|sketched] [--sketch-seed S]
-          [--store-dir DIR | --checkpoint-dir DIR (deprecated)]
-          [--checkpoint-every K] [--resume] [--metrics-every N]
+          [--store-dir DIR] [--checkpoint-every K] [--resume] [--metrics-every N]
   serve   --addr HOST:PORT --dt SECONDS [--levels L] [--threads N]
           [--gap-policy reject|hold|interpolate|mask]
           [--fit-strategy exact|sketched] [--sketch-seed S]
-          [--store-dir DIR | --checkpoint-dir DIR (deprecated)]
-          [--checkpoint-every K] [--keep-checkpoints K]
+          [--store-dir DIR] [--checkpoint-every K] [--keep-checkpoints K]
           [--durability none|interval|batch] [--max-body-mb M] [--max-tenants N]
           [--max-inflight N]
   metrics --input FILE.csv --dt SECONDS [--levels L] [--chunk N]
@@ -251,10 +213,6 @@ impl Flags {
         self.opt(name).ok_or_else(|| missing(name))
     }
 
-    fn or(&self, name: &str, default: &str) -> String {
-        self.opt(name).unwrap_or_else(|| default.to_string())
-    }
-
     fn opt_num(&self, name: &str) -> Result<Option<f64>, CliError> {
         self.opt(name)
             .map(|v| {
@@ -281,6 +239,81 @@ impl Flags {
         self.opt_int(name)?.ok_or_else(|| missing(name))
     }
 
+    /// `--name` through `parse`, or `default` when absent. A value `parse`
+    /// rejects is ``unknown --name `value` `` followed by `expected`.
+    fn choice<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl Fn(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, CliError> {
+        match self.opt(name) {
+            None => Ok(default),
+            Some(v) => {
+                parse(&v).ok_or_else(|| CliError(format!("unknown --{name} `{v}`{expected}")))
+            }
+        }
+    }
+
+    /// The model flags `fit`, `stream`, `serve` and `metrics` share —
+    /// `--dt`, `--levels`, `--fit-strategy`, `--sketch-seed` — built and
+    /// validated into the streaming configuration with the caller's
+    /// `max_cycles` and `threads`. `sketched` uses the library's standard
+    /// oversampling and power-iteration budget with a fixed default seed,
+    /// so runs stay reproducible unless a seed is given explicitly.
+    fn model(&self, max_cycles: usize, threads: usize) -> Result<IMrDmdConfig, CliError> {
+        let dt = self.num("dt")?;
+        if dt <= 0.0 {
+            return Err(CliError("--dt must be positive".into()));
+        }
+        let levels: usize = self.opt_int("levels")?.unwrap_or(6);
+        let seed = self.opt_int("sketch-seed")?;
+        let strategy = self.choice(
+            "fit-strategy",
+            FitStrategy::Exact,
+            |v| match v {
+                "exact" => Some(FitStrategy::Exact),
+                "sketched" => Some(FitStrategy::Sketched {
+                    rank_oversample: 8,
+                    power_iters: 2,
+                    seed: seed.unwrap_or(hpc_linalg::DEFAULT_SKETCH_SEED),
+                }),
+                _ => None,
+            },
+            " (expected exact or sketched)",
+        )?;
+        let mr = MrDmdConfig::builder()
+            .dt(dt)
+            .max_levels(levels.max(1))
+            .max_cycles(max_cycles.max(1))
+            .rank(RankSelection::Svht)
+            .n_threads(threads)
+            .fit_strategy(strategy)
+            .build()?;
+        Ok(IMrDmdConfig::builder().mr(mr).build()?)
+    }
+
+    /// `--threads` (0 = auto, 1 = serial).
+    fn threads(&self) -> Result<usize, CliError> {
+        Ok(self.opt_int("threads")?.unwrap_or(0))
+    }
+
+    /// `--chunk`, the snapshots per ingest batch of `stream` and `metrics`.
+    fn chunk(&self) -> Result<usize, CliError> {
+        let chunk = self.opt_int("chunk")?.unwrap_or(64);
+        if chunk < 2 {
+            return Err(CliError("--chunk must be at least 2".into()));
+        }
+        Ok(chunk)
+    }
+
+    /// `--store-dir DIR` as the checkpoint directory `DIR/checkpoints`.
+    fn checkpoint_dir(&self) -> Option<PathBuf> {
+        self.opt("store-dir")
+            .map(|dir| PathBuf::from(dir).join("checkpoints"))
+    }
+
     /// `cmd` once every flag given was read, else an error naming the
     /// first flag the subcommand does not take.
     fn finish(self, sub: &str, cmd: Command) -> Result<Command, CliError> {
@@ -300,11 +333,11 @@ fn missing(name: &str) -> CliError {
 
 /// Parses an argv slice (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = args.first() else {
+    let Some((sub, rest)) = args.split_first() else {
         return Err(CliError(USAGE.into()));
     };
     let mut values: BTreeMap<String, String> = BTreeMap::new();
-    let mut it = args[1..].iter();
+    let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(CliError(format!("expected a --flag, got `{flag}`")));
@@ -331,12 +364,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         },
         "fit" => Command::Fit {
             input: f.get("input")?.into(),
-            dt: f.num("dt")?,
-            levels: f.opt_int("levels")?.unwrap_or(6),
-            max_cycles: f.opt_int("max-cycles")?.unwrap_or(2),
-            threads: f.opt_int("threads")?.unwrap_or(0),
-            fit_strategy: f.or("fit-strategy", "exact"),
-            sketch_seed: f.opt_int("sketch-seed")?,
+            config: f.model(f.opt_int("max-cycles")?.unwrap_or(2), f.threads()?)?,
             model: f.get("model")?.into(),
         },
         "update" => Command::Update {
@@ -348,8 +376,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "analyze" => Command::Analyze {
             model: f.get("model")?.into(),
             input: f.get("input")?.into(),
-            band_lo: f.opt_num("band-lo")?,
-            band_hi: f.opt_num("band-hi")?,
+            band: match (f.opt_num("band-lo")?, f.opt_num("band-hi")?) {
+                (None, None) => None,
+                (Some(lo), Some(hi)) if lo <= hi => Some((lo, hi)),
+                _ => {
+                    return Err(CliError(
+                        "--band-lo and --band-hi must be given together, lo ≤ hi".into(),
+                    ))
+                }
+            },
         },
         "render" => Command::Render {
             model: f.get("model")?.into(),
@@ -363,51 +398,73 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "health" => Command::Health {
             model: f.get("model")?.into(),
         },
-        "stream" => Command::Stream {
-            input: f.get("input")?.into(),
-            dt: f.num("dt")?,
-            chunk: f.opt_int("chunk")?.unwrap_or(64),
-            levels: f.opt_int("levels")?.unwrap_or(6),
-            threads: f.opt_int("threads")?.unwrap_or(0),
-            gap_policy: f.or("gap-policy", "reject"),
-            fit_strategy: f.or("fit-strategy", "exact"),
-            sketch_seed: f.opt_int("sketch-seed")?,
-            store_dir: f.opt("store-dir").map(PathBuf::from),
-            checkpoint_dir: f.opt("checkpoint-dir").map(PathBuf::from),
-            checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(1),
-            resume: f.opt("resume").is_some(),
-            metrics_every: f.opt_int("metrics-every")?.unwrap_or(0),
-            model: f.get("model")?.into(),
-        },
-        "serve" => Command::Serve {
-            addr: f.get("addr")?,
-            dt: f.num("dt")?,
-            levels: f.opt_int("levels")?.unwrap_or(6),
-            threads: f.opt_int("threads")?.unwrap_or(0),
-            gap_policy: f.or("gap-policy", "interpolate"),
-            fit_strategy: f.or("fit-strategy", "exact"),
-            sketch_seed: f.opt_int("sketch-seed")?,
-            store_dir: f.opt("store-dir").map(PathBuf::from),
-            checkpoint_dir: f.opt("checkpoint-dir").map(PathBuf::from),
-            checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(1),
-            keep_checkpoints: f.opt_int("keep-checkpoints")?.unwrap_or(3),
-            durability: f.or("durability", "interval"),
-            max_body_mb: f.opt_int("max-body-mb")?.unwrap_or(32),
-            max_tenants: f.opt_int("max-tenants")?.unwrap_or(4096),
-            max_inflight: f.opt_int("max-inflight")?.unwrap_or(256),
-        },
+        "stream" => {
+            let checkpoint_dir = f.checkpoint_dir();
+            let resume = f.opt("resume").is_some();
+            if resume && checkpoint_dir.is_none() {
+                return Err(CliError("--resume needs --store-dir".into()));
+            }
+            Command::Stream(StreamArgs {
+                input: f.get("input")?.into(),
+                config: f.model(2, f.threads()?)?,
+                chunk: f.chunk()?,
+                policy: f.choice("gap-policy", GapPolicy::Reject, GapPolicy::parse, "")?,
+                checkpoint_dir,
+                checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(1),
+                resume,
+                metrics_every: f.opt_int("metrics-every")?.unwrap_or(0),
+                model: f.get("model")?.into(),
+            })
+        }
+        "serve" => {
+            let d = ServeConfig::default();
+            let max_body_bytes = match f.opt_int::<usize>("max-body-mb")? {
+                None => d.limits.max_body_bytes,
+                Some(0) => return Err(CliError("--max-body-mb must be at least 1".into())),
+                Some(mb) => mb.saturating_mul(1024 * 1024),
+            };
+            Command::Serve {
+                addr: f.get("addr")?,
+                config: ServeConfig {
+                    model: f.model(2, f.threads()?)?,
+                    policy: f.choice("gap-policy", d.policy, GapPolicy::parse, "")?,
+                    checkpoint_dir: f.checkpoint_dir(),
+                    checkpoint_every: f.opt_int("checkpoint-every")?.unwrap_or(d.checkpoint_every),
+                    keep_checkpoints: f.opt_int("keep-checkpoints")?.unwrap_or(d.keep_checkpoints),
+                    durability: f.choice("durability", d.durability, Durability::parse, "")?,
+                    limits: HttpLimits {
+                        max_body_bytes,
+                        ..d.limits
+                    },
+                    max_tenants: f.opt_int("max-tenants")?.unwrap_or(d.max_tenants),
+                    max_inflight: f.opt_int("max-inflight")?.unwrap_or(d.max_inflight),
+                    ..d
+                },
+            }
+        }
         "metrics" => Command::Metrics {
             input: f.get("input")?.into(),
-            dt: f.num("dt")?,
-            levels: f.opt_int("levels")?.unwrap_or(6),
-            chunk: f.opt_int("chunk")?.unwrap_or(64),
-            fit_strategy: f.or("fit-strategy", "exact"),
-            sketch_seed: f.opt_int("sketch-seed")?,
-            format: f.or("format", "json"),
+            config: f.model(2, 0)?,
+            chunk: f.chunk()?,
+            format: f.choice(
+                "format",
+                MetricsFormat::Json,
+                |v| match v {
+                    "json" => Some(MetricsFormat::Json),
+                    "prom" => Some(MetricsFormat::Prom),
+                    _ => None,
+                },
+                " (expected json or prom)",
+            )?,
         },
         "archive" => Command::Archive {
             model: f.get("model")?.into(),
-            tier: f.or("tier", "q16"),
+            tier: f.choice(
+                "tier",
+                QuantTier::Q16,
+                QuantTier::parse,
+                " (expected f64, f32, or q16)",
+            )?,
             out: f.opt("out").map(PathBuf::from),
             store_dir: f.opt("store-dir").map(PathBuf::from),
         },
@@ -431,6 +488,37 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The streaming configuration of the model flags, as the library
+    /// defaults fill in everything the CLI does not set.
+    fn model_cfg(dt: f64, levels: usize, threads: usize, strategy: FitStrategy) -> IMrDmdConfig {
+        IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt,
+                max_levels: levels,
+                max_cycles: 2,
+                rank: RankSelection::Svht,
+                n_threads: threads,
+                strategy,
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        }
+    }
+
+    fn stream_args(cmd: &str) -> StreamArgs {
+        match parse_args(&argv(cmd)).unwrap() {
+            Command::Stream(s) => s,
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    fn serve_config(cmd: &str) -> ServeConfig {
+        match parse_args(&argv(cmd)).unwrap() {
+            Command::Serve { config, .. } => config,
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_fit() {
         let c = parse_args(&argv(
@@ -441,12 +529,7 @@ mod tests {
             c,
             Command::Fit {
                 input: "a.csv".into(),
-                dt: 20.0,
-                levels: 5,
-                max_cycles: 2,
-                threads: 4,
-                fit_strategy: "exact".into(),
-                sketch_seed: None,
+                config: model_cfg(20.0, 5, 4, FitStrategy::Exact),
                 model: "m.json".into()
             }
         );
@@ -466,16 +549,19 @@ mod tests {
         );
         let c = parse_args(&argv("fit --input a.csv --dt 1 --model m.json")).unwrap();
         match c {
-            Command::Fit {
-                levels,
-                max_cycles,
-                threads,
-                ..
-            } => {
-                assert_eq!(levels, 6);
-                assert_eq!(max_cycles, 2);
-                assert_eq!(threads, 0, "auto by default");
+            Command::Fit { config, .. } => {
+                assert_eq!(config.mr.max_levels, 6);
+                assert_eq!(config.mr.max_cycles, 2);
+                assert_eq!(config.mr.n_threads, 0, "auto by default");
             }
+            _ => panic!("wrong variant"),
+        }
+        let c = parse_args(&argv(
+            "fit --input a.csv --dt 1 --max-cycles 3 --model m.json",
+        ))
+        .unwrap();
+        match c {
+            Command::Fit { config, .. } => assert_eq!(config.mr.max_cycles, 3),
             _ => panic!("wrong variant"),
         }
     }
@@ -511,6 +597,26 @@ mod tests {
     }
 
     #[test]
+    fn model_flags_are_checked_once_for_every_subcommand() {
+        for cmd in [
+            "fit --input a.csv --dt 0 --model m.json",
+            "stream --input a.csv --dt -1 --model m.json",
+            "serve --addr 127.0.0.1:0 --dt 0",
+            "metrics --input a.csv --dt 0",
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert_eq!(e.0, "--dt must be positive", "{cmd}");
+        }
+        for cmd in [
+            "stream --input a.csv --dt 20 --model m.json --chunk 1",
+            "metrics --input a.csv --dt 20 --chunk 0",
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert_eq!(e.0, "--chunk must be at least 2", "{cmd}");
+        }
+    }
+
+    #[test]
     fn update_optional_output() {
         let c = parse_args(&argv("update --model m.json --input b.csv")).unwrap();
         assert_eq!(
@@ -537,22 +643,17 @@ mod tests {
         let c = parse_args(&argv("stream --input a.csv --dt 20 --model m.json")).unwrap();
         assert_eq!(
             c,
-            Command::Stream {
+            Command::Stream(StreamArgs {
                 input: "a.csv".into(),
-                dt: 20.0,
+                config: model_cfg(20.0, 6, 0, FitStrategy::Exact),
                 chunk: 64,
-                levels: 6,
-                threads: 0,
-                gap_policy: "reject".into(),
-                fit_strategy: "exact".into(),
-                sketch_seed: None,
-                store_dir: None,
+                policy: GapPolicy::Reject,
                 checkpoint_dir: None,
                 checkpoint_every: 1,
                 resume: false,
                 metrics_every: 0,
                 model: "m.json".into(),
-            }
+            })
         );
     }
 
@@ -563,12 +664,9 @@ mod tests {
             c,
             Command::Metrics {
                 input: "a.csv".into(),
-                dt: 20.0,
-                levels: 6,
+                config: model_cfg(20.0, 6, 0, FitStrategy::Exact),
                 chunk: 64,
-                fit_strategy: "exact".into(),
-                sketch_seed: None,
-                format: "json".into(),
+                format: MetricsFormat::Json,
             }
         );
         let c = parse_args(&argv(
@@ -577,17 +675,19 @@ mod tests {
         .unwrap();
         match c {
             Command::Metrics {
-                levels,
+                config,
                 chunk,
                 format,
                 ..
             } => {
-                assert_eq!((levels, chunk), (4, 32));
-                assert_eq!(format, "prom");
+                assert_eq!((config.mr.max_levels, chunk), (4, 32));
+                assert_eq!(format, MetricsFormat::Prom);
             }
             _ => panic!("wrong variant"),
         }
         assert!(parse_args(&argv("metrics --input a.csv")).is_err());
+        let e = parse_args(&argv("metrics --input a.csv --dt 20 --threads 2")).unwrap_err();
+        assert!(e.0.contains("unknown flag --threads for `metrics`"), "{e}");
     }
 
     #[test]
@@ -597,14 +697,30 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Fit {
-                fit_strategy,
-                sketch_seed,
-                ..
-            } => {
-                assert_eq!(fit_strategy, "sketched");
-                assert_eq!(sketch_seed, Some(7));
-            }
+            Command::Fit { config, .. } => assert_eq!(
+                config.mr.strategy,
+                FitStrategy::Sketched {
+                    rank_oversample: 8,
+                    power_iters: 2,
+                    seed: 7
+                }
+            ),
+            _ => panic!("wrong variant"),
+        }
+        let c = parse_args(&argv(
+            "fit --input a.csv --dt 1 --fit-strategy sketched --model m.json",
+        ))
+        .unwrap();
+        match c {
+            Command::Fit { config, .. } => assert_eq!(
+                config.mr.strategy,
+                FitStrategy::Sketched {
+                    rank_oversample: 8,
+                    power_iters: 2,
+                    seed: hpc_linalg::DEFAULT_SKETCH_SEED
+                },
+                "a fixed default seed keeps sketched runs reproducible"
+            ),
             _ => panic!("wrong variant"),
         }
         assert!(
@@ -617,15 +733,46 @@ mod tests {
     }
 
     #[test]
-    fn stream_metrics_every_parses() {
-        let c = parse_args(&argv(
-            "stream --input a.csv --dt 20 --model m.json --metrics-every 5",
-        ))
-        .unwrap();
-        match c {
-            Command::Stream { metrics_every, .. } => assert_eq!(metrics_every, 5),
-            _ => panic!("wrong variant"),
+    fn enum_flags_reject_bad_values_with_their_messages() {
+        for (cmd, msg) in [
+            (
+                "stream --input a.csv --dt 20 --model m.json --gap-policy frob",
+                "unknown --gap-policy `frob`",
+            ),
+            (
+                "serve --addr 127.0.0.1:0 --dt 20 --gap-policy frob",
+                "unknown --gap-policy `frob`",
+            ),
+            (
+                "fit --input a.csv --dt 20 --fit-strategy frob --model m.json",
+                "unknown --fit-strategy `frob` (expected exact or sketched)",
+            ),
+            (
+                "metrics --input a.csv --dt 20 --fit-strategy frob",
+                "unknown --fit-strategy `frob` (expected exact or sketched)",
+            ),
+            (
+                "serve --addr 127.0.0.1:0 --dt 20 --durability sometimes",
+                "unknown --durability `sometimes`",
+            ),
+            (
+                "archive --model m.json --tier f16",
+                "unknown --tier `f16` (expected f64, f32, or q16)",
+            ),
+            (
+                "metrics --input a.csv --dt 20 --format yaml",
+                "unknown --format `yaml` (expected json or prom)",
+            ),
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert_eq!(e.0, msg, "{cmd}");
         }
+    }
+
+    #[test]
+    fn stream_metrics_every_parses() {
+        let s = stream_args("stream --input a.csv --dt 20 --model m.json --metrics-every 5");
+        assert_eq!(s.metrics_every, 5);
         assert!(parse_args(&argv(
             "stream --input a.csv --dt 20 --model m.json --metrics-every x",
         ))
@@ -634,93 +781,59 @@ mod tests {
 
     #[test]
     fn stream_resume_is_a_bare_flag() {
-        let c = parse_args(&argv(
+        let s = stream_args(
             "stream --input a.csv --dt 20 --model m.json \
-             --gap-policy hold --checkpoint-dir ckpts --checkpoint-every 4 --resume",
-        ))
-        .unwrap();
-        match c {
-            Command::Stream {
-                gap_policy,
-                checkpoint_dir,
-                checkpoint_every,
-                resume,
-                ..
-            } => {
-                assert_eq!(gap_policy, "hold");
-                assert_eq!(checkpoint_dir, Some("ckpts".into()));
-                assert_eq!(checkpoint_every, 4);
-                assert!(resume);
-            }
-            _ => panic!("wrong variant"),
-        }
+             --gap-policy hold --store-dir store --checkpoint-every 4 --resume",
+        );
+        assert_eq!(s.policy, GapPolicy::HoldLast);
+        assert_eq!(s.checkpoint_dir, Some("store/checkpoints".into()));
+        assert_eq!(s.checkpoint_every, 4);
+        assert!(s.resume);
         // --resume consumes no value: the next token is parsed as a flag.
-        let c = parse_args(&argv(
-            "stream --input a.csv --dt 20 --resume --model m.json",
-        ))
-        .unwrap();
-        match c {
-            Command::Stream { resume, model, .. } => {
-                assert!(resume);
-                assert_eq!(model, PathBuf::from("m.json"));
-            }
-            _ => panic!("wrong variant"),
-        }
+        let s = stream_args("stream --input a.csv --dt 20 --resume --store-dir s --model m.json");
+        assert!(s.resume);
+        assert_eq!(s.model, PathBuf::from("m.json"));
     }
 
     #[test]
     fn parses_serve_with_defaults() {
         let c = parse_args(&argv("serve --addr 127.0.0.1:0 --dt 20")).unwrap();
-        assert_eq!(
-            c,
-            Command::Serve {
-                addr: "127.0.0.1:0".into(),
-                dt: 20.0,
-                levels: 6,
-                threads: 0,
-                gap_policy: "interpolate".into(),
-                fit_strategy: "exact".into(),
-                sketch_seed: None,
-                store_dir: None,
-                checkpoint_dir: None,
-                checkpoint_every: 1,
-                keep_checkpoints: 3,
-                durability: "interval".into(),
-                max_body_mb: 32,
-                max_tenants: 4096,
-                max_inflight: 256,
-            }
-        );
-        let c = parse_args(&argv(
+        let Command::Serve { addr, config } = c else {
+            panic!("wrong variant");
+        };
+        assert_eq!(addr, "127.0.0.1:0");
+        assert_eq!(config.model, model_cfg(20.0, 6, 0, FitStrategy::Exact));
+        assert_eq!(config.policy, GapPolicy::Interpolate);
+        assert_eq!(config.checkpoint_dir, None);
+        assert_eq!(config.checkpoint_every, 1);
+        assert_eq!(config.keep_checkpoints, 3);
+        assert_eq!(config.durability, Durability::Interval);
+        assert_eq!(config.limits.max_body_bytes, 32 * 1024 * 1024);
+        assert_eq!(config.max_tenants, 4096);
+        assert_eq!(config.max_inflight, 256);
+        let d = ServeConfig::default();
+        assert_eq!(config.read_timeout, d.read_timeout);
+        assert_eq!(config.max_connections, d.max_connections);
+
+        let config = serve_config(
             "serve --addr 0.0.0.0:9100 --dt 1 --levels 4 --threads 2 \
-             --gap-policy hold --checkpoint-dir ck --checkpoint-every 8 \
+             --gap-policy hold --store-dir ck --checkpoint-every 8 \
              --keep-checkpoints 5 --durability batch \
              --max-body-mb 4 --max-tenants 64 --max-inflight 16",
-        ))
-        .unwrap();
-        match c {
-            Command::Serve {
-                levels,
-                threads,
-                gap_policy,
-                checkpoint_dir,
-                checkpoint_every,
-                keep_checkpoints,
-                durability,
-                max_body_mb,
-                max_tenants,
-                max_inflight,
-                ..
-            } => {
-                assert_eq!((levels, threads), (4, 2));
-                assert_eq!(gap_policy, "hold");
-                assert_eq!(checkpoint_dir, Some("ck".into()));
-                assert_eq!((checkpoint_every, max_body_mb, max_tenants), (8, 4, 64));
-                assert_eq!((keep_checkpoints, max_inflight), (5, 16));
-                assert_eq!(durability, "batch");
-            }
-            _ => panic!("wrong variant"),
-        }
+        );
+        assert_eq!(config.model, model_cfg(1.0, 4, 2, FitStrategy::Exact));
+        assert_eq!(config.policy, GapPolicy::HoldLast);
+        assert_eq!(config.checkpoint_dir, Some("ck/checkpoints".into()));
+        assert_eq!(
+            (
+                config.checkpoint_every,
+                config.limits.max_body_bytes,
+                config.max_tenants
+            ),
+            (8, 4 * 1024 * 1024, 64)
+        );
+        assert_eq!((config.keep_checkpoints, config.max_inflight), (5, 16));
+        assert_eq!(config.durability, Durability::Batch);
         assert!(
             parse_args(&argv("serve --dt 20")).is_err(),
             "--addr required"
@@ -738,7 +851,7 @@ mod tests {
             c,
             Command::Archive {
                 model: "m.json".into(),
-                tier: "q16".into(),
+                tier: QuantTier::Q16,
                 out: None,
                 store_dir: None,
             }
@@ -754,7 +867,7 @@ mod tests {
                 store_dir,
                 ..
             } => {
-                assert_eq!(tier, "f64");
+                assert_eq!(tier, QuantTier::F64);
                 assert_eq!(out, Some("m.arch".into()));
                 assert_eq!(store_dir, Some("store".into()));
             }
@@ -782,25 +895,20 @@ mod tests {
 
     #[test]
     fn store_dir_parses_on_stream_and_serve() {
-        let c = parse_args(&argv(
-            "stream --input a.csv --dt 20 --model m.json --store-dir store",
-        ))
-        .unwrap();
-        match c {
-            Command::Stream {
-                store_dir,
-                checkpoint_dir,
-                ..
-            } => {
-                assert_eq!(store_dir, Some("store".into()));
-                assert_eq!(checkpoint_dir, None);
-            }
-            _ => panic!("wrong variant"),
-        }
-        let c = parse_args(&argv("serve --addr 127.0.0.1:0 --dt 20 --store-dir store")).unwrap();
-        match c {
-            Command::Serve { store_dir, .. } => assert_eq!(store_dir, Some("store".into())),
-            _ => panic!("wrong variant"),
+        let s = stream_args("stream --input a.csv --dt 20 --model m.json --store-dir store");
+        assert_eq!(s.checkpoint_dir, Some("store/checkpoints".into()));
+        let config = serve_config("serve --addr 127.0.0.1:0 --dt 20 --store-dir store");
+        assert_eq!(config.checkpoint_dir, Some("store/checkpoints".into()));
+    }
+
+    #[test]
+    fn checkpoint_dir_is_not_a_flag() {
+        for cmd in [
+            "stream --input a.csv --dt 20 --model m.json --checkpoint-dir c",
+            "serve --addr 127.0.0.1:0 --dt 20 --checkpoint-dir c",
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert!(e.0.contains("unknown flag --checkpoint-dir"), "{cmd}: {e}");
         }
     }
 
@@ -828,13 +936,18 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Analyze {
-                band_lo, band_hi, ..
-            } => {
-                assert_eq!(band_lo, Some(40.0));
-                assert_eq!(band_hi, Some(50.0));
-            }
+            Command::Analyze { band, .. } => assert_eq!(band, Some((40.0, 50.0))),
             _ => panic!("wrong variant"),
+        }
+        for cmd in [
+            "analyze --model m.json --input a.csv --band-lo 40",
+            "analyze --model m.json --input a.csv --band-lo 50 --band-hi 40",
+        ] {
+            let e = parse_args(&argv(cmd)).unwrap_err();
+            assert!(
+                e.0.contains("must be given together, lo ≤ hi"),
+                "{cmd}: {e}"
+            );
         }
     }
 }

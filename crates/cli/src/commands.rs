@@ -1,14 +1,14 @@
 //! Command implementations. Each returns its human-readable report so the
 //! tests can assert on behaviour without capturing stdout.
 
-use crate::args::Command;
+use crate::args::{Command, MetricsFormat, StreamArgs};
 use crate::CliError;
 use hpc_telemetry::{
     read_snapshots_csv, theta, write_snapshots_csv, LayoutSpec, MachineSpec, Scenario,
 };
 use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
-use imrdmd_serve::Shard;
+use imrdmd_serve::{ServeConfig, Shard};
 use rackviz::RackView;
 use std::fmt::Write as _;
 use std::fs;
@@ -25,35 +25,16 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         } => synth(*nodes, *steps, *seed, out),
         Command::Fit {
             input,
-            dt,
-            levels,
-            max_cycles,
-            threads,
-            fit_strategy,
-            sketch_seed,
+            config,
             model,
-        } => fit(FitOpts {
-            input,
-            dt: *dt,
-            levels: *levels,
-            max_cycles: *max_cycles,
-            threads: *threads,
-            fit_strategy,
-            sketch_seed: *sketch_seed,
-            model,
-        }),
+        } => fit(input, config, model),
         Command::Update {
             model,
             input,
             model_out,
             threads,
         } => update(model, input, model_out.as_deref(), *threads),
-        Command::Analyze {
-            model,
-            input,
-            band_lo,
-            band_hi,
-        } => analyze(model, input, *band_lo, *band_hi),
+        Command::Analyze { model, input, band } => analyze(model, input, *band),
         Command::Render {
             model,
             input,
@@ -62,93 +43,20 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         } => render(model, input, layout, out),
         Command::Info { model } => info(model),
         Command::Health { model } => health(model),
-        Command::Stream {
-            input,
-            dt,
-            chunk,
-            levels,
-            threads,
-            gap_policy,
-            fit_strategy,
-            sketch_seed,
-            store_dir,
-            checkpoint_dir,
-            checkpoint_every,
-            resume,
-            metrics_every,
-            model,
-        } => stream(StreamOpts {
-            input,
-            dt: *dt,
-            chunk: *chunk,
-            levels: *levels,
-            threads: *threads,
-            gap_policy,
-            fit_strategy,
-            sketch_seed: *sketch_seed,
-            store_dir: store_dir.as_deref(),
-            checkpoint_dir: checkpoint_dir.as_deref(),
-            checkpoint_every: *checkpoint_every,
-            resume: *resume,
-            metrics_every: *metrics_every,
-            model,
-        }),
-        Command::Serve {
-            addr,
-            dt,
-            levels,
-            threads,
-            gap_policy,
-            fit_strategy,
-            sketch_seed,
-            store_dir,
-            checkpoint_dir,
-            checkpoint_every,
-            keep_checkpoints,
-            durability,
-            max_body_mb,
-            max_tenants,
-            max_inflight,
-        } => serve(ServeOpts {
-            addr,
-            dt: *dt,
-            levels: *levels,
-            threads: *threads,
-            gap_policy,
-            fit_strategy,
-            sketch_seed: *sketch_seed,
-            store_dir: store_dir.as_deref(),
-            checkpoint_dir: checkpoint_dir.as_deref(),
-            checkpoint_every: *checkpoint_every,
-            keep_checkpoints: *keep_checkpoints,
-            durability,
-            max_body_mb: *max_body_mb,
-            max_tenants: *max_tenants,
-            max_inflight: *max_inflight,
-        }),
+        Command::Stream(args) => stream(args),
+        Command::Serve { addr, config } => serve(addr, config),
         Command::Metrics {
             input,
-            dt,
-            levels,
+            config,
             chunk,
-            fit_strategy,
-            sketch_seed,
             format,
-        } => metrics(
-            input,
-            *dt,
-            *levels,
-            *chunk,
-            fit_strategy,
-            *sketch_seed,
-            format,
-        ),
+        } => metrics(input, config, *chunk, *format),
         Command::Archive {
             model,
             tier,
             out,
             store_dir,
-        } => archive(model, tier, out.as_deref(), store_dir.as_deref()),
+        } => archive(model, *tier, out.as_deref(), store_dir.as_deref()),
         Command::Replay {
             archive,
             store_dir,
@@ -165,116 +73,19 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Resolves the persistent-store flags into the directory checkpoints live
-/// in. `--store-dir` is the modern spelling (checkpoints under
-/// `<store-dir>/checkpoints`); `--checkpoint-dir` is a deprecated alias
-/// that still names its directory verbatim. Giving both is ambiguous.
-fn resolve_checkpoint_dir(
-    store_dir: Option<&Path>,
-    checkpoint_dir: Option<&Path>,
-) -> Result<Option<std::path::PathBuf>, CliError> {
-    match (store_dir, checkpoint_dir) {
-        (Some(_), Some(_)) => Err(CliError(
-            "--store-dir and --checkpoint-dir are aliases: give only one".into(),
-        )),
-        (Some(store), None) => Ok(Some(store.join("checkpoints"))),
-        (None, Some(dir)) => {
-            eprintln!(
-                "note: --checkpoint-dir is deprecated; use --store-dir DIR \
-                 (checkpoints then live in DIR/checkpoints)"
-            );
-            Ok(Some(dir.to_path_buf()))
-        }
-        (None, None) => Ok(None),
-    }
+/// Binds the daemon without running it, so tests can grab the ephemeral
+/// port and a shutdown handle first. Returns the bound server plus
+/// `(restored, corrupt)` shard counts.
+fn bind_server(
+    addr: &str,
+    config: &ServeConfig,
+) -> Result<(imrdmd_serve::Server, usize, usize), CliError> {
+    imrdmd_serve::Server::bind(addr, config.clone())
+        .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))
 }
 
-/// Borrowed view of [`Command::Fit`]'s flags.
-struct FitOpts<'a> {
-    input: &'a Path,
-    dt: f64,
-    levels: usize,
-    max_cycles: usize,
-    threads: usize,
-    fit_strategy: &'a str,
-    sketch_seed: Option<u64>,
-    model: &'a Path,
-}
-
-/// Borrowed view of [`Command::Stream`]'s flags, so the implementation
-/// doesn't take eleven positional arguments.
-struct StreamOpts<'a> {
-    input: &'a Path,
-    dt: f64,
-    chunk: usize,
-    levels: usize,
-    threads: usize,
-    gap_policy: &'a str,
-    fit_strategy: &'a str,
-    sketch_seed: Option<u64>,
-    store_dir: Option<&'a Path>,
-    checkpoint_dir: Option<&'a Path>,
-    checkpoint_every: usize,
-    resume: bool,
-    metrics_every: usize,
-    model: &'a Path,
-}
-
-/// Borrowed view of [`Command::Serve`]'s flags.
-struct ServeOpts<'a> {
-    addr: &'a str,
-    dt: f64,
-    levels: usize,
-    threads: usize,
-    gap_policy: &'a str,
-    fit_strategy: &'a str,
-    sketch_seed: Option<u64>,
-    store_dir: Option<&'a Path>,
-    checkpoint_dir: Option<&'a Path>,
-    checkpoint_every: usize,
-    keep_checkpoints: usize,
-    durability: &'a str,
-    max_body_mb: usize,
-    max_tenants: usize,
-    max_inflight: usize,
-}
-
-/// Validates the flags and binds the daemon without running it, so tests
-/// can grab the ephemeral port and a shutdown handle first. Returns the
-/// bound server plus `(restored, corrupt)` shard counts.
-fn bind_server(o: &ServeOpts<'_>) -> Result<(imrdmd_serve::Server, usize, usize), CliError> {
-    if o.dt <= 0.0 {
-        return Err(CliError("--dt must be positive".into()));
-    }
-    if o.max_body_mb == 0 {
-        return Err(CliError("--max-body-mb must be at least 1".into()));
-    }
-    let policy = GapPolicy::parse(o.gap_policy)
-        .ok_or_else(|| CliError(format!("unknown --gap-policy `{}`", o.gap_policy)))?;
-    let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
-    let durability = imrdmd::wal::Durability::parse(o.durability)
-        .ok_or_else(|| CliError(format!("unknown --durability `{}`", o.durability)))?;
-    let cfg = imrdmd_serve::ServeConfig {
-        model: stream_config(o.dt, o.levels, 2, o.threads, strategy)?,
-        policy,
-        checkpoint_dir: resolve_checkpoint_dir(o.store_dir, o.checkpoint_dir)?,
-        checkpoint_every: o.checkpoint_every.max(1),
-        keep_checkpoints: o.keep_checkpoints,
-        durability,
-        limits: imrdmd_serve::HttpLimits {
-            max_body_bytes: o.max_body_mb * 1024 * 1024,
-            ..imrdmd_serve::HttpLimits::default()
-        },
-        max_tenants: o.max_tenants.max(1),
-        max_inflight: o.max_inflight.max(1),
-        ..imrdmd_serve::ServeConfig::default()
-    };
-    imrdmd_serve::Server::bind(o.addr, cfg)
-        .map_err(|e| CliError(format!("cannot bind {}: {e}", o.addr)))
-}
-
-fn serve(o: ServeOpts<'_>) -> Result<String, CliError> {
-    let (server, restored, corrupt) = bind_server(&o)?;
+fn serve(addr: &str, config: &ServeConfig) -> Result<String, CliError> {
+    let (server, restored, corrupt) = bind_server(addr, config)?;
     let addr = server.local_addr();
     eprintln!(
         "imrdmd-serve listening on http://{addr} ({restored} shards restored, {corrupt} corrupt)"
@@ -285,44 +96,6 @@ fn serve(o: ServeOpts<'_>) -> Result<String, CliError> {
     Ok(format!(
         "server on {addr} stopped ({restored} shards restored at boot, {corrupt} corrupt)"
     ))
-}
-
-/// Maps the `--fit-strategy`/`--sketch-seed` flags onto [`FitStrategy`].
-/// `sketched` uses the library's standard oversampling and power-iteration
-/// budget with a fixed default seed, so runs stay reproducible unless a
-/// seed is given explicitly.
-fn parse_fit_strategy(name: &str, sketch_seed: Option<u64>) -> Result<FitStrategy, CliError> {
-    match name {
-        "exact" => Ok(FitStrategy::Exact),
-        "sketched" => Ok(FitStrategy::Sketched {
-            rank_oversample: 8,
-            power_iters: 2,
-            seed: sketch_seed.unwrap_or(hpc_linalg::DEFAULT_SKETCH_SEED),
-        }),
-        other => Err(CliError(format!(
-            "unknown --fit-strategy `{other}` (expected exact or sketched)"
-        ))),
-    }
-}
-
-/// The streaming configuration every CSV-driven command uses, built (and
-/// therefore validated) through the builder-first API.
-fn stream_config(
-    dt: f64,
-    levels: usize,
-    max_cycles: usize,
-    threads: usize,
-    strategy: FitStrategy,
-) -> Result<IMrDmdConfig, CliError> {
-    let mr = MrDmdConfig::builder()
-        .dt(dt)
-        .max_levels(levels.max(1))
-        .max_cycles(max_cycles.max(1))
-        .rank(RankSelection::Svht)
-        .n_threads(threads)
-        .fit_strategy(strategy)
-        .build()?;
-    Ok(IMrDmdConfig::builder().mr(mr).build()?)
 }
 
 fn load_model(path: &Path) -> Result<IMrDmd, CliError> {
@@ -366,22 +139,17 @@ fn synth(nodes: usize, steps: usize, seed: u64, out: &Path) -> Result<String, Cl
     ))
 }
 
-fn fit(o: FitOpts<'_>) -> Result<String, CliError> {
-    if o.dt <= 0.0 {
-        return Err(CliError("--dt must be positive".into()));
-    }
-    let data = load_csv(o.input)?;
-    let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
-    let cfg = stream_config(o.dt, o.levels, o.max_cycles, o.threads, strategy)?;
-    let model = IMrDmd::fit(&data, &cfg);
-    save_model(o.model, &model)?;
+fn fit(input: &Path, config: &IMrDmdConfig, model_path: &Path) -> Result<String, CliError> {
+    let data = load_csv(input)?;
+    let model = IMrDmd::fit(&data, config);
+    save_model(model_path, &model)?;
     Ok(format!(
         "fitted {} series × {} snapshots: {} modes across {} levels → {}",
         model.n_rows(),
         model.n_steps(),
         model.n_modes(),
         model.depth(),
-        o.model.display()
+        model_path.display()
     ))
 }
 
@@ -416,15 +184,10 @@ fn update(
     ))
 }
 
-fn analyze(
-    model_path: &Path,
-    input: &Path,
-    band_lo: Option<f64>,
-    band_hi: Option<f64>,
-) -> Result<String, CliError> {
+fn analyze(model_path: &Path, input: &Path, band: Option<(f64, f64)>) -> Result<String, CliError> {
     let model = load_model(model_path)?;
     let data = load_csv(input)?;
-    let (zs, band) = zscores(&model, &data, band_lo, band_hi)?;
+    let (zs, band) = zscores(&model, &data, band)?;
     let mut out = String::new();
     let spectrum = mode_spectrum(model.nodes());
     let _ = writeln!(
@@ -464,8 +227,7 @@ fn analyze(
 fn zscores(
     model: &IMrDmd,
     data: &hpc_linalg::Mat,
-    band_lo: Option<f64>,
-    band_hi: Option<f64>,
+    band: Option<(f64, f64)>,
 ) -> Result<(ZScores, (f64, f64)), CliError> {
     if data.rows() != model.n_rows() {
         return Err(CliError(format!(
@@ -475,20 +237,22 @@ fn zscores(
         )));
     }
     let mags = row_mode_magnitudes(model.nodes(), &BandFilter::all(), data.rows());
-    let band = match (band_lo, band_hi) {
-        (Some(lo), Some(hi)) if lo <= hi => (lo, hi),
-        (None, None) => {
-            // Middle 40% of per-series means.
+    let band = match band {
+        Some(band) => band,
+        None => {
+            // Middle 40% of the per-series means; a series with a gap (NaN)
+            // has no mean and takes no part in the band.
             let mut means: Vec<f64> = (0..data.rows())
                 .map(|i| data.row(i).iter().sum::<f64>() / data.cols().max(1) as f64)
+                .filter(|m| m.is_finite())
                 .collect();
-            means.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            if means.is_empty() {
+                return Err(CliError(
+                    "no series has a finite mean to set the baseline band".into(),
+                ));
+            }
+            means.sort_by(f64::total_cmp);
             (means[means.len() * 3 / 10], means[means.len() * 7 / 10])
-        }
-        _ => {
-            return Err(CliError(
-                "--band-lo and --band-hi must be given together, lo ≤ hi".into(),
-            ))
         }
     };
     let baseline = select_baseline_rows(data, band.0, band.1);
@@ -512,7 +276,7 @@ fn render(model_path: &Path, input: &Path, layout: &str, out: &Path) -> Result<S
             model.n_rows()
         )));
     }
-    let (zs, _) = zscores(&model, &data, None, None)?;
+    let (zs, _) = zscores(&model, &data, None)?;
     let machine = MachineSpec {
         name: spec.system.clone(),
         layout: spec,
@@ -534,28 +298,12 @@ const STREAM_SHARD: &str = "stream";
 /// Streams the CSV in chunks through an [`imrdmd_serve::Shard`] — the
 /// daemon's tenant lifecycle, without a WAL — so cold start, guarded
 /// rounds, checkpoints and `--resume` behave exactly as a served tenant's.
-fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
-    if o.dt <= 0.0 {
-        return Err(CliError("--dt must be positive".into()));
-    }
-    if o.chunk < 2 {
-        return Err(CliError("--chunk must be at least 2".into()));
-    }
-    let policy = GapPolicy::parse(o.gap_policy)
-        .ok_or_else(|| CliError(format!("unknown --gap-policy `{}`", o.gap_policy)))?;
-    let ckpt_dir = resolve_checkpoint_dir(o.store_dir, o.checkpoint_dir)?;
-    let ckpt_dir = ckpt_dir.as_deref();
-    if o.resume && ckpt_dir.is_none() {
-        return Err(CliError(
-            "--resume needs --checkpoint-dir or --store-dir".into(),
-        ));
-    }
-    let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
-    let cfg = stream_config(o.dt, o.levels, 2, o.threads, strategy)?;
-    let data = load_csv(o.input)?;
+fn stream(a: &StreamArgs) -> Result<String, CliError> {
+    let ckpt_dir = a.checkpoint_dir.as_deref();
+    let data = load_csv(&a.input)?;
     let total = data.cols();
     let checkpointer = ckpt_dir
-        .map(|dir| Checkpointer::for_shard(dir, o.checkpoint_every, STREAM_SHARD))
+        .map(|dir| Checkpointer::for_shard(dir, a.checkpoint_every, STREAM_SHARD))
         .transpose()?;
 
     // Resume from the newest valid shard checkpoint if asked. It carries
@@ -563,9 +311,9 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     // per-sensor carry, so the stream picks up exactly where the
     // interrupted run stopped, bitwise, under every gap policy.
     let mut out = String::new();
-    let mut shard = match (o.resume, ckpt_dir) {
-        (true, Some(dir)) => {
-            let rec = Shard::recover(dir, STREAM_SHARD, &cfg, policy, checkpointer);
+    let mut shard = match ckpt_dir.filter(|_| a.resume) {
+        Some(dir) => {
+            let rec = Shard::recover(dir, STREAM_SHARD, &a.config, a.policy, checkpointer);
             if let Some(cause) = rec.shard.status().corrupt_cause {
                 return Err(CliError(format!(
                     "cannot resume from {}: {cause}",
@@ -584,7 +332,7 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
             }
             rec.shard
         }
-        _ => Shard::new(STREAM_SHARD, checkpointer),
+        None => Shard::new(STREAM_SHARD, checkpointer),
     };
     let skipped = shard.status().steps;
     if let Ok(rows) = shard.with_model(IMrDmd::n_rows) {
@@ -601,29 +349,29 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
         )));
     }
 
-    let mut done = skipped;
-    let mut repairs = RepairReport::default();
-    let mut chunks = 0usize;
     // Metrics are process-wide monotonic totals; zero them at stream start so
     // the emitted JSON-lines count exactly this stream's work.
-    if o.metrics_every > 0 {
+    if a.metrics_every > 0 {
         imrdmd::obs::reset();
     }
-    while done < total {
-        let hi = (done + o.chunk).min(total);
-        let reply = shard.ingest(&data.cols_range(done, hi), Some(done), &cfg, policy)?;
-        repairs.merge(&reply.repairs);
-        done = hi;
-        chunks += 1;
-        if o.metrics_every > 0 && chunks.is_multiple_of(o.metrics_every) {
-            let _ = writeln!(out, "{}", MetricsLine::capture(done, chunks).to_json());
-        }
-    }
+    let (chunks, repairs) = stream_chunks(
+        &mut shard,
+        &data,
+        a.chunk,
+        &a.config,
+        a.policy,
+        |done, chunks| {
+            if a.metrics_every > 0 && chunks.is_multiple_of(a.metrics_every) {
+                let _ = writeln!(out, "{}", MetricsLine::capture(done, chunks).to_json());
+            }
+        },
+    )?;
 
     let _ = writeln!(
         out,
-        "streamed {chunks} chunks ({} snapshots, policy {policy}): {} gaps, {} repaired{}",
+        "streamed {chunks} chunks ({} snapshots, policy {}): {} gaps, {} repaired{}",
         total - skipped,
+        a.policy,
         repairs.gaps,
         repairs.repaired,
         if repairs.masked_rows.is_empty() {
@@ -645,14 +393,14 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     }
     let summary = shard
         .with_model(|model| {
-            save_model(o.model, model)?;
+            save_model(&a.model, model)?;
             Ok::<_, CliError>(format!(
                 "health: {}\nmodel now spans {} snapshots ({} modes, {} pending) → {}\n",
                 model.health().summary(),
                 model.n_steps(),
                 model.n_modes(),
                 model.pending_len(),
-                o.model.display()
+                a.model.display()
             ))
         })
         .map_err(|_| CliError("nothing to stream: the input CSV has no columns".into()))??;
@@ -660,54 +408,61 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Streams `input` through a fit (first chunk cold-start, rest as
-/// `partial_fit` rounds) and prints the final process metrics snapshot.
-/// Metrics are process-local, so the subcommand generates its own workload
-/// rather than reading a model file.
+/// The one chunked stream loop, behind `stream` and `metrics`: feeds
+/// `data` from the shard's current step on, `chunk` snapshots per guarded
+/// round, and calls `after_chunk(step, chunks)` after each round. Returns
+/// the chunk count and the merged gap repairs.
+fn stream_chunks(
+    shard: &mut Shard,
+    data: &hpc_linalg::Mat,
+    chunk: usize,
+    config: &IMrDmdConfig,
+    policy: GapPolicy,
+    mut after_chunk: impl FnMut(usize, usize),
+) -> Result<(usize, RepairReport), CliError> {
+    let total = data.cols();
+    let mut done = shard.status().steps;
+    let mut repairs = RepairReport::default();
+    let mut chunks = 0usize;
+    while done < total {
+        let hi = done.saturating_add(chunk).min(total);
+        let reply = shard.ingest(&data.cols_range(done, hi), Some(done), config, policy)?;
+        repairs.merge(&reply.repairs);
+        done = hi;
+        chunks += 1;
+        after_chunk(done, chunks);
+    }
+    Ok((chunks, repairs))
+}
+
+/// Streams `input` through `stream`'s loop — a [`Shard`] with no
+/// checkpointer, under `stream`'s default `reject` gap policy — and prints
+/// the final process metrics snapshot. Metrics are process-local, so the
+/// subcommand generates its own workload rather than reading a model file.
 fn metrics(
     input: &Path,
-    dt: f64,
-    levels: usize,
+    config: &IMrDmdConfig,
     chunk: usize,
-    fit_strategy: &str,
-    sketch_seed: Option<u64>,
-    format: &str,
+    format: MetricsFormat,
 ) -> Result<String, CliError> {
-    if dt <= 0.0 {
-        return Err(CliError("--dt must be positive".into()));
-    }
-    if chunk < 2 {
-        return Err(CliError("--chunk must be at least 2".into()));
-    }
-    if !matches!(format, "json" | "prom") {
-        return Err(CliError(format!(
-            "unknown --format `{format}` (expected json or prom)"
-        )));
-    }
     let data = load_csv(input)?;
-    let total = data.cols();
-    if total < 2 {
+    if data.cols() < 2 {
         return Err(CliError("metrics needs at least two snapshots".into()));
     }
-    let strategy = parse_fit_strategy(fit_strategy, sketch_seed)?;
     imrdmd::obs::reset();
-    let cfg = stream_config(dt, levels, 2, 0, strategy)?;
-    let first = chunk.min(total);
-    let mut model = IMrDmd::fit(&data.cols_range(0, first), &cfg);
-    let mut done = first;
-    while done < total {
-        let hi = (done + chunk).min(total);
-        model.partial_fit(&data.cols_range(done, hi));
-        done = hi;
-    }
+    let mut shard = Shard::new(STREAM_SHARD, None);
+    stream_chunks(
+        &mut shard,
+        &data,
+        chunk,
+        config,
+        GapPolicy::Reject,
+        |_, _| {},
+    )?;
     let snap = MetricsSnapshot::capture();
     Ok(match format {
-        "prom" => snap.to_prometheus(),
-        _ => {
-            let mut s = snap.to_json();
-            s.push('\n');
-            s
-        }
+        MetricsFormat::Prom => snap.to_prometheus(),
+        MetricsFormat::Json => format!("{}\n", snap.to_json()),
     })
 }
 
@@ -780,15 +535,10 @@ fn health(model_path: &Path) -> Result<String, CliError> {
 
 fn archive(
     model_path: &Path,
-    tier: &str,
+    tier: QuantTier,
     out: Option<&Path>,
     store_dir: Option<&Path>,
 ) -> Result<String, CliError> {
-    let tier = QuantTier::parse(tier).ok_or_else(|| {
-        CliError(format!(
-            "unknown --tier `{tier}` (expected f64, f32, or q16)"
-        ))
-    })?;
     let model = load_model(model_path)?;
     // --out wins; otherwise the store root's archives/ subdir; otherwise a
     // sibling of the model file.
@@ -823,16 +573,11 @@ fn archive(
 
 /// Picks the newest (by mtime) `*.arch` file under `dir`.
 fn newest_archive(dir: &Path) -> Result<std::path::PathBuf, CliError> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| CliError(format!("cannot read {}: {e}", dir.display())))?;
+    let found = imrdmd::storage::list_dir(dir, |name| name.ends_with(".arch").then_some(()))
+        .map_err(|e| CliError(format!("cannot read {}: {e}", dir.display())))?;
     let mut newest: Option<(std::time::SystemTime, std::path::PathBuf)> = None;
-    for entry in entries {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("arch") {
-            continue;
-        }
-        let modified = entry.metadata()?.modified()?;
+    for ((), path) in found {
+        let modified = fs::metadata(&path)?.modified()?;
         if newest.as_ref().is_none_or(|(t, _)| modified > *t) {
             newest = Some((modified, path));
         }
@@ -896,6 +641,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::args::parse_args;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("imrdmd-cli-tests");
@@ -1050,16 +796,12 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.0.contains("cannot read model"));
-        let err = run(&Command::Fit {
-            input: tmp("missing.csv"),
-            dt: 1.0,
-            levels: 3,
-            max_cycles: 2,
-            threads: 0,
-            fit_strategy: "exact".into(),
-            sketch_seed: None,
-            model: tmp("m.json"),
-        })
+        let err = run(&parse_args(&argv(&format!(
+            "fit --input {} --dt 1 --levels 3 --model {}",
+            tmp("missing.csv").display(),
+            tmp("m.json").display()
+        )))
+        .unwrap())
         .unwrap_err();
         assert!(err.0.contains("cannot open"));
     }
@@ -1093,12 +835,11 @@ mod tests {
             "sketched fit must be seed-reproducible"
         );
         // Unknown strategies are a clean error.
-        let err = run(&parse_args(&argv(&format!(
+        let err = parse_args(&argv(&format!(
             "fit --input {} --dt 20 --fit-strategy frob --model {}",
             csv.display(),
             m1.display()
         )))
-        .unwrap())
         .unwrap_err();
         assert!(err.0.contains("unknown --fit-strategy"), "{err}");
     }
@@ -1128,7 +869,7 @@ mod tests {
 
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --levels 4 --gap-policy hold \
-             --checkpoint-dir {} --checkpoint-every 2 --model {}",
+             --store-dir {} --checkpoint-every 2 --model {}",
             csv.display(),
             ckpts.display(),
             model_a.display()
@@ -1148,7 +889,7 @@ mod tests {
         // `--resume` rerun is a no-op that duplicates no work…
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --gap-policy hold \
-             --checkpoint-dir {} --resume --model {}",
+             --store-dir {} --resume --model {}",
             csv.display(),
             ckpts.display(),
             model_b.display()
@@ -1164,7 +905,7 @@ mod tests {
         write_snapshots_csv(&mut f, &longer, 0).unwrap();
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --gap-policy hold \
-             --checkpoint-dir {} --resume --model {}",
+             --store-dir {} --resume --model {}",
             csv.display(),
             ckpts.display(),
             model_b.display()
@@ -1190,8 +931,9 @@ mod tests {
     fn resume_over_bare_model_checkpoints_cold_starts() {
         let csv = tmp("legacy.csv");
         let model = tmp("legacy.json");
-        let ckpts = tmp("legacy_ckpts");
-        let _ = fs::remove_dir_all(&ckpts);
+        let store = tmp("legacy_store");
+        let ckpts = store.join("checkpoints");
+        let _ = fs::remove_dir_all(&store);
         fs::create_dir_all(&ckpts).unwrap();
         run(&parse_args(&argv(&format!(
             "synth --nodes 8 --steps 300 --seed 4 --out {}",
@@ -1201,15 +943,22 @@ mod tests {
         .unwrap();
         // A bare-model checkpoint under the retired unsharded name.
         let data = load_csv(&csv).unwrap();
-        let cfg = stream_config(20.0, 3, 2, 0, FitStrategy::Exact).unwrap();
+        let cfg = IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt: 20.0,
+                max_levels: 3,
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        };
         let bare = IMrDmd::fit(&data.cols_range(0, 200), &cfg);
         save_state_checkpoint(&bare, &ckpts.join("ckpt-000000000200.ckpt")).unwrap();
 
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --levels 3 \
-             --checkpoint-dir {} --resume --model {}",
+             --store-dir {} --resume --model {}",
             csv.display(),
-            ckpts.display(),
+            store.display(),
             model.display()
         )))
         .unwrap())
@@ -1270,38 +1019,114 @@ mod tests {
         assert!(r.contains("# TYPE gemm_calls counter"), "{r}");
         assert!(r.contains("# TYPE gemm_ns histogram"), "{r}");
 
-        let err = run(&parse_args(&argv(&format!(
+        let err = parse_args(&argv(&format!(
             "metrics --input {} --dt 20 --format yaml",
             csv.display()
         )))
-        .unwrap())
         .unwrap_err();
         assert!(err.0.contains("unknown --format"), "{err}");
     }
 
     #[test]
     fn stream_flag_validation() {
-        let err = run(&parse_args(&argv(
+        let err = parse_args(&argv(
             "stream --input a.csv --dt 20 --model m.json --gap-policy frob",
         ))
-        .unwrap())
         .unwrap_err();
         assert!(err.0.contains("unknown --gap-policy"), "{err}");
-        let err = run(&parse_args(&argv(
+        let err = parse_args(&argv(
             "stream --input a.csv --dt 20 --model m.json --resume",
         ))
-        .unwrap())
         .unwrap_err();
-        assert!(err.0.contains("--resume needs --checkpoint-dir"), "{err}");
-        let err = run(&parse_args(&argv(
-            "stream --input a.csv --dt 20 --model m.json --store-dir s --checkpoint-dir c",
-        ))
-        .unwrap())
-        .unwrap_err();
-        assert!(err.0.contains("give only one"), "{err}");
-        let err = run(&parse_args(&argv("stream --input a.csv --dt 0 --model m.json")).unwrap())
-            .unwrap_err();
+        assert!(err.0.contains("--resume needs --store-dir"), "{err}");
+        let err = parse_args(&argv("stream --input a.csv --dt 0 --model m.json")).unwrap_err();
         assert!(err.0.contains("--dt must be positive"), "{err}");
+        let err = parse_args(&argv(
+            "stream --input a.csv --dt 20 --model m.json --chunk 1",
+        ))
+        .unwrap_err();
+        assert!(err.0.contains("--chunk must be at least 2"), "{err}");
+    }
+
+    /// Synthesises a CSV, fits a model on it, then rewrites the CSV with
+    /// empty fields (the documented gap encoding) at `gaps`.
+    fn fitted_with_gappy_csv(name: &str, gaps: &[(usize, usize)]) -> (PathBuf, PathBuf) {
+        let csv = tmp(&format!("{name}.csv"));
+        let model = tmp(&format!("{name}.json"));
+        for cmd in [
+            format!(
+                "synth --nodes 12 --steps 300 --seed 8 --out {}",
+                csv.display()
+            ),
+            format!(
+                "fit --input {} --dt 20 --levels 3 --model {}",
+                csv.display(),
+                model.display()
+            ),
+        ] {
+            run(&parse_args(&argv(&cmd)).unwrap()).unwrap();
+        }
+        let mut data = load_csv(&csv).unwrap();
+        for &(i, j) in gaps {
+            data[(i, j)] = f64::NAN;
+        }
+        let mut f = fs::File::create(&csv).unwrap();
+        write_snapshots_csv(&mut f, &data, 0).unwrap();
+        (csv, model)
+    }
+
+    #[test]
+    fn analyze_and_render_band_skips_series_with_gaps() {
+        let (csv, model) = fitted_with_gappy_csv("gappy_analyze", &[(2, 4)]);
+        let r = run(&parse_args(&argv(&format!(
+            "analyze --model {} --input {}",
+            model.display(),
+            csv.display()
+        )))
+        .unwrap())
+        .unwrap();
+        assert!(r.contains("baseline band"), "{r}");
+        let svg = tmp("gappy_analyze.svg");
+        let r = run(&Command::Render {
+            model: model.clone(),
+            input: csv,
+            layout: "mini 1 1 row0-0:0-3 1 c:0 1 s:0-2 1 b:0 n:0".into(),
+            out: svg,
+        })
+        .unwrap();
+        assert!(r.contains("rack view written"), "{r}");
+
+        // With a gap in every series no mean is finite: a typed error.
+        let every_row: Vec<(usize, usize)> = (0..12).map(|i| (i, 7)).collect();
+        let (csv, model) = fitted_with_gappy_csv("gappy_analyze_all", &every_row);
+        let err = run(&parse_args(&argv(&format!(
+            "analyze --model {} --input {}",
+            model.display(),
+            csv.display()
+        )))
+        .unwrap())
+        .unwrap_err();
+        assert!(err.0.contains("no series has a finite mean"), "{err}");
+    }
+
+    #[test]
+    fn metrics_rejects_gaps_like_stream() {
+        let (csv, model) = fitted_with_gappy_csv("gappy_metrics", &[(2, 4)]);
+        let err = run(&parse_args(&argv(&format!(
+            "metrics --input {} --dt 20 --levels 3 --chunk 100",
+            csv.display()
+        )))
+        .unwrap())
+        .unwrap_err();
+        assert!(err.0.contains("non-finite"), "{err}");
+        let stream_err = run(&parse_args(&argv(&format!(
+            "stream --input {} --dt 20 --levels 3 --chunk 100 --model {}",
+            csv.display(),
+            model.display()
+        )))
+        .unwrap())
+        .unwrap_err();
+        assert_eq!(err.0, stream_err.0);
     }
 
     #[test]
@@ -1392,11 +1217,10 @@ mod tests {
         }
 
         // Flag validation is clean on both subcommands.
-        let err = run(&parse_args(&argv(&format!(
+        let err = parse_args(&argv(&format!(
             "archive --model {} --tier f16",
             model_path.display()
         )))
-        .unwrap())
         .unwrap_err();
         assert!(err.0.contains("unknown --tier"), "{err}");
         let err = run(&parse_args(&argv("replay --from 0")).unwrap()).unwrap_err();
@@ -1405,69 +1229,33 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_flags() {
-        let bad_dt = bind_server(&ServeOpts {
-            addr: "127.0.0.1:0",
-            dt: 0.0,
-            levels: 4,
-            threads: 1,
-            gap_policy: "interpolate",
-            fit_strategy: "exact",
-            sketch_seed: None,
-            store_dir: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            keep_checkpoints: 3,
-            durability: "interval",
-            max_body_mb: 32,
-            max_tenants: 16,
-            max_inflight: 16,
-        })
-        .unwrap_err();
+        let bad_dt = parse_args(&argv("serve --addr 127.0.0.1:0 --dt 0 --levels 4")).unwrap_err();
         assert!(bad_dt.0.contains("--dt"), "{bad_dt}");
-
-        let bad_policy = bind_server(&ServeOpts {
-            addr: "127.0.0.1:0",
-            dt: 20.0,
-            levels: 4,
-            threads: 1,
-            gap_policy: "yolo",
-            fit_strategy: "exact",
-            sketch_seed: None,
-            store_dir: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            keep_checkpoints: 3,
-            durability: "interval",
-            max_body_mb: 32,
-            max_tenants: 16,
-            max_inflight: 16,
-        })
+        let bad_policy = parse_args(&argv(
+            "serve --addr 127.0.0.1:0 --dt 20 --levels 4 --gap-policy yolo",
+        ))
         .unwrap_err();
         assert!(bad_policy.0.contains("gap-policy"), "{bad_policy}");
+        let bad_body =
+            parse_args(&argv("serve --addr 127.0.0.1:0 --dt 20 --max-body-mb 0")).unwrap_err();
+        assert!(
+            bad_body.0.contains("--max-body-mb must be at least 1"),
+            "{bad_body}"
+        );
     }
 
     #[test]
     fn serve_binds_answers_healthz_and_shuts_down() {
         use std::io::{Read as _, Write as _};
 
-        let (server, restored, corrupt) = bind_server(&ServeOpts {
-            addr: "127.0.0.1:0",
-            dt: 20.0,
-            levels: 4,
-            threads: 1,
-            gap_policy: "interpolate",
-            fit_strategy: "exact",
-            sketch_seed: None,
-            store_dir: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            keep_checkpoints: 3,
-            durability: "interval",
-            max_body_mb: 4,
-            max_tenants: 16,
-            max_inflight: 16,
-        })
-        .unwrap();
+        let Command::Serve { addr, config } = parse_args(&argv(
+            "serve --addr 127.0.0.1:0 --dt 20 --levels 4 --threads 1 \
+             --max-body-mb 4 --max-tenants 16 --max-inflight 16",
+        ))
+        .unwrap() else {
+            panic!("wrong variant");
+        };
+        let (server, restored, corrupt) = bind_server(&addr, &config).unwrap();
         assert_eq!((restored, corrupt), (0, 0));
         let addr = server.local_addr();
         let handle = server.handle();

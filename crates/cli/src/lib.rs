@@ -11,16 +11,26 @@
 //! imrdmd-cli render  --model model.json --input logs.csv --layout "xc40 …" --out rack.svg
 //! imrdmd-cli info    --model model.json
 //! imrdmd-cli stream  --input logs.csv --dt 20 --model model.json \
-//!                    --gap-policy hold --checkpoint-dir ckpts --resume --metrics-every 5
+//!                    --gap-policy hold --store-dir store --resume --metrics-every 5
 //! imrdmd-cli metrics --input logs.csv --dt 20 --format prom
+//! imrdmd-cli serve   --addr 127.0.0.1:9100 --dt 20 --store-dir store
 //! ```
 //!
 //! Snapshot CSVs use the `hpc-telemetry` format (header `series,t0,t1,…`);
 //! models are the serde-JSON form of [`imrdmd::IMrDmd`], written
-//! atomically. Every subcommand rejects flags it does not take.
+//! atomically.
 //!
-//! `stream` drives one [`imrdmd_serve::Shard`] — the daemon's tenant
-//! lifecycle, without a WAL — so its checkpoints are shard snapshots
+//! [`parse_args`] reads every flag once, straight into the library's typed
+//! values: the model flags into an [`imrdmd::IMrDmdConfig`], enum flags
+//! into [`imrdmd::GapPolicy`], [`imrdmd::QuantTier`] and friends, and
+//! `serve`'s flags into an [`imrdmd_serve::ServeConfig`] built on its
+//! defaults. A bad value, or a flag the subcommand does not take, fails
+//! there; [`run`] never sees a string to parse.
+//!
+//! `stream` and `metrics` drive one [`imrdmd_serve::Shard`] — the daemon's
+//! tenant lifecycle, without a WAL — through the same chunked loop, so a
+//! gap the guard rejects fails both alike. `stream`'s checkpoints live in
+//! `<store-dir>/checkpoints` as shard snapshots
 //! (`ckpt-stream-<steps>.ckpt`: model, ingest guard, round count) and
 //! `--resume` is bitwise under every gap policy. A checkpoint directory
 //! with no shard snapshot in it (e.g. only pre-shard bare-model files)

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 pub const ROOT_STALE_AFTER: usize = 3;
 
 /// Configuration of the incremental decomposition.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IMrDmdConfig {
     /// The underlying multiresolution configuration.
     pub mr: MrDmdConfig,

@@ -28,7 +28,7 @@ pub(crate) const PAR_TREE_MIN_ELEMS: usize = 32_768;
 const RECON_TILE: usize = 256;
 
 /// Configuration of the multiresolution recursion.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MrDmdConfig {
     /// Snapshot spacing in seconds.
     pub dt: f64,

@@ -20,16 +20,11 @@
 //!
 //! Metrics are `static` items registered in a fixed list ([`collect`]), so
 //! snapshot order is deterministic and there is no registration machinery.
-//! The whole module is behind the `obs` cargo feature (on by default): with
-//! the feature off every recording method compiles to an empty inline
-//! function while the reading API stays available (and reports zeros).
 //!
 //! Nothing here ever touches numerical state: instrumentation cannot perturb
 //! the bitwise determinism guarantees of the kernels at any thread count.
 
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -45,7 +40,6 @@ struct Shard(AtomicU64);
 const SHARD_ZERO: Shard = Shard(AtomicU64::new(0));
 
 /// Stable small id of the calling thread, used to pick a counter shard.
-#[cfg(feature = "obs")]
 fn shard_idx() -> usize {
     use std::cell::Cell;
     thread_local! {
@@ -68,11 +62,10 @@ fn shard_idx() -> usize {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether instrumentation is currently recording. With the `obs` feature
-/// off this is always `false` (and folds to a constant).
+/// Whether instrumentation is currently recording.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    cfg!(feature = "obs") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Clock mode: 0 = monotonic (`Instant`), 1 = fake (deterministic counter).
@@ -183,12 +176,9 @@ impl Counter {
     /// Adds `n` if observation is enabled.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             self.shards[shard_idx()].0.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = n;
     }
 
     /// Adds 1 if observation is enabled.
@@ -243,12 +233,9 @@ impl Gauge {
     /// Stores `v` if observation is enabled.
     #[inline(always)]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             self.bits.store(v.to_bits(), Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = v;
     }
 
     /// The stored value.
@@ -319,7 +306,6 @@ impl Histogram {
     /// Records one observation of `ns` nanoseconds if observation is enabled.
     #[inline]
     pub fn record(&self, ns: u64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             let idx = NS_BUCKET_BOUNDS
                 .iter()
@@ -329,8 +315,6 @@ impl Histogram {
             self.sum_ns.fetch_add(ns, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = ns;
     }
 
     /// Starts a span timer that records its elapsed time into this histogram
@@ -616,11 +600,7 @@ mod tests {
                 });
             }
         });
-        if cfg!(feature = "obs") {
-            assert_eq!(C.value() - before, 400);
-        } else {
-            assert_eq!(C.value(), 0);
-        }
+        assert_eq!(C.value() - before, 400);
     }
 
     #[test]
@@ -632,14 +612,10 @@ mod tests {
         H.record(2_000_000); // ≤ 4ms bucket
         H.record(u64::MAX); // overflow bucket
         let snap = H.snapshot();
-        if cfg!(feature = "obs") {
-            assert_eq!(snap.count, 3);
-            assert_eq!(snap.counts[0], 1);
-            assert_eq!(snap.counts[6], 1);
-            assert_eq!(*snap.counts.last().unwrap(), 1);
-        } else {
-            assert_eq!(snap.count, 0);
-        }
+        assert_eq!(snap.count, 3);
+        assert_eq!(snap.counts[0], 1);
+        assert_eq!(snap.counts[6], 1);
+        assert_eq!(*snap.counts.last().unwrap(), 1);
     }
 
     #[test]
@@ -666,6 +642,6 @@ mod tests {
         assert_eq!(C.value(), 0);
         Observer::enabled().install();
         C.inc();
-        assert_eq!(C.value(), if cfg!(feature = "obs") { 1 } else { 0 });
+        assert_eq!(C.value(), 1);
     }
 }

@@ -21,7 +21,7 @@
 use std::io::{Read, Write};
 
 /// Hard ceilings and timeouts the parser enforces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpLimits {
     /// Cap on request-line + header bytes (431 beyond this).
     pub max_header_bytes: usize,

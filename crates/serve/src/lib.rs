@@ -37,6 +37,6 @@ pub mod shard;
 
 pub use error::ServeError;
 pub use http::{HttpError, HttpLimits, Request, Response};
-pub use manager::{lock_shard, IngestPermit, ManagerConfig, ShardCell, ShardManager};
+pub use manager::{lock_shard, IngestPermit, ShardCell, ShardManager};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use shard::{IngestReply, RecoveredShard, Shard, ShardSnapshot, ShardState, ShardStatus};

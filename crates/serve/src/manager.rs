@@ -8,61 +8,24 @@
 //! independent of cross-tenant request interleaving.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use imrdmd::checkpoint::{is_valid_shard_name, shard_checkpoints, Checkpointer};
 use imrdmd::wal::{shard_wals, Durability, Wal};
-use imrdmd::{GapPolicy, IMrDmdConfig};
 
 use crate::error::ServeError;
 use crate::obs;
+use crate::server::ServeConfig;
 use crate::shard::Shard;
 
 /// A shard slot: lock it to touch the shard.
 pub type ShardCell = Arc<Mutex<Shard>>;
 
-/// Everything a [`ShardManager`] is configured with.
-#[derive(Clone, Debug)]
-pub struct ManagerConfig {
-    /// Model config every shard fits with.
-    pub model: IMrDmdConfig,
-    /// Gap policy every shard repairs with.
-    pub policy: GapPolicy,
-    /// Shared checkpoint (and WAL) directory; `None` disables persistence.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint every N absorbed batches per shard.
-    pub checkpoint_every: usize,
-    /// Keep-last-K checkpoint retention per shard (0 = unlimited).
-    pub keep_checkpoints: usize,
-    /// WAL fsync cadence; [`Durability::None`] disables the WAL.
-    pub durability: Durability,
-    /// Tenant cap (429 beyond it).
-    pub max_tenants: usize,
-    /// Fleet-wide in-flight ingest budget (503 + `Retry-After` beyond it).
-    pub max_inflight: usize,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> ManagerConfig {
-        ManagerConfig {
-            model: IMrDmdConfig::default(),
-            policy: GapPolicy::Interpolate,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            keep_checkpoints: 3,
-            durability: Durability::Interval,
-            max_tenants: 4096,
-            max_inflight: 256,
-        }
-    }
-}
-
 /// Routes tenants to shards and owns fleet-wide lifecycle.
 #[derive(Debug)]
 pub struct ShardManager {
-    opts: ManagerConfig,
+    opts: ServeConfig,
     shards: RwLock<BTreeMap<String, ShardCell>>,
     inflight: AtomicUsize,
 }
@@ -88,11 +51,14 @@ impl Drop for IngestPermit<'_> {
 }
 
 impl ShardManager {
-    /// A manager configured by `opts`.
-    pub fn new(mut opts: ManagerConfig) -> ShardManager {
+    /// A manager configured by `opts`. This is the one place the daemon's
+    /// counts are clamped: a zero cadence, tenant cap, in-flight budget or
+    /// connection cap means one.
+    pub fn new(mut opts: ServeConfig) -> ShardManager {
         opts.checkpoint_every = opts.checkpoint_every.max(1);
         opts.max_tenants = opts.max_tenants.max(1);
         opts.max_inflight = opts.max_inflight.max(1);
+        opts.max_connections = opts.max_connections.max(1);
         ShardManager {
             opts,
             shards: RwLock::new(BTreeMap::new()),
@@ -117,14 +83,9 @@ impl ShardManager {
         Ok(IngestPermit { mgr: self })
     }
 
-    /// The model config every shard fits with.
-    pub fn model_config(&self) -> &IMrDmdConfig {
-        &self.opts.model
-    }
-
-    /// The gap policy every shard repairs with.
-    pub fn gap_policy(&self) -> GapPolicy {
-        self.opts.policy
+    /// The daemon configuration, clamped.
+    pub fn config(&self) -> &ServeConfig {
+        &self.opts
     }
 
     fn checkpointer_for(&self, tenant: &str) -> Option<Checkpointer> {

@@ -48,12 +48,12 @@ use serde::Serialize;
 
 use crate::error::ServeError;
 use crate::http::{read_request, HttpLimits, Request, Response};
-use crate::manager::{lock_shard, ManagerConfig, ShardManager};
+use crate::manager::{lock_shard, ShardManager};
 use crate::obs;
 use crate::shard::IngestReply;
 
 /// Everything the daemon needs to run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Model config every shard fits with.
     pub model: IMrDmdConfig,
@@ -101,9 +101,6 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 struct ServerState {
     manager: ShardManager,
-    limits: HttpLimits,
-    read_timeout: Duration,
-    max_connections: usize,
     addr: SocketAddr,
     stop: AtomicBool,
     final_checkpoint: AtomicBool,
@@ -160,22 +157,10 @@ impl Server {
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<(Server, usize, usize)> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let manager = ShardManager::new(ManagerConfig {
-            model: cfg.model,
-            policy: cfg.policy,
-            checkpoint_dir: cfg.checkpoint_dir,
-            checkpoint_every: cfg.checkpoint_every,
-            keep_checkpoints: cfg.keep_checkpoints,
-            durability: cfg.durability,
-            max_tenants: cfg.max_tenants,
-            max_inflight: cfg.max_inflight,
-        });
+        let manager = ShardManager::new(cfg);
         let (restored, corrupt) = manager.restore();
         let state = Arc::new(ServerState {
             manager,
-            limits: cfg.limits,
-            read_timeout: cfg.read_timeout,
-            max_connections: cfg.max_connections.max(1),
             addr: local,
             stop: AtomicBool::new(false),
             final_checkpoint: AtomicBool::new(true),
@@ -206,7 +191,9 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            if self.state.open_conns.load(Ordering::SeqCst) >= self.state.max_connections {
+            if self.state.open_conns.load(Ordering::SeqCst)
+                >= self.state.manager.config().max_connections
+            {
                 obs::CONNECTIONS_REJECTED.inc();
                 let mut s = stream;
                 let _ = Response::error(503, "connection limit reached")
@@ -237,13 +224,14 @@ impl Server {
 }
 
 fn handle_connection(mut stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(state.read_timeout));
+    let cfg = state.manager.config();
+    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_nodelay(true);
     loop {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
-        match read_request(&mut stream, &state.limits) {
+        match read_request(&mut stream, &cfg.limits) {
             Ok(None) => break,
             Ok(Some(req)) => {
                 let mut resp = route(state, &req);
@@ -398,12 +386,9 @@ fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, 
     let _permit = state.manager.admit_ingest()?;
     let (batch, first_step) = parse_batch(req)?;
     let cell = state.manager.shard_or_create(tenant)?;
-    let reply: IngestReply = lock_shard(&cell).ingest(
-        &batch,
-        first_step,
-        state.manager.model_config(),
-        state.manager.gap_policy(),
-    )?;
+    let cfg = state.manager.config();
+    let reply: IngestReply =
+        lock_shard(&cell).ingest(&batch, first_step, &cfg.model, cfg.policy)?;
     Ok(json_response(&reply))
 }
 

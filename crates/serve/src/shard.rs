@@ -6,7 +6,7 @@
 //! without it would break bitwise resume), and the absorbed-round count.
 //! The trio serialises as one [`ShardSnapshot`] through the core
 //! checkpoint wire format, namespaced per shard so a whole fleet shares
-//! one `--checkpoint-dir`.
+//! one checkpoint directory.
 //!
 //! This is the one stream lifecycle in the workspace: the daemon's
 //! tenants, `imrdmd-cli stream` and the `streaming_monitor` example all

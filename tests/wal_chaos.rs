@@ -12,7 +12,7 @@
 
 use std::path::{Path, PathBuf};
 
-use imrdmd_serve::{ManagerConfig, Shard, ShardManager, ShardState};
+use imrdmd_serve::{ServeConfig, Shard, ShardManager, ShardState};
 use mrdmd_suite::prelude::*;
 use proptest::prelude::*;
 
@@ -441,9 +441,9 @@ fn wal_append_failure_degrades_but_keeps_serving() {
 /// with 503 + `Retry-After`, and slots free when permits drop.
 #[test]
 fn admission_budget_sheds_with_retry_after() {
-    let mgr = ShardManager::new(ManagerConfig {
+    let mgr = ShardManager::new(ServeConfig {
         max_inflight: 2,
-        ..ManagerConfig::default()
+        ..ServeConfig::default()
     });
     let p1 = mgr.admit_ingest().unwrap();
     let _p2 = mgr.admit_ingest().unwrap();
@@ -458,9 +458,9 @@ fn admission_budget_sheds_with_retry_after() {
     let _p3 = mgr.admit_ingest().expect("a dropped permit frees its slot");
 
     // The tenant cap carries its own (slower) Retry-After.
-    let tight = ShardManager::new(ManagerConfig {
+    let tight = ShardManager::new(ServeConfig {
         max_tenants: 1,
-        ..ManagerConfig::default()
+        ..ServeConfig::default()
     });
     tight.shard_or_create("a").unwrap();
     let err = tight.shard_or_create("b").unwrap_err();
