@@ -33,12 +33,12 @@ pub enum Command {
         /// The model flags (`--dt`, `--levels`, `--max-cycles`,
         /// `--threads`, `--fit-strategy`, `--sketch-seed`).
         config: IMrDmdConfig,
-        /// Output model JSON path.
+        /// Output model file (a shard checkpoint).
         model: PathBuf,
     },
-    /// Stream a new snapshot CSV into an existing model.
+    /// Stream a new snapshot CSV into an existing model: one guarded round.
     Update {
-        /// Model JSON to update.
+        /// Model file to update.
         model: PathBuf,
         /// New snapshots CSV.
         input: PathBuf,
@@ -49,7 +49,7 @@ pub enum Command {
     },
     /// Spectrum + z-score analysis of a fitted model.
     Analyze {
-        /// Model JSON.
+        /// Model file (a shard checkpoint).
         model: PathBuf,
         /// The telemetry CSV the model was fitted on (for baseline bands).
         input: PathBuf,
@@ -58,7 +58,7 @@ pub enum Command {
     },
     /// Render a rack view SVG from a model + layout string.
     Render {
-        /// Model JSON.
+        /// Model file (a shard checkpoint).
         model: PathBuf,
         /// The telemetry CSV (for baselines).
         input: PathBuf,
@@ -69,13 +69,13 @@ pub enum Command {
     },
     /// Print a model's tree summary and compression report.
     Info {
-        /// Model JSON.
+        /// Model file (a shard checkpoint).
         model: PathBuf,
     },
     /// Print a model's numerical health: per-level node counts, coverage,
     /// solver statistics, and the last recorded solver error.
     Health {
-        /// Model JSON.
+        /// Model file (a shard checkpoint).
         model: PathBuf,
     },
     /// Stream a snapshot CSV through the guarded ingest path in chunks,
@@ -105,7 +105,7 @@ pub enum Command {
     },
     /// Write a fitted model as a compressed, seekable mode archive.
     Archive {
-        /// Model JSON to archive.
+        /// Model file to archive.
         model: PathBuf,
         /// Quantization tier.
         tier: QuantTier,
@@ -152,7 +152,7 @@ pub struct StreamArgs {
     pub resume: bool,
     /// Emit a JSON-line metrics snapshot every N chunks (0 = off).
     pub metrics_every: usize,
-    /// Output model JSON path.
+    /// Output model file (a shard checkpoint).
     pub model: PathBuf,
 }
 
@@ -169,13 +169,13 @@ pub enum MetricsFormat {
 pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info|health|stream|serve|metrics|archive|replay> [--flag value]...
   synth   --nodes N --steps T [--seed S] --out FILE.csv
   fit     --input FILE.csv --dt SECONDS [--levels L] [--max-cycles C] [--threads N]
-          [--fit-strategy exact|sketched] [--sketch-seed S] --model FILE.json
-  update  --model FILE.json --input FILE.csv [--model-out FILE.json] [--threads N]
-  analyze --model FILE.json --input FILE.csv [--band-lo X --band-hi Y]
-  render  --model FILE.json --input FILE.csv --layout \"SPEC\" --out FILE.svg
-  info    --model FILE.json
-  health  --model FILE.json
-  stream  --input FILE.csv --dt SECONDS --model FILE.json [--chunk N] [--levels L] [--threads N]
+          [--fit-strategy exact|sketched] [--sketch-seed S] --model MODEL
+  update  --model MODEL --input FILE.csv [--model-out MODEL] [--threads N]
+  analyze --model MODEL --input FILE.csv [--band-lo X --band-hi Y]
+  render  --model MODEL --input FILE.csv --layout \"SPEC\" --out FILE.svg
+  info    --model MODEL
+  health  --model MODEL
+  stream  --input FILE.csv --dt SECONDS --model MODEL [--chunk N] [--levels L] [--threads N]
           [--gap-policy reject|hold|interpolate|mask]
           [--fit-strategy exact|sketched] [--sketch-seed S]
           [--store-dir DIR] [--checkpoint-every K] [--resume] [--metrics-every N]
@@ -187,9 +187,11 @@ pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info
           [--max-inflight N]
   metrics --input FILE.csv --dt SECONDS [--levels L] [--chunk N]
           [--fit-strategy exact|sketched] [--sketch-seed S] [--format json|prom]
-  archive --model FILE.json [--tier f64|f32|q16] [--out FILE.arch] [--store-dir DIR]
+  archive --model MODEL [--tier f64|f32|q16] [--out FILE.arch] [--store-dir DIR]
   replay  --archive FILE.arch | --store-dir DIR
-          [--from T0] [--to T1] [--out FILE.csv]";
+          [--from T0] [--to T1] [--out FILE.csv]
+MODEL is a shard checkpoint (model, gap guard, round count), as in DIR/checkpoints;
+fit and update reject gaps like stream, whose --gap-policy can repair them.";
 
 /// Flags that take no value: their presence means `true`.
 const BOOL_FLAGS: &[&str] = &["resume"];

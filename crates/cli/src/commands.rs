@@ -6,12 +6,14 @@ use crate::CliError;
 use hpc_telemetry::{
     read_snapshots_csv, theta, write_snapshots_csv, LayoutSpec, MachineSpec, Scenario,
 };
+use imrdmd::checkpoint::CHECKPOINT_MAGIC;
 use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
-use imrdmd_serve::{ServeConfig, Shard};
+use imrdmd_serve::{ServeConfig, Shard, ShardSnapshot};
 use rackviz::RackView;
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Read as _;
 use std::path::Path;
 
 /// Executes a parsed command, returning the report text it printed.
@@ -73,19 +75,9 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Binds the daemon without running it, so tests can grab the ephemeral
-/// port and a shutdown handle first. Returns the bound server plus
-/// `(restored, corrupt)` shard counts.
-fn bind_server(
-    addr: &str,
-    config: &ServeConfig,
-) -> Result<(imrdmd_serve::Server, usize, usize), CliError> {
-    imrdmd_serve::Server::bind(addr, config.clone())
-        .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))
-}
-
 fn serve(addr: &str, config: &ServeConfig) -> Result<String, CliError> {
-    let (server, restored, corrupt) = bind_server(addr, config)?;
+    let (server, restored, corrupt) = imrdmd_serve::Server::bind(addr, config.clone())
+        .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
     let addr = server.local_addr();
     eprintln!(
         "imrdmd-serve listening on http://{addr} ({restored} shards restored, {corrupt} corrupt)"
@@ -98,25 +90,59 @@ fn serve(addr: &str, config: &ServeConfig) -> Result<String, CliError> {
     ))
 }
 
-fn load_model(path: &Path) -> Result<IMrDmd, CliError> {
-    let json = fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read model {}: {e}", path.display())))?;
-    Ok(serde_json::from_str(&json)?)
+/// Shard namespace of CLI model files and of `stream`'s checkpoints
+/// (`ckpt-stream-<steps>.ckpt`).
+const STREAM_SHARD: &str = "stream";
+
+/// Loads a `--model` file: a shard checkpoint (model, ingest guard, round
+/// count). A file without the checkpoint magic is a bare `IMrDmd` JSON from
+/// before model files were checkpoints; it loads under a fresh `reject`
+/// guard at round 0. That fallback is deleted one release on.
+fn load_model(path: &Path) -> Result<ShardSnapshot, CliError> {
+    let cannot = |e: String| CliError(format!("cannot read model {}: {e}", path.display()));
+    let file = fs::File::open(path).map_err(|e| cannot(e.to_string()))?;
+    let mut magic = Vec::new();
+    file.take(CHECKPOINT_MAGIC.len() as u64)
+        .read_to_end(&mut magic)?;
+    if magic == CHECKPOINT_MAGIC.as_bytes() {
+        return load_state_checkpoint(path).map_err(|e| cannot(e.to_string()));
+    }
+    let model: IMrDmd = serde_json::from_str(&fs::read_to_string(path)?)?;
+    Ok(ShardSnapshot {
+        tenant: STREAM_SHARD.into(),
+        guard: IngestGuard::new(GapPolicy::Reject, model.n_rows()),
+        model,
+        rounds: 0,
+    })
 }
 
-/// Writes the model JSON atomically, so a crash mid-write (e.g. `update`
-/// overwriting its own input) never truncates the only copy.
-fn save_model(path: &Path, model: &IMrDmd) -> Result<(), CliError> {
-    let json = serde_json::to_string(model)?;
-    imrdmd::storage::atomic_write(path, json.as_bytes(), true)?;
-    Ok(())
+/// Writes the shard's snapshot to `path` as a checkpoint (header, length,
+/// CRC-32, atomic rename), so a crash mid-write (e.g. `update` overwriting
+/// its own input) never truncates the only copy. Returns what it wrote.
+fn save_model(path: &Path, shard: &Shard) -> Result<ShardSnapshot, CliError> {
+    let snap = shard
+        .snapshot()
+        .ok_or_else(|| CliError("nothing to save: no snapshot was absorbed".into()))?;
+    save_state_checkpoint(&snap, path)?;
+    Ok(snap)
 }
 
-fn load_csv(path: &Path) -> Result<hpc_linalg::Mat, CliError> {
+fn load_csv(path: &Path) -> Result<(hpc_linalg::Mat, usize), CliError> {
     let file = fs::File::open(path)
         .map_err(|e| CliError(format!("cannot open {}: {e}", path.display())))?;
-    let (m, _first) = read_snapshots_csv(std::io::BufReader::new(file))?;
-    Ok(m)
+    Ok(read_snapshots_csv(std::io::BufReader::new(file))?)
+}
+
+/// Fails unless `data` has one row per series `model` tracks.
+fn check_series(model: &IMrDmd, data: &hpc_linalg::Mat) -> Result<(), CliError> {
+    if data.rows() != model.n_rows() {
+        return Err(CliError(format!(
+            "input has {} series but the model tracks {}",
+            data.rows(),
+            model.n_rows()
+        )));
+    }
+    Ok(())
 }
 
 fn synth(nodes: usize, steps: usize, seed: u64, out: &Path) -> Result<String, CliError> {
@@ -139,10 +165,12 @@ fn synth(nodes: usize, steps: usize, seed: u64, out: &Path) -> Result<String, Cl
     ))
 }
 
+/// A [`Shard`] cold start under `stream`'s default `reject` policy.
 fn fit(input: &Path, config: &IMrDmdConfig, model_path: &Path) -> Result<String, CliError> {
-    let data = load_csv(input)?;
-    let model = IMrDmd::fit(&data, config);
-    save_model(model_path, &model)?;
+    let (data, _) = load_csv(input)?;
+    let mut shard = Shard::new(STREAM_SHARD, None);
+    shard.ingest(&data, None, config, GapPolicy::Reject)?;
+    let model = save_model(model_path, &shard)?.model;
     Ok(format!(
         "fitted {} series × {} snapshots: {} modes across {} levels → {}",
         model.n_rows(),
@@ -153,40 +181,40 @@ fn fit(input: &Path, config: &IMrDmdConfig, model_path: &Path) -> Result<String,
     ))
 }
 
+/// One [`Shard::ingest`] round on the loaded snapshot: gaps repair under
+/// the policy stored in its guard, and the CSV's first step must be the
+/// step the model expects next.
 fn update(
     model_path: &Path,
     input: &Path,
     model_out: Option<&Path>,
     threads: Option<usize>,
 ) -> Result<String, CliError> {
-    let mut model = load_model(model_path)?;
+    let mut snap = load_model(model_path)?;
     if let Some(n) = threads {
-        model.set_n_threads(n);
+        snap.model.set_n_threads(n);
     }
-    let batch = load_csv(input)?;
-    if batch.rows() != model.n_rows() {
-        return Err(CliError(format!(
-            "batch has {} series but the model tracks {}",
-            batch.rows(),
-            model.n_rows()
-        )));
-    }
-    let report = model.partial_fit(&batch);
+    let (batch, first_step) = load_csv(input)?;
+    check_series(&snap.model, &batch)?;
+    let (config, policy) = (*snap.model.config(), snap.guard.policy());
+    let mut shard = Shard::from_snapshot(snap, None);
+    let reply = shard.ingest(&batch, Some(first_step), &config, policy)?;
     let out = model_out.unwrap_or(model_path);
-    save_model(out, &model)?;
+    save_model(out, &shard)?;
+    let (drift, new_modes) = reply
+        .report
+        .map_or((0.0, 0), |r| (r.drift, r.new_subtree_modes));
     Ok(format!(
-        "absorbed {} snapshots (drift {:.3e}, {} new modes); model now spans {} snapshots → {}",
-        report.batch_len,
-        report.drift,
-        report.new_subtree_modes,
-        model.n_steps(),
+        "absorbed {} snapshots (drift {drift:.3e}, {new_modes} new modes); model now spans {} snapshots → {}",
+        batch.cols(),
+        reply.steps,
         out.display()
     ))
 }
 
 fn analyze(model_path: &Path, input: &Path, band: Option<(f64, f64)>) -> Result<String, CliError> {
-    let model = load_model(model_path)?;
-    let data = load_csv(input)?;
+    let model = load_model(model_path)?.model;
+    let (data, _) = load_csv(input)?;
     let (zs, band) = zscores(&model, &data, band)?;
     let mut out = String::new();
     let spectrum = mode_spectrum(model.nodes());
@@ -229,13 +257,7 @@ fn zscores(
     data: &hpc_linalg::Mat,
     band: Option<(f64, f64)>,
 ) -> Result<(ZScores, (f64, f64)), CliError> {
-    if data.rows() != model.n_rows() {
-        return Err(CliError(format!(
-            "input has {} series but the model tracks {}",
-            data.rows(),
-            model.n_rows()
-        )));
-    }
+    check_series(model, data)?;
     let mags = row_mode_magnitudes(model.nodes(), &BandFilter::all(), data.rows());
     let band = match band {
         Some(band) => band,
@@ -266,8 +288,8 @@ fn zscores(
 }
 
 fn render(model_path: &Path, input: &Path, layout: &str, out: &Path) -> Result<String, CliError> {
-    let model = load_model(model_path)?;
-    let data = load_csv(input)?;
+    let model = load_model(model_path)?.model;
+    let (data, _) = load_csv(input)?;
     let spec = LayoutSpec::parse(layout).map_err(|e| CliError(e.to_string()))?;
     if spec.total_nodes() < model.n_rows() {
         return Err(CliError(format!(
@@ -291,16 +313,12 @@ fn render(model_path: &Path, input: &Path, layout: &str, out: &Path) -> Result<S
     Ok(format!("rack view written to {}", out.display()))
 }
 
-/// Shard namespace of the `stream` subcommand's checkpoints
-/// (`ckpt-stream-<steps>.ckpt`).
-const STREAM_SHARD: &str = "stream";
-
 /// Streams the CSV in chunks through an [`imrdmd_serve::Shard`] — the
 /// daemon's tenant lifecycle, without a WAL — so cold start, guarded
 /// rounds, checkpoints and `--resume` behave exactly as a served tenant's.
 fn stream(a: &StreamArgs) -> Result<String, CliError> {
     let ckpt_dir = a.checkpoint_dir.as_deref();
-    let data = load_csv(&a.input)?;
+    let (data, _) = load_csv(&a.input)?;
     let total = data.cols();
     let checkpointer = ckpt_dir
         .map(|dir| Checkpointer::for_shard(dir, a.checkpoint_every, STREAM_SHARD))
@@ -335,14 +353,9 @@ fn stream(a: &StreamArgs) -> Result<String, CliError> {
         None => Shard::new(STREAM_SHARD, checkpointer),
     };
     let skipped = shard.status().steps;
-    if let Ok(rows) = shard.with_model(IMrDmd::n_rows) {
-        if rows != data.rows() {
-            return Err(CliError(format!(
-                "checkpoint tracks {rows} series but the input has {}",
-                data.rows()
-            )));
-        }
-    }
+    shard
+        .with_model(|model| check_series(model, &data))
+        .unwrap_or(Ok(()))?;
     if skipped > total {
         return Err(CliError(format!(
             "checkpoint spans {skipped} snapshots but the input has only {total}"
@@ -391,20 +404,16 @@ fn stream(a: &StreamArgs) -> Result<String, CliError> {
             );
         }
     }
-    let summary = shard
-        .with_model(|model| {
-            save_model(&a.model, model)?;
-            Ok::<_, CliError>(format!(
-                "health: {}\nmodel now spans {} snapshots ({} modes, {} pending) → {}\n",
-                model.health().summary(),
-                model.n_steps(),
-                model.n_modes(),
-                model.pending_len(),
-                a.model.display()
-            ))
-        })
-        .map_err(|_| CliError("nothing to stream: the input CSV has no columns".into()))??;
-    out.push_str(&summary);
+    let model = save_model(&a.model, &shard)?.model;
+    let _ = writeln!(
+        out,
+        "health: {}\nmodel now spans {} snapshots ({} modes, {} pending) → {}",
+        model.health().summary(),
+        model.n_steps(),
+        model.n_modes(),
+        model.pending_len(),
+        a.model.display()
+    );
     Ok(out)
 }
 
@@ -445,10 +454,7 @@ fn metrics(
     chunk: usize,
     format: MetricsFormat,
 ) -> Result<String, CliError> {
-    let data = load_csv(input)?;
-    if data.cols() < 2 {
-        return Err(CliError("metrics needs at least two snapshots".into()));
-    }
+    let (data, _) = load_csv(input)?;
     imrdmd::obs::reset();
     let mut shard = Shard::new(STREAM_SHARD, None);
     stream_chunks(
@@ -467,7 +473,7 @@ fn metrics(
 }
 
 fn info(model_path: &Path) -> Result<String, CliError> {
-    let model = load_model(model_path)?;
+    let model = load_model(model_path)?.model;
     let rep = compression_report(model.nodes(), model.n_rows(), model.n_steps());
     let mut out = String::new();
     let _ = writeln!(
@@ -491,7 +497,7 @@ fn info(model_path: &Path) -> Result<String, CliError> {
 }
 
 fn health(model_path: &Path) -> Result<String, CliError> {
-    let model = load_model(model_path)?;
+    let model = load_model(model_path)?.model;
     let h = model.health();
     let mut out = String::new();
     let _ = writeln!(out, "{}", h.summary());
@@ -539,7 +545,7 @@ fn archive(
     out: Option<&Path>,
     store_dir: Option<&Path>,
 ) -> Result<String, CliError> {
-    let model = load_model(model_path)?;
+    let model = load_model(model_path)?.model;
     // --out wins; otherwise the store root's archives/ subdir; otherwise a
     // sibling of the model file.
     let path = match (out, store_dir) {
@@ -653,11 +659,264 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn cli(cmd: &str) -> Result<String, CliError> {
+        run(&parse_args(&argv(cmd))?)
+    }
+
+    fn write_csv(path: &Path, data: &hpc_linalg::Mat, first_step: usize) {
+        let mut f = fs::File::create(path).unwrap();
+        write_snapshots_csv(&mut f, data, first_step).unwrap();
+    }
+
+    /// `synth --nodes 8 --seed 3` over `steps` snapshots, written to `name`.
+    fn synth_csv(name: &str, steps: usize) -> (PathBuf, hpc_linalg::Mat) {
+        let csv = tmp(name);
+        cli(&format!(
+            "synth --nodes 8 --steps {steps} --seed 3 --out {}",
+            csv.display()
+        ))
+        .unwrap();
+        let data = load_csv(&csv).unwrap().0;
+        (csv, data)
+    }
+
+    #[test]
+    fn fit_and_update_reject_gaps_like_stream() {
+        let (csv, clean) = synth_csv("gaps.csv", 700);
+        let model = tmp("gaps.ckpt");
+        let _ = fs::remove_file(&model);
+        let fit = format!(
+            "fit --input {} --dt 20 --levels 3 --model {}",
+            csv.display(),
+            model.display()
+        );
+        let stream = format!(
+            "stream --input {} --dt 20 --levels 3 --chunk 100 --model {}",
+            csv.display(),
+            model.display()
+        );
+
+        // Two empty cells in one row of a 600-step file: `fit` fails exactly
+        // like `stream`, and writes nothing.
+        let mut gappy = clean.cols_range(0, 600);
+        gappy[(3, 9)] = f64::NAN;
+        gappy[(3, 10)] = f64::NAN;
+        write_csv(&csv, &gappy, 0);
+        let err = cli(&fit).unwrap_err();
+        assert!(
+            err.0
+                .contains("non-finite value at sensor 3, batch column 9"),
+            "{err}"
+        );
+        assert_eq!(err.0, cli(&stream).unwrap_err().0);
+        assert!(!model.exists(), "a rejected fit writes no model");
+
+        // A 100-step batch in which sensor 2 misses every 10th reading:
+        // `update` fails like `stream`'s last chunk, and the file stays.
+        let mut batch = clean.cols_range(600, 700);
+        for j in (0..100).step_by(10) {
+            batch[(2, j)] = f64::NAN;
+        }
+        write_csv(&csv, &clean.cols_range(0, 600), 0);
+        cli(&fit).unwrap();
+        let fitted = fs::read(&model).unwrap();
+        let batch_csv = tmp("gaps_batch.csv");
+        write_csv(&batch_csv, &batch, 600);
+        let update = format!(
+            "update --model {} --input {}",
+            model.display(),
+            batch_csv.display()
+        );
+        let err = cli(&update).unwrap_err();
+        assert!(
+            err.0
+                .contains("non-finite value at sensor 2, batch column 0"),
+            "{err}"
+        );
+        write_csv(&csv, &clean.cols_range(0, 600).hstack(&batch), 0);
+        assert_eq!(err.0, cli(&stream).unwrap_err().0);
+        assert_eq!(fs::read(&model).unwrap(), fitted, "rejected update");
+
+        // A model streamed under `hold` keeps holding through `update`.
+        write_csv(&csv, &clean.cols_range(0, 600), 0);
+        cli(&format!("{stream} --gap-policy hold")).unwrap();
+        let r = cli(&update).unwrap();
+        assert!(r.contains("absorbed 100 snapshots"), "{r}");
+        let snap = load_model(&model).unwrap();
+        assert_eq!(snap.guard.policy(), GapPolicy::HoldLast);
+        assert_eq!((snap.rounds, snap.model.n_steps()), (7, 700));
+    }
+
+    #[test]
+    fn update_refuses_a_replayed_batch() {
+        let (csv, data) = synth_csv("replayed.csv", 700);
+        let model = tmp("replayed.ckpt");
+        let batch = tmp("replayed_batch.csv");
+        write_csv(&csv, &data.cols_range(0, 600), 0);
+        write_csv(&batch, &data.cols_range(600, 700), 600);
+        cli(&format!(
+            "fit --input {} --dt 20 --levels 3 --model {}",
+            csv.display(),
+            model.display()
+        ))
+        .unwrap();
+        let update = format!(
+            "update --model {} --input {}",
+            model.display(),
+            batch.display()
+        );
+        let r = cli(&update).unwrap();
+        assert!(r.contains("absorbed 100 snapshots"), "{r}");
+        assert!(r.contains("model now spans 700 snapshots"), "{r}");
+        let once = fs::read(&model).unwrap();
+        let err = cli(&update).unwrap_err();
+        assert_eq!(
+            err.0,
+            "out-of-order batch: shard expects step 700, body claims 600"
+        );
+        assert_eq!(fs::read(&model).unwrap(), once, "absorbed twice");
+    }
+
+    #[test]
+    fn damaged_model_file_fails_its_checksum() {
+        let (csv, _) = synth_csv("damaged.csv", 300);
+        let model = tmp("damaged.ckpt");
+        cli(&format!(
+            "fit --input {} --dt 20 --levels 3 --model {}",
+            csv.display(),
+            model.display()
+        ))
+        .unwrap();
+        let info = format!("info --model {}", model.display());
+        cli(&info).unwrap();
+        // Change one digit of one number in the payload.
+        let mut bytes = fs::read(&model).unwrap();
+        let at = bytes.iter().rposition(u8::is_ascii_digit).unwrap();
+        bytes[at] = if bytes[at] == b'9' {
+            b'8'
+        } else {
+            bytes[at] + 1
+        };
+        fs::write(&model, &bytes).unwrap();
+        let err = cli(&info).unwrap_err();
+        assert!(err.0.contains("checkpoint checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn fit_then_updates_write_the_file_stream_writes() {
+        let (csv, data) = synth_csv("chunked.csv", 600);
+        let store = tmp("chunked_store");
+        let _ = fs::remove_dir_all(&store);
+        let (streamed, stepped) = (tmp("chunked_stream.ckpt"), tmp("chunked_fit.ckpt"));
+        cli(&format!(
+            "stream --input {} --dt 20 --levels 3 --chunk 100 --store-dir {} --model {}",
+            csv.display(),
+            store.display(),
+            streamed.display()
+        ))
+        .unwrap();
+
+        let chunk = tmp("chunked_part.csv");
+        write_csv(&chunk, &data.cols_range(0, 100), 0);
+        let fit = format!(
+            "fit --input {} --dt 20 --levels 3 --model {}",
+            chunk.display(),
+            stepped.display()
+        );
+        cli(&fit).unwrap();
+        // The model state is what a bare `IMrDmd::fit` computes.
+        let Command::Fit { config, .. } = parse_args(&argv(&fit)).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(
+            serde_json::to_string(&load_model(&stepped).unwrap().model).unwrap(),
+            serde_json::to_string(&IMrDmd::fit(&data.cols_range(0, 100), &config)).unwrap()
+        );
+        for lo in (100..600).step_by(100) {
+            write_csv(&chunk, &data.cols_range(lo, lo + 100), lo);
+            cli(&format!(
+                "update --model {} --input {}",
+                stepped.display(),
+                chunk.display()
+            ))
+            .unwrap();
+        }
+        let streamed = fs::read(&streamed).unwrap();
+        assert!(
+            fs::read(&stepped).unwrap() == streamed,
+            "fit + updates ≠ stream"
+        );
+
+        // A store checkpoint is a `--model` as it stands.
+        let ckpts = shard_checkpoint_history(&store.join("checkpoints"), STREAM_SHARD).unwrap();
+        let (steps, newest) = &ckpts[0];
+        assert_eq!(*steps, 600);
+        assert!(fs::read(newest).unwrap() == streamed);
+        let r = cli(&format!(
+            "analyze --model {} --input {}",
+            newest.display(),
+            csv.display()
+        ))
+        .unwrap();
+        assert!(r.contains("baseline band"), "{r}");
+    }
+
+    #[test]
+    fn bare_json_model_files_still_load() {
+        let (csv, data) = synth_csv("bare.csv", 400);
+        let (bare_path, upgraded) = (tmp("bare.json"), tmp("bare_upgraded.ckpt"));
+        let batch = tmp("bare_batch.csv");
+        write_csv(&csv, &data.cols_range(0, 300), 0);
+        write_csv(&batch, &data.cols_range(300, 400), 300);
+        let Command::Fit { config, .. } = parse_args(&argv(&format!(
+            "fit --input {} --dt 20 --levels 3 --model {}",
+            csv.display(),
+            bare_path.display()
+        )))
+        .unwrap() else {
+            panic!("wrong variant");
+        };
+        // Written the way model files were before they were checkpoints.
+        let mut bare = IMrDmd::fit(&data.cols_range(0, 300), &config);
+        let json = serde_json::to_string(&bare).unwrap();
+        imrdmd::storage::atomic_write(&bare_path, json.as_bytes(), true).unwrap();
+
+        let r = cli(&format!("info --model {}", bare_path.display())).unwrap();
+        assert!(r.contains("8 series × 300 snapshots"), "{r}");
+        let r = cli(&format!(
+            "analyze --model {} --input {}",
+            bare_path.display(),
+            csv.display()
+        ))
+        .unwrap();
+        assert!(r.contains("baseline band"), "{r}");
+        let r = cli(&format!(
+            "update --model {} --input {} --model-out {}",
+            bare_path.display(),
+            batch.display(),
+            upgraded.display()
+        ))
+        .unwrap();
+        assert!(r.contains("absorbed 100 snapshots"), "{r}");
+
+        // `update` wrote a checkpoint: a fresh `reject` guard, one round,
+        // and the model the bare `partial_fit` computes.
+        let snap = load_state_checkpoint::<ShardSnapshot>(&upgraded).unwrap();
+        assert_eq!((snap.tenant.as_str(), snap.rounds), (STREAM_SHARD, 1));
+        assert_eq!(snap.guard.policy(), GapPolicy::Reject);
+        bare.partial_fit(&data.cols_range(300, 400));
+        assert_eq!(
+            serde_json::to_string(&snap.model).unwrap(),
+            serde_json::to_string(&bare).unwrap()
+        );
+        assert_eq!(fs::read(&bare_path).unwrap(), json.as_bytes(), "input kept");
+    }
+
     #[test]
     fn synth_fit_update_analyze_info_pipeline() {
         let csv = tmp("pipeline.csv");
         let csv2 = tmp("pipeline2.csv");
-        let model = tmp("pipeline.json");
+        let model = tmp("pipeline.ckpt");
 
         // synth
         let r = run(&parse_args(&argv(&format!(
@@ -669,7 +928,7 @@ mod tests {
         assert!(r.contains("24 series"));
 
         // split into initial + batch by rewriting CSVs
-        let data = load_csv(&csv).unwrap();
+        let data = load_csv(&csv).unwrap().0;
         let mut f = fs::File::create(&csv).unwrap();
         write_snapshots_csv(&mut f, &data.cols_range(0, 500), 0).unwrap();
         let mut f = fs::File::create(&csv2).unwrap();
@@ -728,7 +987,7 @@ mod tests {
     #[test]
     fn render_produces_svg() {
         let csv = tmp("render.csv");
-        let model = tmp("render.json");
+        let model = tmp("render.ckpt");
         let svg = tmp("render.svg");
         run(&parse_args(&argv(&format!(
             "synth --nodes 16 --steps 300 --out {}",
@@ -759,7 +1018,7 @@ mod tests {
     fn update_rejects_mismatched_series() {
         let csv = tmp("mismatch.csv");
         let csv_bad = tmp("mismatch_bad.csv");
-        let model = tmp("mismatch.json");
+        let model = tmp("mismatch.ckpt");
         run(&parse_args(&argv(&format!(
             "synth --nodes 8 --steps 300 --out {}",
             csv.display()
@@ -792,14 +1051,14 @@ mod tests {
     #[test]
     fn missing_files_are_clean_errors() {
         let err = run(&Command::Info {
-            model: tmp("does-not-exist.json"),
+            model: tmp("does-not-exist.ckpt"),
         })
         .unwrap_err();
         assert!(err.0.contains("cannot read model"));
         let err = run(&parse_args(&argv(&format!(
             "fit --input {} --dt 1 --levels 3 --model {}",
             tmp("missing.csv").display(),
-            tmp("m.json").display()
+            tmp("m.ckpt").display()
         )))
         .unwrap())
         .unwrap_err();
@@ -809,8 +1068,8 @@ mod tests {
     #[test]
     fn fit_strategy_sketched_is_seed_reproducible() {
         let csv = tmp("sketched.csv");
-        let m1 = tmp("sketched1.json");
-        let m2 = tmp("sketched2.json");
+        let m1 = tmp("sketched1.ckpt");
+        let m2 = tmp("sketched2.ckpt");
         run(&parse_args(&argv(&format!(
             "synth --nodes 16 --steps 400 --seed 11 --out {}",
             csv.display()
@@ -847,8 +1106,8 @@ mod tests {
     #[test]
     fn stream_with_gaps_checkpoints_and_resumes() {
         let csv = tmp("stream.csv");
-        let model_a = tmp("stream_a.json");
-        let model_b = tmp("stream_b.json");
+        let model_a = tmp("stream_a.ckpt");
+        let model_b = tmp("stream_b.ckpt");
         let ckpts = tmp("stream_ckpts");
         let _ = fs::remove_dir_all(&ckpts);
 
@@ -860,7 +1119,7 @@ mod tests {
         .unwrap();
 
         // Punch NaN gaps into the CSV, then stream it with hold repair.
-        let mut data = load_csv(&csv).unwrap();
+        let mut data = load_csv(&csv).unwrap().0;
         data[(2, 100)] = f64::NAN;
         data[(2, 101)] = f64::NAN;
         data[(7, 350)] = f64::NAN;
@@ -930,7 +1189,7 @@ mod tests {
     #[test]
     fn resume_over_bare_model_checkpoints_cold_starts() {
         let csv = tmp("legacy.csv");
-        let model = tmp("legacy.json");
+        let model = tmp("legacy.ckpt");
         let store = tmp("legacy_store");
         let ckpts = store.join("checkpoints");
         let _ = fs::remove_dir_all(&store);
@@ -942,7 +1201,7 @@ mod tests {
         .unwrap())
         .unwrap();
         // A bare-model checkpoint under the retired unsharded name.
-        let data = load_csv(&csv).unwrap();
+        let data = load_csv(&csv).unwrap().0;
         let cfg = IMrDmdConfig {
             mr: MrDmdConfig {
                 dt: 20.0,
@@ -971,7 +1230,7 @@ mod tests {
     #[test]
     fn stream_emits_metrics_lines_and_metrics_subcommand_renders() {
         let csv = tmp("metrics.csv");
-        let model = tmp("metrics.json");
+        let model = tmp("metrics.ckpt");
         run(&parse_args(&argv(&format!(
             "synth --nodes 12 --steps 400 --seed 5 --out {}",
             csv.display()
@@ -1052,7 +1311,7 @@ mod tests {
     /// empty fields (the documented gap encoding) at `gaps`.
     fn fitted_with_gappy_csv(name: &str, gaps: &[(usize, usize)]) -> (PathBuf, PathBuf) {
         let csv = tmp(&format!("{name}.csv"));
-        let model = tmp(&format!("{name}.json"));
+        let model = tmp(&format!("{name}.ckpt"));
         for cmd in [
             format!(
                 "synth --nodes 12 --steps 300 --seed 8 --out {}",
@@ -1066,7 +1325,7 @@ mod tests {
         ] {
             run(&parse_args(&argv(&cmd)).unwrap()).unwrap();
         }
-        let mut data = load_csv(&csv).unwrap();
+        let mut data = load_csv(&csv).unwrap().0;
         for &(i, j) in gaps {
             data[(i, j)] = f64::NAN;
         }
@@ -1132,7 +1391,7 @@ mod tests {
     #[test]
     fn render_rejects_undersized_layout() {
         let csv = tmp("small_layout.csv");
-        let model = tmp("small_layout.json");
+        let model = tmp("small_layout.ckpt");
         run(&parse_args(&argv(&format!(
             "synth --nodes 16 --steps 200 --out {}",
             csv.display()
@@ -1159,7 +1418,7 @@ mod tests {
     #[test]
     fn archive_replay_roundtrip_is_bitwise_at_f64() {
         let csv = tmp("arch.csv");
-        let model_path = tmp("arch.json");
+        let model_path = tmp("arch.ckpt");
         let store = tmp("arch_store");
         let out_csv = tmp("arch_replay.csv");
         let _ = fs::remove_dir_all(&store);
@@ -1202,8 +1461,8 @@ mod tests {
 
         // …and it matches the in-memory reconstruction bit for bit (the CSV
         // writes shortest-roundtrip f64, so equality survives the text hop).
-        let replayed = load_csv(&out_csv).unwrap();
-        let model = load_model(&model_path).unwrap();
+        let replayed = load_csv(&out_csv).unwrap().0;
+        let model = load_model(&model_path).unwrap().model;
         let expect = model.reconstruct_range(100, 300);
         assert_eq!((replayed.rows(), replayed.cols()), (12, 200));
         for i in 0..expect.rows() {
@@ -1255,7 +1514,7 @@ mod tests {
         .unwrap() else {
             panic!("wrong variant");
         };
-        let (server, restored, corrupt) = bind_server(&addr, &config).unwrap();
+        let (server, restored, corrupt) = imrdmd_serve::Server::bind(&addr, config).unwrap();
         assert_eq!((restored, corrupt), (0, 0));
         let addr = server.local_addr();
         let handle = server.handle();

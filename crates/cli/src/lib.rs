@@ -1,24 +1,9 @@
 //! # imrdmd-cli
 //!
 //! Command-line front end for the I-mrDMD suite. The library half holds the
-//! testable command implementations; `main.rs` is a thin argv shim.
-//!
-//! ```text
-//! imrdmd-cli synth   --nodes 64 --steps 1200 --seed 7 --out logs.csv
-//! imrdmd-cli fit     --input logs.csv --dt 20 --levels 6 --model model.json
-//! imrdmd-cli update  --model model.json --input new.csv
-//! imrdmd-cli analyze --model model.json --input logs.csv
-//! imrdmd-cli render  --model model.json --input logs.csv --layout "xc40 …" --out rack.svg
-//! imrdmd-cli info    --model model.json
-//! imrdmd-cli stream  --input logs.csv --dt 20 --model model.json \
-//!                    --gap-policy hold --store-dir store --resume --metrics-every 5
-//! imrdmd-cli metrics --input logs.csv --dt 20 --format prom
-//! imrdmd-cli serve   --addr 127.0.0.1:9100 --dt 20 --store-dir store
-//! ```
-//!
-//! Snapshot CSVs use the `hpc-telemetry` format (header `series,t0,t1,…`);
-//! models are the serde-JSON form of [`imrdmd::IMrDmd`], written
-//! atomically.
+//! testable command implementations; `main.rs` is a thin argv shim. The
+//! subcommands and their flags are listed once, in [`args::USAGE`].
+//! Snapshot CSVs use the `hpc-telemetry` format (header `series,0,1,…`).
 //!
 //! [`parse_args`] reads every flag once, straight into the library's typed
 //! values: the model flags into an [`imrdmd::IMrDmdConfig`], enum flags
@@ -27,14 +12,18 @@
 //! defaults. A bad value, or a flag the subcommand does not take, fails
 //! there; [`run`] never sees a string to parse.
 //!
-//! `stream` and `metrics` drive one [`imrdmd_serve::Shard`] — the daemon's
-//! tenant lifecycle, without a WAL — through the same chunked loop, so a
-//! gap the guard rejects fails both alike. `stream`'s checkpoints live in
-//! `<store-dir>/checkpoints` as shard snapshots
-//! (`ckpt-stream-<steps>.ckpt`: model, ingest guard, round count) and
-//! `--resume` is bitwise under every gap policy. A checkpoint directory
-//! with no shard snapshot in it (e.g. only pre-shard bare-model files)
-//! cold-starts, and the report says so.
+//! Every round runs through an [`imrdmd_serve::Shard`], the daemon's tenant
+//! lifecycle without a WAL: `fit` is a cold start, `update` one guarded
+//! round, and `stream` and `metrics` share one chunked loop, so a gap the
+//! guard rejects fails them all alike. A `--model` file is a shard
+//! checkpoint (model, ingest guard, round count; header, length, CRC-32,
+//! atomic write): the same artefact as `stream`'s
+//! `<store-dir>/checkpoints/ckpt-stream-<steps>.ckpt`, so either loads as
+//! `--model`, and `update` keeps repairing under the file's gap policy.
+//! A bare `IMrDmd` JSON model file from before still loads, under a fresh
+//! `reject` guard. `--resume` is bitwise under every gap policy; a
+//! checkpoint directory with no shard snapshot in it cold-starts, and the
+//! report says so.
 
 #![warn(missing_docs)]
 pub mod args;

@@ -13,9 +13,10 @@
 //! "embarrassingly parallel" levels-2..L refresh) and swapped into the
 //! shard when ready — without stalling the stream.
 //!
-//! With `--checkpoint-dir` the shard (model, ingest guard and round count)
+//! With `--store-dir DIR` the shard (model, ingest guard and round count)
 //! is snapshotted atomically every `--checkpoint-every` chunks as
-//! `ckpt-monitor-<steps>.ckpt`; `--resume` restarts from the newest one
+//! `DIR/checkpoints/ckpt-monitor-<steps>.ckpt`, the store layout of
+//! `imrdmd-cli`; `--resume` restarts from the newest one
 //! through `Shard::recover` instead of refitting from scratch (kill it
 //! mid-run and rerun with `--resume` to see crash recovery). Resume prints
 //! `resumed from …`, or says it cold-started when the directory holds no
@@ -23,10 +24,10 @@
 //!
 //! ```sh
 //! cargo run --release --example streaming_monitor -- \
-//!     --checkpoint-dir /tmp/monitor-ckpts --checkpoint-every 2
+//!     --store-dir /tmp/monitor-store --checkpoint-every 2
 //! # … kill it, then:
 //! cargo run --release --example streaming_monitor -- \
-//!     --checkpoint-dir /tmp/monitor-ckpts --resume
+//!     --store-dir /tmp/monitor-store --resume
 //! ```
 
 use imrdmd_serve::{ServeError, Shard};
@@ -51,7 +52,9 @@ fn parse_opts() -> Opts {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--checkpoint-dir" => o.checkpoint_dir = it.next().map(PathBuf::from),
+            "--store-dir" => {
+                o.checkpoint_dir = it.next().map(|dir| PathBuf::from(dir).join("checkpoints"))
+            }
             "--checkpoint-every" => {
                 o.checkpoint_every = it
                     .next()
@@ -59,7 +62,9 @@ fn parse_opts() -> Opts {
                     .expect("--checkpoint-every needs an integer")
             }
             "--resume" => o.resume = true,
-            other => panic!("unknown flag `{other}` (try --checkpoint-dir DIR [--checkpoint-every K] [--resume])"),
+            other => panic!(
+                "unknown flag `{other}` (try --store-dir DIR [--checkpoint-every K] [--resume])"
+            ),
         }
     }
     o
@@ -132,7 +137,7 @@ fn main() {
         let dir = opts
             .checkpoint_dir
             .as_deref()
-            .expect("--resume needs --checkpoint-dir");
+            .expect("--resume needs --store-dir");
         let rec = Shard::recover(dir, SHARD, &cfg, policy, checkpointer());
         match rec.shard.with_model(|m| (m.n_steps(), m.n_modes())) {
             Ok((steps, modes)) => println!(

@@ -1,5 +1,6 @@
-//! Byte-mutation fuzzing of every on-disk decoder: a write-ahead log, an
-//! f64 and a q16 mode archive, and a checkpoint.
+//! Byte-mutation fuzzing of every on-disk decoder — a write-ahead log, an
+//! f64 and a q16 mode archive, and a checkpoint — and of the wire decoders:
+//! the daemon's HTTP request parser and the snapshot-CSV body reader.
 //!
 //! Each file is damaged two ways. *Raw* mutations flip, overwrite or
 //! truncate bytes anywhere, which the frame or header checksum should
@@ -7,9 +8,14 @@
 //! its frame CRC (or the checkpoint header), so the decoder behind the
 //! checksum sees the damage. Every case must end in `Ok` or a typed error:
 //! a panic fails the property and an allocation abort kills the binary.
+//! The wire has no checksum, so an ingest request and its CSV body take raw
+//! mutations only, and a parsed request must fit its [`HttpLimits`].
 
+use imrdmd_serve::http::read_request;
+use imrdmd_serve::HttpLimits;
 use mrdmd_suite::core::storage::{crc32, FRAME_HEAD};
 use mrdmd_suite::prelude::*;
+use mrdmd_suite::telemetry::{read_snapshots_csv, write_snapshots_csv};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::path::PathBuf;
@@ -29,11 +35,18 @@ const EDGES: [u64; 8] = [
     u64::MAX,
 ];
 
+/// Caps small enough that a mutated length field can exceed them.
+const LIMITS: HttpLimits = HttpLimits {
+    max_header_bytes: 256,
+    max_body_bytes: 4096,
+};
+
 struct Fixtures {
     wal: Vec<u8>,
     f64_archive: Vec<u8>,
     q16_archive: Vec<u8>,
     checkpoint: Vec<u8>,
+    csv: Vec<u8>,
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -74,6 +87,11 @@ fn fixtures() -> &'static Fixtures {
             f64_archive: archive_bytes(&model, QuantTier::F64).0,
             q16_archive: archive_bytes(&model, QuantTier::Q16).0,
             checkpoint: std::fs::read(&ckpt).unwrap(),
+            csv: {
+                let mut csv = Vec::new();
+                write_snapshots_csv(&mut csv, &data.cols_range(0, 12), 0).unwrap();
+                csv
+            },
         };
         let _ = std::fs::remove_dir_all(&dir);
         fx
@@ -185,6 +203,65 @@ fn check_checkpoint(name: &str, bytes: &[u8]) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A valid `POST /v1/t00/ingest` request carrying `body`.
+fn ingest_request(body: &[u8]) -> Vec<u8> {
+    let mut req = format!(
+        "POST /v1/t00/ingest HTTP/1.1\r\nHost: localhost\r\n\
+         Content-Type: text/csv\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    req.extend_from_slice(body);
+    req
+}
+
+/// Parses `bytes` as one request under [`LIMITS`]; a request that parses
+/// holds no more than the caps allow.
+fn check_request(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(Some(req)) = read_request(&mut &bytes[..], &LIMITS) {
+        prop_assert!(req.body.len() <= LIMITS.max_body_bytes);
+        let head: usize = req.headers.iter().map(|(k, v)| k.len() + v.len()).sum();
+        prop_assert!(head + req.path.len() <= LIMITS.max_header_bytes);
+    }
+    Ok(())
+}
+
+/// Reads `body` as a snapshot CSV; a matrix that parses holds at most one
+/// value per body byte (every value follows a comma).
+fn check_csv(body: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok((m, _)) = read_snapshots_csv(body) {
+        prop_assert!(m.rows() * m.cols() <= body.len());
+    }
+    Ok(())
+}
+
+/// The unmutated request and body parse; edge values as the declared
+/// `Content-Length` are refused against the body cap or the bytes
+/// present, never allocated.
+#[test]
+fn http_fixture_parses_and_content_length_edges_fail_typed() {
+    let body = &fixtures().csv;
+    let req = ingest_request(body);
+    let parsed = read_request(&mut &req[..], &LIMITS).unwrap().unwrap();
+    assert_eq!(
+        (parsed.path.as_str(), &parsed.body),
+        ("/v1/t00/ingest", body)
+    );
+    assert_eq!(read_snapshots_csv(&body[..]).unwrap().0.cols(), 12);
+    let req = String::from_utf8(req).unwrap();
+    for edge in EDGES {
+        let edited = req.replacen(
+            &format!("Content-Length: {}", body.len()),
+            &format!("Content-Length: {edge}"),
+            1,
+        );
+        assert!(
+            read_request(&mut edited.as_bytes(), &LIMITS).is_err(),
+            "{edge}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 1000, ..ProptestConfig::default() })]
 
@@ -249,5 +326,19 @@ proptest! {
         let mut bytes = header.into_bytes();
         bytes.extend_from_slice(&payload);
         check_checkpoint("ckpt-crc", &bytes);
+    }
+
+    #[test]
+    fn http_ingest_raw_mutations_parse_or_fail_typed(m in mutation()) {
+        let mut bytes = ingest_request(&fixtures().csv);
+        damage(&mut bytes, m, true);
+        check_request(&bytes)?;
+    }
+
+    #[test]
+    fn csv_body_raw_mutations_parse_or_fail_typed(m in mutation()) {
+        let mut body = fixtures().csv.clone();
+        damage(&mut body, m, true);
+        check_csv(&body)?;
     }
 }
