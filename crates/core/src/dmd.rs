@@ -9,8 +9,8 @@
 
 use crate::error::CoreError;
 use hpc_linalg::{
-    c64, lstsq_complex, svd_sketched, svd_truncated, svht_rank, try_eig_real, try_lstsq_complex,
-    CMat, EigStats, Mat, Svd,
+    c64, lstsq_complex, numerical_rank, svd_leading, svd_sketched, svd_truncated, svht_rank,
+    try_eig_real, try_lstsq_complex, CMat, EigStats, Mat, Svd,
 };
 use serde::{Deserialize, Serialize};
 
@@ -250,6 +250,14 @@ impl<'de> serde::de::Deserialize<'de> for FitStrategy {
 /// `isvd_max_rank` headroom). `Fixed(r)` probes at `r` exactly.
 pub const SKETCH_DEFAULT_PROBE: usize = 48;
 
+/// The rank a DMD keeps from singular values `s` of its `rows × cols`
+/// snapshot matrix: the selection rule's rank, never above the numerical
+/// rank — directions with negligible singular values carry no dynamics,
+/// only amplified noise.
+fn retained_rank(rule: RankSelection, s: &[f64], rows: usize, cols: usize) -> usize {
+    rule.resolve(s, rows, cols).min(numerical_rank(s, 1e-10))
+}
+
 /// Configuration for a single DMD fit.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DmdConfig {
@@ -402,15 +410,17 @@ impl Dmd {
         let x = data.cols_range(0, t - 1);
         let y = data.cols_range(1, t);
         let svd_x = match cfg.strategy {
-            FitStrategy::Exact => {
-                // Oversize the probe a little so SVHT has spectrum to
-                // threshold.
-                let probe = match cfg.rank {
-                    RankSelection::Fixed(r) => r,
-                    _ => x.rows().min(x.cols()),
-                };
-                svd_truncated(&x, probe.max(1))
-            }
+            FitStrategy::Exact => match cfg.rank {
+                RankSelection::Fixed(r) => svd_truncated(&x, r.max(1)),
+                // An adaptive rule thresholds the full spectrum, so the exact
+                // SVD runs in full, but only the singular vectors the rule
+                // keeps are formed.
+                rule => {
+                    let (rows, cols) = x.shape();
+                    let svd_r = svd_leading(&x, |s| retained_rank(rule, s, rows, cols));
+                    return Self::try_from_leading(&svd_r, &y, data, cfg);
+                }
+            },
             FitStrategy::Sketched {
                 rank_oversample,
                 power_iters,
@@ -452,12 +462,21 @@ impl Dmd {
         data: &Mat,
         cfg: &DmdConfig,
     ) -> Result<Dmd, CoreError> {
+        let r = retained_rank(cfg.rank, &svd_x.s, y.rows(), svd_x.v.rows());
+        Self::try_from_leading(&svd_x.truncate(r), y, data, cfg)
+    }
+
+    /// [`try_from_svd`](Self::try_from_svd) on an SVD already truncated to
+    /// the retained rank.
+    fn try_from_leading(
+        svd_r: &Svd,
+        y: &Mat,
+        data: &Mat,
+        cfg: &DmdConfig,
+    ) -> Result<Dmd, CoreError> {
         cfg.validate()?;
         let p = y.rows();
-        let r = cfg.rank.resolve(&svd_x.s, p, svd_x.v.rows());
-        // Never exceed the numerical rank of X: directions with negligible
-        // singular values carry no dynamics, only amplified noise.
-        let r = r.min(svd_x.numerical_rank(1e-10));
+        let r = svd_r.rank();
         if r == 0 {
             return Ok(Dmd {
                 modes: CMat::zeros(p, 0),
@@ -468,14 +487,14 @@ impl Dmd {
                 eig_stats: EigStats::default(),
             });
         }
-        let u = svd_x.u.cols_range(0, r);
-        let v = svd_x.v.cols_range(0, r);
-        let sinv: Vec<f64> = svd_x.s[..r]
+        let (u, v) = (&svd_r.u, &svd_r.v);
+        let sinv: Vec<f64> = svd_r
+            .s
             .iter()
             .map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 })
             .collect();
         // B = Y·V·Σ⁻¹ (P × r): shared by Ã and the exact modes.
-        let b = y.matmul(&scale_cols_real(&v, &sinv));
+        let b = y.matmul(&scale_cols_real(v, &sinv));
         let a_tilde = u.t_matmul(&b); // r × r
         let eig = try_eig_real(&a_tilde).map_err(|e| CoreError::Numerical {
             context: format!("eigendecomposition of the {r}×{r} reduced operator"),

@@ -27,10 +27,16 @@ use crate::dmd::{Dmd, DmdConfig, FitStrategy};
 use crate::error::CoreError;
 use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
 use crate::ingest::{IngestGuard, RepairReport};
-use crate::mrdmd::{fit_halves, fit_tree, reconstruct_nodes, ModeSet, MrDmd, MrDmdConfig};
+use crate::mrdmd::{
+    fit_halves, fit_tree, reconstruct_nodes, Grid, ModeSet, MrDmd, MrDmdConfig, TreeSource,
+};
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{EigStats, IncrementalSvd, Mat, SketchSvd};
 use serde::{Deserialize, Serialize};
+
+/// Decimated columns per pass of the drift scan: bounds its two
+/// `P × DRIFT_CHUNK` evaluation buffers independently of stream age.
+const DRIFT_CHUNK: usize = 64;
 
 /// Consecutive failed root solves after which the retained root modes are
 /// reported [`SubtreeHealth::Stale`] instead of merely degraded.
@@ -338,23 +344,15 @@ impl IMrDmd {
             // root stays empty and is reported degraded from step 0.
             Err(e) => state.root_failed(&e, 0),
         }
-        // Residual after the root's slow dynamics, then the usual recursion
-        // over the two halves at level 2 — all in place on one buffer.
-        let mut residual = data.clone();
-        state
-            .root
-            .subtract_reconstruction(&mut residual, 0, cfg.mr.dt);
-        let pool = WorkerPool::new(cfg.mr.n_threads);
+        // The usual recursion over the two halves at level 2, each node
+        // fitted on the residual after the root's slow dynamics.
+        let src = TreeSource::new(data, 0, 0, &cfg.mr);
         fit_halves(
-            &mut residual,
+            &src,
             0,
             t,
-            0,
-            0,
-            &cfg.mr,
             1,
-            cfg.mr.max_levels,
-            &pool,
+            &[&state.root],
             &mut state.subnodes,
             &mut state.faults,
         );
@@ -511,6 +509,7 @@ impl IMrDmd {
         // An empty batch changes nothing, not even the drift log.
         if t1 > 0 {
             // (1) Extend the decimated root stream and the streaming SVD.
+            let stage = crate::obs::ROUND_STAGE_ISVD_NS.span();
             let mut new_cols: Vec<usize> = Vec::new(); // batch-local column indices
             while self.next_sub_abs < t_new {
                 new_cols.push(self.next_sub_abs - t_old);
@@ -544,11 +543,13 @@ impl IMrDmd {
                 }
                 self.sub_data = self.sub_data.hstack(&block);
             }
+            drop(stage);
 
             // (2) Updated level-1 modes over [0, T+T₁). A failed solve keeps
             // the previous root (window-extended) and marks it degraded — the
             // stream keeps absorbing batches on the old modes. Without a new
             // decimated column the root only extends its window.
+            let stage = crate::obs::ROUND_STAGE_ROOT_SOLVE_NS.span();
             let old_root = if n_new > 0 {
                 let old_root =
                     std::mem::replace(&mut self.root, empty_root(self.p, t_new, self.root_step));
@@ -574,10 +575,12 @@ impl IMrDmd {
                 self.root.window = t_new;
                 Some(old_root)
             };
+            drop(stage);
 
             // (5) Drift of the root reconstruction over the old timeline,
             // measured on the decimated grid; exactly zero when the root only
             // extended its window.
+            let stage = crate::obs::ROUND_STAGE_DRIFT_NS.span();
             if let Some(old_root) = &old_root {
                 drift = self.root_drift(old_root, old_sub_cols);
             }
@@ -587,6 +590,7 @@ impl IMrDmd {
                     self.stale = true;
                 }
             }
+            drop(stage);
 
             // (3)+(4) Accumulate the batch into the pending window; once
             // `min_window` snapshots are pending, shift the previous nodes one
@@ -594,18 +598,27 @@ impl IMrDmd {
             // window's start) and run the multiresolution recursion over the
             // pending window only. Sub-`min_window` batches therefore
             // accumulate instead of silently losing their residual.
+            let _stage = crate::obs::ROUND_STAGE_FLUSH_NS.span();
             self.t_total = t_new;
             if let Some(h) = &mut self.history {
                 *h = h.hstack(batch);
             }
             if self.cfg.mr.max_levels >= 2 {
-                self.pending = if self.pending.cols() == 0 {
-                    batch.clone()
+                if self.pending.cols() == 0 && t1 >= self.cfg.mr.min_window {
+                    // The batch alone fills a window: fit it where it lies.
+                    // The empty carry takes the current row count, as after
+                    // any flush.
+                    self.pending = Mat::zeros(self.p, 0);
+                    new_modes = self.fit_new_window(batch);
                 } else {
-                    self.pending.hstack(batch)
-                };
-                if self.pending.cols() >= self.cfg.mr.min_window {
-                    new_modes = self.flush_pending_window();
+                    self.pending = if self.pending.cols() == 0 {
+                        batch.clone()
+                    } else {
+                        self.pending.hstack(batch)
+                    };
+                    if self.pending.cols() >= self.cfg.mr.min_window {
+                        new_modes = self.flush_pending_window();
+                    }
                 }
             }
             if self.stale && self.cfg.auto_refresh && self.history.is_some() {
@@ -635,33 +648,33 @@ impl IMrDmd {
     /// Fits the deferred subtree over the pending window and clears it.
     /// Returns the number of modes extracted.
     fn flush_pending_window(&mut self) -> usize {
-        let w = self.pending.cols();
-        if w < 2 || self.cfg.mr.max_levels < 2 {
+        if self.pending.cols() < 2 || self.cfg.mr.max_levels < 2 {
             return 0;
         }
         let pend = std::mem::replace(&mut self.pending, Mat::zeros(self.p, 0));
+        self.fit_new_window(&pend)
+    }
+
+    /// Fits the subtree over `window`, the stream's last `window.cols()`
+    /// snapshots (at least two), reading it in place. Returns the number of
+    /// modes extracted.
+    fn fit_new_window(&mut self, window: &Mat) -> usize {
+        let w = window.cols();
         let start = self.t_total - w;
         // The previous nodes deepen by one: the timeline is now split at the
-        // pending window's start.
+        // new window's start.
         for node in &mut self.subnodes {
             node.level += 1;
         }
-        let mut residual = pend;
-        self.root
-            .subtract_reconstruction(&mut residual, start, self.cfg.mr.dt);
         let before = self.subnodes.len();
         let faults_before = self.faults.len();
-        let pool = WorkerPool::new(self.cfg.mr.n_threads);
+        let src = TreeSource::new(window, start, 0, &self.cfg.mr);
         fit_tree(
-            &mut residual,
+            &src,
             0,
             w,
-            start,
-            0,
-            &self.cfg.mr,
             2,
-            self.cfg.mr.max_levels,
-            &pool,
+            &[&self.root],
             &mut self.subnodes,
             &mut self.faults,
         );
@@ -688,25 +701,37 @@ impl IMrDmd {
 
     /// Frobenius norm of the difference between the current and previous
     /// root reconstructions over the previous timeline, evaluated at the
-    /// decimated snapshots (cheap: `O(P·r·n_sub)`, four buffers per scan).
+    /// decimated snapshots (`O(P·r·n_sub)`). Both roots go through the grid
+    /// reconstruction kernel, extrapolated past their windows as
+    /// [`ModeSet::eval_extrapolated`] would be, [`DRIFT_CHUNK`] grid columns
+    /// at a time; each column's squared differences are summed in row order
+    /// and the column sums added in column order.
     fn root_drift(&self, old_root: &ModeSet, old_sub_cols: usize) -> f64 {
         let dt = self.cfg.mr.dt;
-        let (mut new_w, mut old_w) = (Vec::new(), Vec::new());
-        let (mut new_col, mut old_col) = (Vec::new(), Vec::new());
+        let p = self.p;
+        let chunk = DRIFT_CHUNK.min(old_sub_cols);
+        let (mut new, mut old) = (vec![0.0; p * chunk], vec![0.0; p * chunk]);
         let mut acc = 0.0f64;
-        for k in 0..old_sub_cols {
-            let abs = k * self.root_step;
+        for c0 in (0..old_sub_cols).step_by(chunk.max(1)) {
+            let grid = Grid {
+                start: c0 * self.root_step,
+                step: self.root_step,
+                cols: chunk.min(old_sub_cols - c0),
+            };
+            let (new, old) = (&mut new[..p * grid.cols], &mut old[..p * grid.cols]);
+            new.fill(0.0);
+            old.fill(0.0);
             self.root
-                .eval_extrapolated_into(abs, dt, &mut new_w, &mut new_col);
-            old_root.eval_extrapolated_into(abs, dt, &mut old_w, &mut old_col);
-            acc += new_col
-                .iter()
-                .zip(&old_col)
-                .map(|(&a, &b)| {
-                    let d = a - b;
-                    d * d
-                })
-                .sum::<f64>();
+                .apply_reconstruction_rows(new, 0, p, grid, dt, 1.0, true);
+            old_root.apply_reconstruction_rows(old, 0, p, grid, dt, 1.0, true);
+            for c in 0..grid.cols {
+                let mut col = 0.0f64;
+                for i in 0..p {
+                    let d = new[i * grid.cols + c] - old[i * grid.cols + c];
+                    col += d * d;
+                }
+                acc += col;
+            }
         }
         acc.sqrt()
     }
@@ -900,30 +925,13 @@ impl IMrDmd {
             .as_ref()
             .expect("refresh_subtrees requires keep_history");
         let t = self.t_total;
-        let mut residual = data.clone();
-        self.root
-            .subtract_reconstruction(&mut residual, 0, self.cfg.mr.dt);
-        let mr = self.cfg.mr;
         let mut fresh: Vec<ModeSet> = Vec::new();
         let mut fresh_faults: Vec<FitFault> = Vec::new();
         // The halves are independent subtrees ("embarrassingly parallel",
         // Sec. III-A.1); fit_halves fans them — and their own halves, down to
-        // the size cutoff — across the worker pool instead of the former
-        // hard-coded two-thread split.
-        let pool = WorkerPool::new(mr.n_threads);
-        fit_halves(
-            &mut residual,
-            0,
-            t,
-            0,
-            0,
-            &mr,
-            1,
-            mr.max_levels,
-            &pool,
-            &mut fresh,
-            &mut fresh_faults,
-        );
+        // the size cutoff — across the worker pool.
+        let src = TreeSource::new(data, 0, 0, &self.cfg.mr);
+        fit_halves(&src, 0, t, 1, &[&self.root], &mut fresh, &mut fresh_faults);
         // Degraded-window retention: a window whose refresh failed keeps the
         // node the previous tree served for it (if any) instead of going
         // dark. The fault stays on record so health() reports the window as
@@ -1015,29 +1023,22 @@ impl IMrDmd {
         // (and now carries the new rows too), so the flush that eventually
         // covers it never overlaps this subtree.
         let t_cov = self.t_total - self.pending.cols();
-        let mut residual = new_rows.cols_range(0, t_cov);
         {
-            // Subtract the root's contribution on the appended rows only.
+            // The root's contribution on the appended rows only, row-local
+            // to `new_rows`.
             let root_rows = ModeSet {
                 modes: self.root.modes.rows_range(p_old, self.p),
                 row_offset: 0,
                 ..self.root.clone()
             };
-            root_rows.subtract_reconstruction(&mut residual, 0, self.cfg.mr.dt);
-        }
-        {
             let faults_before = self.faults.len();
-            let pool = WorkerPool::new(self.cfg.mr.n_threads);
+            let src = TreeSource::new(new_rows, 0, p_old, &self.cfg.mr);
             fit_halves(
-                &mut residual,
+                &src,
                 0,
                 t_cov,
-                0,
-                p_old,
-                &self.cfg.mr,
                 1,
-                self.cfg.mr.max_levels,
-                &pool,
+                &[&root_rows],
                 &mut self.subnodes,
                 &mut self.faults,
             );
@@ -1168,8 +1169,8 @@ fn extend_window(mut node: ModeSet, window: usize) -> ModeSet {
 }
 
 /// True when the `n_new == 0` drift scan may be skipped outright: extending
-/// the root window rewrites only `ModeSet::window`, which
-/// [`ModeSet::eval_extrapolated`] ignores, so the scan subtracts each
+/// the root window rewrites only `ModeSet::window`, which the extrapolating
+/// scan ([`IMrDmd::root_drift`]) ignores, so the scan subtracts each
 /// reconstruction column from a bitwise-identical copy of itself — every term
 /// is `x − x`, which is exactly `+0.0` whenever `x` is finite, and the
 /// accumulated drift is exactly `+0.0`. The guard proves every intermediate

@@ -8,6 +8,14 @@
 //! recursed on. The collected per-node mode sets form a binary tree over the
 //! timeline; summing every node's slow-mode reconstruction over its window
 //! reproduces the signal minus the high-frequency noise floor (Eqs. 7–8).
+//!
+//! The residual is never materialised at full resolution. A node reads only
+//! its decimated columns, so the tree fit gathers exactly those from the raw
+//! source and subtracts its ancestors' reconstructions there, coarsest
+//! first; each gathered element receives the same subtractions in the same
+//! order as in a whole-window, level-by-level residual, so the fit is
+//! bitwise that of the textbook recursion. Leaves subtract nothing, and no
+//! node touches a column it does not read.
 
 use crate::dmd::{Dmd, DmdConfig, FitStrategy, RankSelection};
 use crate::error::CoreError;
@@ -16,15 +24,16 @@ use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{c64, CMat, Mat};
 use serde::{Deserialize, Serialize};
 
-/// Minimum residual-buffer size (`rows × cols` elements) of a subtree before
-/// the recursion forks it onto another worker. Mirrors the role of
-/// `PAR_FLOP_THRESHOLD` in the matmul kernel: below this the ~0.1 ms thread
-/// spawn would rival the subtree's own arithmetic.
+/// Minimum size (`rows × window` snapshots) of a subtree before the
+/// recursion forks it onto another worker; also the row-block size of
+/// [`reconstruct_nodes`]. Mirrors the role of `PAR_FLOP_THRESHOLD` in the
+/// matmul kernel: below this the ~0.1 ms thread spawn would rival the
+/// subtree's own arithmetic.
 pub(crate) const PAR_TREE_MIN_ELEMS: usize = 32_768;
 
-/// Columns per tile of [`ModeSet::apply_reconstruction_rows`]: the tile's
-/// weight rows (`2 × modes × tile` doubles) stay cache-resident while every
-/// row of the block streams past them.
+/// Grid columns per tile of [`ModeSet::apply_reconstruction_rows`]: the
+/// tile's weight rows (`2 × modes × tile` doubles) stay cache-resident while
+/// every row of the block streams past them.
 const RECON_TILE: usize = 256;
 
 /// Configuration of the multiresolution recursion.
@@ -275,33 +284,17 @@ impl ModeSet {
             .collect()
     }
 
-    /// Adds this node's reconstruction to `out`, where column `c` of `out`
-    /// holds absolute snapshot `out_start + c`. Only the overlap of the
-    /// node's window with `out` is touched.
-    pub fn add_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64) {
-        self.apply_reconstruction(out, out_start, dt, 1.0);
-    }
-
-    /// Subtracts this node's reconstruction from `out` (the residual step of
-    /// the multiresolution recursion, done in place to avoid copying the
-    /// window).
-    pub fn subtract_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64) {
-        self.apply_reconstruction(out, out_start, dt, -1.0);
-    }
-
-    fn apply_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64, sign: f64) {
-        let (rows, cols) = (out.rows(), out.cols());
-        self.apply_reconstruction_rows(out.as_mut_slice(), 0, rows, cols, out_start, dt, sign);
-    }
-
-    /// Same as [`apply_reconstruction`](Self::apply_reconstruction) but
-    /// restricted to a row block: `block` holds global output rows
-    /// `[grow0, grow1)` in row-major order with `out_cols` columns. Disjoint
-    /// row blocks can be filled concurrently; every element receives exactly
-    /// the additions (in the same order) it would in a whole-matrix pass, so
-    /// any row chunking produces bitwise-identical output.
+    /// Adds `sign ×` this node's reconstruction to a row block sampled on an
+    /// arithmetic grid: `block` holds global output rows `[grow0, grow1)` in
+    /// row-major order with `grid.cols` columns, column `c` being absolute
+    /// snapshot `grid.start + c·grid.step`. Only grid points inside the
+    /// node's window are touched; with `extrapolate` the window's right edge
+    /// is ignored, as in [`eval_extrapolated`](Self::eval_extrapolated).
+    /// Every element receives exactly the additions (in the same order) it
+    /// would in a whole-matrix, unit-step pass, so any row chunking or grid
+    /// choice produces bitwise-identical values at the points it covers.
     ///
-    /// The window's columns are walked in tiles of [`RECON_TILE`]: each tile
+    /// The grid is walked in tiles of [`RECON_TILE`] columns: each tile
     /// first tabulates the per-mode weights `e^{ψ·t}·b` as separate real and
     /// imaginary rows, then streams the block row by row with the columns
     /// innermost. Only the real part of `Σₖ φₖ·wₖ` is accumulated, as
@@ -315,19 +308,21 @@ impl ModeSet {
         block: &mut [f64],
         grow0: usize,
         grow1: usize,
-        out_cols: usize,
-        out_start: usize,
+        grid: Grid,
         dt: f64,
         sign: f64,
+        extrapolate: bool,
     ) {
         let k = self.n_modes();
         if k == 0 {
             return;
         }
-        let node_end = self.start + self.window;
-        let out_end = out_start + out_cols;
-        let lo = self.start.max(out_start);
-        let hi = node_end.min(out_end);
+        let end = if extrapolate {
+            usize::MAX
+        } else {
+            self.start + self.window
+        };
+        let (lo, hi) = grid.cols_within(self.start, end);
         if lo >= hi {
             return;
         }
@@ -344,14 +339,13 @@ impl ModeSet {
         for t_lo in (lo..hi).step_by(tile) {
             let tw = tile.min(hi - t_lo);
             for c in 0..tw {
-                let t_rel = (t_lo + c - self.start) as f64 * dt;
+                let t_rel = (grid.at(t_lo + c) - self.start) as f64 * dt;
                 for (j, (&w, &a)) in self.omegas.iter().zip(&self.amplitudes).enumerate() {
                     let z = (w * t_rel).exp() * a;
                     w_re[j * tile + c] = z.re;
                     w_im[j * tile + c] = z.im;
                 }
             }
-            let col0 = t_lo - out_start;
             for i in i0..i1 {
                 let acc = &mut acc[..tw];
                 acc.fill(0.0);
@@ -362,7 +356,7 @@ impl ModeSet {
                         *a = *a + phi.re * r - phi.im * im;
                     }
                 }
-                let row = (self.row_offset + i - grow0) * out_cols + col0;
+                let row = (self.row_offset + i - grow0) * grid.cols + t_lo;
                 for (o, &a) in block[row..row + tw].iter_mut().zip(acc.iter()) {
                     *o += sign * a;
                 }
@@ -404,43 +398,56 @@ impl ModeSet {
     /// **without clipping to the window** — extrapolation for forecasting.
     /// Returns one value per mode-local row.
     pub fn eval_extrapolated(&self, abs: usize, dt: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.eval_extrapolated_into(abs, dt, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// [`eval_extrapolated`](Self::eval_extrapolated) into caller-owned
-    /// buffers: `weights` receives the per-mode weights `e^{ψ·t}·b`, `out`
-    /// the node's rows. Reusing both across calls makes a scan over many
-    /// time points allocation-free.
-    pub fn eval_extrapolated_into(
-        &self,
-        abs: usize,
-        dt: f64,
-        weights: &mut Vec<c64>,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(self.modes.rows(), 0.0);
+        let mut out = vec![0.0; self.modes.rows()];
         if self.n_modes() == 0 || abs < self.start {
-            return;
+            return out;
         }
         let t_rel = (abs - self.start) as f64 * dt;
-        weights.clear();
-        weights.extend(
-            self.omegas
-                .iter()
-                .zip(&self.amplitudes)
-                .map(|(&w, &a)| (w * t_rel).exp() * a),
-        );
+        let weights: Vec<c64> = self
+            .omegas
+            .iter()
+            .zip(&self.amplitudes)
+            .map(|(&w, &a)| (w * t_rel).exp() * a)
+            .collect();
         for (i, o) in out.iter_mut().enumerate() {
-            let row = self.modes.row(i);
             let mut acc = c64::ZERO;
-            for (&phi, &w) in row.iter().zip(weights.iter()) {
+            for (&phi, &w) in self.modes.row(i).iter().zip(&weights) {
                 acc = acc.mul_add(phi, w);
             }
             *o = acc.re;
         }
+        out
+    }
+}
+
+/// An arithmetic grid of absolute snapshots: column `c` holds snapshot
+/// `start + c·step`. A tree node samples its window on one (its decimated
+/// columns), a reconstruction on a unit-step one, and the drift scan on the
+/// root's decimation grid.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Grid {
+    /// Absolute snapshot of column 0.
+    pub start: usize,
+    /// Snapshots between consecutive columns (at least 1).
+    pub step: usize,
+    /// Number of columns.
+    pub cols: usize,
+}
+
+impl Grid {
+    /// Absolute snapshot of column `c`.
+    fn at(&self, c: usize) -> usize {
+        self.start + c * self.step
+    }
+
+    /// The column range `[lo, hi)` whose snapshots fall in `[t0, t1)`.
+    fn cols_within(&self, t0: usize, t1: usize) -> (usize, usize) {
+        let first = |t: usize| {
+            t.saturating_sub(self.start)
+                .div_ceil(self.step)
+                .min(self.cols)
+        };
+        (first(t0), first(t1))
     }
 }
 
@@ -485,22 +492,8 @@ impl MrDmd {
         config.validate()?;
         let mut nodes = Vec::new();
         let mut faults = Vec::new();
-        let mut work = data.clone();
-        let t = work.cols();
-        let pool = WorkerPool::new(config.n_threads);
-        fit_tree(
-            &mut work,
-            0,
-            t,
-            0,
-            0,
-            config,
-            1,
-            config.max_levels,
-            &pool,
-            &mut nodes,
-            &mut faults,
-        );
+        let src = TreeSource::new(data, 0, 0, config);
+        fit_tree(&src, 0, data.cols(), 1, &[], &mut nodes, &mut faults);
         Ok(MrDmd {
             config: *config,
             nodes,
@@ -610,43 +603,102 @@ pub(crate) fn reconstruct_nodes(
     pool.for_each(&mut blocks, &|(grow0, block)| {
         let rows_here = block.len() / width;
         for node in nodes {
-            node.apply_reconstruction_rows(block, *grow0, *grow0 + rows_here, width, t0, dt, 1.0);
+            node.apply_reconstruction_rows(
+                block,
+                *grow0,
+                *grow0 + rows_here,
+                Grid {
+                    start: t0,
+                    step: 1,
+                    cols: width,
+                },
+                dt,
+                1.0,
+                false,
+            );
         }
     });
     out
 }
 
-/// Fits the subtree over columns `[lo, hi)` of the shared residual buffer
-/// `work` (whose column 0 holds absolute snapshot `buf_abs0`), pushing nodes
-/// into `nodes`. Residual subtraction happens in place — the recursion never
-/// copies the window on the serial path, which keeps the memory traffic at
-/// `O(P·T)` per level; a forked right half works on its own copy (see
-/// [`fit_halves`]).
+/// What every node of one subtree fit reads: the raw snapshots and where
+/// they sit in the stream. Shared by reference down the recursion and across
+/// forked halves — no node ever writes to it.
+pub(crate) struct TreeSource<'a> {
+    /// Raw snapshots; column 0 is absolute snapshot `abs0`.
+    data: &'a Mat,
+    /// Absolute snapshot of `data`'s column 0.
+    abs0: usize,
+    /// Global sensor row of `data`'s row 0, stamped on every fitted node.
+    row_offset: usize,
+    /// The multiresolution configuration.
+    cfg: &'a MrDmdConfig,
+    /// Pool the recursion forks subtrees onto, sized by `cfg.n_threads`.
+    pool: WorkerPool,
+}
+
+impl<'a> TreeSource<'a> {
+    /// A source whose column 0 is absolute snapshot `abs0` and whose row 0
+    /// is global sensor row `row_offset`.
+    pub(crate) fn new(
+        data: &'a Mat,
+        abs0: usize,
+        row_offset: usize,
+        cfg: &'a MrDmdConfig,
+    ) -> TreeSource<'a> {
+        TreeSource {
+            data,
+            abs0,
+            row_offset,
+            cfg,
+            pool: WorkerPool::new(cfg.n_threads),
+        }
+    }
+}
+
+/// Fits the node over columns `[lo, hi)` of `src.data` at `level`, then its
+/// subtree, pushing nodes into `nodes` in depth-first order (node, left
+/// subtree, right subtree) and failed fits into `faults`.
 ///
-/// Shared by the batch fit (level 1 over the whole buffer) and the
-/// incremental update (level 2 over the new batch at offset `T`).
-#[allow(clippy::too_many_arguments)] // internal recursion; the tuple of ranges is clearest flat
+/// The node sees the residual of its window after every coarser level
+/// (Eq. 8, second term) without any full-resolution residual buffer: it
+/// gathers only its decimated columns from the raw source and subtracts
+/// `ancestors` — row-local mode sets, coarsest first — on those columns
+/// alone. Each gathered element therefore receives exactly the
+/// subtractions, in the same order, that an in-place recursion over a
+/// shared residual would have applied to it, so every fit is bitwise the
+/// same. A fitted node is then an ancestor of both halves.
+///
+/// Shared by the batch fit (level 1, no ancestors) and the incremental
+/// update (level 2 over the new window, the root as the only ancestor).
 pub(crate) fn fit_tree(
-    work: &mut Mat,
+    src: &TreeSource<'_>,
     lo: usize,
     hi: usize,
-    buf_abs0: usize,
-    row_offset: usize,
-    cfg: &MrDmdConfig,
     level: usize,
-    max_levels: usize,
-    pool: &WorkerPool,
+    ancestors: &[&ModeSet],
     nodes: &mut Vec<ModeSet>,
     faults: &mut Vec<FitFault>,
 ) {
     let w = hi.saturating_sub(lo);
-    if w < 2 || work.rows() == 0 {
+    if w < 2 || src.data.rows() == 0 {
         return;
     }
-    let start_abs = buf_abs0 + lo;
+    let cfg = src.cfg;
+    let start_abs = src.abs0 + lo;
     let step = cfg.subsample_step(w);
-    let sub = work.subsample_cols_range(lo, hi, step);
-    if sub.cols() >= 2 {
+    let mut fitted = None;
+    if w.div_ceil(step) >= 2 {
+        let mut sub = src.data.subsample_cols_range(lo, hi, step);
+        let grid = Grid {
+            start: start_abs,
+            step,
+            cols: sub.cols(),
+        };
+        let rows = sub.rows();
+        for a in ancestors {
+            a.apply_reconstruction_rows(sub.as_mut_slice(), 0, rows, grid, cfg.dt, -1.0, false);
+        }
         // Salt from the node's absolute position (level, start, width):
         // independent of traversal order and thread count, unique per node.
         let salt = ((level as u64) << 48) ^ ((start_abs as u64) << 16) ^ w as u64;
@@ -668,119 +720,87 @@ pub(crate) fn fit_tree(
                 if !slow_idx.is_empty() {
                     let mut omegas: Vec<c64> = slow_idx.iter().map(|&i| dmd.omegas[i]).collect();
                     clamp_growth(&mut omegas, w as f64 * cfg.dt, cfg.max_window_growth);
-                    let mut node = ModeSet {
+                    fitted = Some(ModeSet {
                         level,
                         start: start_abs,
                         window: w,
                         step,
-                        // The work buffer is row-local; subtract at offset 0 and
-                        // attach the global offset afterwards.
+                        // Row-local while it serves as an ancestor; the
+                        // global offset is attached when it is stored.
                         row_offset: 0,
                         modes: dmd.modes.select_cols(&slow_idx),
                         lambdas: slow_idx.iter().map(|&i| dmd.lambdas[i]).collect(),
                         omegas,
                         amplitudes: slow_idx.iter().map(|&i| dmd.amplitudes[i]).collect(),
-                    };
-                    // Subtract the slow reconstruction at full resolution before
-                    // recursing (Eq. 8, second term) — in place on the shared buffer.
-                    node.subtract_reconstruction(work, buf_abs0, cfg.dt);
-                    node.row_offset = row_offset;
-                    nodes.push(node);
+                    });
                 }
             }
             Err(e) => {
-                // Degrade, don't die: record the fault, leave the residual
-                // untouched (nothing was explained at this level) and keep
-                // recursing — the halves see shorter, better-conditioned
-                // windows and often still converge.
+                // Degrade, don't die: record the fault, subtract nothing for
+                // this level (nothing was explained) and keep recursing — the
+                // halves see shorter, better-conditioned windows and often
+                // still converge.
                 faults.push(FitFault {
                     level,
                     start: start_abs,
                     window: w,
-                    row_offset,
+                    row_offset: src.row_offset,
                     at_step: 0, // stamped by the streaming layer
                     cause: e.to_string(),
                 });
             }
         }
     }
-    fit_halves(
-        work, lo, hi, buf_abs0, row_offset, cfg, level, max_levels, pool, nodes, faults,
-    );
+    let Some(mut node) = fitted else {
+        fit_halves(src, lo, hi, level, ancestors, nodes, faults);
+        return;
+    };
+    let at = nodes.len();
+    let chain: Vec<&ModeSet> = ancestors.iter().copied().chain([&node]).collect();
+    fit_halves(src, lo, hi, level, &chain, nodes, faults);
+    // The subtree borrowed the node as an ancestor; it takes its place
+    // ahead of its descendants now (only they were pushed after `at`).
+    node.row_offset = src.row_offset;
+    nodes.insert(at, node);
 }
 
-/// Recurses on the two halves of `[lo, hi)` at `parent_level + 1`, forking
-/// the right half onto another worker when the pool has a permit and the
-/// half is big enough to amortise the spawn.
+/// Recurses on the two halves of `[lo, hi)` at `parent_level + 1`, both
+/// under the same `ancestors`, forking the right half onto another worker
+/// when the pool has a permit and the half is big enough to amortise the
+/// spawn (`rows × half-width ≥ PAR_TREE_MIN_ELEMS`).
 ///
-/// The forked branch gets a *copy* of its columns (the only sound way to
-/// hand two threads disjoint halves of one allocation without `unsafe`
-/// views). This is safe because no caller ever reads the residual buffer
-/// after its subtree is fitted — the buffer exists only to carry residuals
-/// *down* the recursion. Left-half nodes land in `nodes` directly; the
-/// forked right half collects into a private vector appended afterwards, so
-/// the depth-first node order — and, since the copied columns hold the same
-/// values the in-place path would see, every fitted mode — is
-/// bitwise-identical to the serial recursion.
-#[allow(clippy::too_many_arguments)]
+/// Both halves read the one shared source. The forked right half collects
+/// its nodes and faults into private vectors appended after the join, so
+/// the depth-first order — and every fitted mode — is bitwise-identical to
+/// the serial recursion at any thread count.
 pub(crate) fn fit_halves(
-    work: &mut Mat,
+    src: &TreeSource<'_>,
     lo: usize,
     hi: usize,
-    buf_abs0: usize,
-    row_offset: usize,
-    cfg: &MrDmdConfig,
     parent_level: usize,
-    max_levels: usize,
-    pool: &WorkerPool,
+    ancestors: &[&ModeSet],
     nodes: &mut Vec<ModeSet>,
     faults: &mut Vec<FitFault>,
 ) {
     let w = hi.saturating_sub(lo);
-    if parent_level >= max_levels || w / 2 < cfg.min_window {
+    if parent_level >= src.cfg.max_levels || w / 2 < src.cfg.min_window {
         return;
     }
     let mid = lo + w / 2;
     let level = parent_level + 1;
-    if work.rows() * (hi - mid) >= PAR_TREE_MIN_ELEMS {
-        if let Some(fork) = pool.try_fork() {
-            let mut right_buf = work.cols_range(mid, hi);
-            let right_w = hi - mid;
+    if src.data.rows() * (hi - mid) >= PAR_TREE_MIN_ELEMS {
+        if let Some(fork) = src.pool.try_fork() {
             let mut right_nodes = Vec::new();
-            // Faults mirror the node pattern: the forked branch collects into
-            // a private vector appended after the join, so the fault order is
-            // bitwise-identical to the serial recursion at any thread count.
             let mut right_faults = Vec::new();
-            let left = &mut *work;
-            let left_nodes = &mut *nodes;
-            let left_faults = &mut *faults;
             fork.join(
+                || fit_tree(src, lo, mid, level, ancestors, nodes, faults),
                 || {
                     fit_tree(
-                        left,
-                        lo,
+                        src,
                         mid,
-                        buf_abs0,
-                        row_offset,
-                        cfg,
+                        hi,
                         level,
-                        max_levels,
-                        pool,
-                        left_nodes,
-                        left_faults,
-                    )
-                },
-                || {
-                    fit_tree(
-                        &mut right_buf,
-                        0,
-                        right_w,
-                        buf_abs0 + mid,
-                        row_offset,
-                        cfg,
-                        level,
-                        max_levels,
-                        pool,
+                        ancestors,
                         &mut right_nodes,
                         &mut right_faults,
                     )
@@ -791,12 +811,8 @@ pub(crate) fn fit_halves(
             return;
         }
     }
-    fit_tree(
-        work, lo, mid, buf_abs0, row_offset, cfg, level, max_levels, pool, nodes, faults,
-    );
-    fit_tree(
-        work, mid, hi, buf_abs0, row_offset, cfg, level, max_levels, pool, nodes, faults,
-    );
+    fit_tree(src, lo, mid, level, ancestors, nodes, faults);
+    fit_tree(src, mid, hi, level, ancestors, nodes, faults);
 }
 
 #[cfg(test)]
@@ -813,34 +829,32 @@ mod tests {
         block: &mut [f64],
         grow0: usize,
         grow1: usize,
-        out_cols: usize,
-        out_start: usize,
+        grid: Grid,
         dt: f64,
         sign: f64,
+        extrapolate: bool,
     ) {
         if node.n_modes() == 0 {
             return;
         }
-        let lo = node.start.max(out_start);
-        let hi = (node.start + node.window).min(out_start + out_cols);
         let i0 = grow0.saturating_sub(node.row_offset);
         let i1 = node.modes.rows().min(grow1.saturating_sub(node.row_offset));
-        if lo >= hi || i0 >= i1 {
-            return;
-        }
         let mut weights = vec![c64::ZERO; node.n_modes()];
-        for abs in lo..hi {
+        for col in 0..grid.cols {
+            let abs = grid.start + col * grid.step;
+            if abs < node.start || (!extrapolate && abs >= node.start + node.window) {
+                continue;
+            }
             let t_rel = (abs - node.start) as f64 * dt;
             for ((wgt, &w), &a) in weights.iter_mut().zip(&node.omegas).zip(&node.amplitudes) {
                 *wgt = (w * t_rel).exp() * a;
             }
-            let col = abs - out_start;
             for i in i0..i1 {
                 let mut acc = c64::ZERO;
                 for (&phi, &w) in node.modes.row(i).iter().zip(&weights) {
                     acc = acc.mul_add(phi, w);
                 }
-                block[(node.row_offset + i - grow0) * out_cols + col] += sign * acc.re;
+                block[(node.row_offset + i - grow0) * grid.cols + col] += sign * acc.re;
             }
         }
     }
@@ -886,23 +900,48 @@ mod tests {
                     for (grow0, grow1) in
                         [(0usize, n_rows), (2, 7), (6, n_rows), (0, 3), (11, n_rows)]
                     {
-                        for sign in [1.0, -1.0] {
+                        for (step, extrapolate, sign) in [
+                            (1, false, 1.0),
+                            (1, false, -1.0),
+                            (7, false, -1.0),
+                            (3, true, 1.0),
+                        ] {
+                            // A grid of `out_cols` points from `out_start`;
+                            // a strided one reaches past every window.
+                            let grid = Grid {
+                                start: out_start,
+                                step,
+                                cols: out_cols,
+                            };
                             let init: Vec<f64> =
                                 (0..(grow1 - grow0) * out_cols).map(|_| rnd()).collect();
                             let mut got = init.clone();
                             let mut want = init;
                             node.apply_reconstruction_rows(
-                                &mut got, grow0, grow1, out_cols, out_start, dt, sign,
+                                &mut got,
+                                grow0,
+                                grow1,
+                                grid,
+                                dt,
+                                sign,
+                                extrapolate,
                             );
                             reference_apply_rows(
-                                &node, &mut want, grow0, grow1, out_cols, out_start, dt, sign,
+                                &node,
+                                &mut want,
+                                grow0,
+                                grow1,
+                                grid,
+                                dt,
+                                sign,
+                                extrapolate,
                             );
                             let bits =
                                 |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(
                                 bits(&got),
                                 bits(&want),
-                                "k {k}, offset {row_offset}, window {start}+{window}, out {out_start}, rows {grow0}..{grow1}, sign {sign}"
+                                "k {k}, offset {row_offset}, window {start}+{window}, out {out_start}, rows {grow0}..{grow1}, step {step}, extrapolate {extrapolate}, sign {sign}"
                             );
                             cases += 1;
                         }
@@ -910,7 +949,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 4 * 2 * 6 * 5 * 2);
+        assert_eq!(cases, 4 * 2 * 6 * 5 * 4);
     }
 
     /// Multiscale signal: slow global traveling wave + fast traveling wave

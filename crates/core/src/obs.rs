@@ -38,6 +38,28 @@ pub static ROUND_COUNT: Counter = Counter::new(
 );
 /// Wall time per streaming round.
 pub static ROUND_NS: Histogram = Histogram::new("round.ns", "Wall time per streaming round");
+/// Wall time of a round's stage 1: the decimated root stream and its
+/// streaming SVD (or sketch) absorb the batch.
+pub static ROUND_STAGE_ISVD_NS: Histogram = Histogram::new(
+    "round.stage.isvd.ns",
+    "Wall time per round of the root SVD update",
+);
+/// Wall time of a round's stage 2: the root DMD solve.
+pub static ROUND_STAGE_ROOT_SOLVE_NS: Histogram = Histogram::new(
+    "round.stage.root_solve.ns",
+    "Wall time per round of the root DMD solve",
+);
+/// Wall time of a round's stage 5: the root drift scan.
+pub static ROUND_STAGE_DRIFT_NS: Histogram = Histogram::new(
+    "round.stage.drift.ns",
+    "Wall time per round of the root drift scan",
+);
+/// Wall time of a round's stages 3–4: the pending carry and subtree flush
+/// (plus an inline auto-refresh).
+pub static ROUND_STAGE_FLUSH_NS: Histogram = Histogram::new(
+    "round.stage.flush.ns",
+    "Wall time per round of the pending carry and subtree flush",
+);
 /// Snapshot columns currently buffered below the minimum window.
 pub static ROUND_PENDING: Gauge = Gauge::new(
     "round.pending",
@@ -152,7 +174,17 @@ const COUNTERS: [&Counter; 18] = [
     &ARCHIVE_BLOCKS_READ,
 ];
 const GAUGES: [&Gauge; 3] = [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE];
-const HISTOGRAMS: [&Histogram; 5] = [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS];
+const HISTOGRAMS: [&Histogram; 9] = [
+    &ROUND_NS,
+    &ROUND_STAGE_ISVD_NS,
+    &ROUND_STAGE_ROOT_SOLVE_NS,
+    &ROUND_STAGE_DRIFT_NS,
+    &ROUND_STAGE_FLUSH_NS,
+    &INGEST_NS,
+    &CHECKPOINT_NS,
+    &WAL_NS,
+    &ARCHIVE_NS,
+];
 
 /// Captures every metric in the process — the linalg kernel catalogue
 /// followed by this crate's pipeline catalogue — in fixed order.

@@ -67,7 +67,7 @@ pub use qr::{
 };
 pub use sketch::SketchSvd;
 pub use svd::{
-    svd, svd_randomized, svd_sketched, svd_truncated, svd_truncated_seeded, svd_with_stats,
-    try_svd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
+    numerical_rank, svd, svd_leading, svd_randomized, svd_sketched, svd_truncated,
+    svd_truncated_seeded, svd_with_stats, try_svd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
 };
 pub use svht::{svht_rank, svht_rank_known_noise};

@@ -84,9 +84,15 @@ impl Svd {
 
     /// Numerical rank at relative tolerance `tol` (fraction of s₀).
     pub fn numerical_rank(&self, tol: f64) -> usize {
-        let s0 = self.s.first().copied().unwrap_or(0.0);
-        self.s.iter().take_while(|&&x| x > tol * s0).count()
+        numerical_rank(&self.s, tol)
     }
+}
+
+/// Numerical rank of a non-increasing singular spectrum `s` at relative
+/// tolerance `tol`: the leading values above `tol · s₀`.
+pub fn numerical_rank(s: &[f64], tol: f64) -> usize {
+    let s0 = s.first().copied().unwrap_or(0.0);
+    s.iter().take_while(|&&x| x > tol * s0).count()
 }
 
 /// Scales column `j` of `m` by `d[j]`.
@@ -123,7 +129,20 @@ pub fn svd(a: &Mat) -> Svd {
 pub fn svd_with_stats(a: &Mat) -> (Svd, SvdStats) {
     let _span = crate::obs::SVD_NS.span();
     crate::obs::SVD_CALLS.inc();
-    svd_budgeted(a, JACOBI_MAX_SWEEPS)
+    svd_budgeted(a, JACOBI_MAX_SWEEPS, <[f64]>::len)
+}
+
+/// [`svd`] truncated to the rank `rank_of` picks from the full singular
+/// spectrum, forming only the retained singular vectors: on the
+/// QR-preconditioned tall path the reflectors are applied to the leading
+/// `r` columns of `[U_R; 0]` alone. Reflector application treats columns
+/// independently, so the result is bitwise `svd(a).truncate(r)` — the saving
+/// is the `m × (n − r)` block of `U` a truncating caller would discard.
+/// Counts as one call under `svd.*`, like [`svd`].
+pub fn svd_leading(a: &Mat, rank_of: impl FnOnce(&[f64]) -> usize) -> Svd {
+    let _span = crate::obs::SVD_NS.span();
+    crate::obs::SVD_CALLS.inc();
+    svd_budgeted(a, JACOBI_MAX_SWEEPS, rank_of).0
 }
 
 /// Fallible SVD: runs the standard budget, escalates once with a doubled
@@ -144,13 +163,13 @@ pub fn try_svd(a: &Mat) -> Result<Svd, LinAlgError> {
             off_diagonal: f64::INFINITY,
         });
     }
-    let (f, stats) = svd_budgeted(a, JACOBI_MAX_SWEEPS);
+    let (f, stats) = svd_budgeted(a, JACOBI_MAX_SWEEPS, <[f64]>::len);
     if stats.converged {
         return Ok(f);
     }
     // Escalation: one retry with a doubled budget, from scratch.
     crate::obs::SVD_ESCALATIONS.inc();
-    let (f, retry) = svd_budgeted(a, 2 * JACOBI_MAX_SWEEPS);
+    let (f, retry) = svd_budgeted(a, 2 * JACOBI_MAX_SWEEPS, <[f64]>::len);
     if retry.converged {
         return Ok(f);
     }
@@ -161,17 +180,23 @@ pub fn try_svd(a: &Mat) -> Result<Svd, LinAlgError> {
     })
 }
 
-fn svd_budgeted(a: &Mat, max_sweeps: usize) -> (Svd, SvdStats) {
+/// The SVD of `a` truncated to `rank_of(s)` triplets (clamped to the full
+/// rank), plus the sweep statistics.
+fn svd_budgeted(
+    a: &Mat,
+    max_sweeps: usize,
+    rank_of: impl FnOnce(&[f64]) -> usize,
+) -> (Svd, SvdStats) {
     if a.rows() >= a.cols() {
         // The kernel wants Aᵀ (columns as contiguous rows): one pooled
         // transposed copy, recycled on return.
         let w = crate::workspace::pooled_transpose(a);
-        preconditioned_jacobi(w, max_sweeps)
+        preconditioned_jacobi(w, max_sweeps, rank_of)
     } else {
         // Aᵀ = U'ΣV'ᵀ ⇒ A = V'ΣU'ᵀ; (Aᵀ)ᵀ = A is already the layout the
         // kernel wants, so a pooled straight copy suffices.
         let w = crate::workspace::pooled_copy(a);
-        let (t, stats) = preconditioned_jacobi(w, max_sweeps);
+        let (t, stats) = preconditioned_jacobi(w, max_sweeps, rank_of);
         (
             Svd {
                 u: t.v,
@@ -184,20 +209,34 @@ fn svd_budgeted(a: &Mat, max_sweeps: usize) -> (Svd, SvdStats) {
 }
 
 /// SVD of the tall `m × n` matrix `X` whose columns are the rows of `w`
-/// (`n × m`, `m ≥ n`), consuming the pooled scratch.
+/// (`n × m`, `m ≥ n`), consuming the pooled scratch, truncated to the
+/// `r = rank_of(s)` leading triplets.
 ///
 /// Tall inputs (`m ≥ 2n`) are QR-preconditioned (Drmač–Veselić):
 /// `X = Q·R` by Householder on the rows of `w`, one-sided Jacobi on the
-/// small `n × n` `R = U_R·Σ·Vᵀ`, then `U = Q·U_R` by applying the
-/// reflectors to `[U_R; 0]`. Every sweep then costs `O(n³)` instead of
-/// `O(mn²)`. The sweep budget and [`SvdStats`] apply to `R`, whose column
-/// Gram matrix is that of `X`. Near-square inputs go to [`jacobi_core`]
-/// directly. The whole factorisation reports under the caller's `svd.*`
-/// span: the reflector routines record no `qr.*` or `gemm.*` metrics.
-fn preconditioned_jacobi(mut w: crate::workspace::PooledMat, max_sweeps: usize) -> (Svd, SvdStats) {
+/// small `n × n` `R = U_R·Σ·Vᵀ`, then the leading `r` columns of
+/// `U = Q·U_R` by applying the reflectors to `[U_R; 0]` restricted to those
+/// columns. Every sweep then costs `O(n³)` instead of `O(mn²)`. The sweep
+/// budget and [`SvdStats`] apply to `R`, whose column Gram matrix is that
+/// of `X`. Near-square inputs go to [`jacobi_core`] directly and are
+/// truncated afterwards. The whole factorisation reports under the caller's
+/// `svd.*` span: the reflector routines record no `qr.*` or `gemm.*`
+/// metrics.
+fn preconditioned_jacobi(
+    mut w: crate::workspace::PooledMat,
+    max_sweeps: usize,
+    rank_of: impl FnOnce(&[f64]) -> usize,
+) -> (Svd, SvdStats) {
     let (n, m) = w.shape();
     if n == 0 || m < 2 * n {
-        return jacobi_core(w, m, n, max_sweeps);
+        let (full, stats) = jacobi_core(w, m, n, max_sweeps);
+        let r = rank_of(&full.s);
+        let kept = if r < full.rank() {
+            full.truncate(r)
+        } else {
+            full
+        };
+        return (kept, stats);
     }
     let mut vs = crate::workspace::ScratchVec::zeros(n * m);
     crate::qr::householder_rows(&mut w, n, &mut vs);
@@ -208,17 +247,20 @@ fn preconditioned_jacobi(mut w: crate::workspace::PooledMat, max_sweeps: usize) 
     }
     drop(w);
     let (small, stats) = jacobi_core(rt, n, n, max_sweeps);
-    let mut u = Mat::zeros(m, n);
-    u.as_mut_slice()[..n * n].copy_from_slice(small.u.as_slice());
+    let r = rank_of(&small.s).min(n);
+    let mut u = Mat::zeros(m, r);
+    for i in 0..n {
+        u.row_mut(i).copy_from_slice(&small.u.row(i)[..r]);
+    }
     crate::qr::apply_reflectors(&vs, n, &mut u);
-    (
-        Svd {
-            u,
-            s: small.s,
-            v: small.v,
-        },
-        stats,
-    )
+    let mut s = small.s;
+    s.truncate(r);
+    let v = if r < n {
+        small.v.cols_range(0, r)
+    } else {
+        small.v
+    };
+    (Svd { u, s, v }, stats)
 }
 
 /// One-sided Jacobi on `w = Aᵀ` (`n × m` with `m ≥ n`), consuming the pooled
@@ -761,15 +803,52 @@ mod tests {
         // must say so (as the direct path does), the factors must still
         // reassemble A, and the doubled escalation budget must converge.
         let a = Mat::from_fn(200, 10, |i, j| ((i * 11 + j * j * 7) % 19) as f64 - 9.0);
-        for (f, stats) in [svd_budgeted(&a, 1), direct_jacobi(&a, 1)] {
+        for (f, stats) in [svd_budgeted(&a, 1, <[f64]>::len), direct_jacobi(&a, 1)] {
             assert_eq!(stats.sweeps, 1);
             assert!(!stats.converged);
             assert!(stats.off_diagonal > 1e-14 && stats.off_diagonal.is_finite());
             assert!(f.reconstruct().fro_dist(&a) < 1e-10 * a.fro_norm());
         }
-        let (_, full) = svd_budgeted(&a, 2 * JACOBI_MAX_SWEEPS);
+        let (_, full) = svd_budgeted(&a, 2 * JACOBI_MAX_SWEEPS, <[f64]>::len);
         assert!(full.converged && full.sweeps > 1 && full.off_diagonal == 0.0);
         assert!(try_svd(&a).is_ok());
+    }
+
+    #[test]
+    fn leading_vectors_are_bitwise_the_truncated_full_svd() {
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tall = Mat::from_fn(90, 12, |i, j| {
+            ((i * 7 + j * 13) % 17) as f64 - 8.0 + 0.01 * (i as f64).sin()
+        });
+        let u = Mat::from_fn(60, 3, |i, j| ((i * (j + 1)) as f64 * 0.1).sin());
+        let v = Mat::from_fn(10, 3, |i, j| ((i + 3 * j) as f64 * 0.4).cos());
+        let cases = [
+            ("tall (QR path)", tall.clone()),
+            ("near-square (m < 2n)", tall.rows_range(0, 20)),
+            ("wide", tall.transpose()),
+            ("zero", Mat::zeros(40, 6)),
+            ("rank-deficient", u.matmul(&v.transpose())),
+        ];
+        for (what, a) in &cases {
+            let full = svd(a);
+            let n = full.rank();
+            for r in [0, n / 2, n] {
+                let got = svd_leading(a, |s| {
+                    assert_eq!(s.len(), n, "{what}: the rule sees the full spectrum");
+                    r
+                });
+                let want = full.truncate(r);
+                assert_eq!(bits(&got.u), bits(&want.u), "{what}, r = {r}: U");
+                assert_eq!(bits(&got.v), bits(&want.v), "{what}, r = {r}: V");
+                assert_eq!(
+                    got.s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{what}, r = {r}: s"
+                );
+                assert_eq!(got.u.shape(), (a.rows(), r), "{what}, r = {r}");
+                assert_eq!(got.v.shape(), (a.cols(), r), "{what}, r = {r}");
+            }
+        }
     }
 
     #[test]
