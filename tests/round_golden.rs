@@ -5,7 +5,8 @@
 //! round — exact fits under a fixed rank and under SVHT, the sketched
 //! strategy, guarded batches with gaps, inline auto-refresh, series added
 //! mid-stream, one-column sub-step rounds, empty batches, a rank-collapsing
-//! all-zero batch, and a fleet through `Engine::run_fleet` — and folds the
+//! all-zero batch, a fleet through `Engine::run_fleet`, and tall panels that
+//! take the QR-preconditioned SVD with wide SVHT ranks — and folds the
 //! `serde_json` form of the tree state plus the round's report after every
 //! round into one FNV-1a 64-bit digest. `tests/fixtures/round_state_digests.txt`
 //! holds one `scenario digest` line per scenario, so any change to the
@@ -293,11 +294,52 @@ fn fleet() -> u64 {
     h.0
 }
 
+/// Three traveling waves plus a deterministic hash jitter: every window
+/// keeps at least six strong singular values above a small noise floor.
+fn tall_signal(p: usize, t0: usize, cols: usize, seed: usize) -> Mat {
+    Mat::from_fn(p, cols, |i, j| {
+        let t = (t0 + j) as f64;
+        let x = i as f64 / p as f64;
+        let mut v = 0.0;
+        for (m, &(cycles_per_480, amp)) in
+            [(1.3, 1.0), (2.6, 0.7), (9.0, 0.5), (23.0, 0.4)].iter().enumerate()
+        {
+            let w = std::f64::consts::TAU * cycles_per_480 / 480.0;
+            v += amp * (w * t - (m + 1) as f64 * 3.0 * x + seed as f64 * 0.1).sin();
+        }
+        let h = ((i * 7919 + (t0 + j) * 104_729) % 1000) as f64 / 1000.0 - 0.5;
+        v + 1e-3 * h
+    })
+}
+
+fn tall_panels() -> u64 {
+    // 64 rows against at most 15 decimated columns per node: every node's
+    // snapshot SVD takes the QR-preconditioned path, so the Householder
+    // reflectors are applied to the kept columns of `U` on every fit.
+    let mut c = cfg(RankSelection::Svht, 5, 15);
+    c.mr.max_cycles = 3;
+    let p = 64;
+    let mut h = Fnv::new();
+    let mut tree = IMrDmd::fit(&tall_signal(p, 0, 480, 0), &c);
+    h.json(&tree);
+    let mut t = 480;
+    for k in 0..3 {
+        let report = tree.partial_fit(&tall_signal(p, t, 240, k + 1));
+        h.round(&tree, &report);
+        t += 240;
+    }
+    // Three ancestor levels above the deepest nodes, and ranks wide enough
+    // that the complex products run full and ragged register tiles.
+    assert!(tree.nodes().any(|n| n.level >= 4), "tree too shallow");
+    assert!(tree.nodes().any(|n| n.n_modes() > 4), "ranks too narrow");
+    h.0
+}
+
 /// A named scenario and the digest of its stream.
 type Case = (&'static str, fn() -> u64);
 
 fn digests() -> String {
-    let scenarios: [Case; 10] = [
+    let scenarios: [Case; 11] = [
         ("exact_fixed", exact_fixed),
         ("exact_svht", exact_svht),
         ("sketched", sketched),
@@ -308,6 +350,7 @@ fn digests() -> String {
         ("empty_batches", empty_batches),
         ("rank_collapse", rank_collapse),
         ("fleet", fleet),
+        ("tall_panels", tall_panels),
     ];
     scenarios
         .iter()
