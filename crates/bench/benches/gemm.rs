@@ -4,10 +4,12 @@
 //!
 //! The `naive_*` entries re-implement the pre-kernel `matmul` (i-k-j order
 //! with a zero-skip test) so the speedup of the packed kernel is measured
-//! against the exact code it replaced.
+//! against the exact code it replaced. The complex DMD shapes run the
+//! dispatched micro-kernel against its scalar tier, which is bitwise the
+//! same.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hpc_linalg::Mat;
+use hpc_linalg::{c64, with_scalar_kernels, CMat, Mat};
 use std::hint::black_box;
 
 fn test_matrix(m: usize, n: usize) -> Mat {
@@ -107,5 +109,37 @@ fn bench_paper_shapes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_square, bench_paper_shapes);
+fn bench_complex_dmd_shapes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cgemm_dmd_shapes");
+    g.sample_size(10);
+    // One tree node of the paper's Table I shape: P = 1000 series and an
+    // SVHT rank of 7. Exact modes Φ = B·W lift the real B to complex.
+    let b = CMat::from_real(&test_matrix(1000, 7));
+    let w = CMat::from_fn(7, 7, |i, j| {
+        c64::new((i as f64 - j as f64).cos(), 0.1 * j as f64)
+    });
+    g.bench_function("modes_1000x7_7x7/dispatched", |bch| {
+        bch.iter(|| black_box(b.matmul(&w)));
+    });
+    g.bench_function("modes_1000x7_7x7/scalar", |bch| {
+        bch.iter(|| with_scalar_kernels(|| black_box(b.matmul(&w))));
+    });
+    // The amplitude Gram ΦᴴΦ: depth 1000 spans four KC blocks.
+    let phi = b.matmul(&w);
+    let phi_h = phi.conj_transpose();
+    g.bench_function("gram_7x1000_1000x7/dispatched", |bch| {
+        bch.iter(|| black_box(phi_h.matmul(&phi)));
+    });
+    g.bench_function("gram_7x1000_1000x7/scalar", |bch| {
+        bch.iter(|| with_scalar_kernels(|| black_box(phi_h.matmul(&phi))));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_square,
+    bench_paper_shapes,
+    bench_complex_dmd_shapes
+);
 criterion_main!(benches);

@@ -296,12 +296,12 @@ impl ModeSet {
     ///
     /// The grid is walked in tiles of [`RECON_TILE`] columns: each tile
     /// first tabulates the per-mode weights `e^{ψ·t}·b` as separate real and
-    /// imaginary rows, then streams the block row by row with the columns
-    /// innermost. Only the real part of `Σₖ φₖ·wₖ` is accumulated, as
-    /// `acc + φ.re·w.re − φ.im·w.im` in mode order. That is exactly the real
-    /// half of [`c64::mul_add`], whose real part never depends on the
-    /// imaginary accumulator, so the output is bitwise that of a full complex
-    /// accumulation.
+    /// imaginary rows, then hands the rows' modes and those weights to
+    /// [`hpc_linalg::accumulate_mode_rows`]. Only the real part of
+    /// `Σₖ φₖ·wₖ` is accumulated, as `acc + φ.re·w.re − φ.im·w.im` in mode
+    /// order. That is exactly the real half of [`c64::mul_add`], whose real
+    /// part never depends on the imaginary accumulator, so the output is
+    /// bitwise that of a full complex accumulation.
     #[allow(clippy::too_many_arguments)] // a flat (range, geometry) tuple is clearest here
     pub(crate) fn apply_reconstruction_rows(
         &self,
@@ -335,32 +335,27 @@ impl ModeSet {
         let tile = RECON_TILE.min(hi - lo);
         let mut w_re = vec![0.0; k * tile];
         let mut w_im = vec![0.0; k * tile];
-        let mut acc = vec![0.0; tile];
         for t_lo in (lo..hi).step_by(tile) {
             let tw = tile.min(hi - t_lo);
+            let (wr, wi) = (&mut w_re[..k * tw], &mut w_im[..k * tw]);
             for c in 0..tw {
                 let t_rel = (grid.at(t_lo + c) - self.start) as f64 * dt;
                 for (j, (&w, &a)) in self.omegas.iter().zip(&self.amplitudes).enumerate() {
                     let z = (w * t_rel).exp() * a;
-                    w_re[j * tile + c] = z.re;
-                    w_im[j * tile + c] = z.im;
+                    wr[j * tw + c] = z.re;
+                    wi[j * tw + c] = z.im;
                 }
             }
-            for i in i0..i1 {
-                let acc = &mut acc[..tw];
-                acc.fill(0.0);
-                for (j, phi) in self.modes.row(i).iter().enumerate() {
-                    let wr = &w_re[j * tile..j * tile + tw];
-                    let wi = &w_im[j * tile..j * tile + tw];
-                    for ((a, &r), &im) in acc.iter_mut().zip(wr).zip(wi) {
-                        *a = *a + phi.re * r - phi.im * im;
-                    }
-                }
-                let row = (self.row_offset + i - grow0) * grid.cols + t_lo;
-                for (o, &a) in block[row..row + tw].iter_mut().zip(acc.iter()) {
-                    *o += sign * a;
-                }
-            }
+            let out0 = (self.row_offset + i0 - grow0) * grid.cols + t_lo;
+            hpc_linalg::accumulate_mode_rows(
+                &self.modes,
+                i0..i1,
+                wr,
+                wi,
+                sign,
+                &mut block[out0..],
+                grid.cols,
+            );
         }
     }
 
@@ -915,17 +910,23 @@ mod tests {
                             };
                             let init: Vec<f64> =
                                 (0..(grow1 - grow0) * out_cols).map(|_| rnd()).collect();
+                            let apply = |out: &mut Vec<f64>| {
+                                node.apply_reconstruction_rows(
+                                    out,
+                                    grow0,
+                                    grow1,
+                                    grid,
+                                    dt,
+                                    sign,
+                                    extrapolate,
+                                );
+                            };
+                            // The dispatched kernel tier, then the scalar one.
                             let mut got = init.clone();
+                            apply(&mut got);
+                            let mut got_scalar = init.clone();
+                            hpc_linalg::with_scalar_kernels(|| apply(&mut got_scalar));
                             let mut want = init;
-                            node.apply_reconstruction_rows(
-                                &mut got,
-                                grow0,
-                                grow1,
-                                grid,
-                                dt,
-                                sign,
-                                extrapolate,
-                            );
                             reference_apply_rows(
                                 &node,
                                 &mut want,
@@ -938,11 +939,9 @@ mod tests {
                             );
                             let bits =
                                 |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(
-                                bits(&got),
-                                bits(&want),
-                                "k {k}, offset {row_offset}, window {start}+{window}, out {out_start}, rows {grow0}..{grow1}, step {step}, extrapolate {extrapolate}, sign {sign}"
-                            );
+                            let case = format!("k {k}, offset {row_offset}, window {start}+{window}, out {out_start}, rows {grow0}..{grow1}, step {step}, extrapolate {extrapolate}, sign {sign}");
+                            assert_eq!(bits(&got), bits(&want), "{case}");
+                            assert_eq!(bits(&got_scalar), bits(&want), "scalar: {case}");
                             cases += 1;
                         }
                     }

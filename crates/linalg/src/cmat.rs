@@ -176,15 +176,6 @@ impl CMat {
         out
     }
 
-    /// Mixed product with a real right factor (same kernel layer; B is
-    /// widened to complex during packing).
-    pub fn matmul_real(&self, b: &Mat) -> CMat {
-        assert_eq!(self.cols, b.rows());
-        let mut out = CMat::zeros(self.rows, b.cols());
-        crate::gemm::cgemm_real(self, b, &mut out);
-        out
-    }
-
     /// Matrix–vector product `self * v`.
     pub fn matvec(&self, v: &[c64]) -> Vec<c64> {
         assert_eq!(self.cols, v.len());
@@ -351,15 +342,6 @@ mod tests {
         let h = a.conj_transpose();
         assert_eq!(h[(0, 1)], c64::new(1.0, -1.0));
         assert_eq!(h[(1, 0)], c64::new(1.0, -1.0));
-    }
-
-    #[test]
-    fn matmul_real_matches_promotion() {
-        let a = CMat::from_fn(3, 4, |i, j| c64::new(i as f64 - 1.0, j as f64 * 0.5));
-        let b = Mat::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
-        let lhs = a.matmul_real(&b);
-        let rhs = a.matmul(&CMat::from_real(&b));
-        assert!(lhs.sub(&rhs).fro_norm() < 1e-13);
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::complex::c64;
 use crate::mat::Mat;
 use crate::pool;
 use crate::workspace::{give_cvec, give_vec, take_cvec, take_vec};
+use std::ops::Range;
 
 /// Rows of the register tile (micro-kernel height).
 pub const MR: usize = 4;
@@ -195,15 +196,17 @@ pub fn gemm_threaded(
 
 /// Splits `C` into fixed row chunks (multiples of `MR`) and runs the serial
 /// blocked kernel on each, one chunk per worker. The chunking only decides
-/// *which thread* fills which rows, never the per-element arithmetic.
+/// *which thread* fills which rows, never the per-element arithmetic. The
+/// micro-kernel tier is chosen once, here, and handed to every worker.
 fn gemm_split(threads: usize, alpha: f64, a: View<'_>, b: View<'_>, beta: f64, c: &mut Mat) {
     let (m, n) = (a.rows, b.cols);
     if is_small(m, a.cols, n) {
         gemm_small(alpha, a, b, beta, c.as_mut_slice(), n);
         return;
     }
+    let avx2 = crate::simd::avx2();
     if threads <= 1 || m < 2 * MR {
-        gemm_serial(alpha, a, b, beta, c.as_mut_slice(), 0, m, n);
+        gemm_serial(alpha, a, b, beta, c.as_mut_slice(), 0, m, n, avx2);
         return;
     }
     let chunk = m.div_ceil(threads).next_multiple_of(MR);
@@ -220,10 +223,10 @@ fn gemm_split(threads: usize, alpha: f64, a: View<'_>, b: View<'_>, beta: f64, c
         for (i0, dst) in rest.iter_mut() {
             let i0 = *i0;
             let rows_here = dst.len() / n;
-            scope.spawn(move || gemm_serial(alpha, a, b, beta, dst, i0, rows_here, n));
+            scope.spawn(move || gemm_serial(alpha, a, b, beta, dst, i0, rows_here, n, avx2));
         }
         let rows_here = first.1.len() / n;
-        gemm_serial(alpha, a, b, beta, first.1, 0, rows_here, n);
+        gemm_serial(alpha, a, b, beta, first.1, 0, rows_here, n, avx2);
     });
 }
 
@@ -267,8 +270,8 @@ fn gemm_small(alpha: f64, a: View<'_>, b: View<'_>, beta: f64, cdst: &mut [f64],
 
 /// Serial blocked GEMM over rows `[row0, row0 + mrows)` of the logical
 /// product, writing into `cdst` (row-major, leading dimension `n`,
-/// starting at logical row `row0`). Packing buffers come from the
-/// per-thread scratch pool.
+/// starting at logical row `row0`), on the AVX2 micro-kernel when `avx2`.
+/// Packing buffers come from the per-thread scratch pool.
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial(
     alpha: f64,
@@ -279,6 +282,7 @@ fn gemm_serial(
     row0: usize,
     mrows: usize,
     n: usize,
+    avx2: bool,
 ) {
     if mrows == 0 {
         return;
@@ -287,16 +291,15 @@ fn gemm_serial(
     let mut bpack = take_vec(KC.min(k) * NC.min(n.next_multiple_of(NR)));
     let mut apack = take_vec(KC.min(k) * MC.min(mrows.next_multiple_of(MR)));
     gemm_serial_into(
-        alpha, a, b, beta, cdst, row0, mrows, n, &mut bpack, &mut apack,
+        alpha, a, b, beta, cdst, row0, mrows, n, &mut bpack, &mut apack, avx2,
     );
     give_vec(apack);
     give_vec(bpack);
 }
 
 /// The packed-kernel body of [`gemm_serial`], with caller-provided packing
-/// buffers (each must be at least the size [`gemm_serial`] takes). Detects
-/// the widest SIMD micro-kernel the CPU supports once per call; every path
-/// performs identical arithmetic.
+/// buffers (each must be at least the size [`gemm_serial`] takes). Both
+/// micro-kernel tiers perform identical arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial_into(
     alpha: f64,
@@ -309,11 +312,8 @@ fn gemm_serial_into(
     n: usize,
     bpack: &mut [f64],
     apack: &mut [f64],
+    avx2: bool,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
     if mrows == 0 {
         return;
     }
@@ -415,8 +415,9 @@ fn macro_kernel(
             let ctile = &mut cdst[coff..];
             #[cfg(target_arch = "x86_64")]
             if avx2 {
-                // SAFETY: the caller verified AVX2 at runtime; the panels
-                // hold at least `kc` full tiles by construction.
+                // SAFETY: `avx2` comes from the run-time check in
+                // `simd::avx2`; the panels hold at least `kc` full tiles by
+                // construction.
                 unsafe { micro_kernel_avx2(kc, alpha, apanel, bpanel, beta, ctile, ldc, mr, nr) };
                 continue;
             }
@@ -618,11 +619,18 @@ fn scale_slice(y: &mut [f64], beta: f64) {
 /// Register-tile height of the complex micro-kernel (each element is two
 /// lanes wide, so the tile is half the real one).
 pub const CMR: usize = 2;
-/// Register-tile width of the complex micro-kernel.
+/// Register-tile width of the complex micro-kernel: one `__m256d` of real
+/// parts and one of imaginary parts per tile row.
 pub const CNR: usize = 4;
 
 /// `C ← A·B` for complex operands, blocked and packed like [`gemm`]
 /// (overwrite semantics: the DMD pipeline never needs complex α/β).
+///
+/// B is packed as separate real and imaginary planes, `CNR` lanes each; A
+/// keeps its interleaved `c64` layout and is broadcast one part at a time.
+/// Per element both micro-kernel tiers accumulate `re + (ar·br − ai·bi)`
+/// and `im + (ar·bi + ai·br)` in increasing `k`, so the AVX2 tier is
+/// bitwise the scalar one.
 ///
 /// # Panics
 /// Panics if inner dimensions disagree or `c` has the wrong shape.
@@ -641,25 +649,15 @@ pub fn cgemm(a: &CMat, b: &CMat, c: &mut CMat) {
         c.as_mut_slice().fill(c64::ZERO);
         return;
     }
-    let mut bpack = take_cvec(KC.min(k) * NC.min(n.next_multiple_of(CNR)));
+    let avx2 = crate::simd::avx2();
+    let mut bpack = take_vec(2 * KC.min(k) * NC.min(n.next_multiple_of(CNR)));
     let mut apack = take_cvec(KC.min(k) * MC.min(m.next_multiple_of(CMR)));
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let ncp = nc.next_multiple_of(CNR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            // Pack B panels (CNR wide).
-            let mut off = 0;
-            for j0 in (0..ncp).step_by(CNR) {
-                let jw = CNR.min(nc - j0);
-                for p in 0..kc {
-                    let base = off + p * CNR;
-                    let src = &b.row(pc + p)[jc + j0..][..jw];
-                    bpack[base..base + jw].copy_from_slice(src);
-                    bpack[base + jw..base + CNR].fill(c64::ZERO);
-                }
-                off += kc * CNR;
-            }
+            pack_cb(b, pc, kc, jc, nc, ncp, &mut bpack);
             let first_block = pc == 0;
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
@@ -692,100 +690,42 @@ pub fn cgemm(a: &CMat, b: &CMat, c: &mut CMat) {
                     ncp,
                     n,
                     kc,
+                    avx2,
                 );
             }
         }
     }
     give_cvec(apack);
-    give_cvec(bpack);
+    give_vec(bpack);
 }
 
-/// `C ← A·B` with a complex left and a **real** right operand (the mixed
-/// product the DMD reconstruction uses). Same blocking; B is widened to
-/// complex during packing, which leaves the arithmetic per element
-/// identical to the dedicated mixed loop it replaces.
-///
-/// # Panics
-/// Panics if inner dimensions disagree or `c` has the wrong shape.
-pub fn cgemm_real(a: &CMat, b: &Mat, c: &mut CMat) {
-    assert_eq!(a.cols(), b.rows(), "cgemm inner dimensions must agree");
-    assert_eq!(
-        c.shape(),
-        (a.rows(), b.cols()),
-        "cgemm output shape mismatch"
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.as_mut_slice().fill(c64::ZERO);
-        return;
-    }
-    let mut bpack = take_cvec(KC.min(k) * NC.min(n.next_multiple_of(CNR)));
-    let mut apack = take_cvec(KC.min(k) * MC.min(m.next_multiple_of(CMR)));
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let ncp = nc.next_multiple_of(CNR);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let mut off = 0;
-            for j0 in (0..ncp).step_by(CNR) {
-                let jw = CNR.min(nc - j0);
-                for p in 0..kc {
-                    let base = off + p * CNR;
-                    let src = &b.row(pc + p)[jc + j0..][..jw];
-                    for (dstv, &sv) in bpack[base..base + jw].iter_mut().zip(src) {
-                        *dstv = c64::from_real(sv);
-                    }
-                    bpack[base + jw..base + CNR].fill(c64::ZERO);
-                }
-                off += kc * CNR;
+/// Packs `B[pc..pc+kc, jc..jc+nc]` into `ncp / CNR` column panels, each laid
+/// out `k`-major with the real plane ahead of the imaginary one
+/// (`panel[p·2·CNR + jj]` and `panel[p·2·CNR + CNR + jj]`), zero-padding the
+/// ragged last panel.
+fn pack_cb(b: &CMat, pc: usize, kc: usize, jc: usize, nc: usize, ncp: usize, dst: &mut [f64]) {
+    let mut off = 0;
+    for j0 in (0..ncp).step_by(CNR) {
+        let jw = CNR.min(nc - j0);
+        for p in 0..kc {
+            let (re, im) = dst[off + p * 2 * CNR..][..2 * CNR].split_at_mut(CNR);
+            for (jj, z) in b.row(pc + p)[jc + j0..][..jw].iter().enumerate() {
+                re[jj] = z.re;
+                im[jj] = z.im;
             }
-            let first_block = pc == 0;
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                let mcp = mc.next_multiple_of(CMR);
-                let mut aoff = 0;
-                for i0 in (0..mcp).step_by(CMR) {
-                    let iw = CMR.min(mc - i0);
-                    for p in 0..kc {
-                        let base = aoff + p * CMR;
-                        for ii in 0..iw {
-                            apack[base + ii] = a.row(ic + i0 + ii)[pc + p];
-                        }
-                        for ii in iw..CMR {
-                            apack[base + ii] = c64::ZERO;
-                        }
-                    }
-                    aoff += kc * CMR;
-                }
-                cmacro_kernel(
-                    &apack,
-                    &bpack,
-                    first_block,
-                    c.as_mut_slice(),
-                    ic,
-                    mc,
-                    mcp,
-                    jc,
-                    nc,
-                    ncp,
-                    n,
-                    kc,
-                );
-            }
+            re[jw..].fill(0.0);
+            im[jw..].fill(0.0);
         }
+        off += kc * 2 * CNR;
     }
-    give_cvec(apack);
-    give_cvec(bpack);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn cmacro_kernel(
     apack: &[c64],
-    bpack: &[c64],
+    bpack: &[f64],
     first_block: bool,
     cdst: &mut [c64],
     ic: usize,
@@ -796,36 +736,36 @@ fn cmacro_kernel(
     ncp: usize,
     ldc: usize,
     kc: usize,
+    avx2: bool,
 ) {
     for (jp, j0) in (0..ncp).step_by(CNR).enumerate() {
-        let bpanel = &bpack[jp * kc * CNR..][..kc * CNR];
+        let bpanel = &bpack[jp * kc * 2 * CNR..][..kc * 2 * CNR];
         let nr = CNR.min(nc - j0);
         for (ip, i0) in (0..mcp).step_by(CMR).enumerate() {
             let apanel = &apack[ip * kc * CMR..][..kc * CMR];
             let mr = CMR.min(mc - i0);
-            let coff = (ic + i0) * ldc + jc + j0;
-            cmicro_kernel(
-                kc,
-                apanel,
-                bpanel,
-                first_block,
-                &mut cdst[coff..],
-                ldc,
-                mr,
-                nr,
-            );
+            let ctile = &mut cdst[(ic + i0) * ldc + jc + j0..];
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: `avx2` comes from the run-time check in
+                // `simd::avx2`; the panels hold `kc` full tiles by
+                // construction.
+                unsafe { cmicro_kernel_avx2(kc, apanel, bpanel, first_block, ctile, ldc, mr, nr) };
+                continue;
+            }
+            cmicro_kernel(kc, apanel, bpanel, first_block, ctile, ldc, mr, nr);
         }
     }
 }
 
 /// Complex `CMR × CNR` register tile (re/im pairs accumulated per element in
-/// increasing `k`, same order as the scalar loop it replaces).
+/// increasing `k`): the scalar reference of [`cmicro_kernel_avx2`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn cmicro_kernel(
     kc: usize,
     apanel: &[c64],
-    bpanel: &[c64],
+    bpanel: &[f64],
     first_block: bool,
     c: &mut [c64],
     ldc: usize,
@@ -835,16 +775,16 @@ fn cmicro_kernel(
     let mut acc = [[c64::ZERO; CNR]; CMR];
     for (aq, bq) in apanel
         .chunks_exact(CMR)
-        .zip(bpanel.chunks_exact(CNR))
+        .zip(bpanel.chunks_exact(2 * CNR))
         .take(kc)
     {
         for i in 0..CMR {
             let ai = aq[i];
             for j in 0..CNR {
-                let b = bq[j];
+                let (br, bi) = (bq[j], bq[CNR + j]);
                 let t = &mut acc[i][j];
-                t.re += ai.re * b.re - ai.im * b.im;
-                t.im += ai.re * b.im + ai.im * b.re;
+                t.re += ai.re * br - ai.im * bi;
+                t.im += ai.re * bi + ai.im * br;
             }
         }
     }
@@ -855,6 +795,87 @@ fn cmicro_kernel(
             tile[i * CNR + j] = acc[i][j];
         }
     }
+    cwrite_back_tile(&tile, first_block, c, ldc, mr, nr);
+}
+
+/// AVX2 complex micro-kernel: per tile row one accumulator of four real
+/// parts and one of four imaginary parts, one broadcast per part of A per
+/// depth step. Separate `vmulpd`/`vsubpd`/`vaddpd` — never FMA — keep each
+/// lane the scalar `re + (ar·br − ai·bi)`, `im + (ar·bi + ai·br)` sequence
+/// of [`cmicro_kernel`], bitwise.
+///
+/// # Safety
+/// Caller must have verified AVX2 support; `apanel`/`bpanel` must hold at
+/// least `kc` packed tiles and `c` the `mr × nr` output corner.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn cmicro_kernel_avx2(
+    kc: usize,
+    apanel: &[c64],
+    bpanel: &[f64],
+    first_block: bool,
+    c: &mut [c64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(apanel.len() >= kc * CMR && bpanel.len() >= kc * 2 * CNR);
+    let ap = apanel.as_ptr();
+    let bp = bpanel.as_ptr();
+    let mut re0 = _mm256_setzero_pd();
+    let mut im0 = _mm256_setzero_pd();
+    let mut re1 = _mm256_setzero_pd();
+    let mut im1 = _mm256_setzero_pd();
+    for p in 0..kc {
+        let br = _mm256_loadu_pd(bp.add(p * 2 * CNR));
+        let bi = _mm256_loadu_pd(bp.add(p * 2 * CNR + CNR));
+        let a0 = &*ap.add(p * CMR);
+        let (ar, ai) = (_mm256_broadcast_sd(&a0.re), _mm256_broadcast_sd(&a0.im));
+        re0 = _mm256_add_pd(
+            re0,
+            _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi)),
+        );
+        im0 = _mm256_add_pd(
+            im0,
+            _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br)),
+        );
+        let a1 = &*ap.add(p * CMR + 1);
+        let (ar, ai) = (_mm256_broadcast_sd(&a1.re), _mm256_broadcast_sd(&a1.im));
+        re1 = _mm256_add_pd(
+            re1,
+            _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi)),
+        );
+        im1 = _mm256_add_pd(
+            im1,
+            _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br)),
+        );
+    }
+    let mut re = [0.0f64; CMR * CNR];
+    let mut im = [0.0f64; CMR * CNR];
+    _mm256_storeu_pd(re.as_mut_ptr(), re0);
+    _mm256_storeu_pd(re.as_mut_ptr().add(CNR), re1);
+    _mm256_storeu_pd(im.as_mut_ptr(), im0);
+    _mm256_storeu_pd(im.as_mut_ptr().add(CNR), im1);
+    let mut tile = [c64::ZERO; CMR * CNR];
+    for ((t, &r), &i) in tile.iter_mut().zip(&re).zip(&im) {
+        *t = c64::new(r, i);
+    }
+    cwrite_back_tile(&tile, first_block, c, ldc, mr, nr);
+}
+
+/// Masked write-back of the valid `mr × nr` corner of a complex tile: the
+/// first depth block overwrites, later ones add.
+#[inline(always)]
+fn cwrite_back_tile(
+    tile: &[c64; CMR * CNR],
+    first_block: bool,
+    c: &mut [c64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
     for i in 0..mr {
         let trow = &tile[i * CNR..][..nr];
         let crow = &mut c[i * ldc..][..nr];
@@ -865,6 +886,173 @@ fn cmicro_kernel(
                 *cv += av;
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mode reconstruction
+// ---------------------------------------------------------------------------
+
+/// Columns one AVX2 block of [`accumulate_mode_rows`] keeps in registers
+/// across every mode (four `__m256d` accumulators).
+const MODE_BLOCK: usize = 16;
+
+/// Adds the real part of a row block of complex modes times tabulated
+/// complex weights: for node-local rows `i ∈ rows` (output row
+/// `r = i − rows.start`) and columns `c < cols`,
+///
+/// `out[r·ldo + c] += sign · Σⱼ (φᵢⱼ.re·w_re[j·cols + c] − φᵢⱼ.im·w_im[j·cols + c])`,
+///
+/// where `φ = modes` and `cols = w_re.len() / modes.cols()` (mode `j`'s
+/// weights are row `j` of each plane). Each element accumulates from `0.0`
+/// in mode order as `(acc + φ.re·w.re) − φ.im·w.im`, then adds `sign·acc`
+/// to its output: one sequential chain per element. The AVX2 tier runs four
+/// lanes across columns and holds a [`MODE_BLOCK`]-column block in
+/// registers over every mode, so it is bitwise the scalar tier.
+///
+/// # Panics
+/// Panics if the weight planes differ in length or are not `modes.cols()`
+/// rows, if `rows` leaves `modes`, or if `out` is shorter than
+/// `(rows.len() − 1)·ldo + cols`.
+pub fn accumulate_mode_rows(
+    modes: &CMat,
+    rows: Range<usize>,
+    w_re: &[f64],
+    w_im: &[f64],
+    sign: f64,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    let k = modes.cols();
+    if k == 0 || rows.is_empty() {
+        return;
+    }
+    let cols = w_re.len() / k;
+    assert!(
+        w_re.len() == k * cols && w_im.len() == w_re.len(),
+        "mode weight planes must hold {k} rows each"
+    );
+    assert!(rows.end <= modes.rows(), "mode rows out of range");
+    assert!(
+        (rows.len() - 1) * ldo + cols <= out.len(),
+        "mode reconstruction output too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2() {
+        // SAFETY: AVX2 verified at run time; the asserts above bound every
+        // weight read by `k·cols` and every output access by `out.len()`.
+        unsafe { accumulate_mode_rows_avx2(modes, rows, w_re, w_im, sign, out, ldo) };
+        return;
+    }
+    for (r, i) in rows.enumerate() {
+        let o = &mut out[r * ldo..][..cols];
+        accumulate_mode_cols(modes.row(i), w_re, w_im, cols, sign, 0, o);
+    }
+}
+
+/// Scalar body of [`accumulate_mode_rows`] for one output row: columns
+/// `c0..c0 + o.len()` of the weight planes (row stride `cols`) into `o`,
+/// through a stack accumulator so no call allocates.
+fn accumulate_mode_cols(
+    phi: &[c64],
+    w_re: &[f64],
+    w_im: &[f64],
+    cols: usize,
+    sign: f64,
+    c0: usize,
+    o: &mut [f64],
+) {
+    const CHUNK: usize = 64;
+    for (q, oq) in o.chunks_mut(CHUNK).enumerate() {
+        let lo = c0 + q * CHUNK;
+        let mut acc = [0.0f64; CHUNK];
+        let acc = &mut acc[..oq.len()];
+        for (j, f) in phi.iter().enumerate() {
+            let wr = &w_re[j * cols + lo..][..acc.len()];
+            let wi = &w_im[j * cols + lo..][..acc.len()];
+            for ((a, &r), &im) in acc.iter_mut().zip(wr).zip(wi) {
+                *a = *a + f.re * r - f.im * im;
+            }
+        }
+        for (ov, &a) in oq.iter_mut().zip(acc.iter()) {
+            *ov += sign * a;
+        }
+    }
+}
+
+/// AVX2 body of [`accumulate_mode_rows`]: [`MODE_BLOCK`]-column register
+/// blocks, then single 4-lane groups, then the scalar body for the last
+/// `cols mod 4` columns.
+///
+/// # Safety
+/// Caller must have verified AVX2 support and the bounds
+/// [`accumulate_mode_rows`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_mode_rows_avx2(
+    modes: &CMat,
+    rows: Range<usize>,
+    w_re: &[f64],
+    w_im: &[f64],
+    sign: f64,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    let cols = w_re.len() / modes.cols();
+    for (r, i) in rows.enumerate() {
+        let phi = modes.row(i);
+        let o = &mut out[r * ldo..][..cols];
+        let mut c0 = 0;
+        while c0 + MODE_BLOCK <= cols {
+            mode_block::<4>(phi, w_re, w_im, cols, c0, sign, o);
+            c0 += MODE_BLOCK;
+        }
+        while c0 + 4 <= cols {
+            mode_block::<1>(phi, w_re, w_im, cols, c0, sign, o);
+            c0 += 4;
+        }
+        accumulate_mode_cols(phi, w_re, w_im, cols, sign, c0, &mut o[c0..]);
+    }
+}
+
+/// `G` four-lane column groups from `c0` of one output row, accumulated in
+/// registers over every mode: lane-wise `(acc + φ.re·w.re) − φ.im·w.im`,
+/// then `o + sign·acc`.
+///
+/// # Safety
+/// AVX2 must be available; `c0 + 4·G` columns must lie within `o` and
+/// within every weight row of stride `cols`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mode_block<const G: usize>(
+    phi: &[c64],
+    w_re: &[f64],
+    w_im: &[f64],
+    cols: usize,
+    c0: usize,
+    sign: f64,
+    o: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(c0 + 4 * G <= o.len() && phi.len() * cols <= w_re.len());
+    let mut acc = [_mm256_setzero_pd(); G];
+    for (j, f) in phi.iter().enumerate() {
+        let pr = _mm256_set1_pd(f.re);
+        let pi = _mm256_set1_pd(f.im);
+        let wr = w_re.as_ptr().add(j * cols + c0);
+        let wi = w_im.as_ptr().add(j * cols + c0);
+        for (g, a) in acc.iter_mut().enumerate() {
+            let re = _mm256_mul_pd(pr, _mm256_loadu_pd(wr.add(4 * g)));
+            let im = _mm256_mul_pd(pi, _mm256_loadu_pd(wi.add(4 * g)));
+            *a = _mm256_sub_pd(_mm256_add_pd(*a, re), im);
+        }
+    }
+    let s = _mm256_set1_pd(sign);
+    let op = o.as_mut_ptr().add(c0);
+    for (g, a) in acc.iter().enumerate() {
+        let p = op.add(4 * g);
+        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(s, *a)));
     }
 }
 
@@ -1006,6 +1194,109 @@ mod tests {
         let mut c = Mat::from_fn(2, 2, |_, _| f64::NAN);
         gemm(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c);
         assert!(c.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    /// Deterministic values in `[-0.5, 0.5)` from a 64-bit LCG.
+    fn lcg(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn cbits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn cgemm_dispatch_is_bitwise_scalar() {
+        let mut rnd = lcg(0x5eed);
+        // (m, k, n, real left factor): the exact-mode product B·W and the
+        // amplitude Gram ΦᴴΦ at DMD shapes, depth past one and two KC
+        // blocks, and ragged row and column tiles.
+        for &(m, k, n, real_left) in &[
+            (1000usize, 7usize, 7usize, true),
+            (7, 1000, 7, false),
+            (5, KC + 3, 9, false),
+            (3, 2 * KC + 1, 1, true),
+            (MC + 1, 11, 2 * CNR + 1, false),
+            (1, 1, 1, false),
+            (CMR, 4, CNR, true),
+        ] {
+            // A real left factor carries signed zeros, as `CMat::from_real`
+            // of data with exact zeros does, plus negated ones.
+            let a = CMat::from_fn(m, k, |i, j| {
+                let z = if (i + 2 * j) % 5 == 0 { -0.0 } else { 0.0 };
+                let re = if (i * 3 + j) % 7 == 0 { z } else { rnd() };
+                if real_left {
+                    c64::new(re, z)
+                } else {
+                    c64::new(re, rnd())
+                }
+            });
+            let b = CMat::from_fn(k, n, |i, j| {
+                let z = if (i + j) % 4 == 0 { -0.0 } else { 0.0 };
+                c64::new(rnd(), if (i * j) % 3 == 0 { z } else { rnd() })
+            });
+            let mut got = CMat::zeros(m, n);
+            cgemm(&a, &b, &mut got);
+            let mut want = CMat::zeros(m, n);
+            crate::simd::with_scalar_kernels(|| cgemm(&a, &b, &mut want));
+            assert_eq!(cbits(&got), cbits(&want), "{m}x{k}x{n}");
+            // Sanity against a plain triple loop (block sums reassociate).
+            for i in [0, m / 2, m - 1] {
+                for j in [0, n - 1] {
+                    let mut s = c64::ZERO;
+                    for p in 0..k {
+                        s = s + a[(i, p)] * b[(p, j)];
+                    }
+                    assert!((got[(i, j)] - s).abs() < 1e-12 * (k as f64), "{m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mode_rows_dispatch_is_bitwise_scalar() {
+        let mut rnd = lcg(0xa11ce);
+        // Column counts hitting register blocks, single groups and the
+        // scalar tail; sign ±1 and a non-unit one.
+        for &(rows, k, cols, sign) in &[
+            (9usize, 1usize, 3usize, 1.0),
+            (5, 7, 16, -1.0),
+            (4, 3, 37, 1.0),
+            (3, 17, 256, -0.5),
+            (2, 8, 4, 1.0),
+        ] {
+            let modes = CMat::from_fn(rows + 2, k, |_, _| c64::new(rnd(), rnd()));
+            let w_re: Vec<f64> = (0..k * cols).map(|_| rnd()).collect();
+            let w_im: Vec<f64> = (0..k * cols).map(|_| rnd()).collect();
+            let ldo = cols + 5;
+            let init: Vec<f64> = (0..rows * ldo).map(|_| rnd()).collect();
+            let mut got = init.clone();
+            accumulate_mode_rows(&modes, 1..rows + 1, &w_re, &w_im, sign, &mut got, ldo);
+            let mut want = init.clone();
+            crate::simd::with_scalar_kernels(|| {
+                accumulate_mode_rows(&modes, 1..rows + 1, &w_re, &w_im, sign, &mut want, ldo)
+            });
+            assert_eq!(bits(&got), bits(&want), "{rows}x{k}x{cols}");
+            // Padding between output rows is never touched.
+            for r in 0..rows {
+                assert_eq!(
+                    bits(&got[r * ldo + cols..r * ldo + ldo]),
+                    bits(&init[r * ldo + cols..r * ldo + ldo])
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! - [`mod@gemm`]: the blocked, register-tiled GEMM kernel layer (operand
 //!   packing, `MR × NR` register tiles, transpose flags, gemv) every dense
 //!   product routes through,
+//! - [`mod@simd`]: run-time AVX2 dispatch for the kernels with a SIMD tier,
+//!   each bitwise equal to its scalar reference body,
 //! - [`mod@workspace`]: per-thread reusable scratch buffers so hot
 //!   incremental paths are allocation-free in steady state,
 //! - [`mod@qr`]: Householder QR, least squares, and Gram–Schmidt complements,
@@ -45,6 +47,7 @@ pub mod mat;
 pub mod obs;
 pub mod pool;
 pub mod qr;
+pub mod simd;
 pub mod sketch;
 pub mod svd;
 pub mod svht;
@@ -56,7 +59,7 @@ pub use csolve::{lstsq_complex, solve_complex, try_lstsq_complex, try_solve_comp
 pub use eig::{eig_complex, eig_real, try_eig_complex, try_eig_real, Eig, EigStats};
 pub use error::{LinAlgError, PartialSchur};
 pub use fft::{dominant_frequency, fft, fft_in_place, ifft, periodogram};
-pub use gemm::{gemm, gemm_threaded, gemv, Trans};
+pub use gemm::{accumulate_mode_rows, gemm, gemm_threaded, gemv, Trans};
 pub use isvd::IncrementalSvd;
 pub use mat::Mat;
 pub use obs::Observer;
@@ -65,6 +68,7 @@ pub use qr::{
     lstsq, orthonormal_complement, orthonormal_complement_rows, qr, solve_upper_triangular, tsqr,
     Qr,
 };
+pub use simd::with_scalar_kernels;
 pub use sketch::SketchSvd;
 pub use svd::{
     numerical_rank, svd, svd_leading, svd_randomized, svd_sketched, svd_truncated,

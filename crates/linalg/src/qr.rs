@@ -111,12 +111,26 @@ pub(crate) fn householder_rows(w: &mut Mat, k: usize, vs: &mut [f64]) {
 /// stored in `vs` (`x` has `m` rows, the reflectors' ambient length).
 /// Applied to `[I; 0]` this forms the thin `Q`; applied to `[Y; 0]` it
 /// forms `Q·Y` without materialising `Q`. Rows stream contiguously.
+///
+/// Per reflector, every column `c` takes `w = Σᵢ vᵢ·xᵢc` as one sequential
+/// chain in row order, then `xᵢc −= (2vᵢ)·w`. Columns are independent, so
+/// the AVX2 tier (for `x` at least four columns wide) runs them in 4-lane
+/// groups and is bitwise the scalar body below.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn apply_reflectors(vs: &[f64], k: usize, x: &mut Mat) {
-    let m = x.rows();
-    let mut w = workspace::ScratchVec::zeros(x.cols());
+    let (m, r) = x.shape();
+    let avx2 = r >= 4 && crate::simd::avx2();
+    let mut w = workspace::ScratchVec::zeros(r);
     for j in (0..k).rev() {
         let v = &vs[j * m..j * m + (m - j)];
         if v.iter().all(|&vi| vi == 0.0) {
+            continue;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: AVX2 verified at run time; rows `j..m` of `x` are the
+            // `v.len()` rows of width `r ≥ 4` the reflector acts on.
+            unsafe { reflect_avx2(v, &mut x.as_mut_slice()[j * r..], r) };
             continue;
         }
         w.fill(0.0);
@@ -130,6 +144,70 @@ pub(crate) fn apply_reflectors(vs: &[f64], k: usize, x: &mut Mat) {
             for (xv, &wc) in x.row_mut(j + ii).iter_mut().zip(w.iter()) {
                 *xv -= t * wc;
             }
+        }
+    }
+}
+
+/// AVX2 body of one reflector in [`apply_reflectors`], on the `v.len()`
+/// rows of width `r` at the front of `rows`. The columns form `⌈r/4⌉`
+/// 4-lane groups; when `r` is not a multiple of four the last group is
+/// flush with column `r − 1` and overlaps its neighbour. Groups run in
+/// register blocks of up to four, the first block taking the remainder, so
+/// an overlapping group always shares a block with the group it overlaps:
+/// a block reads every row of its groups before it updates any, and both
+/// groups write the same bits to the shared lanes.
+///
+/// # Safety
+/// AVX2 must be available, `r ≥ 4` and `rows.len() ≥ v.len()·r`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn reflect_avx2(v: &[f64], rows: &mut [f64], r: usize) {
+    debug_assert!(r >= 4 && rows.len() >= v.len() * r);
+    let groups = r.div_ceil(4);
+    let off = |g: usize| (4 * g).min(r - 4);
+    let x = rows.as_mut_ptr();
+    let (mut g0, mut width) = (0, groups - 4 * ((groups - 1) / 4));
+    while g0 < groups {
+        match width {
+            1 => reflect_block::<1>(v, x, r, [off(g0)]),
+            2 => reflect_block::<2>(v, x, r, std::array::from_fn(|t| off(g0 + t))),
+            3 => reflect_block::<3>(v, x, r, std::array::from_fn(|t| off(g0 + t))),
+            _ => reflect_block::<4>(v, x, r, std::array::from_fn(|t| off(g0 + t))),
+        }
+        g0 += width;
+        width = 4;
+    }
+}
+
+/// One reflector on `G` 4-lane column groups at `offs` of the `v.len()`
+/// rows from `x` (row stride `ld`): lane-wise `w += vᵢ·xᵢ` down the rows,
+/// then `xᵢ −= (2vᵢ)·w`.
+///
+/// # Safety
+/// AVX2 must be available; `x` must address `v.len()` rows of stride `ld`
+/// and every `offs[g] + 4 ≤ ld`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn reflect_block<const G: usize>(v: &[f64], x: *mut f64, ld: usize, offs: [usize; G]) {
+    use std::arch::x86_64::*;
+    let mut w = [_mm256_setzero_pd(); G];
+    for (i, &vi) in v.iter().enumerate() {
+        let row = x.add(i * ld);
+        let vb = _mm256_set1_pd(vi);
+        for (wg, &o) in w.iter_mut().zip(&offs) {
+            *wg = _mm256_add_pd(*wg, _mm256_mul_pd(vb, _mm256_loadu_pd(row.add(o))));
+        }
+    }
+    for (i, &vi) in v.iter().enumerate() {
+        let row = x.add(i * ld);
+        let t = _mm256_set1_pd(2.0 * vi);
+        let mut xs = [_mm256_setzero_pd(); G];
+        for (xg, &o) in xs.iter_mut().zip(&offs) {
+            *xg = _mm256_loadu_pd(row.add(o));
+        }
+        for ((xg, wg), &o) in xs.iter().zip(&w).zip(&offs) {
+            _mm256_storeu_pd(row.add(o), _mm256_sub_pd(*xg, _mm256_mul_pd(t, *wg)));
         }
     }
 }
@@ -437,6 +515,34 @@ mod tests {
         let a = Mat::from_fn(5, 2, |i, _| i as f64);
         let f = qr(&a);
         assert!(f.q.matmul(&f.r).fro_dist(&a) < 1e-12);
+    }
+
+    #[test]
+    fn reflector_dispatch_is_bitwise_scalar() {
+        let (m, n) = (203, 25);
+        // Column 3 is zero, so reflector 3 is null and skipped. Width 17
+        // runs a one-group block, then a full block whose last group
+        // overlaps its neighbour.
+        let a = Mat::from_fn(m, n, |i, j| {
+            if j == 3 {
+                0.0
+            } else {
+                ((i * 37 + j * 11) % 29) as f64 / 7.0 - 2.0 + (i as f64 * 0.013).sin()
+            }
+        });
+        let mut w = workspace::pooled_transpose(&a);
+        let mut vs = vec![0.0; n * m];
+        householder_rows(&mut w, n, &mut vs);
+        assert!(vs[3 * m..4 * m].iter().all(|&v| v == 0.0));
+        for width in (1..=9).chain([17, 25]) {
+            let x0 = Mat::from_fn(m, width, |i, j| ((i * 7 + j * 13) % 17) as f64 * 0.25 - 2.0);
+            let mut got = x0.clone();
+            apply_reflectors(&vs, n, &mut got);
+            let mut want = x0;
+            crate::simd::with_scalar_kernels(|| apply_reflectors(&vs, n, &mut want));
+            let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "width {width}");
+        }
     }
 
     #[test]

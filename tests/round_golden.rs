@@ -294,15 +294,16 @@ fn fleet() -> u64 {
     h.0
 }
 
-/// Three traveling waves plus a deterministic hash jitter: every window
+/// Four traveling waves plus a deterministic hash jitter: every window
 /// keeps at least six strong singular values above a small noise floor.
 fn tall_signal(p: usize, t0: usize, cols: usize, seed: usize) -> Mat {
     Mat::from_fn(p, cols, |i, j| {
         let t = (t0 + j) as f64;
         let x = i as f64 / p as f64;
         let mut v = 0.0;
-        for (m, &(cycles_per_480, amp)) in
-            [(1.3, 1.0), (2.6, 0.7), (9.0, 0.5), (23.0, 0.4)].iter().enumerate()
+        for (m, &(cycles_per_480, amp)) in [(1.3, 1.0), (2.6, 0.7), (9.0, 0.5), (23.0, 0.4)]
+            .iter()
+            .enumerate()
         {
             let w = std::f64::consts::TAU * cycles_per_480 / 480.0;
             v += amp * (w * t - (m + 1) as f64 * 3.0 * x + seed as f64 * 0.1).sin();
