@@ -907,7 +907,7 @@ const MODE_BLOCK: usize = 16;
 /// weights are row `j` of each plane). Each element accumulates from `0.0`
 /// in mode order as `(acc + φ.re·w.re) − φ.im·w.im`, then adds `sign·acc`
 /// to its output: one sequential chain per element. The AVX2 tier runs four
-/// lanes across columns and holds a [`MODE_BLOCK`]-column block in
+/// lanes across columns and holds a 16-column block in
 /// registers over every mode, so it is bitwise the scalar tier.
 ///
 /// # Panics
@@ -944,45 +944,31 @@ pub fn accumulate_mode_rows(
         unsafe { accumulate_mode_rows_avx2(modes, rows, w_re, w_im, sign, out, ldo) };
         return;
     }
-    for (r, i) in rows.enumerate() {
-        let o = &mut out[r * ldo..][..cols];
-        accumulate_mode_cols(modes.row(i), w_re, w_im, cols, sign, 0, o);
-    }
-}
-
-/// Scalar body of [`accumulate_mode_rows`] for one output row: columns
-/// `c0..c0 + o.len()` of the weight planes (row stride `cols`) into `o`,
-/// through a stack accumulator so no call allocates.
-fn accumulate_mode_cols(
-    phi: &[c64],
-    w_re: &[f64],
-    w_im: &[f64],
-    cols: usize,
-    sign: f64,
-    c0: usize,
-    o: &mut [f64],
-) {
+    // Scalar tier: column chunks through one reused stack accumulator.
     const CHUNK: usize = 64;
-    for (q, oq) in o.chunks_mut(CHUNK).enumerate() {
-        let lo = c0 + q * CHUNK;
-        let mut acc = [0.0f64; CHUNK];
-        let acc = &mut acc[..oq.len()];
-        for (j, f) in phi.iter().enumerate() {
-            let wr = &w_re[j * cols + lo..][..acc.len()];
-            let wi = &w_im[j * cols + lo..][..acc.len()];
-            for ((a, &r), &im) in acc.iter_mut().zip(wr).zip(wi) {
-                *a = *a + f.re * r - f.im * im;
+    let mut acc = [0.0f64; CHUNK];
+    for (r, i) in rows.enumerate() {
+        let phi = modes.row(i);
+        for (q, oq) in out[r * ldo..][..cols].chunks_mut(CHUNK).enumerate() {
+            let acc = &mut acc[..oq.len()];
+            acc.fill(0.0);
+            for (j, f) in phi.iter().enumerate() {
+                let wr = &w_re[j * cols + q * CHUNK..][..acc.len()];
+                let wi = &w_im[j * cols + q * CHUNK..][..acc.len()];
+                for ((a, &r), &im) in acc.iter_mut().zip(wr).zip(wi) {
+                    *a = *a + f.re * r - f.im * im;
+                }
             }
-        }
-        for (ov, &a) in oq.iter_mut().zip(acc.iter()) {
-            *ov += sign * a;
+            for (ov, &a) in oq.iter_mut().zip(acc.iter()) {
+                *ov += sign * a;
+            }
         }
     }
 }
 
 /// AVX2 body of [`accumulate_mode_rows`]: [`MODE_BLOCK`]-column register
-/// blocks, then single 4-lane groups, then the scalar body for the last
-/// `cols mod 4` columns.
+/// blocks, then single 4-lane groups, then one scalar chain per column for
+/// the last `cols mod 4` columns.
 ///
 /// # Safety
 /// Caller must have verified AVX2 support and the bounds
@@ -1011,7 +997,13 @@ unsafe fn accumulate_mode_rows_avx2(
             mode_block::<1>(phi, w_re, w_im, cols, c0, sign, o);
             c0 += 4;
         }
-        accumulate_mode_cols(phi, w_re, w_im, cols, sign, c0, &mut o[c0..]);
+        for (c, ov) in o.iter_mut().enumerate().skip(c0) {
+            let mut acc = 0.0;
+            for (j, f) in phi.iter().enumerate() {
+                acc = acc + f.re * w_re[j * cols + c] - f.im * w_im[j * cols + c];
+            }
+            *ov += sign * acc;
+        }
     }
 }
 
@@ -1257,7 +1249,7 @@ mod tests {
                 for j in [0, n - 1] {
                     let mut s = c64::ZERO;
                     for p in 0..k {
-                        s = s + a[(i, p)] * b[(p, j)];
+                        s += a[(i, p)] * b[(p, j)];
                     }
                     assert!((got[(i, j)] - s).abs() < 1e-12 * (k as f64), "{m}x{k}x{n}");
                 }
