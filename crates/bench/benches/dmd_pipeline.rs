@@ -1,5 +1,5 @@
-//! Benchmarks of the decomposition pipeline: per-window DMD, the batch
-//! multiresolution fit, and the streaming update.
+//! Benchmarks of the decomposition pipeline: per-window DMD, the per-node
+//! fit of the tree, the batch multiresolution fit, and the streaming update.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imrdmd::prelude::*;
@@ -24,6 +24,39 @@ fn bench_dmd(c: &mut Criterion) {
                     },
                 ))
             });
+        });
+    }
+    g.finish();
+}
+
+/// One tree node of the paper's Table I shape: 1000 series over 17 and 21
+/// decimated columns under SVHT, the tall panels whose exact fit takes the
+/// method of snapshots. `householder` is the same fit through the
+/// QR-preconditioned Jacobi SVD with every left singular vector formed, the
+/// route such panels took before.
+fn bench_node_fit(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dmd_node_fit");
+    g.sample_size(20);
+    let scenario = Workloads::sc_log(1000, 2000, 3);
+    let data = scenario.generate(0, 2000);
+    for cols in [17usize, 21] {
+        let step = 2000 / cols;
+        let panel = data.subsample_cols_range(0, step * cols, step);
+        let cfg = DmdConfig {
+            dt: scenario.dt() * step as f64,
+            rank: RankSelection::Svht,
+            ..Default::default()
+        };
+        let id = format!("svht_1000x{cols}");
+        g.bench_with_input(BenchmarkId::new("snapshots", &id), &panel, |bch, d| {
+            bch.iter(|| black_box(Dmd::try_fit(d, &cfg)))
+        });
+        g.bench_with_input(BenchmarkId::new("householder", &id), &panel, |bch, d| {
+            bch.iter(|| {
+                let t = d.cols();
+                let svd = hpc_linalg::svd(&d.cols_range(0, t - 1));
+                black_box(Dmd::try_from_svd(&svd, &d.cols_range(1, t), d, &cfg))
+            })
         });
     }
     g.finish();
@@ -83,6 +116,7 @@ fn bench_reconstruction(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dmd,
+    bench_node_fit,
     bench_mrdmd_fit,
     bench_partial_fit,
     bench_reconstruction

@@ -4,13 +4,28 @@
 //! Given snapshots `D ∈ ℝ^{P×T}` sampled every `Δt`, form the shifted pair
 //! `X = D[:, :T−1]`, `Y = D[:, 1:]` and approximate the best-fit linear
 //! operator `A = Y·X⁺` without ever materialising it (Sec. III-A, Eqs. 1–5):
-//! SVD-project to rank `r`, eigendecompose the small `Ã = UᵀYVΣ⁻¹`, and lift
-//! the eigenvectors back as exact DMD modes `Φ = YVΣ⁻¹W`.
+//! truncate `X ≈ UΣVᵀ` to rank `r`, eigendecompose the small
+//! `Ã = UᵀYVΣ⁻¹ = W·Λ·W⁻¹`, and lift the eigenvectors back as exact DMD
+//! modes `Φ = YVΣ⁻¹W`, with amplitudes fitted to the first snapshot.
+//!
+//! Two routes compute this. An `Exact` fit under an adaptive rank rule on a
+//! tall panel (`P ≥ 2(T − 1)`, every tree node of a wide fleet) uses the
+//! method of snapshots (Sirovich 1987): one Gram `G = DᵀD` gives `V` and `Σ`
+//! from the eigendecomposition of its block `XᵀX`, and `Ã`, `ΦᴴΦ` and `Φᴴx₀`
+//! all come from `G` in `r × r`, so `U` is never formed and the only
+//! `P`-sized products are `G`, `B = YVΣ⁻¹` and `Φ = B·W`. When the spectrum
+//! falls below `GRAM_FLOOR` (10⁻⁴·σ₁) where the rank rule reads it, or the
+//! symmetric solve fails, the fit takes the other route, bitwise as before:
+//! the QR-preconditioned Jacobi SVD of `X`, `Ã = Uᵀ·B`, and the amplitude
+//! least squares over the `P × r` modes. Fixed-rank and sketched fits, fits
+//! from a given SVD ([`Dmd::try_from_svd`]) and near-square panels always
+//! take that route.
 
 use crate::error::CoreError;
 use hpc_linalg::{
-    c64, lstsq_complex, numerical_rank, svd_leading, svd_sketched, svd_truncated, svht_rank,
-    try_eig_real, try_lstsq_complex, CMat, EigStats, Mat, Svd,
+    c64, lstsq_complex, numerical_rank, svd_leading, svd_sketched, svd_snapshots, svd_truncated,
+    svht_rank, try_eig_real, try_lstsq_complex, try_solve_normal, CMat, EigStats, Mat, SnapshotSvd,
+    Svd,
 };
 use serde::{Deserialize, Serialize};
 
@@ -400,14 +415,36 @@ impl Dmd {
         }
     }
 
-    /// Fallible twin of [`fit`](Self::fit): configuration problems surface as
+    /// Fallible twin of [`fit`](Self::fit): configuration problems (an
+    /// invalid [`DmdConfig`], fewer than two snapshots) surface as
     /// [`CoreError::InvalidConfig`] and solver failures (eigensolver
     /// non-convergence after its escalation ladder, rank-deficient amplitude
     /// fits) as [`CoreError::Numerical`].
+    ///
+    /// An `Exact` fit under an adaptive rank rule on a tall panel
+    /// (`P ≥ 2(T − 1)`) takes the method of snapshots
+    /// ([`hpc_linalg::svd_snapshots`]); see the module docs.
     pub fn try_fit(data: &Mat, cfg: &DmdConfig) -> Result<Dmd, CoreError> {
-        assert!(data.cols() >= 2, "DMD needs at least two snapshots");
         let t = data.cols();
-        let x = data.cols_range(0, t - 1);
+        if t < 2 {
+            return Err(CoreError::InvalidConfig {
+                what: format!("DMD needs at least two snapshots, got {t}"),
+            });
+        }
+        cfg.validate()?;
+        let (p, n) = (data.rows(), t - 1);
+        let adaptive = !matches!(cfg.rank, RankSelection::Fixed(_));
+        if cfg.strategy == FitStrategy::Exact && adaptive && p >= 2 * n {
+            let rule = cfg.rank;
+            let rank_of = |s: &[f64]| retained_rank(rule, s, p, n);
+            return match svd_snapshots(data, rank_of, |s, r| gram_trusted(rule, s, r)) {
+                SnapshotSvd::Gram { gram, s, v } => Self::try_from_gram(data, &gram, &s, &v, cfg),
+                SnapshotSvd::Householder(svd_r) => {
+                    Self::try_from_leading(&svd_r, &data.cols_range(1, t), data, cfg)
+                }
+            };
+        }
+        let x = data.cols_range(0, n);
         let y = data.cols_range(1, t);
         let svd_x = match cfg.strategy {
             FitStrategy::Exact => match cfg.rank {
@@ -416,8 +453,7 @@ impl Dmd {
                 // SVD runs in full, but only the singular vectors the rule
                 // keeps are formed.
                 rule => {
-                    let (rows, cols) = x.shape();
-                    let svd_r = svd_leading(&x, |s| retained_rank(rule, s, rows, cols));
+                    let svd_r = svd_leading(&x, |s| retained_rank(rule, s, p, n));
                     return Self::try_from_leading(&svd_r, &y, data, cfg);
                 }
             },
@@ -431,7 +467,7 @@ impl Dmd {
                 // full min-dimension (see `SKETCH_DEFAULT_PROBE`).
                 let probe = match cfg.rank {
                     RankSelection::Fixed(r) => r,
-                    _ => SKETCH_DEFAULT_PROBE.min(x.rows().min(x.cols())),
+                    _ => SKETCH_DEFAULT_PROBE.min(p.min(n)),
                 };
                 svd_sketched(&x, probe.max(1), rank_oversample, power_iters, seed)
             }
@@ -496,13 +532,26 @@ impl Dmd {
         // B = Y·V·Σ⁻¹ (P × r): shared by Ã and the exact modes.
         let b = y.matmul(&scale_cols_real(v, &sinv));
         let a_tilde = u.t_matmul(&b); // r × r
-        let eig = try_eig_real(&a_tilde).map_err(|e| CoreError::Numerical {
-            context: format!("eigendecomposition of the {r}×{r} reduced operator"),
-            source: e,
-        })?;
+        let eig = try_eig_real(&a_tilde).map_err(|e| reduced_operator_error(r, e))?;
         // Exact modes Φ = B·W.
         let modes = CMat::from_real(&b).matmul(&eig.vectors);
-        let lambdas = eig.values;
+        // Amplitudes from the first snapshot: min ‖Φ·a − x₀‖.
+        let x0: Vec<c64> = data.col(0).into_iter().map(c64::from_real).collect();
+        let amplitudes = try_lstsq_complex(&modes, &x0).map_err(amplitude_error)?;
+        Ok(Self::assemble(
+            modes, eig.values, amplitudes, eig.stats, cfg.dt,
+        ))
+    }
+
+    /// A fitted DMD from its modes, eigenvalues and amplitudes: the
+    /// continuous-time eigenvalues ψ = ln(λ)/Δt.
+    fn assemble(
+        modes: CMat,
+        lambdas: Vec<c64>,
+        amplitudes: Vec<c64>,
+        eig_stats: EigStats,
+        dt: f64,
+    ) -> Dmd {
         let omegas: Vec<c64> = lambdas
             .iter()
             .map(|&l| {
@@ -511,28 +560,59 @@ impl Dmd {
                     // left half-plane so exp(ψt) vanishes.
                     c64::new(-1e6, 0.0)
                 } else {
-                    l.ln() / cfg.dt
+                    l.ln() / dt
                 }
             })
             .collect();
-        // Amplitudes from the first snapshot: min ‖Φ·a − x₀‖.
-        let x0: Vec<c64> = data.col(0).into_iter().map(c64::from_real).collect();
-        let amplitudes = if modes.cols() > 0 {
-            try_lstsq_complex(&modes, &x0).map_err(|e| CoreError::Numerical {
-                context: "mode-amplitude least squares against the first snapshot".to_string(),
-                source: e,
-            })?
-        } else {
-            vec![]
-        };
-        Ok(Dmd {
+        Dmd {
             modes,
             lambdas,
             omegas,
             amplitudes,
-            dt: cfg.dt,
-            eig_stats: eig.stats,
-        })
+            dt,
+            eig_stats,
+        }
+    }
+
+    /// The exact DMD of the panel `data` (`P × (n + 1)`) from its Gram
+    /// `G = DᵀD` and the retained `s`, `v` of `X`. With `K = V·Σ⁻¹` padded
+    /// by a zero row to `Kx = [K; 0]` and `Ky = [0; K]`, `X·K = D·Kx` and
+    /// `Y·K = D·Ky`, so every product but `B = D·Ky` (`P × r`) is `r`-sized:
+    /// `Ã = Kxᵀ·G·Ky`, `BᵀB = Kyᵀ·G·Ky` and `Bᵀx₀ = Kyᵀ·G[:, 0]`. The modes
+    /// are `Φ = B·W` as on the Householder route, and the amplitudes solve
+    /// the same normal equations, formed as `ΦᴴΦ = Wᴴ·BᵀB·W` and
+    /// `Φᴴx₀ = Wᴴ·Bᵀx₀`.
+    fn try_from_gram(
+        data: &Mat,
+        gram: &Mat,
+        s: &[f64],
+        v: &Mat,
+        cfg: &DmdConfig,
+    ) -> Result<Dmd, CoreError> {
+        let (n, r) = (v.rows(), s.len());
+        let sinv: Vec<f64> = s.iter().map(|&x| 1.0 / x).collect();
+        let k = scale_cols_real(v, &sinv);
+        let mut kx = Mat::zeros(n + 1, r);
+        let mut ky = Mat::zeros(n + 1, r);
+        kx.as_mut_slice()[..n * r].copy_from_slice(k.as_slice());
+        ky.as_mut_slice()[r..].copy_from_slice(k.as_slice());
+        let b = data.matmul(&ky);
+        let g_ky = gram.matmul(&ky);
+        let a_tilde = kx.t_matmul(&g_ky);
+        let btb = ky.t_matmul(&g_ky);
+        let btx0: Vec<c64> = ky
+            .t_matvec(&gram.col(0))
+            .into_iter()
+            .map(c64::from_real)
+            .collect();
+        let eig = try_eig_real(&a_tilde).map_err(|e| reduced_operator_error(r, e))?;
+        let modes = CMat::from_real(&b).matmul(&eig.vectors);
+        let wh = eig.vectors.conj_transpose();
+        let normal = wh.matmul(&CMat::from_real(&btb)).matmul(&eig.vectors);
+        let amplitudes = try_solve_normal(normal, &wh.matvec(&btx0)).map_err(amplitude_error)?;
+        Ok(Self::assemble(
+            modes, eig.values, amplitudes, eig.stats, cfg.dt,
+        ))
     }
 
     /// Number of retained modes.
@@ -637,6 +717,38 @@ pub fn sparse_amplitudes(modes: &CMat, x0: &[f64], gamma: f64, iters: usize) -> 
         }
     }
     a
+}
+
+/// Smallest `σ/σ₁` the method of snapshots trusts. A Gram eigenvalue
+/// carries an absolute error of about `ε·σ₁²`, so a Gram-derived `σᵢ` is
+/// good to about `ε/(2ρᵢ²)` relative (`ρᵢ = σᵢ/σ₁`): 10⁻⁸ at this floor.
+/// Below it the kept subspace and the SVHT threshold lose the digits the
+/// Householder route keeps, so the fit falls back to that route.
+const GRAM_FLOOR: f64 = 1e-4;
+
+/// Whether the Gram spectrum `s` is accurate enough where `rule` read it to
+/// keep `r` values: the weakest kept value and, for SVHT, the median it
+/// thresholds against (the lower middle value) must reach `GRAM_FLOOR·σ₁`.
+/// Nothing kept (a zero panel) is left to the Householder route.
+fn gram_trusted(rule: RankSelection, s: &[f64], r: usize) -> bool {
+    let floor = GRAM_FLOOR * s.first().copied().unwrap_or(0.0);
+    let weakest_ok = r > 0 && s[r - 1] >= floor;
+    let median_ok = rule != RankSelection::Svht || s[s.len() / 2] >= floor;
+    weakest_ok && median_ok
+}
+
+fn reduced_operator_error(r: usize, source: hpc_linalg::LinAlgError) -> CoreError {
+    CoreError::Numerical {
+        context: format!("eigendecomposition of the {r}×{r} reduced operator"),
+        source,
+    }
+}
+
+fn amplitude_error(source: hpc_linalg::LinAlgError) -> CoreError {
+    CoreError::Numerical {
+        context: "mode-amplitude least squares against the first snapshot".to_string(),
+        source,
+    }
 }
 
 /// Scales column `j` of a real matrix by `d[j]`.
@@ -871,6 +983,25 @@ mod tests {
         };
         let d = Dmd::try_fit(&data, &good).expect("healthy fit");
         assert!(d.rank() <= 2);
+    }
+
+    #[test]
+    fn try_fit_rejects_fewer_than_two_snapshots() {
+        for cols in [0, 1] {
+            let data = Mat::from_fn(40, cols, |i, _| i as f64);
+            for rank in [RankSelection::Svht, RankSelection::Fixed(2)] {
+                let cfg = DmdConfig {
+                    rank,
+                    ..DmdConfig::default()
+                };
+                match Dmd::try_fit(&data, &cfg) {
+                    Err(CoreError::InvalidConfig { what }) => {
+                        assert!(what.contains("two snapshots"), "{what}")
+                    }
+                    other => panic!("{cols} columns: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

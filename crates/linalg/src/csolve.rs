@@ -106,8 +106,15 @@ pub fn lstsq_complex(a: &CMat, b: &[c64]) -> Vec<c64> {
 pub fn try_lstsq_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
     assert_eq!(a.rows(), b.len());
     let ah = a.conj_transpose();
-    let gram = ah.matmul(a);
-    let rhs = ah.matvec(b);
+    try_solve_normal(ah.matmul(a), &ah.matvec(b))
+}
+
+/// Solves the normal equations `gram·x = rhs` of a least-squares problem
+/// (`gram = aᴴa`, `rhs = aᴴb`) the way [`try_lstsq_complex`] does, for
+/// callers that form both in a smaller space: a Tikhonov whisper of `10⁻¹³`
+/// times the largest diagonal magnitude, then [`try_solve_complex`], a
+/// vanishing pivot reported as [`LinAlgError::RankDeficient`].
+pub fn try_solve_normal(gram: CMat, rhs: &[c64]) -> Result<Vec<c64>, LinAlgError> {
     // Tikhonov whisper to keep near-rank-deficient fits finite.
     let mut g = gram;
     let scale = (0..g.rows())
@@ -119,7 +126,7 @@ pub fn try_lstsq_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
         g[(i, i)] = d;
     }
     let cols = g.cols();
-    try_solve_complex(&g, &rhs).map_err(|e| match e {
+    try_solve_complex(&g, rhs).map_err(|e| match e {
         LinAlgError::Singular { pivot } => LinAlgError::RankDeficient { pivot, cols },
         other => other,
     })

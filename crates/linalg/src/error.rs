@@ -57,6 +57,14 @@ pub enum LinAlgError {
         /// The drift tolerance that was breached.
         tolerance: f64,
     },
+    /// The symmetric tridiagonal QL iteration left an eigenvalue unsplit
+    /// after its per-eigenvalue sweep cap (NaN or infinite input).
+    SymEigNonConvergence {
+        /// Index of the eigenvalue that did not split off.
+        index: usize,
+        /// QL sweeps spent over all eigenvalues.
+        iterations: usize,
+    },
     /// Gaussian elimination met an exactly zero pivot: the system is
     /// singular to working precision.
     Singular {
@@ -94,6 +102,11 @@ impl std::fmt::Display for LinAlgError {
                 f,
                 "Jacobi SVD failed to converge after {sweeps} sweeps \
                  (off-diagonal residual {off_diagonal:.3e})"
+            ),
+            LinAlgError::SymEigNonConvergence { index, iterations } => write!(
+                f,
+                "symmetric QL iteration left eigenvalue {index} unsplit \
+                 after {iterations} sweeps"
             ),
             LinAlgError::OrthogonalityDrift { drift, tolerance } => write!(
                 f,

@@ -139,6 +139,26 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Trans, b: &Mat, tb: Trans, beta: f64, c: &m
             .saturating_mul(k as u64)
             .saturating_mul(n as u64),
     );
+    gemm_unrecorded(alpha, av, bv, beta, c);
+}
+
+/// The Gram matrix `DᵀD` on the [`gemm`] kernel, without its `gemm.*`
+/// metrics: the method-of-snapshots SVD reports it under its own span.
+pub(crate) fn gram_unrecorded(d: &Mat) -> Mat {
+    let mut g = Mat::zeros(d.cols(), d.cols());
+    gemm_unrecorded(
+        1.0,
+        View::of(d, Trans::Yes),
+        View::of(d, Trans::No),
+        0.0,
+        &mut g,
+    );
+    g
+}
+
+/// The body of [`gemm`] on checked operands.
+fn gemm_unrecorded(alpha: f64, av: View<'_>, bv: View<'_>, beta: f64, c: &mut Mat) {
+    let (m, k, n) = (av.rows, av.cols, bv.cols);
     if m == 0 || n == 0 {
         return;
     }

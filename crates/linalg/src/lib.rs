@@ -16,10 +16,11 @@
 //! - [`mod@workspace`]: per-thread reusable scratch buffers so hot
 //!   incremental paths are allocation-free in steady state,
 //! - [`mod@qr`]: Householder QR, least squares, and Gram–Schmidt complements,
-//! - [`mod@svd`]: one-sided Jacobi SVD plus a randomized truncated variant,
+//! - [`mod@svd`]: one-sided Jacobi SVD, the method-of-snapshots SVD of tall
+//!   panels, and a randomized truncated variant,
 //! - [`svht`]: the Gavish–Donoho optimal singular value hard threshold,
 //! - [`eig`]: complex Schur-based eigendecomposition for the projected
-//!   DMD operator,
+//!   DMD operator, and a symmetric tridiagonal QL solver for Gram matrices,
 //! - [`isvd`]: the Brand/Kühl incremental SVD that makes mrDMD streamable,
 //! - [`mod@sketch`]: the streaming randomized range sketch behind the
 //!   `Sketched` fit strategy (seeded probe, basis reuse with residual
@@ -55,8 +56,12 @@ pub mod workspace;
 
 pub use cmat::CMat;
 pub use complex::c64;
-pub use csolve::{lstsq_complex, solve_complex, try_lstsq_complex, try_solve_complex};
-pub use eig::{eig_complex, eig_real, try_eig_complex, try_eig_real, Eig, EigStats};
+pub use csolve::{
+    lstsq_complex, solve_complex, try_lstsq_complex, try_solve_complex, try_solve_normal,
+};
+pub use eig::{
+    eig_complex, eig_real, try_eig_complex, try_eig_real, try_eig_symmetric, Eig, EigStats, SymEig,
+};
 pub use error::{LinAlgError, PartialSchur};
 pub use fft::{dominant_frequency, fft, fft_in_place, ifft, periodogram};
 pub use gemm::{accumulate_mode_rows, gemm, gemm_threaded, gemv, Trans};
@@ -71,7 +76,7 @@ pub use qr::{
 pub use simd::with_scalar_kernels;
 pub use sketch::SketchSvd;
 pub use svd::{
-    numerical_rank, svd, svd_leading, svd_randomized, svd_sketched, svd_truncated,
-    svd_truncated_seeded, svd_with_stats, try_svd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
+    numerical_rank, svd, svd_leading, svd_randomized, svd_sketched, svd_snapshots, svd_truncated,
+    svd_truncated_seeded, svd_with_stats, try_svd, SnapshotSvd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
 };
 pub use svht::{svht_rank, svht_rank_known_noise};

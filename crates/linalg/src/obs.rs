@@ -438,7 +438,7 @@ pub static QR_CALLS: Counter = Counter::new("qr.calls", "Householder QR factoriz
 pub static QR_NS: Histogram = Histogram::new("qr.ns", "Wall time per QR factorization");
 
 /// One-sided Jacobi SVD solves (all entry points).
-pub static SVD_CALLS: Counter = Counter::new("svd.calls", "One-sided Jacobi SVD solves");
+pub static SVD_CALLS: Counter = Counter::new("svd.calls", "Dense SVD solves");
 /// SVD solves that left the standard sweep budget (doubled-budget retry; a
 /// forced-nonconvergence failpoint counts once).
 pub static SVD_ESCALATIONS: Counter = Counter::new(
@@ -449,6 +449,12 @@ pub static SVD_ESCALATIONS: Counter = Counter::new(
 pub static SVD_FAILURES: Counter = Counter::new(
     "svd.failures",
     "SVD solves that exhausted the escalation ladder",
+);
+/// Method-of-snapshots SVDs that fell back to the Householder route: the
+/// Gram spectrum was too small to trust or its symmetric solve hit the cap.
+pub static SVD_GRAM_FALLBACKS: Counter = Counter::new(
+    "svd.gram_fallbacks",
+    "Snapshot (Gram) SVDs that fell back to the Householder route",
 );
 /// Wall time per SVD solve.
 pub static SVD_NS: Histogram = Histogram::new("svd.ns", "Wall time per SVD solve");
@@ -507,13 +513,14 @@ pub static POOL_TASKS: Counter =
 /// Process-wide worker-thread budget currently configured.
 pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", "Process-wide worker-thread budget");
 
-const COUNTERS: [&Counter; 16] = [
+const COUNTERS: [&Counter; 17] = [
     &GEMM_CALLS,
     &GEMM_FLOPS,
     &QR_CALLS,
     &SVD_CALLS,
     &SVD_ESCALATIONS,
     &SVD_FAILURES,
+    &SVD_GRAM_FALLBACKS,
     &EIG_CALLS,
     &EIG_ESCALATIONS,
     &EIG_FAILURES,

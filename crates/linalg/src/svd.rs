@@ -3,10 +3,12 @@
 //!
 //! The DMD pipeline only ever needs a *truncated* SVD (the rank comes from the
 //! Gavish–Donoho hard threshold or a user cap). Under the default `Exact`
-//! fit strategy with SVHT the probe spans the whole snapshot window, so every
-//! tree-node fit takes the exact Jacobi path on a tall `P × T` window: that
-//! path is the hot one, and it first reduces the window to its small `R`
-//! factor (Drmač–Veselić). The randomized range finder
+//! fit strategy with SVHT the probe spans the whole snapshot window. Tree
+//! nodes are tall `P × T` panels, and their fits take the method of
+//! snapshots ([`svd_snapshots`]): a Gram of the panel and a symmetric
+//! eigensolve, with the exact Jacobi path as the fallback where the Gram
+//! spectrum is too small to trust. That Jacobi path first reduces a tall
+//! window to its small `R` factor (Drmač–Veselić). The randomized range finder
 //! (Halko–Martinsson–Tropp) serves low-rank caps on large matrices and the
 //! opt-in `Sketched` strategy; the Jacobi path is also the inner solver of
 //! its small projected problems.
@@ -143,6 +145,64 @@ pub fn svd_leading(a: &Mat, rank_of: impl FnOnce(&[f64]) -> usize) -> Svd {
     let _span = crate::obs::SVD_NS.span();
     crate::obs::SVD_CALLS.inc();
     svd_budgeted(a, JACOBI_MAX_SWEEPS, rank_of).0
+}
+
+/// What [`svd_snapshots`] computed for the snapshot block of a panel.
+#[derive(Clone, Debug)]
+pub enum SnapshotSvd {
+    /// The method of snapshots: the panel's Gram and the retained singular
+    /// values and right singular vectors of `X`.
+    Gram {
+        /// `DᵀD`, `(n + 1) × (n + 1)`.
+        gram: Mat,
+        /// Retained singular values `σᵢ = √λᵢ`, non-increasing.
+        s: Vec<f64>,
+        /// `n × r` retained right singular vectors.
+        v: Mat,
+    },
+    /// The fallback: [`svd_leading`] of `X`, bitwise.
+    Householder(Svd),
+}
+
+/// The SVD of the snapshot block `X = D[:, ..n]` of a panel `D`
+/// (`P × (n + 1)`) by the method of snapshots (Sirovich 1987): one Gram
+/// `G = DᵀD` of the whole panel on the GEMM kernel, then
+/// [`try_eig_symmetric`](crate::eig::try_eig_symmetric) of its leading
+/// block `XᵀX = V·Λ·Vᵀ`, so `σᵢ = √λᵢ`. No left singular vector is formed:
+/// the rest of `G` serves the caller's products against `Y = D[:, 1..]`.
+///
+/// `rank_of` picks the retained rank from the full spectrum, as for
+/// [`svd_leading`]. A Gram eigenvalue carries an absolute error of about
+/// `ε·σ₁²`, so `trusted(s, r)` decides whether the small end of the
+/// spectrum the rank rule read is good enough. When it is not, when the
+/// Gram is not finite, or when the symmetric solve hits its cap, the result
+/// is [`svd_leading`] of `X`, bitwise, and `svd.gram_fallbacks` counts it.
+/// Either way this counts as one call under `svd.*`, Gram included; the
+/// Gram records no `gemm.*` metrics.
+pub fn svd_snapshots(
+    d: &Mat,
+    rank_of: impl Fn(&[f64]) -> usize,
+    trusted: impl FnOnce(&[f64], usize) -> bool,
+) -> SnapshotSvd {
+    let _span = crate::obs::SVD_NS.span();
+    crate::obs::SVD_CALLS.inc();
+    let n = d.cols().saturating_sub(1);
+    let gram = crate::gemm::gram_unrecorded(d);
+    if gram.as_slice().iter().all(|x| x.is_finite()) {
+        let lead = Mat::from_fn(n, n, |i, j| gram[(i, j)]);
+        if let Ok(eig) = crate::eig::try_eig_symmetric(&lead) {
+            let mut s: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
+            let r = rank_of(&s).min(n);
+            if trusted(&s, r) {
+                s.truncate(r);
+                let v = eig.vectors.cols_range(0, r);
+                return SnapshotSvd::Gram { gram, s, v };
+            }
+        }
+    }
+    crate::obs::SVD_GRAM_FALLBACKS.inc();
+    let x = d.cols_range(0, n);
+    SnapshotSvd::Householder(svd_budgeted(&x, JACOBI_MAX_SWEEPS, rank_of).0)
 }
 
 /// Fallible SVD: runs the standard budget, escalates once with a doubled

@@ -314,9 +314,10 @@ fn tall_signal(p: usize, t0: usize, cols: usize, seed: usize) -> Mat {
 }
 
 fn tall_panels() -> u64 {
-    // 64 rows against at most 15 decimated columns per node: every node's
-    // snapshot SVD takes the QR-preconditioned path, so the Householder
-    // reflectors are applied to the kept columns of `U` on every fit.
+    // 64 rows against at most 15 decimated columns per node: every node
+    // panel is tall, so its fit takes the method of snapshots, or the
+    // Householder route (reflectors applied to the kept columns of `U`)
+    // where the spectrum falls below the Gram floor.
     let mut c = cfg(RankSelection::Svht, 5, 15);
     c.mr.max_cycles = 3;
     let p = 64;

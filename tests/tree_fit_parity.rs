@@ -6,8 +6,10 @@
 //! reference below is the earlier formulation: copy the window into a
 //! residual buffer, subtract the root, then recurse, each fitted node
 //! subtracting its reconstruction from its whole window in place at full
-//! resolution before its halves are fitted. Its per-node DMD also forms
-//! every left singular vector before truncating.
+//! resolution before its halves are fitted. Its per-node exact DMD is
+//! `Dmd::try_fit` itself, so this suite pins the recursion (traversal,
+//! ancestor order, fault order) bit for bit; `tests/snapshot_dmd.rs` checks
+//! the per-node numerics against the full-`U` Householder reference.
 //! Every element sees the same subtractions in the same order either way,
 //! so every node and every fault must match bit for bit, in the same
 //! depth-first order, through all five entry points: `MrDmd::fit`,
@@ -17,8 +19,11 @@
 //! Faults are forced with the process-wide eigensolver fail point, so every
 //! test in this binary serialises on one lock.
 
+mod in_place_tree;
+
+use in_place_tree::Reference;
 use mrdmd_suite::core::dmd::SKETCH_DEFAULT_PROBE;
-use mrdmd_suite::linalg::{failpoint, svd_sketched, svd_truncated};
+use mrdmd_suite::linalg::{failpoint, svd_sketched};
 use mrdmd_suite::prelude::*;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -33,201 +38,30 @@ fn serialise() -> MutexGuard<'static, ()> {
     guard
 }
 
-// ---------------------------------------------------------------------------
-// Reference: the in-place, full-resolution recursion
-// ---------------------------------------------------------------------------
-
-/// `work -= node` over the node's window, column by column with a full
-/// complex accumulation per element. `work` column 0 is absolute snapshot
-/// `buf_abs0`; the node's rows are buffer-local.
-fn subtract(node: &ModeSet, work: &mut Mat, buf_abs0: usize, dt: f64) {
-    if node.n_modes() == 0 {
-        return;
-    }
-    let lo = node.start.max(buf_abs0);
-    let hi = (node.start + node.window).min(buf_abs0 + work.cols());
-    let mut weights = vec![c64::ZERO; node.n_modes()];
-    for abs in lo..hi {
-        let t_rel = (abs - node.start) as f64 * dt;
-        for ((wgt, &w), &a) in weights.iter_mut().zip(&node.omegas).zip(&node.amplitudes) {
-            *wgt = (w * t_rel).exp() * a;
-        }
-        for i in 0..node.modes.rows() {
-            let mut acc = c64::ZERO;
-            for (&phi, &w) in node.modes.row(i).iter().zip(&weights) {
-                acc = acc.mul_add(phi, w);
-            }
-            work[(i, abs - buf_abs0)] -= acc.re;
-        }
-    }
-}
-
-/// The per-node DMD with every singular vector formed, then truncated.
+/// The per-node DMD: `Dmd::try_fit` for exact fits, and the sketched SVD
+/// spelled out for sketched ones.
 fn dmd(sub: &Mat, cfg: &DmdConfig) -> Result<Dmd, CoreError> {
+    let FitStrategy::Sketched {
+        rank_oversample,
+        power_iters,
+        seed,
+    } = cfg.strategy
+    else {
+        return Dmd::try_fit(sub, cfg);
+    };
     let t = sub.cols();
     let x = sub.cols_range(0, t - 1);
     let y = sub.cols_range(1, t);
-    let min_dim = x.rows().min(x.cols());
-    let svd_x = match cfg.strategy {
-        FitStrategy::Exact => {
-            let probe = match cfg.rank {
-                RankSelection::Fixed(r) => r,
-                _ => min_dim,
-            };
-            svd_truncated(&x, probe.max(1))
-        }
-        FitStrategy::Sketched {
-            rank_oversample,
-            power_iters,
-            seed,
-        } => {
-            let probe = match cfg.rank {
-                RankSelection::Fixed(r) => r,
-                _ => SKETCH_DEFAULT_PROBE.min(min_dim),
-            };
-            svd_sketched(&x, probe.max(1), rank_oversample, power_iters, seed)
-        }
+    let probe = match cfg.rank {
+        RankSelection::Fixed(r) => r,
+        _ => SKETCH_DEFAULT_PROBE.min(x.rows().min(x.cols())),
     };
+    let svd_x = svd_sketched(&x, probe.max(1), rank_oversample, power_iters, seed);
     Dmd::try_from_svd(&svd_x, &y, sub, cfg)
 }
 
-/// A reference subtree fit: the nodes and faults it produced, in order.
-#[derive(Default)]
-struct Reference {
-    nodes: Vec<ModeSet>,
-    faults: Vec<FitFault>,
-}
-
-impl Reference {
-    #[allow(clippy::too_many_arguments)]
-    fn fit_tree(
-        &mut self,
-        work: &mut Mat,
-        lo: usize,
-        hi: usize,
-        buf_abs0: usize,
-        row_offset: usize,
-        cfg: &MrDmdConfig,
-        level: usize,
-    ) {
-        let w = hi.saturating_sub(lo);
-        if w < 2 || work.rows() == 0 {
-            return;
-        }
-        let start_abs = buf_abs0 + lo;
-        let step = cfg.subsample_step(w);
-        let sub = work.subsample_cols_range(lo, hi, step);
-        if sub.cols() >= 2 {
-            let salt = ((level as u64) << 48) ^ ((start_abs as u64) << 16) ^ w as u64;
-            let dmd_cfg = DmdConfig {
-                dt: cfg.dt * step as f64,
-                rank: cfg.rank,
-                strategy: cfg.strategy.for_node(salt),
-            };
-            match dmd(&sub, &dmd_cfg) {
-                Ok(d) => {
-                    let cutoff = cfg.slow_cutoff_hz(w);
-                    let slow: Vec<usize> = d
-                        .frequencies()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &f)| f <= cutoff)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !slow.is_empty() {
-                        let max_re = cfg.max_window_growth.ln() / (w as f64 * cfg.dt);
-                        let omegas = slow
-                            .iter()
-                            .map(|&i| {
-                                let o = d.omegas[i];
-                                if o.re > max_re {
-                                    c64::new(max_re, o.im)
-                                } else {
-                                    o
-                                }
-                            })
-                            .collect();
-                        let mut node = ModeSet {
-                            level,
-                            start: start_abs,
-                            window: w,
-                            step,
-                            row_offset: 0,
-                            modes: d.modes.select_cols(&slow),
-                            lambdas: slow.iter().map(|&i| d.lambdas[i]).collect(),
-                            omegas,
-                            amplitudes: slow.iter().map(|&i| d.amplitudes[i]).collect(),
-                        };
-                        subtract(&node, work, buf_abs0, cfg.dt);
-                        node.row_offset = row_offset;
-                        self.nodes.push(node);
-                    }
-                }
-                Err(e) => self.faults.push(FitFault {
-                    level,
-                    start: start_abs,
-                    window: w,
-                    row_offset,
-                    at_step: 0,
-                    cause: e.to_string(),
-                }),
-            }
-        }
-        self.fit_halves(work, lo, hi, buf_abs0, row_offset, cfg, level);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fit_halves(
-        &mut self,
-        work: &mut Mat,
-        lo: usize,
-        hi: usize,
-        buf_abs0: usize,
-        row_offset: usize,
-        cfg: &MrDmdConfig,
-        parent_level: usize,
-    ) {
-        let w = hi.saturating_sub(lo);
-        if parent_level >= cfg.max_levels || w / 2 < cfg.min_window {
-            return;
-        }
-        let mid = lo + w / 2;
-        self.fit_tree(work, lo, mid, buf_abs0, row_offset, cfg, parent_level + 1);
-        self.fit_tree(work, mid, hi, buf_abs0, row_offset, cfg, parent_level + 1);
-    }
-
-    /// Stamps every fault with the stream step the streaming layer records.
-    fn at_step(mut self, step: usize) -> Reference {
-        for f in &mut self.faults {
-            f.at_step = step;
-        }
-        self
-    }
-}
-
-/// The subtree below `root` (levels ≥ 2) over all of `data`, `root`'s rows
-/// being `data`'s.
-fn reference_below(
-    root: &ModeSet,
-    data: &Mat,
-    abs0: usize,
-    row_offset: usize,
-    cfg: &MrDmdConfig,
-) -> Reference {
-    let mut work = data.clone();
-    subtract(root, &mut work, abs0, cfg.dt);
-    let mut r = Reference::default();
-    r.fit_halves(&mut work, 0, data.cols(), abs0, row_offset, cfg, 1);
-    r
-}
-
-/// The partial-fit flush: a level-2 subtree over the whole window.
-fn reference_window(root: &ModeSet, window: &Mat, abs0: usize, cfg: &MrDmdConfig) -> Reference {
-    let mut work = window.clone();
-    subtract(root, &mut work, abs0, cfg.dt);
-    let mut r = Reference::default();
-    r.fit_tree(&mut work, 0, window.cols(), abs0, 0, cfg, 2);
-    r
+fn reference() -> Reference {
+    Reference::new(dmd)
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +181,9 @@ fn check_stream(
     let first = signal(p, 0, fit_cols, seed);
     let mut tree = IMrDmd::fit(&first, cfg);
     let root = tree.root().clone();
-    let want = reference_below(&root, &first, 0, 0, &cfg.mr).at_step(fit_cols);
+    let want = reference()
+        .below(&root, &first, 0, 0, &cfg.mr)
+        .at_step(fit_cols);
     let subnodes: Vec<ModeSet> = tree.nodes().skip(1).cloned().collect();
     assert_same(
         &format!("{what}: IMrDmd::fit"),
@@ -373,7 +209,9 @@ fn check_stream(
         let w = carried + len;
         let t = stream.cols();
         let window = stream.cols_range(t - w, t);
-        let want = reference_window(tree.root(), &window, t - w, &cfg.mr).at_step(t);
+        let want = reference()
+            .window(tree.root(), &window, t - w, &cfg.mr)
+            .at_step(t);
         let fresh: Vec<ModeSet> = tree.nodes().skip(nodes_before).cloned().collect();
         assert_same(
             &format!("{what}: round {k} (window {w}, carried {carried})"),
@@ -402,7 +240,7 @@ proptest! {
         let cfg = mr(rank_rule(rank), sketched == 1, threads, 16);
         let data = signal(p, 0, t, seed);
         let m = MrDmd::fit(&data, &cfg);
-        let mut want = Reference::default();
+        let mut want = reference();
         want.fit_tree(&mut data.clone(), 0, t, 0, 0, &cfg, 1);
         assert_same("MrDmd::fit", &m.nodes, &m.faults, &want);
     }
@@ -448,7 +286,7 @@ proptest! {
 
         tree.refresh_subtrees();
         let history = tree.history().expect("history kept").clone();
-        let want = reference_below(tree.root(), &history, 0, 0, &mr_cfg).at_step(t);
+        let want = reference().below(tree.root(), &history, 0, 0, &mr_cfg).at_step(t);
         let subnodes: Vec<ModeSet> = tree.nodes().skip(1).cloned().collect();
         assert_same("refresh_subtrees", &subnodes, tree.fit_faults(), &want);
 
@@ -469,7 +307,7 @@ proptest! {
             ..root.clone()
         };
         let want =
-            reference_below(&root_rows, &new_rows.cols_range(0, t_cov), 0, p, &mr_cfg).at_step(t);
+            reference().below(&root_rows, &new_rows.cols_range(0, t_cov), 0, p, &mr_cfg).at_step(t);
         let fresh: Vec<ModeSet> = tree.nodes().skip(nodes_before).cloned().collect();
         assert_same("add_series", &fresh, &tree.fit_faults()[faults_before..], &want);
     }
@@ -490,7 +328,7 @@ fn forced_faults_match_the_in_place_reference() {
             failpoint::arm_eig_nonconvergence(fails);
             let m = MrDmd::fit(&data, &cfg);
             failpoint::arm_eig_nonconvergence(fails);
-            let mut want = Reference::default();
+            let mut want = reference();
             want.fit_tree(&mut data.clone(), 0, data.cols(), 0, 0, &cfg, 1);
             failpoint::disarm_all();
             assert!(!want.faults.is_empty(), "{fails} failures forced no fault");
@@ -509,8 +347,9 @@ fn forced_faults_match_the_in_place_reference() {
             failpoint::arm_eig_nonconvergence(fails.saturating_add(1));
             tree.partial_fit(&data.cols_range(200, 300));
             failpoint::arm_eig_nonconvergence(fails);
-            let want =
-                reference_window(tree.root(), &data.cols_range(200, 300), 200, &cfg).at_step(300);
+            let want = reference()
+                .window(tree.root(), &data.cols_range(200, 300), 200, &cfg)
+                .at_step(300);
             failpoint::disarm_all();
             let fresh: Vec<ModeSet> = tree.nodes().skip(nodes_before).cloned().collect();
             assert_same(
@@ -534,7 +373,7 @@ fn forked_fits_match_the_in_place_reference() {
             let cfg = mr(rank_rule(rank), sketched, 2, 16);
             let data = signal(p, 0, t, 5);
             let m = MrDmd::fit(&data, &cfg);
-            let mut want = Reference::default();
+            let mut want = reference();
             want.fit_tree(&mut data.clone(), 0, t, 0, 0, &cfg, 1);
             assert_same("forked MrDmd::fit", &m.nodes, &m.faults, &want);
             check_stream("forked stream", &streaming(cfg, false), p, t, &[t], 5);
