@@ -58,7 +58,7 @@ fn bench_refresh_and_reconstruct(c: &mut Criterion) {
             |bch, _| {
                 bch.iter(|| {
                     let mut m = model.clone();
-                    m.refresh_subtrees();
+                    m.try_refresh_subtrees().expect("history is kept");
                     black_box(m.n_modes())
                 });
             },

@@ -99,10 +99,11 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<StrategyResult>> {
             let (secs, _) = timeit(|| model.partial_fit(&batch));
             times.push(secs);
         }
-        let (refresh_secs, _) = timeit(|| model.refresh_subtrees());
+        let (refresh_secs, refreshed) = timeit(|| model.try_refresh_subtrees());
+        refreshed.map_err(std::io::Error::other)?;
         let rel = model.reconstruct().fro_dist(&data) / data.fro_norm();
         out.line(format!(
-            "  (refresh_subtrees took {refresh_secs:.3} s once at the end)"
+            "  (try_refresh_subtrees took {refresh_secs:.3} s once at the end)"
         ));
         results.push(StrategyResult {
             strategy: "I-mrDMD+refresh".into(),

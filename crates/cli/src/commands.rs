@@ -6,14 +6,12 @@ use crate::CliError;
 use hpc_telemetry::{
     read_snapshots_csv, theta, write_snapshots_csv, LayoutSpec, MachineSpec, Scenario,
 };
-use imrdmd::checkpoint::CHECKPOINT_MAGIC;
 use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
 use imrdmd_serve::{ServeConfig, Shard, ShardSnapshot};
 use rackviz::RackView;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Read as _;
 use std::path::Path;
 
 /// Executes a parsed command, returning the report text it printed.
@@ -95,25 +93,10 @@ fn serve(addr: &str, config: &ServeConfig) -> Result<String, CliError> {
 const STREAM_SHARD: &str = "stream";
 
 /// Loads a `--model` file: a shard checkpoint (model, ingest guard, round
-/// count). A file without the checkpoint magic is a bare `IMrDmd` JSON from
-/// before model files were checkpoints; it loads under a fresh `reject`
-/// guard at round 0. That fallback is deleted one release on.
+/// count).
 fn load_model(path: &Path) -> Result<ShardSnapshot, CliError> {
-    let cannot = |e: String| CliError(format!("cannot read model {}: {e}", path.display()));
-    let file = fs::File::open(path).map_err(|e| cannot(e.to_string()))?;
-    let mut magic = Vec::new();
-    file.take(CHECKPOINT_MAGIC.len() as u64)
-        .read_to_end(&mut magic)?;
-    if magic == CHECKPOINT_MAGIC.as_bytes() {
-        return load_state_checkpoint(path).map_err(|e| cannot(e.to_string()));
-    }
-    let model: IMrDmd = serde_json::from_str(&fs::read_to_string(path)?)?;
-    Ok(ShardSnapshot {
-        tenant: STREAM_SHARD.into(),
-        guard: IngestGuard::new(GapPolicy::Reject, model.n_rows()),
-        model,
-        rounds: 0,
-    })
+    load_state_checkpoint(path)
+        .map_err(|e| CliError(format!("cannot read model {}: {e}", path.display())))
 }
 
 /// Writes the shard's snapshot to `path` as a checkpoint (header, length,
@@ -779,7 +762,7 @@ mod tests {
 
     #[test]
     fn damaged_model_file_fails_its_checksum() {
-        let (csv, _) = synth_csv("damaged.csv", 300);
+        let (csv, data) = synth_csv("damaged.csv", 300);
         let model = tmp("damaged.ckpt");
         cli(&format!(
             "fit --input {} --dt 20 --levels 3 --model {}",
@@ -800,6 +783,13 @@ mod tests {
         fs::write(&model, &bytes).unwrap();
         let err = cli(&info).unwrap_err();
         assert!(err.0.contains("checkpoint checksum mismatch"), "{err}");
+        // A bare `IMrDmd` JSON (the model file of older releases) has no
+        // checkpoint header: a named error, not a panic.
+        let bare = IMrDmd::fit(&data, &IMrDmdConfig::default());
+        fs::write(&model, serde_json::to_string(&bare).unwrap()).unwrap();
+        let err = cli(&info).unwrap_err();
+        assert!(err.0.starts_with("cannot read model"), "{err}");
+        assert!(err.0.contains("bad checkpoint header"), "{err}");
     }
 
     #[test]
@@ -859,57 +849,6 @@ mod tests {
         ))
         .unwrap();
         assert!(r.contains("baseline band"), "{r}");
-    }
-
-    #[test]
-    fn bare_json_model_files_still_load() {
-        let (csv, data) = synth_csv("bare.csv", 400);
-        let (bare_path, upgraded) = (tmp("bare.json"), tmp("bare_upgraded.ckpt"));
-        let batch = tmp("bare_batch.csv");
-        write_csv(&csv, &data.cols_range(0, 300), 0);
-        write_csv(&batch, &data.cols_range(300, 400), 300);
-        let Command::Fit { config, .. } = parse_args(&argv(&format!(
-            "fit --input {} --dt 20 --levels 3 --model {}",
-            csv.display(),
-            bare_path.display()
-        )))
-        .unwrap() else {
-            panic!("wrong variant");
-        };
-        // Written the way model files were before they were checkpoints.
-        let mut bare = IMrDmd::fit(&data.cols_range(0, 300), &config);
-        let json = serde_json::to_string(&bare).unwrap();
-        imrdmd::storage::atomic_write(&bare_path, json.as_bytes(), true).unwrap();
-
-        let r = cli(&format!("info --model {}", bare_path.display())).unwrap();
-        assert!(r.contains("8 series × 300 snapshots"), "{r}");
-        let r = cli(&format!(
-            "analyze --model {} --input {}",
-            bare_path.display(),
-            csv.display()
-        ))
-        .unwrap();
-        assert!(r.contains("baseline band"), "{r}");
-        let r = cli(&format!(
-            "update --model {} --input {} --model-out {}",
-            bare_path.display(),
-            batch.display(),
-            upgraded.display()
-        ))
-        .unwrap();
-        assert!(r.contains("absorbed 100 snapshots"), "{r}");
-
-        // `update` wrote a checkpoint: a fresh `reject` guard, one round,
-        // and the model the bare `partial_fit` computes.
-        let snap = load_state_checkpoint::<ShardSnapshot>(&upgraded).unwrap();
-        assert_eq!((snap.tenant.as_str(), snap.rounds), (STREAM_SHARD, 1));
-        assert_eq!(snap.guard.policy(), GapPolicy::Reject);
-        bare.partial_fit(&data.cols_range(300, 400));
-        assert_eq!(
-            serde_json::to_string(&snap.model).unwrap(),
-            serde_json::to_string(&bare).unwrap()
-        );
-        assert_eq!(fs::read(&bare_path).unwrap(), json.as_bytes(), "input kept");
     }
 
     #[test]

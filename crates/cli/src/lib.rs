@@ -20,10 +20,10 @@
 //! atomic write): the same artefact as `stream`'s
 //! `<store-dir>/checkpoints/ckpt-stream-<steps>.ckpt`, so either loads as
 //! `--model`, and `update` keeps repairing under the file's gap policy.
-//! A bare `IMrDmd` JSON model file from before still loads, under a fresh
-//! `reject` guard. `--resume` is bitwise under every gap policy; a
-//! checkpoint directory with no shard snapshot in it cold-starts, and the
-//! report says so.
+//! A file without the checkpoint header (such as the bare `IMrDmd` JSON of
+//! earlier releases) fails `cannot read model …`. `--resume` is bitwise
+//! under every gap policy; a checkpoint directory with no shard snapshot in
+//! it cold-starts, and the report says so.
 
 #![warn(missing_docs)]
 pub mod args;
@@ -53,12 +53,6 @@ impl From<std::io::Error> for CliError {
 impl From<hpc_telemetry::IoError> for CliError {
     fn from(e: hpc_telemetry::IoError) -> Self {
         CliError(e.to_string())
-    }
-}
-
-impl From<serde_json::Error> for CliError {
-    fn from(e: serde_json::Error) -> Self {
-        CliError(format!("model (de)serialisation: {e}"))
     }
 }
 

@@ -635,11 +635,6 @@ impl Dmd {
             .collect()
     }
 
-    /// Growth rates `Re ψ` (positive = growing, negative = decaying).
-    pub fn growth_rates(&self) -> Vec<f64> {
-        self.omegas.iter().map(|w| w.re).collect()
-    }
-
     /// Reconstructs snapshots at the given times (seconds, relative to the
     /// first fitted snapshot): `x(t) = Re Σ φᵢ·exp(ψᵢ t)·aᵢ` (Eq. 6).
     pub fn reconstruct_at(&self, times: &[f64]) -> Mat {

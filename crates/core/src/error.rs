@@ -3,8 +3,8 @@
 //! Production telemetry is never clean: collectors restart, sensors die,
 //! and archived logs carry NaN gaps. The streaming API therefore exposes a
 //! fallible surface ([`crate::imrdmd::IMrDmd::try_partial_fit`],
-//! [`crate::imrdmd::AsyncRefit::try_take`], [`crate::checkpoint`]) that
-//! reports these conditions as values instead of panicking mid-stream.
+//! [`crate::imrdmd::IMrDmd::try_refresh_subtrees`], [`crate::checkpoint`])
+//! that reports these conditions as values instead of panicking mid-stream.
 
 use crate::checkpoint::CheckpointError;
 use hpc_linalg::LinAlgError;
@@ -41,8 +41,6 @@ pub enum CoreError {
         /// Rows the batch carried.
         got_rows: usize,
     },
-    /// A background refit thread died (panicked) before delivering a result.
-    RefitDead,
     /// Checkpoint persistence or restore failed.
     Checkpoint(CheckpointError),
 }
@@ -64,7 +62,6 @@ impl std::fmt::Display for CoreError {
                 f,
                 "batch has {got_rows} rows but the stream tracks {expected_rows}"
             ),
-            CoreError::RefitDead => write!(f, "background refit thread died before finishing"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }

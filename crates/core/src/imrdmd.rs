@@ -15,9 +15,10 @@
 //! 5. measures the Frobenius drift between the new and previous level-1
 //!    reconstructions over `[0, T)` (on the decimated grid, so the check is
 //!    `O(P·r·T/step)` not `O(P·T)`); when a threshold is exceeded the stale
-//!    deeper levels can be recomputed — synchronously or on a worker thread
-//!    (the paper defers this step to future work; here it is an opt-in
-//!    extension).
+//!    deeper levels can be refitted from retained history with
+//!    [`IMrDmd::try_refresh_subtrees`], by hand or inside the round under
+//!    `auto_refresh` (the paper defers this step to future work; here it is
+//!    an opt-in extension).
 //!
 //! The cost of `partial_fit` is therefore governed by the batch length, not
 //! by the accumulated history — the property behind Table I's flat
@@ -52,12 +53,13 @@ pub struct IMrDmdConfig {
     /// Frobenius drift (new vs old root reconstruction over the old window,
     /// decimated grid) beyond which the tree is flagged stale.
     pub drift_threshold: Option<f64>,
-    /// Retain the full-resolution history (needed for [`IMrDmd::recompute`]
-    /// and exact reconstruction comparisons; costs `O(P·T)` memory).
+    /// Retain the full-resolution history (needed for
+    /// [`IMrDmd::try_refresh_subtrees`] and exact reconstruction comparisons;
+    /// costs `O(P·T)` memory).
     pub keep_history: bool,
-    /// Automatically run [`IMrDmd::refresh_subtrees`] inside `partial_fit`
-    /// whenever the drift threshold trips (requires `keep_history`). Off by
-    /// default: the paper treats the refresh as an asynchronous side task.
+    /// Run [`IMrDmd::try_refresh_subtrees`] inside the round whenever the
+    /// drift threshold trips (requires `keep_history`). Off by default: the
+    /// paper defers the refresh to future work.
     pub auto_refresh: bool,
 }
 
@@ -78,7 +80,7 @@ impl IMrDmdConfig {
     /// [`MrDmdConfig::validate`]: a nonzero streaming-SVD rank cap, a
     /// positive finite drift threshold when set, and the cross-field
     /// constraint that `auto_refresh` requires `keep_history` (the refresh
-    /// refits from history and would otherwise panic mid-stream).
+    /// refits from history and would otherwise be refused every round).
     pub fn validate(&self) -> Result<(), CoreError> {
         self.mr.validate()?;
         let fail = |what: String| Err(CoreError::InvalidConfig { what });
@@ -101,7 +103,7 @@ impl IMrDmdConfig {
     /// Builder-first construction; [`IMrDmdConfigBuilder::build`] runs
     /// [`validate`](Self::validate), so cross-field mistakes (e.g.
     /// `auto_refresh` without `keep_history`) fail at construction instead
-    /// of panicking mid-stream.
+    /// of mid-stream.
     pub fn builder() -> IMrDmdConfigBuilder {
         IMrDmdConfigBuilder {
             cfg: IMrDmdConfig::default(),
@@ -621,8 +623,10 @@ impl IMrDmd {
                     }
                 }
             }
-            if self.stale && self.cfg.auto_refresh && self.history.is_some() {
-                self.refresh_subtrees();
+            if self.stale && self.cfg.auto_refresh {
+                // Refused only without history, which `validate` rules out;
+                // the tree then stays stale.
+                let _ = self.try_refresh_subtrees();
             }
         }
         let new_faults = self.faults.len().saturating_sub(faults_before) + usize::from(root_failed);
@@ -691,12 +695,6 @@ impl IMrDmd {
     /// Snapshots buffered below `min_window`, awaiting their subtree fit.
     pub fn pending_len(&self) -> usize {
         self.pending.cols()
-    }
-
-    /// Forces the subtree fit over whatever is pending, even below
-    /// `min_window` (e.g. at end of stream). Returns the modes extracted.
-    pub fn flush_pending(&mut self) -> usize {
-        self.flush_pending_window()
     }
 
     /// Frobenius norm of the difference between the current and previous
@@ -893,43 +891,26 @@ impl IMrDmd {
         self.history.as_ref()
     }
 
-    /// Rebuilds the whole tree from history with a fresh batch fit — the
-    /// "recompute stale levels" escape hatch the paper defers to future work.
+    /// Refits levels 2..L from the retained history against the *current*
+    /// root — the "recompute stale levels" step the paper defers to future
+    /// work. The root SVD state is kept; the two halves are independent
+    /// subtrees, processed across the worker pool (the "embarrassingly
+    /// parallel" observation of Sec. III-A.1). Clears the stale flag and the
+    /// pending window. A round with `auto_refresh` set runs exactly this.
     ///
-    /// # Panics
-    /// Panics if `keep_history` was not enabled.
-    pub fn recompute(&mut self) {
-        // Documented `# Panics` contract: calling without history is a
-        // programming error, not a runtime condition.
-        #[allow(clippy::expect_used)]
-        let data = self
-            .history
-            .clone()
-            .expect("recompute requires keep_history");
-        *self = IMrDmd::fit(&data, &self.cfg);
-    }
-
-    /// Refreshes only levels 2..L against the *current* root — the cheaper
-    /// variant of [`recompute`](Self::recompute) the paper sketches: the root
-    /// SVD state is kept, the stale deeper levels are refitted from the
-    /// residual, with the two halves processed on separate threads (the
-    /// "embarrassingly parallel" observation of Sec. III-A.1).
-    ///
-    /// # Panics
-    /// Panics if `keep_history` was not enabled.
-    pub fn refresh_subtrees(&mut self) {
-        // Documented `# Panics` contract, mirroring `recompute`.
-        #[allow(clippy::expect_used)]
-        let data = self
-            .history
-            .as_ref()
-            .expect("refresh_subtrees requires keep_history");
+    /// Returns [`CoreError::InvalidConfig`] when the tree was fitted without
+    /// `keep_history`: there is nothing to refit from.
+    pub fn try_refresh_subtrees(&mut self) -> Result<(), CoreError> {
+        let Some(data) = self.history.as_ref() else {
+            return Err(CoreError::InvalidConfig {
+                what: "try_refresh_subtrees requires keep_history".into(),
+            });
+        };
         let t = self.t_total;
         let mut fresh: Vec<ModeSet> = Vec::new();
         let mut fresh_faults: Vec<FitFault> = Vec::new();
-        // The halves are independent subtrees ("embarrassingly parallel",
-        // Sec. III-A.1); fit_halves fans them — and their own halves, down to
-        // the size cutoff — across the worker pool.
+        // fit_halves fans the halves — and their own halves, down to the
+        // size cutoff — across the worker pool.
         let src = TreeSource::new(data, 0, 0, &self.cfg.mr);
         fit_halves(&src, 0, t, 1, &[&self.root], &mut fresh, &mut fresh_faults);
         // Degraded-window retention: a window whose refresh failed keeps the
@@ -953,6 +934,7 @@ impl IMrDmd {
         // included — nothing is deferred any more.
         self.pending = Mat::zeros(self.p, 0);
         self.stale = false;
+        Ok(())
     }
 
     /// Adds entirely new telemetry series (sensors) to the streaming state —
@@ -1104,48 +1086,6 @@ impl IMrDmd {
     #[cfg(test)]
     pub(crate) fn sketch_state(&self) -> Option<&SketchSvd> {
         self.sketch.as_ref()
-    }
-}
-
-/// Spawns a background thread that refits the decomposition from history;
-/// poll [`AsyncRefit::try_take`] and swap the result in when ready.
-///
-/// This implements the paper's observation that the levels-2..L refresh "is
-/// an embarrassingly parallel problem \[that\] would not add an overhead to the
-/// current computation": the stream keeps absorbing batches while the refit
-/// runs elsewhere.
-pub struct AsyncRefit {
-    rx: crossbeam::channel::Receiver<IMrDmd>,
-}
-
-impl AsyncRefit {
-    /// Starts a refit of `data` under `cfg` on a new thread.
-    pub fn spawn(data: Mat, cfg: IMrDmdConfig) -> AsyncRefit {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        std::thread::spawn(move || {
-            let refit = IMrDmd::fit(&data, &cfg);
-            let _ = tx.send(refit);
-        });
-        AsyncRefit { rx }
-    }
-
-    /// Returns the refit if it has finished, without blocking.
-    ///
-    /// `Ok(None)` means the refit is still running; [`CoreError::RefitDead`]
-    /// means the worker thread died (panicked) without delivering — the two
-    /// used to be indistinguishable, so callers polled a dead refit forever.
-    pub fn try_take(&self) -> Result<Option<IMrDmd>, CoreError> {
-        match self.rx.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(CoreError::RefitDead),
-        }
-    }
-
-    /// Blocks until the refit finishes; [`CoreError::RefitDead`] if the
-    /// worker thread died without delivering.
-    pub fn take(self) -> Result<IMrDmd, CoreError> {
-        self.rx.recv().map_err(|_| CoreError::RefitDead)
     }
 }
 
@@ -1510,32 +1450,28 @@ mod tests {
     }
 
     #[test]
-    fn drift_threshold_marks_stale_and_recompute_clears() {
+    fn drift_threshold_marks_stale_and_refresh_clears() {
         let dt = 1.0;
         let base = stream_data(6, 512, dt);
-        let mut c = cfg(dt);
-        c.drift_threshold = Some(1e-12); // absurdly tight: any update trips it
-        let mut inc = IMrDmd::fit(&base, &c);
         // A regime change guarantees nonzero drift.
         let shifted = Mat::from_fn(6, 128, |i, j| base[(i, j % 512)] + 5.0);
-        inc.partial_fit(&shifted);
-        assert!(inc.is_stale());
-        inc.recompute();
-        assert!(!inc.is_stale());
-        assert_eq!(inc.n_steps(), 640);
-    }
-
-    #[test]
-    fn async_refit_produces_equivalent_state() {
-        let dt = 1.0;
-        let data = stream_data(6, 512, dt);
-        let c = cfg(dt);
-        let refit = AsyncRefit::spawn(data.clone(), c)
-            .take()
-            .expect("refit thread lives");
-        let direct = IMrDmd::fit(&data, &c);
-        assert_eq!(refit.n_steps(), direct.n_steps());
-        assert!(refit.reconstruct().fro_dist(&direct.reconstruct()) < 1e-6);
+        for keep_history in [false, true] {
+            let mut c = cfg(dt);
+            c.drift_threshold = Some(1e-12); // absurdly tight: any update trips it
+            c.keep_history = keep_history;
+            let mut inc = IMrDmd::fit(&base, &c);
+            inc.partial_fit(&shifted);
+            assert!(inc.is_stale());
+            let refreshed = inc.try_refresh_subtrees();
+            if keep_history {
+                refreshed.expect("history is kept");
+            } else {
+                // Nothing to refit from: refused, and the tree stays stale.
+                assert!(matches!(refreshed, Err(CoreError::InvalidConfig { .. })));
+            }
+            assert_eq!(inc.is_stale(), !keep_history);
+            assert_eq!(inc.n_steps(), 640);
+        }
     }
 
     #[test]
@@ -1576,7 +1512,7 @@ mod tests {
             inc.partial_fit(&data.cols_range(lo, lo + 64));
         }
         let before = inc.reconstruct().fro_dist(&data);
-        inc.refresh_subtrees();
+        inc.try_refresh_subtrees().expect("history is kept");
         assert!(!inc.is_stale());
         let after = inc.reconstruct().fro_dist(&data);
         // A refreshed tree (halving splits against the current root) is at

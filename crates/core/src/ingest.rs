@@ -122,13 +122,6 @@ impl IngestGuard {
         self.last_good.len()
     }
 
-    /// Widens the guard when sensors are appended to the stream
-    /// (see [`IMrDmd::add_series`](crate::imrdmd::IMrDmd::add_series)).
-    pub fn extend_rows(&mut self, extra: usize) {
-        let n = self.last_good.len() + extra;
-        self.last_good.resize(n, None);
-    }
-
     /// Scans `batch` and repairs gaps under the configured policy.
     ///
     /// Returns `Ok((None, report))` when the batch was already clean (no

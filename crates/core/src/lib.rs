@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
     pub use crate::imrdmd::{
-        AsyncRefit, IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, PartialFitReport, RoundReport,
+        IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, PartialFitReport, RoundReport,
     };
     pub use crate::ingest::{GapPolicy, IngestGuard, RepairReport};
     pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig, MrDmdConfigBuilder};

@@ -9,7 +9,7 @@
 //! older than one window, while I-mrDMD keeps the whole timeline at a cost
 //! proportional to the batch.
 
-use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig};
+use crate::mrdmd::{MrDmd, MrDmdConfig};
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::Mat;
 use serde::{Deserialize, Serialize};
@@ -140,13 +140,6 @@ impl WindowedMrDmd {
     /// Total modes across all retained window fits.
     pub fn n_modes(&self) -> usize {
         self.fits.iter().map(|(_, f)| f.n_modes()).sum()
-    }
-
-    /// All nodes of the window owning absolute snapshot `t` (the newest
-    /// window covering it), if any.
-    pub fn owner_nodes(&self, t: usize) -> Option<impl Iterator<Item = &ModeSet>> {
-        let idx = self.owner_index(t)?;
-        Some(self.fits[idx].1.nodes.iter())
     }
 
     fn owner_index(&self, t: usize) -> Option<usize> {

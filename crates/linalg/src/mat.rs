@@ -357,13 +357,6 @@ impl Mat {
         gemv(1.0, self, Trans::Yes, v, 0.0, out);
     }
 
-    /// Scales every entry in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Entry-wise sum `self + b`.
     pub fn add(&self, b: &Mat) -> Mat {
         assert_eq!(self.shape(), b.shape());
@@ -401,14 +394,6 @@ impl Mat {
         assert_eq!(self.shape(), b.shape());
         for (a, &bv) in self.data.iter_mut().zip(&b.data) {
             *a -= bv;
-        }
-    }
-
-    /// In-place `self += s * b`.
-    pub fn axpy(&mut self, s: f64, b: &Mat) {
-        assert_eq!(self.shape(), b.shape());
-        for (a, &bv) in self.data.iter_mut().zip(&b.data) {
-            *a += s * bv;
         }
     }
 

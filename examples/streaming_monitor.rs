@@ -8,10 +8,11 @@
 //! into the I-mrDMD state with `try_partial_fit`. Each round prints the
 //! model's numerical health summary alongside drift and z-score status.
 //! Z-scores are refreshed against a baseline band, hot/idle nodes are
-//! reported, and when the root drift crosses the configured threshold a
-//! full refit is launched on a background thread (the paper's
-//! "embarrassingly parallel" levels-2..L refresh) and swapped into the
-//! shard when ready — without stalling the stream.
+//! reported. The model runs with `auto_refresh`: a round whose root drift
+//! crosses the configured threshold refits levels 2..L from the retained
+//! history inside that same round (`IMrDmd::try_refresh_subtrees`, the
+//! paper's "embarrassingly parallel" refresh, fanned across the worker
+//! pool), and the round prints `[refreshed]`.
 //!
 //! With `--store-dir DIR` the shard (model, ingest guard and round count)
 //! is snapshotted atomically every `--checkpoint-every` chunks as
@@ -122,6 +123,7 @@ fn main() {
         .mr(mr)
         .drift_threshold(50.0)
         .keep_history(true)
+        .auto_refresh(true)
         .build()
         .expect("static config is valid");
 
@@ -173,7 +175,6 @@ fn main() {
     );
 
     let th = ZThresholds::default();
-    let mut refit: Option<AsyncRefit> = None;
     let mut seen = scenario.generate(0, start);
     let mut total_gaps = 0usize;
 
@@ -183,7 +184,7 @@ fn main() {
             .expect("guarded ingest");
         total_gaps += reply.repairs.gaps;
         // The guard repaired `batch`'s gaps before the fit; replaying the
-        // clean generator keeps `seen` an honest record for refits.
+        // clean generator keeps `seen` an honest baseline for the z-scores.
         let clean_batch = scenario.generate(reply.steps - batch.cols(), reply.steps);
         seen = if seen.cols() == 0 {
             clean_batch
@@ -191,6 +192,10 @@ fn main() {
             seen.hstack(&clean_batch)
         };
 
+        // Under `auto_refresh`, a round whose drift crossed the threshold
+        // has already refitted levels 2..L.
+        let drift = reply.report.as_ref().map_or(0.0, |r| r.drift);
+        let refreshed = cfg.drift_threshold.is_some_and(|th| drift > th);
         // Refresh z-scores against a mid-band baseline of the data so far.
         let (status, health) = shard
             .with_model(|m| (zscore_status(m, &seen, &th), m.health().summary()))
@@ -199,60 +204,12 @@ fn main() {
             "round {:>2}: T = {:>5}, drift {:>9.2e}{}, {:>3} gaps repaired | {} | {}",
             round + 1,
             reply.steps,
-            reply.report.as_ref().map_or(0.0, |r| r.drift),
-            if reply.report.as_ref().is_some_and(|r| r.stale) {
-                " [STALE]"
-            } else {
-                ""
-            },
+            drift,
+            if refreshed { " [refreshed]" } else { "" },
             reply.repairs.repaired,
             status,
             health
         );
-
-        // Drift exceeded: launch (or harvest) the asynchronous refit.
-        let stale = shard.with_model(IMrDmd::is_stale).expect("shard is fitted");
-        if stale && refit.is_none() {
-            println!("          drift threshold exceeded — spawning background refit");
-            refit = Some(AsyncRefit::spawn(seen.clone(), cfg));
-        }
-        if let Some(r) = &refit {
-            match r.try_take() {
-                Ok(Some(mut fresh)) => {
-                    // The refit covers data up to its spawn point; replay any
-                    // chunks that arrived since.
-                    if fresh.n_steps() < reply.steps {
-                        let missing = seen.cols_range(fresh.n_steps(), reply.steps);
-                        fresh.partial_fit(&missing);
-                    }
-                    // Swap the model inside the shard's snapshot; the ingest
-                    // guard's carry and the round count stay as they were.
-                    // The swapped-in model is checkpointed at once, and the
-                    // checkpoint cadence restarts from the swap.
-                    let mut snap = shard.snapshot().expect("shard is fitted");
-                    println!(
-                        "          background refit absorbed ({} modes → {} modes)",
-                        snap.model.n_modes(),
-                        fresh.n_modes()
-                    );
-                    snap.model = fresh;
-                    shard = Shard::from_snapshot(snap, checkpointer());
-                    shard.checkpoint_now().expect("checkpoint write");
-                    refit = None;
-                }
-                Ok(None) => {} // still running
-                Err(e) => {
-                    // A dead worker is a fact to report, not a hang to
-                    // mistake for "still running".
-                    println!("          background refit died ({e}) — keeping streamed model");
-                    refit = None;
-                }
-            }
-        }
-    }
-    if let Some(r) = refit {
-        // Drain any in-flight refit so the thread finishes cleanly.
-        let _ = r.take();
     }
     let model = shard
         .snapshot()

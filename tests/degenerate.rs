@@ -1,7 +1,7 @@
 //! Degenerate-input regression tests (ISSUE PR 1, satellite 4): edge cases
 //! on the streaming API that are easy to break while refactoring the hot
-//! paths — empty `add_series` batches, zero-length forecasts, streaming
-//! after a sensor addition, and polling an async refit before it lands.
+//! paths — empty `add_series` batches, zero-length forecasts, and streaming
+//! after a sensor addition.
 
 use mrdmd_suite::prelude::*;
 
@@ -83,29 +83,5 @@ fn partial_fit_after_add_series_absorbs_the_wider_stream() {
     assert!(
         model.nodes().any(|n| n.row_offset == 8),
         "appended-row subtree retained"
-    );
-}
-
-/// Polling an async refit before the worker finishes yields `None` (and
-/// doesn't consume the result); the blocking take still lands the model.
-#[test]
-fn async_refit_try_take_before_completion_is_none() {
-    let total = 2048;
-    let sc = scenario(48, total, 21);
-    let data = sc.generate(0, total);
-    let refit = AsyncRefit::spawn(data.clone(), cfg(&sc, 4));
-    // A 48 × 2048, 4-level fit takes milliseconds at best; the worker
-    // cannot have finished by the very next instruction.
-    assert!(
-        matches!(refit.try_take(), Ok(None)),
-        "try_take returned a model before the refit could have finished"
-    );
-    let model = refit.take().expect("refit worker lives");
-    assert_eq!(model.n_steps(), total);
-    let direct = IMrDmd::fit(&data, &cfg(&sc, 4));
-    assert_eq!(
-        model.n_modes(),
-        direct.n_modes(),
-        "refit equals a direct fit"
     );
 }

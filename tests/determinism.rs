@@ -148,7 +148,7 @@ proptest! {
             let after_fit = tree_bits(model.nodes());
             model.partial_fit(&batch);
             let after_partial = tree_bits(model.nodes());
-            model.refresh_subtrees();
+            model.try_refresh_subtrees().expect("history is kept");
             let after_refresh = tree_bits(model.nodes());
             let rec = mat_bits(&model.reconstruct_range(t0 / 2, total));
             (after_fit, after_partial, after_refresh, rec)

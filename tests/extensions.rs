@@ -41,7 +41,7 @@ fn refresh_subtrees_after_long_stream_recovers_accuracy() {
         model.partial_fit(&data.cols_range(lo, lo + 128));
     }
     let drifted = model.reconstruct().fro_dist(&data);
-    model.refresh_subtrees();
+    model.try_refresh_subtrees().expect("history is kept");
     let refreshed = model.reconstruct().fro_dist(&data);
     // The refreshed tree (proper halving against the current root) must not
     // be meaningfully worse, and usually is much better.

@@ -135,16 +135,3 @@ fn many_tiny_updates_remain_stable() {
     let rel = rec.fro_dist(&data) / data.fro_norm();
     assert!(rel < 0.5, "relative error {rel} after 8 tiny updates");
 }
-
-#[test]
-fn async_refit_equals_sync_refit() {
-    let dt = 20.0;
-    let data = signal(16, 400, dt);
-    let c = cfg(dt, 3);
-    let sync = IMrDmd::fit(&data, &c);
-    let async_fit = AsyncRefit::spawn(data.clone(), c)
-        .take()
-        .expect("refit worker lives");
-    assert_eq!(sync.n_modes(), async_fit.n_modes());
-    assert!(sync.reconstruct().fro_dist(&async_fit.reconstruct()) < 1e-9);
-}

@@ -169,12 +169,13 @@ fn recompute_resets_drift_and_preserves_quality() {
     model.partial_fit(&scenario.generate(240, 480));
     assert!(model.is_stale());
     let before = model.reconstruct().fro_dist(&scenario.generate(0, 480));
-    model.recompute();
+    model.try_refresh_subtrees().expect("history is kept");
     assert!(!model.is_stale());
+    assert_eq!(model.n_steps(), 480);
     let after = model.reconstruct().fro_dist(&scenario.generate(0, 480));
-    // A batch refit must not be (much) worse than the incremental tree.
+    // The refreshed tree must not be (much) worse than the incremental one.
     assert!(
         after <= before * 1.5 + 1e-9,
-        "refit error {after} vs incremental {before}"
+        "refreshed error {after} vs incremental {before}"
     );
 }

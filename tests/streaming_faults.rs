@@ -319,33 +319,6 @@ fn tiny_chunks_no_longer_lose_subtree_detail() {
     );
 }
 
-/// Regression (pre-PR bug): a panicked background refit looked exactly like
-/// one that was still running — `try_take` returned `None` forever and the
-/// monitor waited on a corpse. It is now a typed `RefitDead` error.
-#[test]
-fn dead_refit_worker_is_an_error_not_a_silent_hang() {
-    // One column trips `fit`'s `cols >= 2` assert: the worker panics.
-    let refit = AsyncRefit::spawn(Mat::zeros(4, 1), IMrDmdConfig::default());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        match refit.try_take() {
-            Err(CoreError::RefitDead) => break, // the fix: death is visible
-            Ok(Some(_)) => panic!("a panicked fit cannot produce a model"),
-            Ok(None) => {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "pre-PR behaviour: dead worker indistinguishable from a slow one"
-                );
-                std::thread::yield_now();
-            }
-            Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-    // The consuming take reports the same fact.
-    let refit = AsyncRefit::spawn(Mat::zeros(4, 1), IMrDmdConfig::default());
-    assert!(matches!(refit.take(), Err(CoreError::RefitDead)));
-}
-
 /// Hold-last repair carries the last finite reading across batch
 /// boundaries — the cross-batch state the guard exists for.
 #[test]

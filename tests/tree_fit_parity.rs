@@ -14,7 +14,7 @@
 //! so every node and every fault must match bit for bit, in the same
 //! depth-first order, through all five entry points: `MrDmd::fit`,
 //! `IMrDmd::fit`, the `partial_fit` flush (with and without a pending
-//! carry), `refresh_subtrees` and `add_series`.
+//! carry), `try_refresh_subtrees` and `add_series`.
 //!
 //! Faults are forced with the process-wide eigensolver fail point, so every
 //! test in this binary serialises on one lock.
@@ -263,7 +263,7 @@ proptest! {
         check_stream("stream", &cfg, p, fit_cols, &lens, seed);
     }
 
-    /// `refresh_subtrees` and `add_series` (a dedicated subtree at
+    /// `try_refresh_subtrees` and `add_series` (a dedicated subtree at
     /// `row_offset > 0`, over the fitted timeline only).
     #[test]
     fn refresh_and_added_series_match_the_in_place_reference(
@@ -284,11 +284,11 @@ proptest! {
         tree.partial_fit(&signal(p, fit_cols, len, seed + 1));
         let t = tree.n_steps();
 
-        tree.refresh_subtrees();
+        tree.try_refresh_subtrees().expect("history is kept");
         let history = tree.history().expect("history kept").clone();
         let want = reference().below(tree.root(), &history, 0, 0, &mr_cfg).at_step(t);
         let subnodes: Vec<ModeSet> = tree.nodes().skip(1).cloned().collect();
-        assert_same("refresh_subtrees", &subnodes, tree.fit_faults(), &want);
+        assert_same("try_refresh_subtrees", &subnodes, tree.fit_faults(), &want);
 
         // A sub-window batch leaves a pending tail the added series'
         // subtree must stop short of.
