@@ -24,7 +24,7 @@ fn main() {
         println!("  isvd new {:?} rank {}", t0.elapsed(), isvd.rank());
         let t0 = Instant::now();
         let y = sub.cols_range(1, sub.cols());
-        let dmd = imrdmd::dmd::Dmd::from_svd(
+        let dmd = imrdmd::dmd::Dmd::try_from_svd(
             &isvd.to_svd(),
             &y,
             &sub,
@@ -33,7 +33,8 @@ fn main() {
                 rank: cfg.mr.rank,
                 ..Default::default()
             },
-        );
+        )
+        .expect("root DMD fit");
         println!("  root dmd {:?} rank {}", t0.elapsed(), dmd.rank());
         let t0 = Instant::now();
         let rec = dmd.reconstruct(10);

@@ -31,12 +31,8 @@
 //! [`IMrDmd`]: crate::imrdmd::IMrDmd
 //! [`IMrDmd::reconstruct`]: crate::imrdmd::IMrDmd::reconstruct
 
-use crate::storage::{self, HeaderError};
+use crate::storage::{self, crc32, HeaderError};
 use std::path::{Path, PathBuf};
-
-/// CRC-32 checksum shared by every on-disk format (re-exported from
-/// [`crate::storage`] for backwards compatibility).
-pub use crate::storage::crc32;
 
 /// First token of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &str = "IMRDMD-CKPT";

@@ -299,6 +299,17 @@ impl DmdConfig {
     /// Checks every field's domain: `dt` must be positive and finite, and
     /// the rank selection must pass [`RankSelection::validate`]. Called by
     /// [`Dmd::try_fit`] / [`Dmd::try_from_svd`] before any numerics run.
+    ///
+    /// ```
+    /// use imrdmd::dmd::{DmdConfig, RankSelection};
+    /// let cfg = DmdConfig {
+    ///     dt: 0.01,
+    ///     rank: RankSelection::Fixed(4),
+    ///     ..Default::default()
+    /// };
+    /// assert!(cfg.validate().is_ok());
+    /// assert!(DmdConfig { dt: -1.0, ..cfg }.validate().is_err());
+    /// ```
     pub fn validate(&self) -> Result<(), CoreError> {
         let dt_ok = self.dt > 0.0 && self.dt.is_finite();
         if !dt_ok {
@@ -311,62 +322,6 @@ impl DmdConfig {
         }
         self.rank.validate()?;
         self.strategy.validate()
-    }
-
-    /// Builder-first construction: every field defaults as in
-    /// [`DmdConfig::default`], and [`DmdConfigBuilder::build`] runs the full
-    /// domain validation, so an invalid configuration is caught at
-    /// construction instead of deep inside a fit.
-    ///
-    /// ```
-    /// use imrdmd::dmd::{DmdConfig, RankSelection};
-    /// let cfg = DmdConfig::builder()
-    ///     .dt(0.01)
-    ///     .rank(RankSelection::Fixed(4))
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.dt, 0.01);
-    /// assert!(DmdConfig::builder().dt(-1.0).build().is_err());
-    /// ```
-    pub fn builder() -> DmdConfigBuilder {
-        DmdConfigBuilder {
-            cfg: DmdConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`DmdConfig`]; see [`DmdConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct DmdConfigBuilder {
-    cfg: DmdConfig,
-}
-
-impl DmdConfigBuilder {
-    /// Time between snapshots, in seconds.
-    #[must_use]
-    pub fn dt(mut self, dt: f64) -> Self {
-        self.cfg.dt = dt;
-        self
-    }
-
-    /// Truncation rule for the snapshot SVD.
-    #[must_use]
-    pub fn rank(mut self, rank: RankSelection) -> Self {
-        self.cfg.rank = rank;
-        self
-    }
-
-    /// How the snapshot SVD is computed.
-    #[must_use]
-    pub fn fit_strategy(mut self, strategy: FitStrategy) -> Self {
-        self.cfg.strategy = strategy;
-        self
-    }
-
-    /// Validates every field and returns the configuration.
-    pub fn build(self) -> Result<DmdConfig, CoreError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -480,17 +435,7 @@ impl Dmd {
     /// full matrix (used only for the amplitude fit against column 0).
     ///
     /// This is the entry point of the incremental path: the expensive SVD is
-    /// inherited, and everything below is `O(P·r² + r³)`.
-    pub fn from_svd(svd_x: &Svd, y: &Mat, data: &Mat, cfg: &DmdConfig) -> Dmd {
-        match Self::try_from_svd(svd_x, y, data, cfg) {
-            Ok(d) => d,
-            // Preserved legacy contract, mirroring `fit`.
-            #[allow(clippy::panic)]
-            Err(e) => panic!("DMD fit failed: {e}"),
-        }
-    }
-
-    /// Fallible twin of [`from_svd`](Self::from_svd); see
+    /// inherited, and everything below is `O(P·r² + r³)`. See
     /// [`try_fit`](Self::try_fit) for the error contract.
     pub fn try_from_svd(
         svd_x: &Svd,

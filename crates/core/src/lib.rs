@@ -69,9 +69,7 @@ pub mod prelude {
         shard_checkpoint_history, shard_checkpoints, CheckpointError, Checkpointer,
     };
     pub use crate::compression::{compression_report, CompressionReport};
-    pub use crate::dmd::{
-        sparse_amplitudes, Dmd, DmdConfig, DmdConfigBuilder, FitStrategy, RankSelection,
-    };
+    pub use crate::dmd::{sparse_amplitudes, Dmd, DmdConfig, FitStrategy, RankSelection};
     pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};

@@ -2,8 +2,9 @@
 //!
 //! Builds on the substrate in [`hpc_linalg::obs`] (sharded counters, gauges,
 //! nanosecond histograms, injectable clock, runtime [`Observer`] switch) and
-//! adds the pipeline-level metric catalogue — ingest repair, round timing,
-//! checkpoint traffic, tree fit faults — plus the export surfaces:
+//! adds the pipeline-level metric catalogue [`PIPELINE`] — ingest repair,
+//! round timing, checkpoint traffic, tree fit faults — plus the export
+//! surfaces:
 //!
 //! * [`MetricsSnapshot::capture`] — a serde-JSON-able snapshot of every
 //!   metric in the process (linalg kernels + this crate), in fixed order;
@@ -20,10 +21,10 @@
 //! too: every duration records as 0.
 
 pub use hpc_linalg::obs::{
-    collect as collect_linalg, is_enabled, now_ns, reset as reset_linalg, use_fake_clock,
-    use_monotonic_clock, HistogramData, Observer, Span,
+    is_enabled, now_ns, use_fake_clock, use_monotonic_clock, HistogramEntry, MetricEntry, Observer,
+    Span,
 };
-use hpc_linalg::obs::{Counter, Gauge, Histogram, MetricRecord, MetricValue};
+use hpc_linalg::obs::{Catalogue, Counter, Gauge, Histogram, KERNELS};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -153,125 +154,46 @@ pub static ARCHIVE_BLOCKS_READ: Counter = Counter::new(
 pub static ARCHIVE_NS: Histogram =
     Histogram::new("archive.ns", "Wall time per archive write or range replay");
 
-const COUNTERS: [&Counter; 18] = [
-    &ROUND_COUNT,
-    &INGEST_GAPS,
-    &INGEST_REPAIRED_CELLS,
-    &INGEST_MASKED_ROWS,
-    &FIT_FAULTS,
-    &CHECKPOINT_SAVES,
-    &CHECKPOINT_LOADS,
-    &CHECKPOINT_BYTES,
-    &CHECKPOINT_PRUNED,
-    &WAL_APPENDS,
-    &WAL_BYTES,
-    &WAL_FSYNCS,
-    &WAL_TRUNCATIONS,
-    &WAL_TORN_TAILS,
-    &ARCHIVE_SAVES,
-    &ARCHIVE_BYTES,
-    &ARCHIVE_REPLAYS,
-    &ARCHIVE_BLOCKS_READ,
-];
-const GAUGES: [&Gauge; 3] = [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE];
-const HISTOGRAMS: [&Histogram; 9] = [
-    &ROUND_NS,
-    &ROUND_STAGE_ISVD_NS,
-    &ROUND_STAGE_ROOT_SOLVE_NS,
-    &ROUND_STAGE_DRIFT_NS,
-    &ROUND_STAGE_FLUSH_NS,
-    &INGEST_NS,
-    &CHECKPOINT_NS,
-    &WAL_NS,
-    &ARCHIVE_NS,
-];
+/// The pipeline catalogue, after the linalg [`KERNELS`] in every snapshot.
+pub static PIPELINE: Catalogue = Catalogue {
+    counters: &[
+        &ROUND_COUNT,
+        &INGEST_GAPS,
+        &INGEST_REPAIRED_CELLS,
+        &INGEST_MASKED_ROWS,
+        &FIT_FAULTS,
+        &CHECKPOINT_SAVES,
+        &CHECKPOINT_LOADS,
+        &CHECKPOINT_BYTES,
+        &CHECKPOINT_PRUNED,
+        &WAL_APPENDS,
+        &WAL_BYTES,
+        &WAL_FSYNCS,
+        &WAL_TRUNCATIONS,
+        &WAL_TORN_TAILS,
+        &ARCHIVE_SAVES,
+        &ARCHIVE_BYTES,
+        &ARCHIVE_REPLAYS,
+        &ARCHIVE_BLOCKS_READ,
+    ],
+    gauges: &[&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE],
+    histograms: &[
+        &ROUND_NS,
+        &ROUND_STAGE_ISVD_NS,
+        &ROUND_STAGE_ROOT_SOLVE_NS,
+        &ROUND_STAGE_DRIFT_NS,
+        &ROUND_STAGE_FLUSH_NS,
+        &INGEST_NS,
+        &CHECKPOINT_NS,
+        &WAL_NS,
+        &ARCHIVE_NS,
+    ],
+};
 
-/// Captures every metric in the process — the linalg kernel catalogue
-/// followed by this crate's pipeline catalogue — in fixed order.
-pub fn collect() -> Vec<MetricRecord> {
-    let mut out = collect_linalg();
-    for c in COUNTERS {
-        out.push(record_counter(c));
-    }
-    for g in GAUGES {
-        out.push(record_gauge(g));
-    }
-    for h in HISTOGRAMS {
-        out.push(record_histogram(h));
-    }
-    out
-}
-
-/// Zeroes every metric in the process (linalg + core catalogues).
+/// Zeroes every metric in the process's linalg and core catalogues.
 pub fn reset() {
-    reset_linalg();
-    for c in COUNTERS {
-        c.reset();
-    }
-    for g in GAUGES {
-        g.reset();
-    }
-    for h in HISTOGRAMS {
-        h.reset();
-    }
-}
-
-fn record_counter(c: &'static Counter) -> MetricRecord {
-    MetricRecord {
-        name: c.name(),
-        help: c.help(),
-        value: MetricValue::Counter(c.value()),
-    }
-}
-
-fn record_gauge(g: &'static Gauge) -> MetricRecord {
-    MetricRecord {
-        name: g.name(),
-        help: g.help(),
-        value: MetricValue::Gauge(g.value()),
-    }
-}
-
-fn record_histogram(h: &'static Histogram) -> MetricRecord {
-    MetricRecord {
-        name: h.name(),
-        help: h.help(),
-        value: MetricValue::Histogram(h.snapshot()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot types (serde)
-// ---------------------------------------------------------------------------
-
-/// Serializable histogram state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HistogramEntry {
-    /// Upper bucket bounds in nanoseconds (overflow bucket implicit).
-    pub bounds_ns: Vec<u64>,
-    /// Per-bucket counts; one longer than `bounds_ns` (overflow last).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed durations in nanoseconds.
-    pub sum_ns: u64,
-}
-
-/// One metric in a [`MetricsSnapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricEntry {
-    /// Dotted metric name, e.g. `ingest.repaired_cells`.
-    pub name: String,
-    /// `counter`, `gauge` or `histogram`.
-    pub kind: String,
-    /// One-line description.
-    pub help: String,
-    /// Counter value (counters only).
-    pub counter: Option<u64>,
-    /// Gauge value (gauges only).
-    pub gauge: Option<f64>,
-    /// Histogram state (histograms only).
-    pub histogram: Option<HistogramEntry>,
+    KERNELS.reset();
+    PIPELINE.reset();
 }
 
 /// A point-in-time capture of every metric in the process, in fixed
@@ -283,11 +205,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures the current value of every metric.
+    /// Captures the current value of every metric: the linalg kernel
+    /// catalogue, then this crate's pipeline catalogue.
     pub fn capture() -> MetricsSnapshot {
-        MetricsSnapshot {
-            metrics: collect().into_iter().map(entry_of).collect(),
-        }
+        let mut metrics = Vec::new();
+        KERNELS.capture_into(&mut metrics);
+        PIPELINE.capture_into(&mut metrics);
+        MetricsSnapshot { metrics }
     }
 
     /// The value of a counter by dotted name.
@@ -398,32 +322,6 @@ impl MetricsLine {
     /// Serializes as one line of JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).unwrap_or_else(|_| "{}".to_string())
-    }
-}
-
-fn entry_of(r: MetricRecord) -> MetricEntry {
-    let (kind, counter, gauge, histogram) = match r.value {
-        MetricValue::Counter(v) => ("counter", Some(v), None, None),
-        MetricValue::Gauge(v) => ("gauge", None, Some(v), None),
-        MetricValue::Histogram(h) => (
-            "histogram",
-            None,
-            None,
-            Some(HistogramEntry {
-                bounds_ns: h.bounds_ns.to_vec(),
-                counts: h.counts,
-                count: h.count,
-                sum_ns: h.sum_ns,
-            }),
-        ),
-    };
-    MetricEntry {
-        name: r.name.to_string(),
-        kind: kind.to_string(),
-        help: r.help.to_string(),
-        counter,
-        gauge,
-        histogram,
     }
 }
 

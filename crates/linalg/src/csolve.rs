@@ -7,28 +7,15 @@ use crate::complex::c64;
 use crate::error::LinAlgError;
 
 /// Solves `a · x = b` for a square complex system via partial-pivoted
-/// Gaussian elimination.
+/// Gaussian elimination. A numerically singular system is reported as
+/// [`LinAlgError::Singular`] carrying the elimination column at which every
+/// candidate pivot vanished.
 ///
 /// # Panics
-/// Panics if `a` is not square, dimensions disagree, or the matrix is
-/// numerically singular. Use [`try_solve_complex`] to handle singularity as
-/// an error instead.
-pub fn solve_complex(a: &CMat, b: &[c64]) -> Vec<c64> {
-    match try_solve_complex(a, b) {
-        Ok(x) => x,
-        // Preserved legacy contract: the infallible entry point aborts on a
-        // singular system, exactly like the historical assert did.
-        #[allow(clippy::panic)]
-        Err(e) => panic!("singular system in solve_complex: {e}"),
-    }
-}
-
-/// Fallible twin of [`solve_complex`]: a numerically singular system is
-/// reported as [`LinAlgError::Singular`] carrying the elimination column at
-/// which every candidate pivot vanished.
+/// Panics if `a` is not square or the dimensions disagree.
 pub fn try_solve_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
     let n = a.rows();
-    assert_eq!(a.cols(), n, "solve_complex requires a square matrix");
+    assert_eq!(a.cols(), n, "try_solve_complex requires a square matrix");
     assert_eq!(b.len(), n);
     let mut m = a.clone();
     let mut x = b.to_vec();
@@ -93,7 +80,8 @@ pub fn try_solve_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
 pub fn lstsq_complex(a: &CMat, b: &[c64]) -> Vec<c64> {
     match try_lstsq_complex(a, b) {
         Ok(x) => x,
-        // Preserved legacy contract, mirroring `solve_complex`.
+        // Preserved legacy contract: the infallible entry point aborts on a
+        // singular system, exactly like the historical assert did.
         #[allow(clippy::panic)]
         Err(e) => panic!("singular system in lstsq_complex: {e}"),
     }
@@ -140,7 +128,7 @@ mod tests {
     fn solves_identity() {
         let a = CMat::identity(3);
         let b = vec![c64::new(1.0, 2.0), c64::new(-1.0, 0.5), c64::new(0.0, -3.0)];
-        let x = solve_complex(&a, &b);
+        let x = try_solve_complex(&a, &b).unwrap();
         for (xi, bi) in x.iter().zip(&b) {
             assert!((*xi - *bi).abs() < 1e-15);
         }
@@ -156,7 +144,7 @@ mod tests {
         a[(1, 1)] = c64::from_real(2.0);
         let x_true = vec![c64::new(1.0, 1.0), c64::new(-2.0, 0.5)];
         let b = a.matvec(&x_true);
-        let x = solve_complex(&a, &b);
+        let x = try_solve_complex(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((*xi - *ti).abs() < 1e-13);
         }
@@ -168,7 +156,7 @@ mod tests {
         a[(0, 1)] = c64::ONE;
         a[(1, 0)] = c64::ONE;
         let b = vec![c64::from_real(3.0), c64::from_real(5.0)];
-        let x = solve_complex(&a, &b);
+        let x = try_solve_complex(&a, &b).unwrap();
         assert!((x[0] - c64::from_real(5.0)).abs() < 1e-14);
         assert!((x[1] - c64::from_real(3.0)).abs() < 1e-14);
     }
@@ -182,14 +170,6 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((*xi - *ti).abs() < 1e-9, "{xi} vs {ti}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "singular")]
-    fn singular_system_panics() {
-        let a = CMat::zeros(2, 2);
-        let b = vec![c64::ONE, c64::ONE];
-        let _ = solve_complex(&a, &b);
     }
 
     #[test]

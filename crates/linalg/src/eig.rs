@@ -54,20 +54,6 @@ pub fn eig_real(a: &Mat) -> Eig {
     }
 }
 
-/// Computes eigenvalues and right eigenvectors of a square complex matrix.
-///
-/// # Panics
-/// Panics on non-convergence; see [`eig_real`]. Use [`try_eig_complex`] to
-/// handle it instead.
-pub fn eig_complex(a: &CMat) -> Eig {
-    match try_eig_complex(a) {
-        Ok(e) => e,
-        // Same preserved legacy contract as `eig_real`.
-        #[allow(clippy::panic)]
-        Err(e) => panic!("QR iteration failed to converge: {e}"),
-    }
-}
-
 /// Fallible twin of [`eig_real`]: surfaces QR non-convergence as a
 /// [`LinAlgError::EigNonConvergence`] carrying the partially deflated Schur
 /// state instead of panicking.
@@ -76,7 +62,8 @@ pub fn try_eig_real(a: &Mat) -> Result<Eig, LinAlgError> {
     try_eig_complex(&CMat::from_real(a))
 }
 
-/// Fallible twin of [`eig_complex`].
+/// Computes eigenvalues and right eigenvectors of a square complex matrix,
+/// surfacing QR non-convergence as a [`LinAlgError::EigNonConvergence`].
 ///
 /// Escalation ladder, walked deterministically before giving up:
 /// 1. standard budget (`40n` iterations, exceptional shift every 12 stalls);
@@ -868,7 +855,7 @@ mod tests {
         let mut a = CMat::zeros(2, 2);
         a[(0, 0)] = c64::I;
         a[(1, 1)] = -c64::I;
-        let e = eig_complex(&a);
+        let e = try_eig_complex(&a).unwrap();
         let mut ims: Vec<f64> = e.values.iter().map(|l| l.im).collect();
         ims.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((ims[0] + 1.0).abs() < 1e-12 && (ims[1] - 1.0).abs() < 1e-12);

@@ -56,12 +56,8 @@ pub mod workspace;
 
 pub use cmat::CMat;
 pub use complex::c64;
-pub use csolve::{
-    lstsq_complex, solve_complex, try_lstsq_complex, try_solve_complex, try_solve_normal,
-};
-pub use eig::{
-    eig_complex, eig_real, try_eig_complex, try_eig_real, try_eig_symmetric, Eig, EigStats, SymEig,
-};
+pub use csolve::{lstsq_complex, try_lstsq_complex, try_solve_complex, try_solve_normal};
+pub use eig::{eig_real, try_eig_complex, try_eig_real, try_eig_symmetric, Eig, EigStats, SymEig};
 pub use error::{LinAlgError, PartialSchur};
 pub use fft::{dominant_frequency, fft, fft_in_place, ifft, periodogram};
 pub use gemm::{accumulate_mode_rows, gemm, gemm_threaded, gemv, Trans};
@@ -69,14 +65,11 @@ pub use isvd::IncrementalSvd;
 pub use mat::Mat;
 pub use obs::Observer;
 pub use pool::{max_threads, WorkerPool};
-pub use qr::{
-    lstsq, orthonormal_complement, orthonormal_complement_rows, qr, solve_upper_triangular, tsqr,
-    Qr,
-};
+pub use qr::{orthonormal_complement, orthonormal_complement_rows, qr, tsqr, Qr};
 pub use simd::with_scalar_kernels;
 pub use sketch::SketchSvd;
 pub use svd::{
     numerical_rank, svd, svd_leading, svd_randomized, svd_sketched, svd_snapshots, svd_truncated,
-    svd_truncated_seeded, svd_with_stats, try_svd, SnapshotSvd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
+    svd_with_stats, try_svd, SnapshotSvd, Svd, SvdStats, DEFAULT_SKETCH_SEED,
 };
-pub use svht::{svht_rank, svht_rank_known_noise};
+pub use svht::svht_rank;

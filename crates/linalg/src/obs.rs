@@ -18,12 +18,14 @@
 //! * a process-wide enable switch ([`Observer`]) whose disabled path is one
 //!   relaxed atomic load per instrumentation site.
 //!
-//! Metrics are `static` items registered in a fixed list ([`collect`]), so
-//! snapshot order is deterministic and there is no registration machinery.
+//! Metrics are `static` items listed once per crate in a [`Catalogue`]
+//! static ([`KERNELS`] here), so snapshot order is deterministic and there
+//! is no registration machinery.
 //!
 //! Nothing here ever touches numerical state: instrumentation cannot perturb
 //! the bitwise determinism guarantees of the kernels at any thread count.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -195,16 +197,6 @@ impl Counter {
             .sum()
     }
 
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
     /// Zeroes the counter (tests and per-interval deltas).
     pub fn reset(&self) {
         for s in &self.shards {
@@ -241,16 +233,6 @@ impl Gauge {
     /// The stored value.
     pub fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
     }
 
     /// Resets the gauge to `0.0` (tests and per-interval deltas).
@@ -331,9 +313,9 @@ impl Histogram {
 
     /// Current per-bucket counts (including the trailing overflow bucket),
     /// total observation count and nanosecond sum.
-    pub fn snapshot(&self) -> HistogramData {
-        HistogramData {
-            bounds_ns: &NS_BUCKET_BOUNDS,
+    pub fn snapshot(&self) -> HistogramEntry {
+        HistogramEntry {
+            bounds_ns: NS_BUCKET_BOUNDS.to_vec(),
             counts: self
                 .counts
                 .iter()
@@ -342,16 +324,6 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
     }
 
     /// Zeroes the histogram (tests and per-interval deltas).
@@ -382,40 +354,79 @@ impl Drop for Span {
 // Snapshot surface
 // ---------------------------------------------------------------------------
 
-/// Raw histogram state captured by [`Histogram::snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramData {
-    /// Upper bucket bounds in nanoseconds (the overflow bucket is implicit).
-    pub bounds_ns: &'static [u64],
-    /// Per-bucket observation counts; `counts.len() == bounds_ns.len() + 1`,
-    /// the last entry being the overflow bucket.
+/// Serializable histogram state, captured by [`Histogram::snapshot`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct HistogramEntry {
+    /// Upper bucket bounds in nanoseconds (overflow bucket implicit).
+    pub bounds_ns: Vec<u64>,
+    /// Per-bucket counts; one longer than `bounds_ns` (overflow last).
     pub counts: Vec<u64>,
     /// Total observations.
     pub count: u64,
-    /// Sum of all observed durations, in nanoseconds.
+    /// Sum of observed durations in nanoseconds.
     pub sum_ns: u64,
 }
 
-/// The value of one metric at snapshot time.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// Monotonic counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram state.
-    Histogram(HistogramData),
+/// One captured metric: name, kind, help text and exactly one value.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct MetricEntry {
+    /// Dotted metric name, e.g. `ingest.repaired_cells`.
+    pub name: String,
+    /// `counter`, `gauge` or `histogram`.
+    pub kind: String,
+    /// One-line description.
+    pub help: String,
+    /// Counter value (counters only).
+    pub counter: Option<u64>,
+    /// Gauge value (gauges only).
+    pub gauge: Option<f64>,
+    /// Histogram state (histograms only).
+    pub histogram: Option<HistogramEntry>,
 }
 
-/// One metric (name, help text, value) captured by [`collect`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricRecord {
-    /// Dotted metric name, e.g. `gemm.calls`.
-    pub name: &'static str,
-    /// One-line description.
-    pub help: &'static str,
-    /// The captured value.
-    pub value: MetricValue,
+/// One crate's metric list, declared once as a `static`: counters, then
+/// gauges, then histograms, each in listed order. That order is the
+/// snapshot and exposition order.
+pub struct Catalogue {
+    /// The counters, in catalogue order.
+    pub counters: &'static [&'static Counter],
+    /// The gauges, in catalogue order.
+    pub gauges: &'static [&'static Gauge],
+    /// The histograms, in catalogue order.
+    pub histograms: &'static [&'static Histogram],
+}
+
+impl Catalogue {
+    /// Appends the current value of every metric, in catalogue order.
+    pub fn capture_into(&self, out: &mut Vec<MetricEntry>) {
+        let entry = |name: &str, help: &str, kind: &str| MetricEntry {
+            name: name.to_string(),
+            kind: kind.to_string(),
+            help: help.to_string(),
+            counter: None,
+            gauge: None,
+            histogram: None,
+        };
+        out.extend(self.counters.iter().map(|c| MetricEntry {
+            counter: Some(c.value()),
+            ..entry(c.name, c.help, "counter")
+        }));
+        out.extend(self.gauges.iter().map(|g| MetricEntry {
+            gauge: Some(g.value()),
+            ..entry(g.name, g.help, "gauge")
+        }));
+        out.extend(self.histograms.iter().map(|h| MetricEntry {
+            histogram: Some(h.snapshot()),
+            ..entry(h.name, h.help, "histogram")
+        }));
+    }
+
+    /// Zeroes every metric in the catalogue.
+    pub fn reset(&self) {
+        self.counters.iter().for_each(|c| c.reset());
+        self.gauges.iter().for_each(|g| g.reset());
+        self.histograms.iter().for_each(|h| h.reset());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,74 +524,37 @@ pub static POOL_TASKS: Counter =
 /// Process-wide worker-thread budget currently configured.
 pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", "Process-wide worker-thread budget");
 
-const COUNTERS: [&Counter; 17] = [
-    &GEMM_CALLS,
-    &GEMM_FLOPS,
-    &QR_CALLS,
-    &SVD_CALLS,
-    &SVD_ESCALATIONS,
-    &SVD_FAILURES,
-    &SVD_GRAM_FALLBACKS,
-    &EIG_CALLS,
-    &EIG_ESCALATIONS,
-    &EIG_FAILURES,
-    &ISVD_UPDATES,
-    &SKETCH_FITS,
-    &SKETCH_PROBES,
-    &SKETCH_REFRESHES,
-    &SKETCH_COMPRESSIONS,
-    &POOL_FORKS,
-    &POOL_TASKS,
-];
-const GAUGES: [&Gauge; 1] = [&POOL_THREADS];
-const HISTOGRAMS: [&Histogram; 6] = [
-    &GEMM_NS,
-    &QR_NS,
-    &SVD_NS,
-    &SKETCH_NS,
-    &EIG_NS,
-    &ISVD_UPDATE_NS,
-];
-
-/// Captures every metric of this crate, in fixed catalogue order.
-pub fn collect() -> Vec<MetricRecord> {
-    let mut out = Vec::new();
-    for c in COUNTERS {
-        out.push(MetricRecord {
-            name: c.name,
-            help: c.help,
-            value: MetricValue::Counter(c.value()),
-        });
-    }
-    for g in GAUGES {
-        out.push(MetricRecord {
-            name: g.name,
-            help: g.help,
-            value: MetricValue::Gauge(g.value()),
-        });
-    }
-    for h in HISTOGRAMS {
-        out.push(MetricRecord {
-            name: h.name,
-            help: h.help,
-            value: MetricValue::Histogram(h.snapshot()),
-        });
-    }
-    out
-}
-
-/// Zeroes every metric of this crate (counters, gauges, histograms).
-pub fn reset() {
-    for c in COUNTERS {
-        c.reset();
-    }
-    for g in GAUGES {
-        g.reset();
-    }
-    for h in HISTOGRAMS {
-        h.reset();
-    }
-}
+/// The linalg kernel catalogue, first in every snapshot.
+pub static KERNELS: Catalogue = Catalogue {
+    counters: &[
+        &GEMM_CALLS,
+        &GEMM_FLOPS,
+        &QR_CALLS,
+        &SVD_CALLS,
+        &SVD_ESCALATIONS,
+        &SVD_FAILURES,
+        &SVD_GRAM_FALLBACKS,
+        &EIG_CALLS,
+        &EIG_ESCALATIONS,
+        &EIG_FAILURES,
+        &ISVD_UPDATES,
+        &SKETCH_FITS,
+        &SKETCH_PROBES,
+        &SKETCH_REFRESHES,
+        &SKETCH_COMPRESSIONS,
+        &POOL_FORKS,
+        &POOL_TASKS,
+    ],
+    gauges: &[&POOL_THREADS],
+    histograms: &[
+        &GEMM_NS,
+        &QR_NS,
+        &SVD_NS,
+        &SKETCH_NS,
+        &EIG_NS,
+        &ISVD_UPDATE_NS,
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -623,6 +597,42 @@ mod tests {
         assert_eq!(snap.counts[0], 1);
         assert_eq!(snap.counts[6], 1);
         assert_eq!(*snap.counts.last().unwrap(), 1);
+    }
+
+    #[test]
+    fn catalogue_captures_in_order_and_resets() {
+        let _g = LOCK.lock().unwrap();
+        Observer::enabled().install();
+        static C: Counter = Counter::new("test.cat.c", "c");
+        static G: Gauge = Gauge::new("test.cat.g", "g");
+        static H: Histogram = Histogram::new("test.cat.h", "h");
+        static CAT: Catalogue = Catalogue {
+            counters: &[&C],
+            gauges: &[&G],
+            histograms: &[&H],
+        };
+        C.add(2);
+        G.set(0.5);
+        H.record(10);
+        let mut got = Vec::new();
+        CAT.capture_into(&mut got);
+        let kinds: Vec<(&str, &str)> = got
+            .iter()
+            .map(|m| (m.name.as_str(), m.kind.as_str()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("test.cat.c", "counter"),
+                ("test.cat.g", "gauge"),
+                ("test.cat.h", "histogram")
+            ]
+        );
+        assert_eq!(got[0].counter, Some(2));
+        assert_eq!(got[1].gauge, Some(0.5));
+        assert_eq!(got[2].histogram.as_ref().map(|h| h.count), Some(1));
+        CAT.reset();
+        assert_eq!((C.value(), G.value(), H.snapshot().count), (0, 0.0, 0));
     }
 
     #[test]

@@ -289,43 +289,6 @@ pub(crate) fn tsqr_with_pool(a: &Mat, pool: &crate::pool::WorkerPool) -> Qr {
     Qr { q, r: merge.r }
 }
 
-/// Solves the least-squares problem `min ‖a·x − b‖₂` for each column of `b`
-/// via QR. `a` must have full column rank and `m ≥ n`.
-pub fn lstsq(a: &Mat, b: &Mat) -> Mat {
-    assert!(
-        a.rows() >= a.cols(),
-        "lstsq expects a tall (or square) system"
-    );
-    assert_eq!(a.rows(), b.rows());
-    let f = qr(a);
-    let qtb = f.q.t_matmul(b); // n × rhs
-    solve_upper_triangular(&f.r, &qtb)
-}
-
-/// Back-substitution: solves `r·x = b` for upper-triangular `r`.
-///
-/// # Panics
-/// Panics if a diagonal entry is exactly zero.
-pub fn solve_upper_triangular(r: &Mat, b: &Mat) -> Mat {
-    let n = r.rows();
-    assert_eq!(r.cols(), n);
-    assert_eq!(b.rows(), n);
-    let rhs = b.cols();
-    let mut x = b.clone();
-    for i in (0..n).rev() {
-        let d = r[(i, i)];
-        assert!(d != 0.0, "singular triangular system");
-        for col in 0..rhs {
-            let mut s = x[(i, col)];
-            for j in i + 1..n {
-                s -= r[(i, j)] * x[(j, col)];
-            }
-            x[(i, col)] = s / d;
-        }
-    }
-    x
-}
-
 /// Orthonormalises the columns of `a` against the columns of `basis` and then
 /// against each other (modified Gram–Schmidt with one re-orthogonalisation
 /// pass). Returns the orthonormal complement; columns that are numerically in
@@ -459,24 +422,6 @@ mod tests {
         assert_eq!(f.q.shape(), (3, 3));
         assert_eq!(f.r.shape(), (3, 7));
         assert!(f.q.matmul(&f.r).fro_dist(&a) < 1e-12);
-    }
-
-    #[test]
-    fn lstsq_recovers_exact_solution() {
-        let a = Mat::from_fn(10, 3, |i, j| ((i + 1) as f64).powi(j as i32));
-        let x_true = Mat::from_rows(&[vec![2.0], vec![-1.0], vec![0.5]]);
-        let b = a.matmul(&x_true);
-        let x = lstsq(&a, &b);
-        assert!(x.fro_dist(&x_true) < 1e-10);
-    }
-
-    #[test]
-    fn lstsq_minimises_residual_for_inconsistent_system() {
-        // Overdetermined: best fit of a constant to [0, 1] is 0.5.
-        let a = Mat::from_rows(&[vec![1.0], vec![1.0]]);
-        let b = Mat::from_rows(&[vec![0.0], vec![1.0]]);
-        let x = lstsq(&a, &b);
-        assert!((x[(0, 0)] - 0.5).abs() < 1e-14);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::gemm::{gemm, Trans};
 use crate::mat::Mat;
 use crate::qr::{orthonormal_complement, qr};
-use crate::svd::{svd, GaussianSource, Svd};
+use crate::svd::{range_qr, svd, GaussianSource, Svd};
 use crate::workspace;
 use serde::{Deserialize, Serialize};
 
@@ -80,11 +80,11 @@ impl SketchSvd {
             probes_drawn = 1;
             let mut gauss = GaussianSource::new(seed);
             let omega = Mat::from_fn(t, l, |_, _| gauss.next());
-            let mut q = range_basis(&first_block.matmul(&omega));
+            let mut q = range_qr(&first_block.matmul(&omega));
             for _ in 0..power_iters {
                 let z = first_block.t_matmul(&q);
-                let qz = range_basis(&z);
-                q = range_basis(&first_block.matmul(&qz));
+                let qz = range_qr(&z);
+                q = range_qr(&first_block.matmul(&qz));
             }
             q
         };
@@ -234,16 +234,6 @@ impl SketchSvd {
     /// accuracy budgets; not on the hot path).
     pub fn reconstruct(&self) -> Mat {
         self.q.matmul(&self.b)
-    }
-}
-
-/// Orthonormalises a range panel: TSQR for tall-skinny shapes, plain
-/// Householder otherwise.
-fn range_basis(y: &Mat) -> Mat {
-    if y.rows() >= 4 * y.cols().max(1) {
-        crate::qr::tsqr(y).q
-    } else {
-        qr(y).q
     }
 }
 

@@ -527,23 +527,17 @@ const DEFAULT_OVERSAMPLE: usize = 8;
 /// Subspace (power) iterations of the dispatcher's randomized path.
 const DEFAULT_POWER_ITERS: usize = 2;
 
-/// Fixed probe seed used when the caller does not thread one through
-/// ([`svd_truncated`]). Kept stable so the determinism suites keep their
-/// bit-exact baselines; call sites with per-fit seeds (the `Sketched` fit
-/// strategy, per-node tree fits) use [`svd_truncated_seeded`] /
-/// [`svd_sketched`] so repeated fits stop drawing the same probe matrix.
+/// Fixed probe seed of [`svd_truncated`]. Kept stable so the determinism
+/// suites keep their bit-exact baselines; call sites with per-fit seeds (the
+/// `Sketched` fit strategy, per-node tree fits) use [`svd_sketched`] so
+/// repeated fits stop drawing the same probe matrix.
 pub const DEFAULT_SKETCH_SEED: u64 = 0x5eed_cafe;
 
 /// Truncated SVD that picks the cheapest correct algorithm: exact Jacobi when
 /// the target rank is a large fraction of the matrix, randomized otherwise.
 /// Uses the fixed [`DEFAULT_SKETCH_SEED`]; callers holding their own seed
-/// should prefer [`svd_truncated_seeded`] to decorrelate repeated probes.
+/// should prefer [`svd_sketched`] to decorrelate repeated probes.
 pub fn svd_truncated(a: &Mat, rank: usize) -> Svd {
-    svd_truncated_seeded(a, rank, DEFAULT_SKETCH_SEED)
-}
-
-/// [`svd_truncated`] with the probe seed threaded through from the caller.
-pub fn svd_truncated_seeded(a: &Mat, rank: usize, seed: u64) -> Svd {
     let min_dim = a.rows().min(a.cols());
     let rank = rank.min(min_dim);
     // Randomized pays off once the oversampled probe is well under the
@@ -553,7 +547,13 @@ pub fn svd_truncated_seeded(a: &Mat, rank: usize, seed: u64) -> Svd {
     // unrelated `rank + 10`.
     let l = rank + DEFAULT_OVERSAMPLE;
     if 2 * l < min_dim && min_dim > 64 {
-        svd_randomized(a, rank, DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, seed)
+        svd_randomized(
+            a,
+            rank,
+            DEFAULT_OVERSAMPLE,
+            DEFAULT_POWER_ITERS,
+            DEFAULT_SKETCH_SEED,
+        )
     } else {
         svd(a).truncate(rank)
     }
@@ -584,7 +584,7 @@ pub fn svd_sketched(a: &Mat, rank: usize, oversample: usize, power_iters: usize,
 
 /// Orthonormalises a range-finder panel: TSQR for tall-skinny shapes, plain
 /// Householder otherwise. Both produce a thin Q with orthonormal columns.
-fn range_qr(y: &Mat) -> Mat {
+pub(crate) fn range_qr(y: &Mat) -> Mat {
     if y.rows() >= 4 * y.cols().max(1) {
         crate::qr::tsqr(y).q
     } else {
@@ -924,15 +924,15 @@ mod tests {
     }
 
     #[test]
-    fn seeded_truncation_decorrelates_probes_but_agrees_on_values() {
-        // Different seeds must draw different probe matrices (the seed code
-        // hard-coded one seed for every call site), yet both land on the
-        // same singular values of this well-separated spectrum.
+    fn seeded_randomized_decorrelates_probes_but_agrees_on_values() {
+        // Different seeds must draw different probe matrices, yet both land
+        // on the same singular values of this well-separated spectrum as the
+        // fixed-seed dispatcher.
         let u = Mat::from_fn(90, 4, |i, j| ((i * (j + 2)) as f64 * 0.11).sin());
         let v = Mat::from_fn(80, 4, |i, j| ((i + 3 * j) as f64 * 0.07).cos());
         let a = u.matmul(&v.transpose());
-        let s1 = svd_truncated_seeded(&a, 4, 1);
-        let s2 = svd_truncated_seeded(&a, 4, 2);
+        let s1 = svd_randomized(&a, 4, DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, 1);
+        let s2 = svd_randomized(&a, 4, DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, 2);
         let def = svd_truncated(&a, 4);
         for k in 0..4 {
             assert!((s1.s[k] - s2.s[k]).abs() < 1e-8 * s1.s[0].max(1.0));

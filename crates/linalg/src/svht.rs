@@ -4,20 +4,7 @@
 //! threshold ("SVHT"), which for an `m × n` matrix with unknown noise level is
 //! `τ = ω(β) · median(σ)` where `β = min(m,n)/max(m,n)` and `ω(β)` is the
 //! optimal coefficient. We use the standard cubic approximation of `ω` from
-//! the paper (accurate to ~0.02 over β ∈ (0,1]) plus the exact
-//! known-noise-level formula.
-
-/// Optimal threshold coefficient `λ(β)` for *known* noise level σ:
-/// `τ = λ(β) · √n · σ` (n = larger dimension).
-pub fn lambda_known_noise(beta: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&beta),
-        "aspect ratio must be in (0, 1]"
-    );
-    let num = 8.0 * beta;
-    let den = (beta + 1.0) + (beta * beta + 14.0 * beta + 1.0).sqrt();
-    (2.0 * (beta + 1.0) + num / den).sqrt()
-}
+//! the paper (accurate to ~0.02 over β ∈ (0,1]).
 
 /// Approximate optimal coefficient `ω(β)` for *unknown* noise level:
 /// `τ = ω(β) · median(σ)`.
@@ -46,18 +33,6 @@ pub fn svht_rank(s: &[f64], rows: usize, cols: usize) -> usize {
     r.max(1)
 }
 
-/// Cutoff for known noise level `sigma`.
-pub fn svht_rank_known_noise(s: &[f64], rows: usize, cols: usize, sigma: f64) -> usize {
-    if s.is_empty() || s[0] <= 0.0 {
-        return 0;
-    }
-    let (m, n) = (rows.min(cols) as f64, rows.max(cols) as f64);
-    let beta = m / n;
-    let tau = lambda_known_noise(beta) * n.sqrt() * sigma;
-    let r = s.iter().take_while(|&&x| x > tau).count();
-    r.max(1)
-}
-
 /// Median of a slice already sorted in non-increasing order.
 fn median_sorted_desc(s: &[f64]) -> f64 {
     let n = s.len();
@@ -76,12 +51,6 @@ mod tests {
     fn omega_square_matrix_matches_published_value() {
         // Gavish & Donoho report ω(1) ≈ 2.858 for square matrices.
         assert!((omega_approx(1.0) - 2.86).abs() < 0.01);
-    }
-
-    #[test]
-    fn lambda_square_matrix_matches_published_value() {
-        // λ(1) = √(8/3)·... = 4/√3 ≈ 2.309 for square matrices.
-        assert!((lambda_known_noise(1.0) - 4.0 / 3.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -104,14 +73,6 @@ mod tests {
     fn zero_spectrum_gives_zero_rank() {
         assert_eq!(svht_rank(&[0.0, 0.0], 10, 2), 0);
         assert_eq!(svht_rank(&[], 10, 2), 0);
-    }
-
-    #[test]
-    fn known_noise_rank_scales_with_sigma() {
-        let s = vec![50.0, 30.0, 5.0, 4.0, 3.0];
-        let low = svht_rank_known_noise(&s, 100, 5, 0.1);
-        let high = svht_rank_known_noise(&s, 100, 5, 3.0);
-        assert!(low >= high);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Request-level counters and latency histograms for the daemon, built on
 //! the same sharded primitives as the kernel and pipeline catalogues
-//! ([`hpc_linalg::obs`]). [`fleet_snapshot`] extends the process-wide
-//! [`MetricsSnapshot`] (linalg + core) with these series, so one
+//! ([`hpc_linalg::obs`]), listed once in the [`SERVE`] catalogue.
+//! [`fleet_snapshot`] extends the process-wide [`MetricsSnapshot`]
+//! (linalg + core) with these series, so one
 //! `GET /metrics` scrape shows the whole stack — GEMM flops up through
 //! HTTP latencies — in one Prometheus page.
 
-use hpc_linalg::obs::{Counter, Gauge, Histogram};
-use imrdmd::obs::{HistogramEntry, MetricEntry, MetricsSnapshot};
+use hpc_linalg::obs::{Catalogue, Counter, Gauge, Histogram};
+use imrdmd::obs::MetricsSnapshot;
 
 /// Requests accepted (any method, any route, before status is known).
 pub static REQUESTS: Counter = Counter::new("serve.requests", "HTTP requests parsed");
@@ -94,94 +95,37 @@ pub static REQUEST_NS: Histogram = Histogram::new("serve.request_ns", "Wall time
 /// checkpoint tick).
 pub static INGEST_NS: Histogram = Histogram::new("serve.ingest_ns", "Wall time per ingest batch");
 
-fn entry_counter(c: &'static Counter) -> MetricEntry {
-    MetricEntry {
-        name: c.name().to_string(),
-        kind: "counter".to_string(),
-        help: c.help().to_string(),
-        counter: Some(c.value()),
-        gauge: None,
-        histogram: None,
-    }
-}
-
-fn entry_gauge(g: &'static Gauge) -> MetricEntry {
-    MetricEntry {
-        name: g.name().to_string(),
-        kind: "gauge".to_string(),
-        help: g.help().to_string(),
-        counter: None,
-        gauge: Some(g.value()),
-        histogram: None,
-    }
-}
-
-fn entry_histogram(h: &'static Histogram) -> MetricEntry {
-    let s = h.snapshot();
-    MetricEntry {
-        name: h.name().to_string(),
-        kind: "histogram".to_string(),
-        help: h.help().to_string(),
-        counter: None,
-        gauge: None,
-        histogram: Some(HistogramEntry {
-            bounds_ns: s.bounds_ns.to_vec(),
-            counts: s.counts,
-            count: s.count,
-            sum_ns: s.sum_ns,
-        }),
-    }
-}
-
-const COUNTERS: [&Counter; 15] = [
-    &REQUESTS,
-    &RESPONSES_2XX,
-    &RESPONSES_4XX,
-    &RESPONSES_5XX,
-    &PROTOCOL_ERRORS,
-    &CONNECTIONS_REJECTED,
-    &INGEST_BATCHES,
-    &INGEST_SNAPSHOTS,
-    &BYTES_IN,
-    &CHECKPOINT_FAILURES,
-    &WAL_APPEND_FAILURES,
-    &WAL_TRUNCATIONS,
-    &WAL_REPLAYED,
-    &CHECKPOINT_FALLBACKS,
-    &LOAD_SHED,
-];
-const GAUGES: [&Gauge; 4] = [&SHARDS, &SHARDS_CORRUPT, &SHARDS_DEGRADED, &INGEST_INFLIGHT];
-const HISTOGRAMS: [&Histogram; 2] = [&REQUEST_NS, &INGEST_NS];
+/// The `serve.*` catalogue, after the linalg and core catalogues on
+/// `/metrics`.
+pub static SERVE: Catalogue = Catalogue {
+    counters: &[
+        &REQUESTS,
+        &RESPONSES_2XX,
+        &RESPONSES_4XX,
+        &RESPONSES_5XX,
+        &PROTOCOL_ERRORS,
+        &CONNECTIONS_REJECTED,
+        &INGEST_BATCHES,
+        &INGEST_SNAPSHOTS,
+        &BYTES_IN,
+        &CHECKPOINT_FAILURES,
+        &WAL_APPEND_FAILURES,
+        &WAL_TRUNCATIONS,
+        &WAL_REPLAYED,
+        &CHECKPOINT_FALLBACKS,
+        &LOAD_SHED,
+    ],
+    gauges: &[&SHARDS, &SHARDS_CORRUPT, &SHARDS_DEGRADED, &INGEST_INFLIGHT],
+    histograms: &[&REQUEST_NS, &INGEST_NS],
+};
 
 /// The process-wide metrics snapshot — linalg kernels, core pipeline —
 /// extended with the `serve.*` catalogue. This is what `GET /metrics`
 /// renders through [`MetricsSnapshot::to_prometheus`].
 pub fn fleet_snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::capture();
-    for c in COUNTERS {
-        snap.metrics.push(entry_counter(c));
-    }
-    for g in GAUGES {
-        snap.metrics.push(entry_gauge(g));
-    }
-    for h in HISTOGRAMS {
-        snap.metrics.push(entry_histogram(h));
-    }
+    SERVE.capture_into(&mut snap.metrics);
     snap
-}
-
-/// Zeroes the `serve.*` catalogue (tests; the core/linalg catalogues have
-/// their own `reset`).
-pub fn reset() {
-    for c in COUNTERS {
-        c.reset();
-    }
-    for g in GAUGES {
-        g.reset();
-    }
-    for h in HISTOGRAMS {
-        h.reset();
-    }
 }
 
 /// Classifies a response status into the right counter.

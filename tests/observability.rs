@@ -397,3 +397,20 @@ fn cli_stream_metrics_lines_match_ground_truth() {
         assert!(w[0].snapshot.counter("gemm.calls") <= w[1].snapshot.counter("gemm.calls"));
     }
 }
+
+/// The catalogue `GET /metrics` exposes — linalg kernels, core pipeline,
+/// then `serve.*` — pinned series by series: a reordered, renamed, retyped
+/// or dropped metric fails here, not on an operator's dashboard.
+#[test]
+fn metric_catalogue_matches_fixture() {
+    let want: Vec<&str> = include_str!("fixtures/metrics_catalogue.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let got: Vec<String> = imrdmd_serve::obs::fleet_snapshot()
+        .metrics
+        .iter()
+        .map(|m| format!("{} {}", m.name, m.kind))
+        .collect();
+    assert_eq!(got, want, "catalogue drifted:\n{}", got.join("\n"));
+}
