@@ -46,10 +46,10 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<StrategyResult>> {
 
     // --- I-mrDMD (the paper's incremental update). ---
     {
-        let cfg = IMrDmdConfig::builder()
-            .mr(mr)
-            .build()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+        let cfg = IMrDmdConfig {
+            mr,
+            ..IMrDmdConfig::default()
+        };
         imrdmd::obs::reset();
         let mut model = IMrDmd::fit(&data.cols_range(0, t0), &cfg);
         let mut times = Vec::new();

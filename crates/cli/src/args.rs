@@ -285,15 +285,20 @@ impl Flags {
             },
             " (expected exact or sketched)",
         )?;
-        let mr = MrDmdConfig::builder()
-            .dt(dt)
-            .max_levels(levels.max(1))
-            .max_cycles(max_cycles.max(1))
-            .rank(RankSelection::Svht)
-            .n_threads(threads)
-            .fit_strategy(strategy)
-            .build()?;
-        Ok(IMrDmdConfig::builder().mr(mr).build()?)
+        let cfg = IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt,
+                max_levels: levels.max(1),
+                max_cycles: max_cycles.max(1),
+                rank: RankSelection::Svht,
+                n_threads: threads,
+                strategy,
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// `--threads` (0 = auto, 1 = serial).

@@ -93,9 +93,9 @@ fn serve(addr: &str, config: &ServeConfig) -> Result<String, CliError> {
 const STREAM_SHARD: &str = "stream";
 
 /// Loads a `--model` file: a shard checkpoint (model, ingest guard, round
-/// count).
+/// count), checked by [`ShardSnapshot::load`].
 fn load_model(path: &Path) -> Result<ShardSnapshot, CliError> {
-    load_state_checkpoint(path)
+    ShardSnapshot::load(path)
         .map_err(|e| CliError(format!("cannot read model {}: {e}", path.display())))
 }
 
@@ -772,6 +772,7 @@ mod tests {
         .unwrap();
         let info = format!("info --model {}", model.display());
         cli(&info).unwrap();
+        let good = fs::read_to_string(&model).unwrap();
         // Change one digit of one number in the payload.
         let mut bytes = fs::read(&model).unwrap();
         let at = bytes.iter().rposition(u8::is_ascii_digit).unwrap();
@@ -783,6 +784,24 @@ mod tests {
         fs::write(&model, &bytes).unwrap();
         let err = cli(&info).unwrap_err();
         assert!(err.0.contains("checkpoint checksum mismatch"), "{err}");
+        // A payload re-checksummed around `"nyquist_factor":0` passes the
+        // header checks; the model check refuses it with a typed error.
+        let payload = good[good.find('\n').unwrap() + 1..].replacen(
+            "\"nyquist_factor\":4",
+            "\"nyquist_factor\":0",
+            1,
+        );
+        let crc = imrdmd::storage::crc32(payload.as_bytes());
+        let header = format!("IMRDMD-CKPT v1 {} {crc:08x}\n", payload.len());
+        fs::write(&model, header + &payload).unwrap();
+        let err = cli(&info).unwrap_err();
+        assert!(
+            err.0
+                .starts_with(&format!("cannot read model {}: ", model.display())),
+            "{err}"
+        );
+        assert!(err.0.contains("checkpoint decode failed: "), "{err}");
+        assert!(err.0.contains("nyquist_factor"), "{err}");
         // A bare `IMrDmd` JSON (the model file of older releases) has no
         // checkpoint header: a named error, not a panic.
         let bare = IMrDmd::fit(&data, &IMrDmdConfig::default());

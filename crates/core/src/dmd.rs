@@ -23,9 +23,8 @@
 
 use crate::error::CoreError;
 use hpc_linalg::{
-    c64, lstsq_complex, numerical_rank, svd_leading, svd_sketched, svd_snapshots, svd_truncated,
-    svht_rank, try_eig_real, try_lstsq_complex, try_solve_normal, CMat, EigStats, Mat, SnapshotSvd,
-    Svd,
+    c64, numerical_rank, svd_leading, svd_sketched, svd_snapshots, svd_truncated, svht_rank,
+    try_eig_real, try_lstsq_complex, try_solve_normal, CMat, EigStats, Mat, SnapshotSvd, Svd,
 };
 use serde::{Deserialize, Serialize};
 
@@ -614,51 +613,6 @@ impl Dmd {
     }
 }
 
-/// Sparsity-promoting amplitude selection (Jovanović, Schmid & Nichols 2014
-/// — the paper's ref. \[44\]): re-fits mode amplitudes under an ℓ₁ penalty so
-/// that weak modes drop to exactly zero, via ISTA (iterative
-/// shrinkage-thresholding) on `min ‖Φa − x₀‖² + γ‖a‖₁`.
-///
-/// Returns the sparse amplitudes; entries equal to zero mark discarded
-/// modes. Larger `gamma` discards more aggressively.
-pub fn sparse_amplitudes(modes: &CMat, x0: &[f64], gamma: f64, iters: usize) -> Vec<c64> {
-    assert_eq!(modes.rows(), x0.len());
-    assert!(gamma >= 0.0);
-    let k = modes.cols();
-    if k == 0 {
-        return vec![];
-    }
-    let b: Vec<c64> = x0.iter().map(|&v| c64::from_real(v)).collect();
-    // Lipschitz constant of ∇‖Φa − b‖² is 2·σ_max(Φ)² ≤ 2·‖Φ‖_F².
-    let lip = 2.0 * modes.fro_norm().powi(2).max(1e-12);
-    let step = 1.0 / lip;
-    let mut a = lstsq_complex(modes, &b);
-    for _ in 0..iters {
-        // Gradient step: a ← a − step · 2Φᴴ(Φa − b).
-        let residual: Vec<c64> = modes
-            .matvec(&a)
-            .iter()
-            .zip(&b)
-            .map(|(&r, &bb)| r - bb)
-            .collect();
-        let grad = modes.h_matvec(&residual);
-        for (ai, g) in a.iter_mut().zip(&grad) {
-            *ai -= *g * (2.0 * step);
-        }
-        // Proximal step: complex soft threshold by step·γ.
-        let th = step * gamma;
-        for ai in &mut a {
-            let m = ai.abs();
-            *ai = if m <= th {
-                c64::ZERO
-            } else {
-                *ai * ((m - th) / m)
-            };
-        }
-    }
-    a
-}
-
 /// Smallest `σ/σ₁` the method of snapshots trusts. A Gram eigenvalue
 /// carries an absolute error of about `ε·σ₁²`, so a Gram-derived `σᵢ` is
 /// good to about `ε/(2ρᵢ²)` relative (`ρᵢ = σᵢ/σ₁`): 10⁻⁸ at this floor.
@@ -959,62 +913,6 @@ mod tests {
         let rec0 = dmd.reconstruct_at(&[0.0]);
         let x0 = data.cols_range(0, 1);
         assert!(rec0.fro_dist(&x0) < 1e-8 * x0.fro_norm().max(1.0));
-    }
-
-    #[test]
-    fn sparse_amplitudes_drop_weak_modes() {
-        let dt = 0.01;
-        // Strong 2 Hz oscillation + weak 7 Hz one.
-        let data = Mat::from_fn(24, 300, |i, j| {
-            let x = i as f64 / 24.0;
-            let tt = j as f64 * dt;
-            (2.0 * std::f64::consts::PI * 2.0 * tt + 3.0 * x).sin()
-                + 0.02 * (2.0 * std::f64::consts::PI * 7.0 * tt + 7.0 * x).cos()
-        });
-        let dmd = Dmd::fit(
-            &data,
-            &DmdConfig {
-                dt,
-                rank: RankSelection::Fixed(4),
-                ..DmdConfig::default()
-            },
-        );
-        let x0 = data.col(0);
-        let dense = sparse_amplitudes(&dmd.modes, &x0, 0.0, 200);
-        let sparse = sparse_amplitudes(&dmd.modes, &x0, 5.0, 200);
-        let nnz = |a: &[c64]| a.iter().filter(|z| z.abs() > 0.0).count();
-        assert!(
-            nnz(&sparse) < nnz(&dense).max(1) || nnz(&sparse) <= 2,
-            "gamma must sparsify: dense {} vs sparse {}",
-            nnz(&dense),
-            nnz(&sparse)
-        );
-        // With zero penalty the ISTA fixed point reproduces x0 well.
-        let recon = dmd.modes.matvec(&dense);
-        let err: f64 = recon
-            .iter()
-            .zip(&x0)
-            .map(|(z, &v)| (*z - c64::from_real(v)).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        let base: f64 = x0.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(err < 0.05 * base, "dense refit error {err} vs {base}");
-    }
-
-    #[test]
-    fn sparse_amplitudes_extreme_gamma_kills_everything() {
-        let dt = 0.02;
-        let data = Mat::from_fn(8, 100, |i, j| ((i + j) as f64 * 0.1).sin());
-        let dmd = Dmd::fit(
-            &data,
-            &DmdConfig {
-                dt,
-                rank: RankSelection::Fixed(2),
-                ..DmdConfig::default()
-            },
-        );
-        let a = sparse_amplitudes(&dmd.modes, &data.col(0), 1e12, 50);
-        assert!(a.iter().all(|z| *z == c64::ZERO));
     }
 
     #[test]

@@ -191,15 +191,15 @@ mod tests {
     }
 
     fn fleet_cfg(max_levels: usize, min_window: usize) -> IMrDmdConfig {
-        IMrDmdConfig::builder()
-            .mr(MrDmdConfig::builder()
-                .max_levels(max_levels)
-                .min_window(min_window)
-                .build()
-                .unwrap_or_default())
-            .drift_threshold(1e6)
-            .build()
-            .unwrap_or_default()
+        IMrDmdConfig {
+            mr: MrDmdConfig {
+                max_levels,
+                min_window,
+                ..MrDmdConfig::default()
+            },
+            drift_threshold: Some(1e6),
+            ..IMrDmdConfig::default()
+        }
     }
 
     #[test]

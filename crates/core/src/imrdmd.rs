@@ -99,65 +99,6 @@ impl IMrDmdConfig {
         }
         Ok(())
     }
-
-    /// Builder-first construction; [`IMrDmdConfigBuilder::build`] runs
-    /// [`validate`](Self::validate), so cross-field mistakes (e.g.
-    /// `auto_refresh` without `keep_history`) fail at construction instead
-    /// of mid-stream.
-    pub fn builder() -> IMrDmdConfigBuilder {
-        IMrDmdConfigBuilder {
-            cfg: IMrDmdConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`IMrDmdConfig`]; see [`IMrDmdConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct IMrDmdConfigBuilder {
-    cfg: IMrDmdConfig,
-}
-
-impl IMrDmdConfigBuilder {
-    /// The underlying multiresolution configuration.
-    #[must_use]
-    pub fn mr(mut self, mr: MrDmdConfig) -> Self {
-        self.cfg.mr = mr;
-        self
-    }
-
-    /// Rank cap of the streaming root SVD.
-    #[must_use]
-    pub fn isvd_max_rank(mut self, isvd_max_rank: usize) -> Self {
-        self.cfg.isvd_max_rank = isvd_max_rank;
-        self
-    }
-
-    /// Frobenius drift beyond which the tree is flagged stale.
-    #[must_use]
-    pub fn drift_threshold(mut self, drift_threshold: f64) -> Self {
-        self.cfg.drift_threshold = Some(drift_threshold);
-        self
-    }
-
-    /// Retain the full-resolution history.
-    #[must_use]
-    pub fn keep_history(mut self, keep_history: bool) -> Self {
-        self.cfg.keep_history = keep_history;
-        self
-    }
-
-    /// Refresh subtrees automatically when the drift threshold trips.
-    #[must_use]
-    pub fn auto_refresh(mut self, auto_refresh: bool) -> Self {
-        self.cfg.auto_refresh = auto_refresh;
-        self
-    }
-
-    /// Validates every field and returns the configuration.
-    pub fn build(self) -> Result<IMrDmdConfig, CoreError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 /// Summary of one incremental update.
@@ -286,6 +227,10 @@ pub struct IMrDmd {
 impl IMrDmd {
     /// Initial fit: identical tree to the batch [`MrDmd`] (same root, same
     /// recursion), plus the streaming SVD state for subsequent updates.
+    ///
+    /// Expects a configuration that passes [`IMrDmdConfig::validate`]; an
+    /// out-of-domain one (e.g. `nyquist_factor` 0) may panic here or in a
+    /// later round. The serving `Shard` checks it before every cold start.
     pub fn fit(data: &Mat, cfg: &IMrDmdConfig) -> IMrDmd {
         assert!(data.cols() >= 2, "initial fit needs at least two snapshots");
         let p = data.rows();
@@ -369,6 +314,44 @@ impl IMrDmd {
         state
     }
 
+    /// Checks a restored model before it enters a stream: its configuration
+    /// ([`IMrDmdConfig::validate`]) and the decimation state that bounds a
+    /// round's column capture — a step of at least one, a decimated stream
+    /// of `p` rows and at least two columns, and a next capture index that
+    /// sits on that stream's grid within one step past the absorbed
+    /// timeline. A fitted or streamed model always passes; a checkpoint
+    /// that fails would divide by zero, loop without end or index out of
+    /// range on its next round.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        self.cfg.validate()?;
+        let fail = |what: String| Err(CoreError::InvalidConfig { what });
+        let (n_sub, step) = (self.sub_data.cols(), self.root_step);
+        if step < 1 {
+            return fail("root decimation step must be at least 1".into());
+        }
+        if self.sub_data.rows() != self.p || n_sub < 2 {
+            return fail(format!(
+                "decimated root stream is {}x{n_sub}, expected {} rows and at least 2 columns",
+                self.sub_data.rows(),
+                self.p
+            ));
+        }
+        let on_grid = n_sub.checked_mul(step) == Some(self.next_sub_abs);
+        let in_reach = self.t_total <= self.next_sub_abs
+            && self
+                .t_total
+                .checked_add(step)
+                .is_some_and(|end| self.next_sub_abs < end);
+        if !(on_grid && in_reach) {
+            return fail(format!(
+                "next decimated column {} is off the {n_sub}-column, step-{step} grid \
+                 after {} snapshots",
+                self.next_sub_abs, self.t_total
+            ));
+        }
+        Ok(())
+    }
+
     /// Solves the root DMD from the current streaming SVD and returns the
     /// slow-mode set spanning a window of `window` snapshots, plus the
     /// eigensolver's iteration statistics. A solver failure (after the
@@ -387,34 +370,8 @@ impl IMrDmd {
             None => self.isvd.to_svd(),
         };
         let dmd = Dmd::try_from_svd(&root_svd, &y, &self.sub_data, &dmd_cfg)?;
-        let cutoff = self.cfg.mr.slow_cutoff_hz(window);
-        let slow: Vec<usize> = dmd
-            .frequencies()
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f <= cutoff)
-            .map(|(i, _)| i)
-            .collect();
-        let mut omegas: Vec<hpc_linalg::c64> = slow.iter().map(|&i| dmd.omegas[i]).collect();
-        crate::mrdmd::clamp_growth(
-            &mut omegas,
-            window as f64 * self.cfg.mr.dt,
-            self.cfg.mr.max_window_growth,
-        );
-        Ok((
-            ModeSet {
-                level: 1,
-                start: 0,
-                window,
-                step: self.root_step,
-                row_offset: 0,
-                modes: dmd.modes.select_cols(&slow),
-                lambdas: slow.iter().map(|&i| dmd.lambdas[i]).collect(),
-                omegas,
-                amplitudes: slow.iter().map(|&i| dmd.amplitudes[i]).collect(),
-            },
-            dmd.eig_stats,
-        ))
+        let root = ModeSet::slow_modes(&dmd, &self.cfg.mr, 1, 0, window, self.root_step);
+        Ok((root, dmd.eig_stats))
     }
 
     /// Installs a freshly solved root and clears the failure streak.
@@ -700,10 +657,10 @@ impl IMrDmd {
     /// Frobenius norm of the difference between the current and previous
     /// root reconstructions over the previous timeline, evaluated at the
     /// decimated snapshots (`O(P·r·n_sub)`). Both roots go through the grid
-    /// reconstruction kernel, extrapolated past their windows as
-    /// [`ModeSet::eval_extrapolated`] would be, [`DRIFT_CHUNK`] grid columns
-    /// at a time; each column's squared differences are summed in row order
-    /// and the column sums added in column order.
+    /// reconstruction kernel, extrapolated past their windows as a forecast
+    /// is, [`DRIFT_CHUNK`] grid columns at a time; each column's squared
+    /// differences are summed in row order and the column sums added in
+    /// column order.
     fn root_drift(&self, old_root: &ModeSet, old_sub_cols: usize) -> f64 {
         let dt = self.cfg.mr.dt;
         let p = self.p;
@@ -1049,22 +1006,21 @@ impl IMrDmd {
     /// bounded regardless.
     pub fn forecast(&self, horizon: usize) -> Mat {
         let mut out = Mat::zeros(self.p, horizon);
-        let dt = self.cfg.mr.dt;
-        let edge_nodes: Vec<&ModeSet> = self
-            .nodes()
-            .filter(|n| n.start + n.window == self.t_total)
-            .collect();
-        for node in &edge_nodes {
-            for h in 0..horizon {
-                let abs = self.t_total + h;
-                let vals = node.eval_extrapolated(abs, dt);
-                for (i, v) in vals.iter().enumerate() {
-                    let row = node.row_offset + i;
-                    if row < self.p {
-                        out[(row, h)] += v;
-                    }
-                }
-            }
+        let grid = Grid {
+            start: self.t_total,
+            step: 1,
+            cols: horizon,
+        };
+        for node in self.nodes().filter(|n| n.start + n.window == self.t_total) {
+            node.apply_reconstruction_rows(
+                out.as_mut_slice(),
+                0,
+                self.p,
+                grid,
+                self.cfg.mr.dt,
+                1.0,
+                true,
+            );
         }
         out
     }

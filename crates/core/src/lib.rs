@@ -69,19 +69,15 @@ pub mod prelude {
         shard_checkpoint_history, shard_checkpoints, CheckpointError, Checkpointer,
     };
     pub use crate::compression::{compression_report, CompressionReport};
-    pub use crate::dmd::{sparse_amplitudes, Dmd, DmdConfig, FitStrategy, RankSelection};
+    pub use crate::dmd::{Dmd, DmdConfig, FitStrategy, RankSelection};
     pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
-    pub use crate::imrdmd::{
-        IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, PartialFitReport, RoundReport,
-    };
+    pub use crate::imrdmd::{IMrDmd, IMrDmdConfig, PartialFitReport, RoundReport};
     pub use crate::ingest::{GapPolicy, IngestGuard, RepairReport};
-    pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig, MrDmdConfigBuilder};
+    pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig};
     pub use crate::obs::{MetricsLine, MetricsSnapshot, Observer};
-    pub use crate::spectrum::{
-        mode_spectrum, power_by_level, power_histogram, BandFilter, SpectrumPoint,
-    };
+    pub use crate::spectrum::{mode_spectrum, power_by_level, BandFilter, SpectrumPoint};
     pub use crate::wal::{shard_wals, Durability, Wal, WalError, WalFrame, WalReplay};
     pub use crate::windowed::{WindowedConfig, WindowedMrDmd};
 }

@@ -89,7 +89,7 @@ impl Default for MrDmdConfig {
 
 /// Clamps each mode's growth rate so its envelope gains at most
 /// `max_window_growth` over a window of `window_secs` seconds.
-pub(crate) fn clamp_growth(omegas: &mut [c64], window_secs: f64, max_window_growth: f64) {
+fn clamp_growth(omegas: &mut [c64], window_secs: f64, max_window_growth: f64) {
     if window_secs <= 0.0 || !max_window_growth.is_finite() {
         return;
     }
@@ -148,92 +148,6 @@ impl MrDmdConfig {
         self.rank.validate()?;
         self.strategy.validate()
     }
-
-    /// Builder-first construction; [`MrDmdConfigBuilder::build`] runs
-    /// [`validate`](Self::validate), so a bad value fails at construction
-    /// rather than as a panic inside [`MrDmd::fit`].
-    pub fn builder() -> MrDmdConfigBuilder {
-        MrDmdConfigBuilder {
-            cfg: MrDmdConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`MrDmdConfig`]; see [`MrDmdConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct MrDmdConfigBuilder {
-    cfg: MrDmdConfig,
-}
-
-impl MrDmdConfigBuilder {
-    /// Snapshot spacing in seconds.
-    #[must_use]
-    pub fn dt(mut self, dt: f64) -> Self {
-        self.cfg.dt = dt;
-        self
-    }
-
-    /// Maximum recursion depth `L` (level 1 = whole timeline).
-    #[must_use]
-    pub fn max_levels(mut self, max_levels: usize) -> Self {
-        self.cfg.max_levels = max_levels;
-        self
-    }
-
-    /// Modes oscillating at most this many times per window count as slow.
-    #[must_use]
-    pub fn max_cycles(mut self, max_cycles: usize) -> Self {
-        self.cfg.max_cycles = max_cycles;
-        self
-    }
-
-    /// SVD truncation rule for every per-node DMD.
-    #[must_use]
-    pub fn rank(mut self, rank: RankSelection) -> Self {
-        self.cfg.rank = rank;
-        self
-    }
-
-    /// Samples kept per window: `nyquist_factor × 2 × max_cycles`.
-    #[must_use]
-    pub fn nyquist_factor(mut self, nyquist_factor: usize) -> Self {
-        self.cfg.nyquist_factor = nyquist_factor;
-        self
-    }
-
-    /// Windows shorter than this many snapshots are not split further.
-    #[must_use]
-    pub fn min_window(mut self, min_window: usize) -> Self {
-        self.cfg.min_window = min_window;
-        self
-    }
-
-    /// Cap on in-window amplitude growth.
-    #[must_use]
-    pub fn max_window_growth(mut self, max_window_growth: f64) -> Self {
-        self.cfg.max_window_growth = max_window_growth;
-        self
-    }
-
-    /// Worker threads (0 = machine-sized, 1 = serial).
-    #[must_use]
-    pub fn n_threads(mut self, n_threads: usize) -> Self {
-        self.cfg.n_threads = n_threads;
-        self
-    }
-
-    /// How every per-node snapshot SVD is computed.
-    #[must_use]
-    pub fn fit_strategy(mut self, strategy: FitStrategy) -> Self {
-        self.cfg.strategy = strategy;
-        self
-    }
-
-    /// Validates every field and returns the configuration.
-    pub fn build(self) -> Result<MrDmdConfig, CoreError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 /// The slow modes extracted at one node (level, window) of the mrDMD tree.
@@ -264,6 +178,42 @@ pub struct ModeSet {
 }
 
 impl ModeSet {
+    /// The slow modes of `dmd`, fitted on a window of `window` snapshots
+    /// from absolute snapshot `start` decimated by `step`: the modes at or
+    /// below [`MrDmdConfig::slow_cutoff_hz`], growth-clamped to
+    /// `max_window_growth` over the window. Row-local (`row_offset` 0).
+    /// The root solve and every tree node build their node through this.
+    pub(crate) fn slow_modes(
+        dmd: &Dmd,
+        cfg: &MrDmdConfig,
+        level: usize,
+        start: usize,
+        window: usize,
+        step: usize,
+    ) -> ModeSet {
+        let cutoff = cfg.slow_cutoff_hz(window);
+        let slow: Vec<usize> = dmd
+            .frequencies()
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f <= cutoff)
+            .map(|(i, _)| i)
+            .collect();
+        let mut omegas: Vec<c64> = slow.iter().map(|&i| dmd.omegas[i]).collect();
+        clamp_growth(&mut omegas, window as f64 * cfg.dt, cfg.max_window_growth);
+        ModeSet {
+            level,
+            start,
+            window,
+            step,
+            row_offset: 0,
+            modes: dmd.modes.select_cols(&slow),
+            lambdas: slow.iter().map(|&i| dmd.lambdas[i]).collect(),
+            omegas,
+            amplitudes: slow.iter().map(|&i| dmd.amplitudes[i]).collect(),
+        }
+    }
+
     /// Number of retained slow modes.
     pub fn n_modes(&self) -> usize {
         self.lambdas.len()
@@ -289,7 +239,7 @@ impl ModeSet {
     /// row-major order with `grid.cols` columns, column `c` being absolute
     /// snapshot `grid.start + c·grid.step`. Only grid points inside the
     /// node's window are touched; with `extrapolate` the window's right edge
-    /// is ignored, as in [`eval_extrapolated`](Self::eval_extrapolated).
+    /// is ignored (forecasting and the drift scan evaluate past it).
     /// Every element receives exactly the additions (in the same order) it
     /// would in a whole-matrix, unit-step pass, so any row chunking or grid
     /// choice produces bitwise-identical values at the points it covers.
@@ -387,31 +337,6 @@ impl ModeSet {
     /// Total mode power of this node.
     pub fn total_power(&self) -> f64 {
         self.powers().iter().sum()
-    }
-
-    /// Evaluates this node's contribution at an arbitrary absolute snapshot,
-    /// **without clipping to the window** — extrapolation for forecasting.
-    /// Returns one value per mode-local row.
-    pub fn eval_extrapolated(&self, abs: usize, dt: f64) -> Vec<f64> {
-        let mut out = vec![0.0; self.modes.rows()];
-        if self.n_modes() == 0 || abs < self.start {
-            return out;
-        }
-        let t_rel = (abs - self.start) as f64 * dt;
-        let weights: Vec<c64> = self
-            .omegas
-            .iter()
-            .zip(&self.amplitudes)
-            .map(|(&w, &a)| (w * t_rel).exp() * a)
-            .collect();
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = c64::ZERO;
-            for (&phi, &w) in self.modes.row(i).iter().zip(&weights) {
-                acc = acc.mul_add(phi, w);
-            }
-            *o = acc.re;
-        }
-        out
     }
 }
 
@@ -526,14 +451,6 @@ impl MrDmd {
     /// Reconstructs the full fitted timeline.
     pub fn reconstruct(&self) -> Mat {
         self.reconstruct_range(0, self.n_steps)
-    }
-
-    /// The node at `level` whose window contains absolute snapshot `t`, if
-    /// one was materialised.
-    pub fn node_at(&self, level: usize, t: usize) -> Option<&ModeSet> {
-        self.nodes
-            .iter()
-            .find(|n| n.level == level && t >= n.start && t < n.start + n.window)
     }
 
     /// A copy of the tree with every node's modes restricted by `filter`
@@ -703,32 +620,11 @@ pub(crate) fn fit_tree(
             strategy: cfg.strategy.for_node(salt),
         };
         match Dmd::try_fit(&sub, &dmd_cfg) {
+            // Row-local while it serves as an ancestor; the global offset
+            // is attached when it is stored.
             Ok(dmd) => {
-                let cutoff = cfg.slow_cutoff_hz(w);
-                let slow_idx: Vec<usize> = dmd
-                    .frequencies()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &f)| f <= cutoff)
-                    .map(|(i, _)| i)
-                    .collect();
-                if !slow_idx.is_empty() {
-                    let mut omegas: Vec<c64> = slow_idx.iter().map(|&i| dmd.omegas[i]).collect();
-                    clamp_growth(&mut omegas, w as f64 * cfg.dt, cfg.max_window_growth);
-                    fitted = Some(ModeSet {
-                        level,
-                        start: start_abs,
-                        window: w,
-                        step,
-                        // Row-local while it serves as an ancestor; the
-                        // global offset is attached when it is stored.
-                        row_offset: 0,
-                        modes: dmd.modes.select_cols(&slow_idx),
-                        lambdas: slow_idx.iter().map(|&i| dmd.lambdas[i]).collect(),
-                        omegas,
-                        amplitudes: slow_idx.iter().map(|&i| dmd.amplitudes[i]).collect(),
-                    });
-                }
+                fitted = Some(ModeSet::slow_modes(&dmd, cfg, level, start_abs, w, step))
+                    .filter(|n| n.n_modes() > 0);
             }
             Err(e) => {
                 // Degrade, don't die: record the fault, subtract nothing for
@@ -1136,16 +1032,10 @@ mod tests {
         let dt = 0.5;
         let data = multiscale_data(8, 256, dt);
         let m = MrDmd::fit(&data, &cfg(dt, 4));
-        let root = m.node_at(1, 100).expect("root covers everything");
+        let root = &m.nodes[0];
         assert_eq!(root.level, 1);
         assert!(root.dominant_frequency().is_some());
         assert!(root.total_power() > 0.0);
-        // Level-2 lookup picks the correct half.
-        if let Some(n) = m.node_at(2, 200) {
-            assert!(n.start <= 200 && 200 < n.start + n.window);
-        }
-        // Out-of-tree queries return None.
-        assert!(m.node_at(99, 0).is_none());
         let summary = m.tree_summary();
         assert!(summary.contains("level 1:"));
         assert_eq!(summary.lines().count(), m.depth());

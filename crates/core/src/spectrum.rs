@@ -134,25 +134,6 @@ pub fn power_by_level(points: &[SpectrumPoint]) -> Vec<(usize, f64)> {
     acc.into_iter().collect()
 }
 
-/// Splits the band `[0, f_max]` into `bins` equal bins and sums power per
-/// bin; the histogram behind the spectrum plots.
-pub fn power_histogram(points: &[SpectrumPoint], f_max: f64, bins: usize) -> Vec<f64> {
-    assert!(bins > 0 && f_max > 0.0);
-    let mut h = vec![0.0; bins];
-    for p in points {
-        // A NaN frequency saturating-casts to bin 0, silently corrupting
-        // the lowest band; a NaN power poisons whichever bin it lands in.
-        if !p.frequency_hz.is_finite() || !p.power.is_finite() {
-            continue;
-        }
-        if p.frequency_hz <= f_max {
-            let b = ((p.frequency_hz / f_max) * bins as f64).min(bins as f64 - 1.0) as usize;
-            h[b] += p.power;
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,24 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_conserves_in_band_power() {
-        let m = fitted();
-        let pts = mode_spectrum(&m.nodes);
-        let f_max = pts
-            .iter()
-            .map(|p| p.frequency_hz)
-            .fold(0.0f64, f64::max)
-            .max(1e-6);
-        let h = power_histogram(&pts, f_max, 10);
-        let total_in_band: f64 = pts
-            .iter()
-            .filter(|p| p.frequency_hz <= f_max)
-            .map(|p| p.power)
-            .sum();
-        assert!((h.iter().sum::<f64>() - total_in_band).abs() < 1e-9 * total_in_band.max(1.0));
-    }
-
-    #[test]
     fn per_level_power_sums_to_total() {
         let m = fitted();
         let pts = mode_spectrum(&m.nodes);
@@ -270,12 +233,7 @@ mod tests {
             ..good
         };
         let pts = [good, nan_freq, nan_power, inf_freq];
-        // The NaN frequency used to saturating-cast into bin 0: the lowest
-        // band silently absorbed its power.
-        let h = power_histogram(&pts, 1.0, 4);
-        assert_eq!(h, vec![0.0, 0.0, 2.0, 0.0]);
-        assert!(h.iter().all(|v| v.is_finite()));
-        // Per-level totals stay finite too.
+        // Per-level totals stay finite.
         let by_level = power_by_level(&pts);
         assert_eq!(by_level, vec![(1, 2.0)]);
         // And the filter never admits a non-finite point.

@@ -189,18 +189,6 @@ impl CMat {
             .collect()
     }
 
-    /// `self ᴴ * v` without materialising the transpose.
-    pub fn h_matvec(&self, v: &[c64]) -> Vec<c64> {
-        assert_eq!(self.rows, v.len());
-        let mut out = vec![c64::ZERO; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            for (o, &a) in out.iter_mut().zip(self.row(i)) {
-                *o = o.mul_add(a.conj(), vi);
-            }
-        }
-        out
-    }
-
     /// Scales each column `j` by `d[j]` (right-multiplication by `diag(d)`).
     pub fn scale_cols(&self, d: &[c64]) -> CMat {
         assert_eq!(d.len(), self.cols);
@@ -358,19 +346,6 @@ mod tests {
         a[(0, 0)] = c64::I;
         let sq = a.matmul(&a);
         assert!((sq[(0, 0)] - c64::new(-1.0, 0.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn h_matvec_matches_conj_transpose_matvec() {
-        let a = CMat::from_fn(4, 3, |i, j| c64::new(i as f64 - 1.0, 0.5 * j as f64));
-        let v: Vec<c64> = (0..4)
-            .map(|k| c64::new(k as f64, -(k as f64) * 0.3))
-            .collect();
-        let fast = a.h_matvec(&v);
-        let slow = a.conj_transpose().matvec(&v);
-        for (x, y) in fast.iter().zip(&slow) {
-            assert!((*x - *y).abs() < 1e-13);
-        }
     }
 
     #[test]

@@ -73,24 +73,9 @@ pub fn try_solve_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
 ///
 /// Adequate for the well-conditioned mode-amplitude fits in this suite; the
 /// condition number is squared, so do not use it for ill-conditioned systems.
-///
-/// # Panics
-/// Panics if the (Tikhonov-regularised) Gram system is still singular; use
-/// [`try_lstsq_complex`] to handle that as an error.
-pub fn lstsq_complex(a: &CMat, b: &[c64]) -> Vec<c64> {
-    match try_lstsq_complex(a, b) {
-        Ok(x) => x,
-        // Preserved legacy contract: the infallible entry point aborts on a
-        // singular system, exactly like the historical assert did.
-        #[allow(clippy::panic)]
-        Err(e) => panic!("singular system in lstsq_complex: {e}"),
-    }
-}
-
-/// Fallible twin of [`lstsq_complex`]: rank deficiency that survives the
-/// Tikhonov regularisation (possible only for degenerate inputs, e.g. NaN
-/// contamination or an all-zero column set) is reported as
-/// [`LinAlgError::RankDeficient`].
+/// Rank deficiency that survives the Tikhonov regularisation (possible only
+/// for degenerate inputs, e.g. NaN contamination or an all-zero column set)
+/// is reported as [`LinAlgError::RankDeficient`].
 pub fn try_lstsq_complex(a: &CMat, b: &[c64]) -> Result<Vec<c64>, LinAlgError> {
     assert_eq!(a.rows(), b.len());
     let ah = a.conj_transpose();
@@ -166,7 +151,7 @@ mod tests {
         let a = CMat::from_fn(5, 2, |i, j| c64::new((i + j) as f64, (i as f64) * 0.3));
         let x_true = vec![c64::new(0.5, -1.0), c64::new(2.0, 0.25)];
         let b = a.matvec(&x_true);
-        let x = lstsq_complex(&a, &b);
+        let x = try_lstsq_complex(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((*xi - *ti).abs() < 1e-9, "{xi} vs {ti}");
         }

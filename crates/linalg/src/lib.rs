@@ -56,7 +56,7 @@ pub mod workspace;
 
 pub use cmat::CMat;
 pub use complex::c64;
-pub use csolve::{lstsq_complex, try_lstsq_complex, try_solve_complex, try_solve_normal};
+pub use csolve::{try_lstsq_complex, try_solve_complex, try_solve_normal};
 pub use eig::{eig_real, try_eig_complex, try_eig_real, try_eig_symmetric, Eig, EigStats, SymEig};
 pub use error::{LinAlgError, PartialSchur};
 pub use fft::{dominant_frequency, fft, fft_in_place, ifft, periodogram};

@@ -389,14 +389,6 @@ impl Mat {
         }
     }
 
-    /// In-place `self -= b`.
-    pub fn sub_assign(&mut self, b: &Mat) {
-        assert_eq!(self.shape(), b.shape());
-        for (a, &bv) in self.data.iter_mut().zip(&b.data) {
-            *a -= bv;
-        }
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -420,32 +412,6 @@ impl Mat {
             })
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Estimates the spectral norm (largest singular value) by power
-    /// iteration on `AᵀA` — cheap and accurate enough for step-size and
-    /// conditioning heuristics.
-    pub fn spectral_norm_est(&self, iters: usize) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        // Deterministic start vector with energy in every direction.
-        let mut v: Vec<f64> = (0..self.cols)
-            .map(|j| 1.0 + (j as f64 * 0.7).sin())
-            .collect();
-        let mut norm = 0.0;
-        for _ in 0..iters.max(1) {
-            let av = self.matvec(&v);
-            let atav = self.t_matvec(&av);
-            norm = atav.iter().map(|&x| x * x).sum::<f64>().sqrt();
-            if norm <= 0.0 {
-                return 0.0;
-            }
-            for (x, &y) in v.iter_mut().zip(&atav) {
-                *x = y / norm;
-            }
-        }
-        norm.sqrt()
     }
 
     /// Mean of all entries.
@@ -618,19 +584,6 @@ mod tests {
         let s = a.select_rows(&[3, 1]);
         assert_eq!(s.row(0), &[3.0, 3.0]);
         assert_eq!(s.row(1), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn spectral_norm_estimate_matches_svd() {
-        let a = Mat::from_fn(12, 9, |i, j| ((i * 5 + j * 3) % 11) as f64 - 5.0);
-        let est = a.spectral_norm_est(50);
-        let exact = crate::svd::svd(&a).s[0];
-        assert!(
-            (est - exact).abs() < 1e-6 * exact,
-            "est {est} vs exact {exact}"
-        );
-        assert_eq!(Mat::zeros(3, 0).spectral_norm_est(10), 0.0);
-        assert_eq!(Mat::zeros(3, 3).spectral_norm_est(10), 0.0);
     }
 
     #[test]

@@ -146,14 +146,6 @@ pub struct PooledMat {
     mat: Mat,
 }
 
-impl PooledMat {
-    /// Consumes the guard, keeping the matrix (its buffer leaves the pool
-    /// for good — use when a scratch result graduates to a long-lived field).
-    pub fn into_mat(mut self) -> Mat {
-        std::mem::take(&mut self.mat)
-    }
-}
-
 /// A zeroed pooled `rows × cols` matrix.
 pub fn pooled_zeros(rows: usize, cols: usize) -> PooledMat {
     let buf = take_vec(rows * cols);
@@ -225,13 +217,6 @@ mod tests {
         // Storage was recycled: a fresh take reuses capacity.
         let v = take_vec(12);
         assert!(v.capacity() >= 12);
-    }
-
-    #[test]
-    fn into_mat_detaches_from_pool() {
-        let p = pooled_zeros(2, 2);
-        let m = p.into_mat();
-        assert_eq!(m.shape(), (2, 2));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum ServeError {
         /// Restore failure, verbatim.
         cause: String,
     },
-    /// The request body failed to parse as CSV or JSON-lines telemetry.
+    /// The request body failed to parse as CSV telemetry.
     BadBody(String),
     /// A CSV batch's first-step header disagrees with the shard's clock
     /// (duplicate or out-of-order delivery).

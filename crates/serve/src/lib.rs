@@ -5,8 +5,8 @@
 //! [`IMrDmd`](imrdmd::IMrDmd) shard per tenant (a rack, a cabinet row, a
 //! machine partition) behind a small vendored HTTP/1.1 layer:
 //!
-//! * **Ingest**: `POST /v1/{tenant}/ingest` routes CSV or JSON-lines
-//!   telemetry batches through the shard's ingest guard and
+//! * **Ingest**: `POST /v1/{tenant}/ingest` routes CSV telemetry
+//!   batches through the shard's ingest guard and
 //!   `try_partial_fit`, sharing the process-wide `hpc_linalg::pool`
 //!   worker budget across tenants.
 //! * **Reads**: `health`, `spectrum`, `forecast`, `reconstruct`, and

@@ -18,7 +18,7 @@
 //! | `/healthz` | GET | daemon liveness + shard counts |
 //! | `/metrics` | GET | Prometheus text (linalg + core + `serve.*`) |
 //! | `/v1/tenants` | GET | sorted tenant ids |
-//! | `/v1/{t}/ingest` | POST | CSV (`text/csv`) or JSON-lines batch → [`IngestReply`] |
+//! | `/v1/{t}/ingest` | POST | CSV batch (`text/csv`) → [`IngestReply`] |
 //! | `/v1/{t}/health` | GET | [`imrdmd::HealthSnapshot`] |
 //! | `/v1/{t}/spectrum` | GET | `Vec<SpectrumPoint>` |
 //! | `/v1/{t}/forecast?h=N` | GET | forecast matrix |
@@ -29,9 +29,9 @@
 //! CSV ingest bodies are the `write_snapshots_csv` wire format: floats in
 //! shortest round-trip form and NaN gaps as empty fields, so a batch
 //! survives the HTTP hop bitwise and the shard's state stays bitwise-equal
-//! to an in-process model fed the same matrices. JSON-lines bodies
-//! (`application/x-ndjson`) carry one snapshot per line as a JSON array,
-//! `null` for gaps.
+//! to an in-process model fed the same matrices. The header's first step
+//! is checked against the shard clock, so a re-delivered batch gets 409.
+//! It is the only ingest format; the `Content-Type` header is not read.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -388,106 +388,15 @@ fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, 
     let cell = state.manager.shard_or_create(tenant)?;
     let cfg = state.manager.config();
     let reply: IngestReply =
-        lock_shard(&cell).ingest(&batch, first_step, &cfg.model, cfg.policy)?;
+        lock_shard(&cell).ingest(&batch, Some(first_step), &cfg.model, cfg.policy)?;
     Ok(json_response(&reply))
 }
 
-/// Decodes an ingest body. CSV (the default) carries a first-step header
-/// that the shard validates for ordering; JSON-lines bodies are trusted
-/// sequential.
-fn parse_batch(req: &Request) -> Result<(Mat, Option<usize>), ServeError> {
+/// Decodes an ingest body: the CSV snapshot format, whose first-step
+/// header the shard validates for ordering.
+fn parse_batch(req: &Request) -> Result<(Mat, usize), ServeError> {
     if req.body.is_empty() {
         return Err(ServeError::BadBody("empty body".into()));
     }
-    let content_type = req.header("content-type").unwrap_or("text/csv");
-    if content_type.starts_with("application/x-ndjson")
-        || content_type.starts_with("application/jsonl")
-    {
-        parse_ndjson(&req.body).map(|m| (m, None))
-    } else {
-        read_snapshots_csv(&req.body[..])
-            .map(|(m, first)| (m, Some(first)))
-            .map_err(|e| ServeError::BadBody(e.to_string()))
-    }
-}
-
-/// One snapshot per line as a JSON array of numbers, `null` for gaps.
-/// Hand-rolled: the vendored serde_json deserialiser is driven through
-/// typed structs elsewhere, and this grammar is three tokens.
-fn parse_ndjson(body: &[u8]) -> Result<Mat, ServeError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ServeError::BadBody("body is not valid UTF-8".into()))?;
-    let mut columns: Vec<Vec<f64>> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let inner = line
-            .strip_prefix('[')
-            .and_then(|l| l.strip_suffix(']'))
-            .ok_or_else(|| {
-                ServeError::BadBody(format!("line {}: expected a JSON array", lineno + 1))
-            })?;
-        let mut col = Vec::new();
-        for tok in inner.split(',') {
-            let tok = tok.trim();
-            if tok.is_empty() {
-                continue;
-            }
-            if tok == "null" {
-                col.push(f64::NAN);
-            } else {
-                col.push(tok.parse::<f64>().map_err(|_| {
-                    ServeError::BadBody(format!("line {}: `{tok}` is not a number", lineno + 1))
-                })?);
-            }
-        }
-        if col.is_empty() {
-            return Err(ServeError::BadBody(format!(
-                "line {}: empty snapshot",
-                lineno + 1
-            )));
-        }
-        if let Some(first) = columns.first() {
-            if col.len() != first.len() {
-                return Err(ServeError::BadBody(format!(
-                    "line {}: {} sensors, expected {}",
-                    lineno + 1,
-                    col.len(),
-                    first.len()
-                )));
-            }
-        }
-        columns.push(col);
-    }
-    if columns.is_empty() {
-        return Err(ServeError::BadBody("no snapshots in body".into()));
-    }
-    let (rows, cols) = (columns[0].len(), columns.len());
-    Ok(Mat::from_fn(rows, cols, |i, j| columns[j][i]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ndjson_parses_columns_and_gaps() {
-        let m = parse_ndjson(b"[1.0, 2.0]\n[null, 4.5]\n").unwrap();
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m[(0, 0)], 1.0);
-        assert!(m[(0, 1)].is_nan());
-        assert_eq!(m[(1, 1)], 4.5);
-    }
-
-    #[test]
-    fn ndjson_rejects_garbage() {
-        assert!(parse_ndjson(b"not json").is_err());
-        assert!(parse_ndjson(b"[1.0]\n[1.0, 2.0]").is_err());
-        assert!(parse_ndjson(b"[]").is_err());
-        assert!(parse_ndjson(b"").is_err());
-        assert!(parse_ndjson(b"[1.0, banana]").is_err());
-        assert!(parse_ndjson(&[0xff, 0xfe]).is_err());
-    }
+    read_snapshots_csv(&req.body[..]).map_err(|e| ServeError::BadBody(e.to_string()))
 }

@@ -13,10 +13,12 @@
 //! cold-start, absorb, checkpoint and resume through a `Shard`.
 //!
 //! Lifecycle: a shard is **empty** until its first batch (cold start:
-//! guard repair + [`IMrDmd::fit`]), then **ready** (batches flow through
-//! [`IMrDmd::try_partial_fit`]), or **corrupt** if its checkpoint failed
-//! to restore — a corrupt shard answers 503 on every route but never
-//! takes the daemon down.
+//! configuration check, guard repair + [`IMrDmd::fit`]), then **ready**
+//! (batches flow through [`IMrDmd::try_partial_fit`]), or **corrupt** if
+//! its checkpoint failed to restore — a corrupt shard answers 503 on every
+//! route but never takes the daemon down. A configuration enters a stream
+//! only through those two doors, and both check it: the cold start with
+//! [`IMrDmdConfig::validate`], the restore with [`ShardSnapshot::load`].
 //!
 //! Durability: when a [`Wal`] is attached, every acked batch is logged —
 //! **repaired** (post-[`GapPolicy`]) so replay is deterministic — before
@@ -52,6 +54,21 @@ pub struct ShardSnapshot {
     pub guard: IngestGuard,
     /// Rounds absorbed since the shard was created.
     pub rounds: u64,
+}
+
+impl ShardSnapshot {
+    /// Reads a shard checkpoint and checks the restored model with
+    /// [`IMrDmd::validate`]: a payload that passed its checksum but carries
+    /// an out-of-domain configuration or decimation state is refused as
+    /// [`CheckpointError::Codec`], like one that fails to decode, so
+    /// recovery falls back past it instead of panicking on the next round.
+    pub fn load(path: &Path) -> Result<ShardSnapshot, CheckpointError> {
+        let snap: ShardSnapshot = load_state_checkpoint(path)?;
+        snap.model
+            .validate()
+            .map_err(|e| CheckpointError::Codec(e.to_string()))?;
+        Ok(snap)
+    }
 }
 
 /// Coarse shard lifecycle state, as reported by `/status`.
@@ -328,7 +345,12 @@ impl Shard {
     /// under `policy`, then a cold-start fit on the first batch or a
     /// guarded round after. A WAL frame is already repaired, so its repair
     /// pass is a bitwise no-op that advances `last_good` exactly as the
-    /// original round did. A failed cold start leaves the shard empty.
+    /// original round did. The cold start checks `cfg` first, so an
+    /// out-of-domain configuration is an [`InvalidConfig`] error rather
+    /// than a panic inside the fit; a failed cold start leaves the shard
+    /// empty.
+    ///
+    /// [`InvalidConfig`]: imrdmd::CoreError::InvalidConfig
     fn absorb(
         &mut self,
         batch: &Mat,
@@ -336,6 +358,7 @@ impl Shard {
         policy: GapPolicy,
     ) -> Result<Absorbed, imrdmd::CoreError> {
         let Some(model) = &mut self.model else {
+            cfg.validate()?;
             let mut guard = IngestGuard::new(policy, batch.rows());
             let (repaired, repairs) = guard.repair(batch)?;
             self.model = Some(IMrDmd::fit(repaired.as_ref().unwrap_or(batch), cfg));
@@ -462,7 +485,7 @@ impl Shard {
         let mut fallbacks = 0usize;
         let mut last_err: Option<CheckpointError> = None;
         for (_, path) in &history {
-            match load_state_checkpoint::<ShardSnapshot>(path) {
+            match ShardSnapshot::load(path) {
                 Ok(mut s) => {
                     // The server's thread budget wins over whatever the
                     // checkpointed config carried (results are bitwise-
@@ -534,6 +557,7 @@ impl Shard {
 mod tests {
     use super::*;
     use hpc_telemetry::{theta, Scenario};
+    use imrdmd::{CoreError, MrDmdConfig};
 
     fn cfg() -> IMrDmdConfig {
         IMrDmdConfig::default()
@@ -602,6 +626,37 @@ mod tests {
             serde_json::to_string(&shard.snapshot().unwrap()).unwrap(),
             serde_json::to_string(&twin.snapshot().unwrap()).unwrap()
         );
+    }
+
+    #[test]
+    fn cold_start_refuses_an_out_of_domain_config() {
+        let sc = Scenario::sc_log(theta().scaled(4), 100, 3);
+        for mr in [
+            MrDmdConfig {
+                nyquist_factor: 0,
+                ..MrDmdConfig::default()
+            },
+            MrDmdConfig {
+                max_cycles: 0,
+                ..MrDmdConfig::default()
+            },
+        ] {
+            let bad = IMrDmdConfig {
+                mr,
+                ..IMrDmdConfig::default()
+            };
+            let mut shard = Shard::new("t0", None);
+            let err = shard
+                .ingest(&sc.generate(0, 100), Some(0), &bad, GapPolicy::Interpolate)
+                .unwrap_err();
+            assert!(
+                matches!(err, ServeError::Core(CoreError::InvalidConfig { .. })),
+                "{err}"
+            );
+            assert_eq!(err.status(), 422);
+            assert_eq!(shard.state(), ShardState::Empty);
+            assert!(shard.snapshot().is_none());
+        }
     }
 
     #[test]

@@ -24,17 +24,16 @@ fn main() {
     let data = scenario.generate(0, total);
 
     // Fit incrementally: first half, then the second half in one update.
-    let mr = MrDmdConfig::builder()
-        .dt(scenario.dt())
-        .max_levels(6)
-        .max_cycles(2)
-        .rank(RankSelection::Svht)
-        .build()
-        .expect("static config is valid");
-    let cfg = IMrDmdConfig::builder()
-        .mr(mr)
-        .build()
-        .expect("static config is valid");
+    let cfg = IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt: scenario.dt(),
+            max_levels: 6,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        },
+        ..IMrDmdConfig::default()
+    };
     let mut model = IMrDmd::fit(&data.cols_range(0, half), &cfg);
     model.partial_fit(&data.cols_range(half, total));
     println!(

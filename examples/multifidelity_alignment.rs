@@ -33,17 +33,16 @@ fn main() {
     // Decompose the temperature channels only (the paper's analysis target).
     let temp_rows = scenario.series_of_kind(SensorKind::Temperature);
     let temp = scenario.generate_rows(&temp_rows, 0, total);
-    let mr = MrDmdConfig::builder()
-        .dt(scenario.dt())
-        .max_levels(5)
-        .max_cycles(2)
-        .rank(RankSelection::Svht)
-        .build()
-        .expect("static config is valid");
-    let cfg = IMrDmdConfig::builder()
-        .mr(mr)
-        .build()
-        .expect("static config is valid");
+    let cfg = IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt: scenario.dt(),
+            max_levels: 5,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        },
+        ..IMrDmdConfig::default()
+    };
     let mut model = IMrDmd::fit(&temp.cols_range(0, 1000), &cfg);
     model.partial_fit(&temp.cols_range(1000, total));
     println!(

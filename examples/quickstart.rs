@@ -23,18 +23,17 @@ fn main() {
 
     // 2. Initial fit on the first 1,000 snapshots.
     let initial = scenario.generate(0, 1000);
-    let mr = MrDmdConfig::builder()
-        .dt(scenario.dt())
-        .max_levels(5)
-        .max_cycles(2)
-        .rank(RankSelection::Svht)
-        .build()
-        .expect("static config is valid");
-    let cfg = IMrDmdConfig::builder()
-        .mr(mr)
-        .keep_history(true)
-        .build()
-        .expect("static config is valid");
+    let cfg = IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt: scenario.dt(),
+            max_levels: 5,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        },
+        keep_history: true,
+        ..IMrDmdConfig::default()
+    };
     let mut model = IMrDmd::fit(&initial, &cfg);
     println!(
         "initial fit: {} modes across {} levels (root rank {})",

@@ -47,13 +47,13 @@ fn main() {
 
     println!("-- depth sweep (max_cycles = 2, 4x Nyquist) --");
     for levels in [2usize, 4, 6, 8, 9] {
-        let cfg = MrDmdConfig::builder()
-            .dt(dt)
-            .max_levels(levels)
-            .max_cycles(2)
-            .rank(RankSelection::Svht)
-            .build()
-            .expect("static config is valid");
+        let cfg = MrDmdConfig {
+            dt,
+            max_levels: levels,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        };
         let t0 = Instant::now();
         let m = MrDmd::fit(&data, &cfg);
         let secs = t0.elapsed().as_secs_f64();
@@ -68,13 +68,13 @@ fn main() {
 
     println!("\n-- max_cycles sweep (6 levels) --");
     for cycles in [1usize, 2, 4, 8] {
-        let cfg = MrDmdConfig::builder()
-            .dt(dt)
-            .max_levels(6)
-            .max_cycles(cycles)
-            .rank(RankSelection::Svht)
-            .build()
-            .expect("static config is valid");
+        let cfg = MrDmdConfig {
+            dt,
+            max_levels: 6,
+            max_cycles: cycles,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        };
         let t0 = Instant::now();
         let m = MrDmd::fit(&data, &cfg);
         let secs = t0.elapsed().as_secs_f64();
@@ -88,14 +88,14 @@ fn main() {
 
     println!("\n-- Nyquist-factor sweep (6 levels, max_cycles = 2) --");
     for nf in [1usize, 2, 4, 8] {
-        let cfg = MrDmdConfig::builder()
-            .dt(dt)
-            .max_levels(6)
-            .max_cycles(2)
-            .nyquist_factor(nf)
-            .rank(RankSelection::Svht)
-            .build()
-            .expect("static config is valid");
+        let cfg = MrDmdConfig {
+            dt,
+            max_levels: 6,
+            max_cycles: 2,
+            nyquist_factor: nf,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        };
         let t0 = Instant::now();
         let m = MrDmd::fit(&data, &cfg);
         let secs = t0.elapsed().as_secs_f64();
@@ -108,13 +108,13 @@ fn main() {
     }
 
     // Band filtering: isolate the job-scale band and see which modes remain.
-    let cfg = MrDmdConfig::builder()
-        .dt(dt)
-        .max_levels(6)
-        .max_cycles(2)
-        .rank(RankSelection::Svht)
-        .build()
-        .expect("static config is valid");
+    let cfg = MrDmdConfig {
+        dt,
+        max_levels: 6,
+        max_cycles: 2,
+        rank: RankSelection::Svht,
+        ..MrDmdConfig::default()
+    };
     let m = MrDmd::fit(&data, &cfg);
     let pts = mode_spectrum(&m.nodes);
     let job_band = BandFilter::band(0.001, 0.01);

@@ -112,20 +112,19 @@ fn main() {
         scenario.anomalies().len()
     );
 
-    let mr = MrDmdConfig::builder()
-        .dt(scenario.dt())
-        .max_levels(5)
-        .max_cycles(2)
-        .rank(RankSelection::Svht)
-        .build()
-        .expect("static config is valid");
-    let cfg = IMrDmdConfig::builder()
-        .mr(mr)
-        .drift_threshold(50.0)
-        .keep_history(true)
-        .auto_refresh(true)
-        .build()
-        .expect("static config is valid");
+    let cfg = IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt: scenario.dt(),
+            max_levels: 5,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            ..MrDmdConfig::default()
+        },
+        drift_threshold: Some(50.0),
+        keep_history: true,
+        auto_refresh: true,
+        ..IMrDmdConfig::default()
+    };
 
     // The monitor is one shard: no WAL, checkpoints under its own
     // namespace. Resume restores the newest valid snapshot.

@@ -1,6 +1,8 @@
 //! Byte-mutation fuzzing of every on-disk decoder — a write-ahead log, an
-//! f64 and a q16 mode archive, and a checkpoint — and of the wire decoders:
-//! the daemon's HTTP request parser and the snapshot-CSV body reader.
+//! f64 and a q16 mode archive, and a shard checkpoint read through
+//! [`ShardSnapshot::load`], as recovery and the CLI read it — and of the
+//! wire decoders: the daemon's HTTP request parser and the snapshot-CSV
+//! body reader.
 //!
 //! Each file is damaged two ways. *Raw* mutations flip, overwrite or
 //! truncate bytes anywhere, which the frame or header checksum should
@@ -12,7 +14,7 @@
 //! mutations only, and a parsed request must fit its [`HttpLimits`].
 
 use imrdmd_serve::http::read_request;
-use imrdmd_serve::HttpLimits;
+use imrdmd_serve::{HttpLimits, Shard, ShardSnapshot};
 use mrdmd_suite::core::storage::{crc32, FRAME_HEAD};
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::{read_snapshots_csv, write_snapshots_csv};
@@ -80,8 +82,12 @@ fn fixtures() -> &'static Fixtures {
                 .unwrap();
         }
         drop(wal);
+        let mut shard = Shard::new(SHARD, None);
+        shard
+            .ingest(&data, Some(0), &cfg, GapPolicy::Interpolate)
+            .unwrap();
         let ckpt = dir.join("model.ckpt");
-        save_state_checkpoint(&model, &ckpt).unwrap();
+        save_state_checkpoint(&shard.snapshot().unwrap(), &ckpt).unwrap();
         let fx = Fixtures {
             wal: std::fs::read(Wal::path_for(&dir, SHARD)).unwrap(),
             f64_archive: archive_bytes(&model, QuantTier::F64).0,
@@ -199,7 +205,7 @@ fn check_checkpoint(name: &str, bytes: &[u8]) {
     let dir = scratch(name);
     let path = dir.join("model.ckpt");
     std::fs::write(&path, bytes).unwrap();
-    let _ = load_state_checkpoint::<IMrDmd>(&path);
+    let _ = ShardSnapshot::load(&path);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

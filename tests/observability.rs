@@ -53,22 +53,20 @@ fn signal(p: usize, t: usize, dt: f64) -> Mat {
     })
 }
 
-/// Streaming config routed through the builder-first API.
 fn cfg(dt: f64, n_threads: usize) -> IMrDmdConfig {
-    let mr = MrDmdConfig::builder()
-        .dt(dt)
-        .max_levels(4)
-        .max_cycles(2)
-        .rank(RankSelection::Fixed(6))
-        .min_window(16)
-        .n_threads(n_threads)
-        .build()
-        .unwrap();
-    IMrDmdConfig::builder()
-        .mr(mr)
-        .isvd_max_rank(24)
-        .build()
-        .unwrap()
+    IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt,
+            max_levels: 4,
+            max_cycles: 2,
+            rank: RankSelection::Fixed(6),
+            min_window: 16,
+            n_threads,
+            ..MrDmdConfig::default()
+        },
+        isvd_max_rank: 24,
+        ..IMrDmdConfig::default()
+    }
 }
 
 fn bits(m: &Mat) -> Vec<u64> {

@@ -574,61 +574,6 @@ fn torn_checkpoint_degrades_one_shard_not_the_fleet() {
 
     daemon.shutdown();
 }
-
-/// JSON-lines ingest speaks the same model: a shard fed ndjson bodies
-/// matches an oracle fed the equivalent matrices.
-#[test]
-fn ndjson_ingest_matches_oracle() {
-    let driver = FleetDriver::new(FleetSpec {
-        tenants: 1,
-        nodes_per_tenant: 3,
-        steps: 120,
-        chunk: 60,
-        base_seed: 23,
-        faults: None,
-    });
-    let cfg = model_cfg(driver.dt(), 1);
-    let daemon = start(serve_cfg(driver.dt(), 1, None));
-    let addr = daemon.addr;
-
-    let batches = driver.tenant_batches(0);
-    let mut oracle = Oracle::new(cfg, GapPolicy::Interpolate);
-    let mut pos = 0usize;
-    for batch in &batches {
-        let mut body = String::new();
-        for j in 0..batch.cols() {
-            let line: Vec<String> = (0..batch.rows())
-                .map(|i| {
-                    let v = batch[(i, j)];
-                    if v.is_nan() {
-                        "null".to_string()
-                    } else {
-                        // Shortest round-trip form, same as the CSV writer:
-                        // the parsed f64 is bitwise the original.
-                        format!("{v}")
-                    }
-                })
-                .collect();
-            body.push_str(&format!("[{}]\n", line.join(",")));
-        }
-        let (s, reply) = request(
-            addr,
-            "POST",
-            "/v1/t00/ingest",
-            Some("application/x-ndjson"),
-            body.as_bytes(),
-        );
-        assert_eq!(s, 200, "{reply}");
-        oracle.ingest(pos, batch);
-        pos += batch.cols();
-    }
-
-    let (s, health) = get(addr, "/v1/t00/health");
-    assert_eq!(s, 200);
-    assert_eq!(health, json(&oracle.model().health()));
-    daemon.shutdown();
-}
-
 /// The `/archive` route serves the exact seekable-archive wire format: the
 /// f64-tier bytes, written straight to a file, replay bitwise-equal to the
 /// in-process oracle's reconstruction — no model JSON anywhere in the loop.

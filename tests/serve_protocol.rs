@@ -119,6 +119,17 @@ fn hostile_clients_get_typed_errors_never_panics() {
     );
     assert_alive(addr);
 
+    // A JSON-lines body is not an ingest format, whatever its content
+    // type says: it fails the CSV reader with 400 and creates no shard.
+    let reply = raw(
+        addr,
+        b"POST /v1/t0/ingest HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-ndjson\r\n\
+          Content-Length: 44\r\n\r\n[1.0, 2.0]\n[3.0, 4.0]\n[5.0, 6.0]\n[7.0, 8.0]\n",
+    );
+    assert_eq!(status_of(&reply), Some(400), "{reply:?}");
+    assert_eq!(get(addr, "/v1/t0/status").0, 404);
+    assert_alive(addr);
+
     // Garbage request line.
     let reply = raw(addr, b"\x16\x03\x01\x02\x00 tls handshake lol\r\n\r\n");
     assert_eq!(status_of(&reply), Some(400), "{reply:?}");

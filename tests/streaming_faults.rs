@@ -2,6 +2,7 @@
 //! end to end, checkpoints restore bitwise, and every failure mode the PR
 //! fixed has a regression test that fails on the pre-PR code.
 
+use imrdmd_serve::{Shard, ShardSnapshot};
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::write_snapshots_csv;
 use std::fs;
@@ -278,6 +279,78 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     fs::write(&path, &good).unwrap();
     let restored: IMrDmd = load_state_checkpoint(&path).unwrap();
     assert_eq!(bits(&restored.reconstruct()), bits(&m.reconstruct()));
+}
+
+/// Rewrites the first `"field":<integer>` of a checkpoint's payload to
+/// `"field":value` and recomputes the header, so the damage passes the
+/// length and checksum checks and only the model check can see it.
+fn rechecksum_with(path: &std::path::Path, field: &str, value: u64) {
+    let raw = fs::read_to_string(path).unwrap();
+    let payload = &raw[raw.find('\n').unwrap() + 1..];
+    let key = format!("\"{field}\":");
+    let at = payload.find(&key).unwrap() + key.len();
+    let digits = payload[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let edited = format!("{}{value}{}", &payload[..at], &payload[at + digits..]);
+    let crc = mrdmd_suite::core::storage::crc32(edited.as_bytes());
+    fs::write(
+        path,
+        format!("IMRDMD-CKPT v1 {} {crc:08x}\n{edited}", edited.len()),
+    )
+    .unwrap();
+}
+
+/// A shard checkpoint that passes its checksum but carries an
+/// out-of-domain configuration or decimation state is refused on load,
+/// and recovery falls back past it to the older valid checkpoint, which
+/// then streams on. Unchecked, such a file restored as `Ready`: with
+/// `nyquist_factor` or `max_cycles` 0 the next round divided by zero, with
+/// `root_step` 0 its column capture never ended.
+#[test]
+fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
+    let dt = 20.0;
+    let data = signal(6, 384, dt);
+    let c = cfg(dt, 3);
+    let tenant = "rack-x";
+    for field in ["nyquist_factor", "max_cycles", "root_step"] {
+        let dir = tmp(&format!("out-of-domain-{field}"));
+        let _ = fs::remove_dir_all(&dir);
+        let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
+        let mut shard = Shard::new(tenant, ck());
+        for lo in [0, 128] {
+            shard
+                .ingest(
+                    &data.cols_range(lo, lo + 128),
+                    Some(lo),
+                    &c,
+                    GapPolicy::Interpolate,
+                )
+                .unwrap();
+        }
+        let history = shard_checkpoint_history(&dir, tenant).unwrap();
+        assert_eq!(history.len(), 2);
+        let newest = &history[0].1;
+        rechecksum_with(newest, field, 0);
+        assert!(
+            matches!(ShardSnapshot::load(newest), Err(CheckpointError::Codec(_))),
+            "{field} 0 must not load"
+        );
+
+        let rec = Shard::recover(&dir, tenant, &c, GapPolicy::Interpolate, ck());
+        assert!(rec.from_checkpoint, "{field}");
+        assert_eq!(rec.fallbacks, 1, "{field}");
+        let mut shard = rec.shard;
+        assert_eq!(shard.status().steps, 128, "{field}");
+        let reply = shard
+            .ingest(
+                &data.cols_range(128, 256),
+                Some(128),
+                &c,
+                GapPolicy::Interpolate,
+            )
+            .unwrap();
+        assert_eq!(reply.steps, 256);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Regression (pre-PR bug): a chunk size smaller than `min_window` silently
