@@ -315,13 +315,17 @@ impl IMrDmd {
     }
 
     /// Checks a restored model before it enters a stream: its configuration
-    /// ([`IMrDmdConfig::validate`]) and the decimation state that bounds a
+    /// ([`IMrDmdConfig::validate`]); the decimation state that bounds a
     /// round's column capture — a step of at least one, a decimated stream
     /// of `p` rows and at least two columns, and a next capture index that
     /// sits on that stream's grid within one step past the absorbed
-    /// timeline. A fitted or streamed model always passes; a checkpoint
-    /// that fails would divide by zero, loop without end or index out of
-    /// range on its next round.
+    /// timeline; the root factorisation — the streaming SVD, or the sketch
+    /// exactly when the fit strategy is sketched — shaped `p` rows by the
+    /// stream's columns but its last; and every tree node — rows inside
+    /// `0..p`, one eigenvalue, frequency and amplitude per mode, all
+    /// finite. A fitted or streamed model always passes; a checkpoint that
+    /// fails would divide by zero, loop without end, panic or index out of
+    /// range on its next round, or reconstruct garbage without a sign.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.cfg.validate()?;
         let fail = |what: String| Err(CoreError::InvalidConfig { what });
@@ -348,6 +352,78 @@ impl IMrDmd {
                  after {} snapshots",
                 self.next_sub_abs, self.t_total
             ));
+        }
+        self.validate_root_factors(n_sub - 1)?;
+        self.nodes().try_for_each(|node| self.validate_node(node))
+    }
+
+    /// The root factorisation of the `x_cols`-column `X` stream: the sketch
+    /// under [`FitStrategy::Sketched`], the streaming SVD otherwise (the
+    /// sketched path's rank-1 placeholder SVD is never read).
+    fn validate_root_factors(&self, x_cols: usize) -> Result<(), CoreError> {
+        let p = self.p;
+        let strategy = self.cfg.mr.strategy;
+        let fits = match (&self.sketch, strategy) {
+            (Some(sk), FitStrategy::Sketched { .. }) => {
+                let (q, b) = (sk.basis(), sk.projected());
+                q.rows() == p && b.rows() == q.cols() && b.cols() == x_cols
+            }
+            (None, FitStrategy::Exact) => {
+                let (u, v, r) = (self.isvd.u(), self.isvd.v(), self.isvd.rank());
+                let cols_seen = self.isvd.cols_seen();
+                u.rows() == p
+                    && u.cols() == r
+                    && v.cols() == r
+                    && v.rows() == x_cols
+                    && cols_seen == x_cols
+            }
+            _ => false,
+        };
+        if fits {
+            return Ok(());
+        }
+        Err(CoreError::InvalidConfig {
+            what: format!(
+                "root factorisation does not fit a {p}x{x_cols} stream under {strategy:?}"
+            ),
+        })
+    }
+
+    /// One tree node: its rows inside the stream's, one eigenvalue,
+    /// frequency and amplitude per mode, and all of them finite.
+    fn validate_node(&self, node: &ModeSet) -> Result<(), CoreError> {
+        let k = node.modes.cols();
+        let fail = |what: String| {
+            Err(CoreError::InvalidConfig {
+                what: format!("level-{} node at {}: {what}", node.level, node.start),
+            })
+        };
+        if node
+            .row_offset
+            .checked_add(node.modes.rows())
+            .is_none_or(|end| end > self.p)
+        {
+            return fail(format!(
+                "rows {}+{} exceed the stream's {}",
+                node.row_offset,
+                node.modes.rows(),
+                self.p
+            ));
+        }
+        if [&node.lambdas, &node.omegas, &node.amplitudes]
+            .iter()
+            .any(|v| v.len() != k)
+        {
+            return fail(format!(
+                "{k} modes with unequal eigenvalue or amplitude counts"
+            ));
+        }
+        let mut values = (node.modes.as_slice().iter())
+            .chain(&node.lambdas)
+            .chain(&node.omegas)
+            .chain(&node.amplitudes);
+        if !values.all(|z| z.is_finite()) {
+            return fail("non-finite mode, eigenvalue or amplitude".into());
         }
         Ok(())
     }

@@ -134,6 +134,12 @@ impl SketchSvd {
         &self.q
     }
 
+    /// Borrow of the projected stream (`lq × cols_seen`, `Qᵀ` times the
+    /// absorbed columns).
+    pub fn projected(&self) -> &Mat {
+        &self.b
+    }
+
     /// Largest basis width tolerated before a compression pass: the probe
     /// width plus equal refresh slack.
     pub fn basis_cap(&self) -> usize {

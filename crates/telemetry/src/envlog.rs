@@ -17,9 +17,22 @@
 //!   which is why it yields more modes — matching the paper's observation),
 //! - injected anomalies (overheat ramps, stalls, fan degradation),
 //! - white sensor noise.
+//!
+//! Each layer is one term function of what it depends on: the waves of
+//! `(rack, step)`, a job's heat of `(job, channel, step)`, the anomalies of
+//! `(node, step)`, the noise of `(series, step)`. [`Scenario::value`]
+//! evaluates them at one point. [`Scenario::generate_rows`] evaluates a
+//! *window plan* instead: per-row constants are hoisted once, and for each
+//! tile of 256 columns the waves of every rack the rows touch and the heat
+//! of every job on their nodes are tabulated once; row blocks then sum
+//! those tables per cell over the process-wide worker pool. Both compose
+//! the terms in the same order through one function, so a window is
+//! bit-for-bit the readings `value` gives, and readings stay a pure
+//! function of `(seed, series, step)`.
 
-use crate::joblog::JobLog;
+use crate::joblog::{Job, JobLog};
 use crate::machine::MachineSpec;
+use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::Mat;
 use serde::{Deserialize, Serialize};
 
@@ -229,92 +242,135 @@ impl Scenario {
     /// The reading of telemetry series `series` at snapshot `step` —
     /// deterministic in `(seed, series, step)`.
     pub fn value(&self, series: usize, step: usize) -> f64 {
+        let row = self.row(series);
+        let heat = self
+            .jobs
+            .jobs_on_node(row.node)
+            .map(|job| self.heat(job, row.channel, step));
+        self.compose(&row, step, self.waves(row.rack, step), heat)
+    }
+
+    /// The step-independent constants of one series.
+    fn row(&self, series: usize) -> Row {
         let spn = self.machine.series_per_node;
         let node = series / spn;
         let channel = series % spn;
-        let rack = self.machine.layout.rack_of(node);
-        let t = step as f64 * self.dt();
-        let tau = std::f64::consts::TAU;
-
         // Static offsets: node-specific bias plus channel spread.
         let node_bias = 3.0 * (unit_hash(self.seed, node as u64, 0xB1A5) - 0.5) * 2.0;
-        let (base, slow_amp, slow_period, rack_amp, rack_period) = match self.profile {
-            Profile::ScLog => (42.0, 3.0, 7200.0, 1.2, 1800.0),
-            Profile::GpuMetrics => (40.0, 2.0, 3600.0, 1.0, 600.0),
-        };
-        let mut v = base + node_bias + channel as f64 * 0.8;
+        Row {
+            series,
+            node,
+            channel,
+            rack: self.machine.layout.rack_of(node),
+            kind: self.kind_of_channel(channel),
+            offset: self.profile.waveform().base + node_bias + channel as f64 * 0.8,
+        }
+    }
 
+    /// The facility slow wave and the rack cooling oscillation of `rack` at
+    /// `step`, as two separate terms.
+    fn waves(&self, rack: usize, step: usize) -> (f64, f64) {
+        let w = self.profile.waveform();
+        let t = step as f64 * self.dt();
+        let tau = std::f64::consts::TAU;
         // Facility-level slow wave, phase-shifted per rack row.
         let rack_phase = rack as f64 * 0.35;
-        v += slow_amp * (tau * t / slow_period + rack_phase).sin();
+        let slow = w.slow_amp * (tau * t / w.slow_period + rack_phase).sin();
         // Rack cooling oscillation.
-        v += rack_amp * (tau * t / rack_period + rack as f64 * 0.7).sin();
+        let cooling = w.rack_amp * (tau * t / w.rack_period + rack as f64 * 0.7).sin();
+        (slow, cooling)
+    }
 
-        // Whether a stall suppresses job heat at this step.
-        let stalled = self.node_anomalies[node].iter().any(|&k| {
+    /// Heat `job` adds to a node's channel `channel` at `step`, with its
+    /// ramp-up and cool-down envelopes; `None` before the job starts and once
+    /// the cool-down has faded below 1e-3. Only the GPU profile depends on
+    /// `channel`.
+    fn heat(&self, job: &Job, channel: usize, step: usize) -> Option<f64> {
+        let tau = std::f64::consts::TAU;
+        let t = step as f64 * self.dt();
+        let start_t = job.start_step as f64 * self.dt();
+        let end_t = job.end_step as f64 * self.dt();
+        if t < start_t {
+            return None;
+        }
+        let envelope = if t < end_t {
+            1.0 - (-(t - start_t) / 120.0).exp()
+        } else {
+            (-(t - end_t) / 180.0).exp()
+        };
+        if envelope < 1e-3 {
+            return None;
+        }
+        let job_phase = job.id as f64 * 1.7;
+        let mut heat =
+            job.intensity * envelope * (1.0 + 0.35 * (tau * t / job.period_s + job_phase).sin());
+        if self.profile == Profile::GpuMetrics {
+            // Per-GPU burst harmonics: each channel (GPU) gets extra
+            // mid-frequency content, the source of the larger mode
+            // counts the paper reports for GPU metrics.
+            let g = channel as f64;
+            heat +=
+                0.35 * job.intensity * (tau * t / (job.period_s / 3.0) + g * 1.3 + job_phase).sin();
+            let burst = (tau * t / (job.period_s * 0.37) + g * 0.9).sin().max(0.0);
+            heat += 0.25 * job.intensity * burst * burst * burst;
+        }
+        Some(heat)
+    }
+
+    /// The channel a job's heat is keyed by: SC-log heat is the same on
+    /// every channel of a node, GPU heat differs per GPU.
+    fn heat_channel(&self, channel: usize) -> usize {
+        match self.profile {
+            Profile::ScLog => 0,
+            Profile::GpuMetrics => channel,
+        }
+    }
+
+    /// Whether a stall suppresses job heat on `node` at `step`.
+    fn stalled(&self, node: usize, step: usize) -> bool {
+        self.node_anomalies[node].iter().any(|&k| {
             matches!(self.anomalies[k as usize],
                 Anomaly::Stall { start, end, .. } if step >= start && step < end)
-        });
+        })
+    }
 
-        // Job-induced heat with ramp-up and cool-down envelopes.
-        if !stalled {
-            for job in self.jobs.jobs_on_node(node) {
-                let start_t = job.start_step as f64 * self.dt();
-                let end_t = job.end_step as f64 * self.dt();
-                if t < start_t {
-                    continue;
-                }
-                let envelope = if t < end_t {
-                    1.0 - (-(t - start_t) / 120.0).exp()
-                } else {
-                    (-(t - end_t) / 180.0).exp()
-                };
-                if envelope < 1e-3 {
-                    continue;
-                }
-                let job_phase = job.id as f64 * 1.7;
-                let mut heat = job.intensity
-                    * envelope
-                    * (1.0 + 0.35 * (tau * t / job.period_s + job_phase).sin());
-                if self.profile == Profile::GpuMetrics {
-                    // Per-GPU burst harmonics: each channel (GPU) gets extra
-                    // mid-frequency content, the source of the larger mode
-                    // counts the paper reports for GPU metrics.
-                    let g = channel as f64;
-                    heat += 0.35
-                        * job.intensity
-                        * (tau * t / (job.period_s / 3.0) + g * 1.3 + job_phase).sin();
-                    let burst = (tau * t / (job.period_s * 0.37) + g * 0.9).sin().max(0.0);
-                    heat += 0.25 * job.intensity * burst * burst * burst;
-                }
-                v += heat;
-            }
-        } else {
+    /// One reading from its terms: the node's thermal state is summed in a
+    /// fixed order (offset, the two waves, each job's heat or the stall sag,
+    /// each anomaly), then turned into the channel's physical reading with
+    /// its noise. `waves` and `heat` are computed on the spot by
+    /// [`value`](Self::value) and read from tables by a [`WindowPlan`].
+    fn compose(
+        &self,
+        row: &Row,
+        step: usize,
+        (slow, cooling): (f64, f64),
+        heat: impl Iterator<Item = Option<f64>>,
+    ) -> f64 {
+        let mut v = row.offset;
+        v += slow;
+        v += cooling;
+        if self.stalled(row.node, step) {
             // Stalled node sags below idle.
             v -= 4.0;
-        }
-
-        // Anomalies.
-        for &k in &self.node_anomalies[node] {
-            match self.anomalies[k as usize] {
-                Anomaly::Overheat {
-                    start, end, delta, ..
-                } => {
-                    v += delta * trapezoid(step, start, end, ((end - start) / 8).max(1));
-                }
-                Anomaly::FanDegradation { start, slope, .. } => {
-                    if step > start {
-                        v += slope * (step - start) as f64;
-                    }
-                }
-                Anomaly::Stall { .. } => {}
+        } else {
+            for h in heat.flatten() {
+                v += h;
             }
         }
+        for &k in &self.node_anomalies[row.node] {
+            if let Some(a) = anomaly_term(&self.anomalies[k as usize], step) {
+                v += a;
+            }
+        }
+        let noise = gauss_hash(self.seed, row.series as u64, step as u64);
+        self.reading(row.kind, v, noise)
+    }
 
-        // `v` is the node's thermal state in °C; derive the channel's
-        // physical reading from it, with kind-appropriate noise floors.
-        let noise = gauss_hash(self.seed, series as u64, step as u64);
-        match self.kind_of_channel(channel) {
+    /// The physical reading of a `kind` sensor on a node whose thermal state
+    /// is `v` °C, with kind-appropriate noise floors.
+    fn reading(&self, kind: SensorKind, v: f64, noise: f64) -> f64 {
+        let base = self.profile.waveform().base;
+        match kind {
             SensorKind::Temperature => v + self.noise_sigma * noise,
             // Voltage droops ~4 mV/°C of thermal load above the idle point.
             SensorKind::Voltage => 12.0 - 0.004 * (v - base) + 0.02 * noise,
@@ -326,49 +382,47 @@ impl Scenario {
     }
 
     /// Generates the full snapshot matrix for steps `[t0, t1)`
-    /// (`n_series × (t1−t0)`), parallelised over rows.
+    /// (`n_series × (t1−t0)`); see [`generate_rows`](Self::generate_rows).
     pub fn generate(&self, t0: usize, t1: usize) -> Mat {
         let rows: Vec<usize> = (0..self.n_series()).collect();
         self.generate_rows(&rows, t0, t1)
     }
 
-    /// Generates only the given series (rows), for steps `[t0, t1)`.
+    /// Generates only the given series (rows, in the given order, repeats
+    /// allowed), for steps `[t0, t1)`.
+    ///
+    /// The window is evaluated by a plan rather than reading by reading:
+    /// for each tile of 256 columns, the wave terms of every rack
+    /// the rows touch and the heat of every job on their nodes are tabulated
+    /// once, then fixed-size row blocks sum those tables per cell over the
+    /// process-wide worker pool (`hpc_linalg::pool`). Every reading still
+    /// equals [`value`](Self::value) bit for bit, so the output is a pure
+    /// function of `(seed, series, step)` whatever the window, rows or
+    /// thread count.
     pub fn generate_rows(&self, rows: &[usize], t0: usize, t1: usize) -> Mat {
         assert!(t0 <= t1);
         let w = t1 - t0;
         let mut out = Mat::zeros(rows.len(), w);
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let work = rows.len().saturating_mul(w);
-        if threads <= 1 || work < 1 << 16 {
-            for (r, &series) in rows.iter().enumerate() {
-                let dst = out.row_mut(r);
-                for (c, x) in dst.iter_mut().enumerate() {
-                    *x = self.value(series, t0 + c);
-                }
-            }
+        if rows.is_empty() || w == 0 {
             return out;
         }
-        let chunk = rows.len().div_ceil(threads);
-        let slices: Vec<(usize, &mut [f64])> = out
+        let plan = WindowPlan::new(self, rows);
+        let block_rows = (BLOCK_READINGS / TILE_COLS.min(w)).clamp(1, rows.len());
+        let mut blocks: Vec<(usize, &mut [f64])> = out
             .as_mut_slice()
-            .chunks_mut(chunk * w)
+            .chunks_mut(block_rows * w)
             .enumerate()
-            .map(|(ci, s)| (ci * chunk, s))
+            .map(|(b, s)| (b * block_rows, s))
             .collect();
-        std::thread::scope(|scope| {
-            for (r0, dst) in slices {
-                scope.spawn(move || {
-                    for (k, row) in dst.chunks_mut(w).enumerate() {
-                        let series = rows[r0 + k];
-                        for (c, x) in row.iter_mut().enumerate() {
-                            *x = self.value(series, t0 + c);
-                        }
-                    }
-                });
-            }
-        });
+        let pool = WorkerPool::new(0);
+        for c0 in (t0..t1).step_by(TILE_COLS) {
+            let tile = plan.tile(c0, (c0 + TILE_COLS).min(t1));
+            pool.for_each(&mut blocks, &|(r0, block)| {
+                for (k, dst) in block.chunks_mut(w).enumerate() {
+                    plan.fill(&tile, *r0 + k, &mut dst[c0 - t0..][..tile.cols]);
+                }
+            });
+        }
         out
     }
 
@@ -405,6 +459,171 @@ impl Scenario {
             .iter()
             .flat_map(|&n| (n * spn)..(n * spn + spn))
             .collect()
+    }
+}
+
+/// Columns per tile of a window plan. The plan's wave and heat tables hold
+/// one tile, so their memory is bounded by the tile, not the window.
+const TILE_COLS: usize = 256;
+
+/// Readings a row block of a window plan aims at: the unit of work handed
+/// to one worker, sized from the tile, never from the thread count.
+const BLOCK_READINGS: usize = 1 << 14;
+
+/// A profile's idle base and its facility and rack wave shapes.
+struct Waveform {
+    base: f64,
+    slow_amp: f64,
+    slow_period: f64,
+    rack_amp: f64,
+    rack_period: f64,
+}
+
+impl Profile {
+    fn waveform(self) -> Waveform {
+        let (base, slow_amp, slow_period, rack_amp, rack_period) = match self {
+            Profile::ScLog => (42.0, 3.0, 7200.0, 1.2, 1800.0),
+            Profile::GpuMetrics => (40.0, 2.0, 3600.0, 1.0, 600.0),
+        };
+        Waveform {
+            base,
+            slow_amp,
+            slow_period,
+            rack_amp,
+            rack_period,
+        }
+    }
+}
+
+/// What a reading needs of its series, whatever the step.
+struct Row {
+    series: usize,
+    node: usize,
+    channel: usize,
+    rack: usize,
+    kind: SensorKind,
+    /// Idle base plus node bias plus channel spread.
+    offset: f64,
+}
+
+/// A row of a [`WindowPlan`]: its constants and where its terms sit in the
+/// plan's tables.
+struct PlanRow {
+    row: Row,
+    /// Index into [`WindowPlan::racks`].
+    rack_slot: usize,
+    /// Range of [`WindowPlan::slots`] holding this row's heat slots, one per
+    /// job on its node, in the job log's order.
+    slots: std::ops::Range<usize>,
+}
+
+/// The step-independent part of generating a window of rows: per-row
+/// constants, and the racks and `(job, channel)` heats the rows touch.
+struct WindowPlan<'s> {
+    scenario: &'s Scenario,
+    rows: Vec<PlanRow>,
+    /// Racks the rows touch, sorted.
+    racks: Vec<usize>,
+    /// `(job index, heat channel)` pairs the rows touch, sorted.
+    heats: Vec<(u32, usize)>,
+    /// Indices into `heats`, row after row.
+    slots: Vec<usize>,
+}
+
+/// One column tile of a window plan: the wave terms per rack and the heat
+/// per `(job, channel)`, each laid out slot-major over the tile's columns.
+struct Tile {
+    t0: usize,
+    cols: usize,
+    waves: Vec<(f64, f64)>,
+    heat: Vec<Option<f64>>,
+}
+
+impl<'s> WindowPlan<'s> {
+    fn new(scenario: &'s Scenario, series: &[usize]) -> WindowPlan<'s> {
+        let rows: Vec<Row> = series.iter().map(|&s| scenario.row(s)).collect();
+        let heat_keys = |row: &Row| {
+            let channel = scenario.heat_channel(row.channel);
+            let jobs = scenario.jobs.job_indices_on_node(row.node);
+            jobs.iter().map(move |&k| (k, channel))
+        };
+        let mut racks: Vec<usize> = rows.iter().map(|r| r.rack).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        let mut heats: Vec<(u32, usize)> = rows.iter().flat_map(heat_keys).collect();
+        heats.sort_unstable();
+        heats.dedup();
+        let mut slots = Vec::new();
+        let rows = rows
+            .into_iter()
+            .map(|row| {
+                let lo = slots.len();
+                let slot = |key| heats.binary_search(&key).expect("heat is tabulated");
+                slots.extend(heat_keys(&row).map(slot));
+                PlanRow {
+                    rack_slot: racks.binary_search(&row.rack).expect("rack is tabulated"),
+                    slots: lo..slots.len(),
+                    row,
+                }
+            })
+            .collect();
+        WindowPlan {
+            scenario,
+            rows,
+            racks,
+            heats,
+            slots,
+        }
+    }
+
+    /// Tabulates the wave and heat terms of steps `[t0, t1)`.
+    fn tile(&self, t0: usize, t1: usize) -> Tile {
+        let sc = self.scenario;
+        let steps = t0..t1;
+        let waves = (self.racks.iter())
+            .flat_map(|&rack| steps.clone().map(move |step| sc.waves(rack, step)))
+            .collect();
+        let heat = (self.heats.iter())
+            .flat_map(|&(k, channel)| {
+                let job = &sc.jobs.jobs[k as usize];
+                steps.clone().map(move |step| sc.heat(job, channel, step))
+            })
+            .collect();
+        Tile {
+            t0,
+            cols: t1 - t0,
+            waves,
+            heat,
+        }
+    }
+
+    /// Writes row `r`'s readings over `tile`'s columns into `dst`.
+    fn fill(&self, tile: &Tile, r: usize, dst: &mut [f64]) {
+        let PlanRow {
+            row,
+            rack_slot,
+            slots,
+        } = &self.rows[r];
+        let waves = &tile.waves[rack_slot * tile.cols..][..tile.cols];
+        let slots = &self.slots[slots.clone()];
+        for (c, x) in dst.iter_mut().enumerate() {
+            let heat = slots.iter().map(|&s| tile.heat[s * tile.cols + c]);
+            *x = self.scenario.compose(row, tile.t0 + c, waves[c], heat);
+        }
+    }
+}
+
+/// An anomaly's addition to its node's thermal state at `step`, if any
+/// (a stall instead suppresses job heat, see [`Scenario::compose`]).
+fn anomaly_term(anomaly: &Anomaly, step: usize) -> Option<f64> {
+    match *anomaly {
+        Anomaly::Overheat {
+            start, end, delta, ..
+        } => Some(delta * trapezoid(step, start, end, ((end - start) / 8).max(1))),
+        Anomaly::FanDegradation { start, slope, .. } => {
+            (step > start).then(|| slope * (step - start) as f64)
+        }
+        Anomaly::Stall { .. } => None,
     }
 }
 

@@ -107,11 +107,13 @@ impl JobLog {
 
     /// Jobs whose allocation includes `node` (any time).
     pub fn jobs_on_node(&self, node: usize) -> impl Iterator<Item = &Job> {
-        self.node_index
-            .get(node)
-            .into_iter()
-            .flatten()
-            .map(move |&k| &self.jobs[k as usize])
+        (self.job_indices_on_node(node).iter()).map(move |&k| &self.jobs[k as usize])
+    }
+
+    /// Indices into [`jobs`](Self::jobs) of the jobs on `node`, in the order
+    /// [`jobs_on_node`](Self::jobs_on_node) yields them.
+    pub(crate) fn job_indices_on_node(&self, node: usize) -> &[u32] {
+        self.node_index.get(node).map_or(&[], Vec::as_slice)
     }
 
     /// Jobs running on `node` at `step`.

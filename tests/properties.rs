@@ -120,18 +120,43 @@ proptest! {
         prop_assert!(mean.abs() < 1e-6, "baseline z mean {mean}");
     }
 
-    /// The telemetry generator is chunk-independent for arbitrary splits.
+    /// The telemetry generator is chunk-independent for arbitrary splits,
+    /// on either profile and for any row subset (unsorted, with repeats),
+    /// and every reading is `Scenario::value` at its cell, bit for bit.
     #[test]
     fn generator_chunk_independence(
         split in 1usize..199,
         seed in 0u64..50,
+        gpu in 0usize..2,
+        picks in proptest::collection::vec(0usize..1000, 1..12),
+        cells in proptest::collection::vec((0usize..1000, 0usize..200), 12),
     ) {
-        let mut machine = theta().scaled(6);
-        machine.series_per_node = 1;
-        let scenario = Scenario::sc_log(machine, 200, seed);
+        let scenario = if gpu == 1 {
+            Scenario::gpu_metrics(polaris().scaled(6), 200, seed)
+        } else {
+            let mut machine = theta().scaled(6);
+            machine.series_per_node = 1;
+            Scenario::sc_log(machine, 200, seed)
+        };
         let whole = scenario.generate(0, 200);
         let a = scenario.generate(0, split);
         let b = scenario.generate(split, 200);
-        prop_assert_eq!(a.hstack(&b), whole);
+        prop_assert_eq!(a.hstack(&b), whole.clone());
+
+        let rows: Vec<usize> = picks.iter().map(|&r| r % scenario.n_series()).collect();
+        let sub = scenario.generate_rows(&rows, 0, 200);
+        let tail = scenario.generate_rows(&rows, split, 200);
+        prop_assert_eq!(tail, sub.cols_range(split, 200));
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (i, &r) in rows.iter().enumerate() {
+            prop_assert_eq!(bits(sub.row(i)), bits(whole.row(r)));
+        }
+        for &(i, step) in &cells {
+            let i = i % rows.len();
+            prop_assert_eq!(
+                sub.row(i)[step].to_bits(),
+                scenario.value(rows[i], step).to_bits()
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@ use imrdmd_serve::{Shard, ShardSnapshot};
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::write_snapshots_csv;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const TAU: f64 = std::f64::consts::TAU;
 
@@ -284,19 +284,48 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
 /// Rewrites the first `"field":<integer>` of a checkpoint's payload to
 /// `"field":value` and recomputes the header, so the damage passes the
 /// length and checksum checks and only the model check can see it.
-fn rechecksum_with(path: &std::path::Path, field: &str, value: u64) {
+fn rechecksum_with(path: &Path, field: &str, value: u64) {
+    rechecksum_edit(path, |payload| {
+        let key = format!("\"{field}\":");
+        let at = payload.find(&key).unwrap() + key.len();
+        let digits = payload[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}{value}{}", &payload[..at], &payload[at + digits..])
+    });
+}
+
+/// Rewrites a checkpoint's payload with `edit` and seals it with a fresh
+/// header and checksum, so only the model's own validation stands between
+/// the edit and the next round.
+fn rechecksum_edit(path: &Path, edit: impl FnOnce(&str) -> String) {
     let raw = fs::read_to_string(path).unwrap();
-    let payload = &raw[raw.find('\n').unwrap() + 1..];
-    let key = format!("\"{field}\":");
-    let at = payload.find(&key).unwrap() + key.len();
-    let digits = payload[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    let edited = format!("{}{value}{}", &payload[..at], &payload[at + digits..]);
+    let edited = edit(&raw[raw.find('\n').unwrap() + 1..]);
     let crc = mrdmd_suite::core::storage::crc32(edited.as_bytes());
     fs::write(
         path,
         format!("IMRDMD-CKPT v1 {} {crc:08x}\n{edited}", edited.len()),
     )
     .unwrap();
+}
+
+/// Reshapes the matrix that follows `prefix` (serialized `[rows,cols,[…]]`)
+/// to one row of `rows·cols` columns: the buffer length still matches, so
+/// the matrix decoder accepts it.
+fn flatten_matrix(payload: &str, prefix: &str) -> String {
+    let at = payload.find(prefix).unwrap() + prefix.len();
+    let mut dims = payload[at..].splitn(3, ',');
+    let rows: usize = dims.next().unwrap().parse().unwrap();
+    let cols: usize = dims.next().unwrap().parse().unwrap();
+    let rest = dims.next().unwrap();
+    format!("{}1,{},{rest}", &payload[..at], rows * cols)
+}
+
+/// Replaces the first number after `prefix` with one that decodes to +∞.
+fn overflow_number(payload: &str, prefix: &str) -> String {
+    let at = payload.find(prefix).unwrap() + prefix.len();
+    let len = payload[at..]
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap();
+    format!("{}1e999{}", &payload[..at], &payload[at + len..])
 }
 
 /// A shard checkpoint that passes its checksum but carries an
@@ -340,6 +369,80 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
         assert_eq!(rec.fallbacks, 1, "{field}");
         let mut shard = rec.shard;
         assert_eq!(shard.status().steps, 128, "{field}");
+        let reply = shard
+            .ingest(
+                &data.cols_range(128, 256),
+                Some(128),
+                &c,
+                GapPolicy::Interpolate,
+            )
+            .unwrap();
+        assert_eq!(reply.steps, 256);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A shard checkpoint that passes its checksum but whose tree state no fit
+/// could produce is refused on load, and recovery falls back past it to the
+/// older valid checkpoint, which then streams on. Unchecked, each restored
+/// as `Ready`: a root streaming SVD or sketch basis reshaped with its buffer
+/// intact panicked on the next round's update, a node whose `row_offset`
+/// put its rows past the stream's was cut off in reconstruction without a
+/// sign, and an infinite amplitude poisoned every reading of its node.
+#[test]
+fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
+    let dt = 20.0;
+    let data = signal(6, 384, dt);
+    let exact = cfg(dt, 3);
+    let mut sketched = exact;
+    sketched.mr.strategy = FitStrategy::Sketched {
+        rank_oversample: 2,
+        power_iters: 1,
+        seed: 5,
+    };
+    let tenant = "rack-y";
+    type Tamper = fn(&Path);
+    let cases: [(&str, IMrDmdConfig, Tamper); 4] = [
+        ("isvd-u", exact, |p| {
+            rechecksum_edit(p, |s| flatten_matrix(s, "\"isvd\":{\"u\":["))
+        }),
+        ("sketch-q", sketched, |p| {
+            rechecksum_edit(p, |s| flatten_matrix(s, "\"sketch\":{\"q\":["))
+        }),
+        ("row-offset", exact, |p| rechecksum_with(p, "row_offset", 5)),
+        ("amplitude", exact, |p| {
+            rechecksum_edit(p, |s| overflow_number(s, "\"amplitudes\":[["))
+        }),
+    ];
+    for (case, c, tamper) in cases {
+        let dir = tmp(&format!("inconsistent-{case}"));
+        let _ = fs::remove_dir_all(&dir);
+        let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
+        let mut shard = Shard::new(tenant, ck());
+        for lo in [0, 128] {
+            shard
+                .ingest(
+                    &data.cols_range(lo, lo + 128),
+                    Some(lo),
+                    &c,
+                    GapPolicy::Interpolate,
+                )
+                .unwrap();
+        }
+        let history = shard_checkpoint_history(&dir, tenant).unwrap();
+        assert_eq!(history.len(), 2);
+        let newest = &history[0].1;
+        tamper(newest);
+        assert!(
+            matches!(ShardSnapshot::load(newest), Err(CheckpointError::Codec(_))),
+            "{case} must not load"
+        );
+
+        let rec = Shard::recover(&dir, tenant, &c, GapPolicy::Interpolate, ck());
+        assert!(rec.from_checkpoint, "{case}");
+        assert_eq!(rec.fallbacks, 1, "{case}");
+        let mut shard = rec.shard;
+        assert_eq!(shard.status().steps, 128, "{case}");
         let reply = shard
             .ingest(
                 &data.cols_range(128, 256),
