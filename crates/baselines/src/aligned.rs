@@ -6,7 +6,7 @@
 //! the layout with a shorter SGD run initialised from (and spring-anchored
 //! to) the previous positions.
 
-use crate::umap::{pca_init, Umap, UmapConfig};
+use crate::umap::{Umap, UmapConfig};
 use hpc_linalg::Mat;
 
 /// Streaming aligned UMAP over a fixed sample population with growing
@@ -20,7 +20,6 @@ pub struct AlignedUmap {
     /// Epoch fraction used for each incremental update (of `config.n_epochs`).
     pub update_epoch_fraction: f64,
     embedding: Option<Mat>,
-    history: Vec<Mat>,
     n_fits: usize,
 }
 
@@ -32,7 +31,6 @@ impl AlignedUmap {
             alignment_weight: 1.0,
             update_epoch_fraction: 0.25,
             embedding: None,
-            history: Vec::new(),
             n_fits: 0,
         }
     }
@@ -41,7 +39,6 @@ impl AlignedUmap {
     pub fn fit(&mut self, x: &Mat) {
         let u = Umap::fit(x, &self.config);
         self.embedding = Some(u.embedding().clone());
-        self.history = vec![u.embedding().clone()];
         self.n_fits = 1;
     }
 
@@ -69,7 +66,6 @@ impl AlignedUmap {
             Some((&anchor, self.alignment_weight)),
         );
         self.embedding = Some(u.embedding().clone());
-        self.history.push(u.embedding().clone());
         self.n_fits += 1;
     }
 
@@ -81,19 +77,6 @@ impl AlignedUmap {
     /// Number of fits (initial + incremental) so far.
     pub fn n_fits(&self) -> usize {
         self.n_fits
-    }
-
-    /// The aligned embedding sequence — one snapshot per fit, mutually
-    /// comparable thanks to the anchoring (the longitudinal output
-    /// Aligned-UMAP exists for).
-    pub fn embedding_sequence(&self) -> &[Mat] {
-        &self.history
-    }
-
-    /// A fresh PCA initialisation for the given data (exposed for tests and
-    /// harnesses that want a non-aligned restart).
-    pub fn cold_init(&self, x: &Mat) -> Mat {
-        pca_init(x, self.config.n_components)
     }
 }
 
@@ -127,10 +110,6 @@ mod tests {
         let drift = after.fro_dist(&before) / before.fro_norm().max(1e-9);
         assert!(drift < 1.0, "aligned drift {drift}");
         assert_eq!(au.n_fits(), 2);
-        // The sequence records both snapshots, first one untouched.
-        let seq = au.embedding_sequence();
-        assert_eq!(seq.len(), 2);
-        assert!(seq[0].fro_dist(&before) < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub struct Pca {
     mean: Vec<f64>,
     /// `d × k` principal directions.
     components: Mat,
-    /// Per-component singular values.
-    singular_values: Vec<f64>,
     /// `n × k` projection of the training data.
     scores: Mat,
 }
@@ -26,7 +24,6 @@ impl Pca {
             n_components,
             mean: vec![],
             components: Mat::zeros(0, 0),
-            singular_values: vec![],
             scores: Mat::zeros(0, 0),
         }
     }
@@ -37,9 +34,8 @@ impl Pca {
         self.mean = center_columns(&mut c);
         let k = self.n_components.min(x.rows().min(x.cols()));
         let f = svd_truncated(&c, k);
-        self.singular_values = f.s.clone();
-        self.components = f.v.clone(); // d × k
-                                       // Scores = U·Σ = centered · V.
+        // `d × k` directions; scores = U·Σ = centered · V.
+        self.components = f.v;
         self.scores = c.matmul(&self.components);
     }
 
@@ -58,15 +54,6 @@ impl Pca {
             }
         }
         c.matmul(&self.components)
-    }
-
-    /// Explained variance per retained component (σ²/(n−1)).
-    pub fn explained_variance(&self, n_samples: usize) -> Vec<f64> {
-        let denom = (n_samples.max(2) - 1) as f64;
-        self.singular_values
-            .iter()
-            .map(|&s| s * s / denom)
-            .collect()
     }
 
     /// The fitted principal directions (`d × k`).
@@ -116,7 +103,12 @@ mod tests {
         let x = line_cloud(120);
         let mut pca = Pca::new(2);
         pca.fit(&x);
-        let ev = pca.explained_variance(120);
+        // The scores are centred, so each column's sum of squares is its
+        // component's share of the variance.
+        let e = pca.embedding();
+        let ev: Vec<f64> = (0..2)
+            .map(|j| (0..e.rows()).map(|i| e[(i, j)] * e[(i, j)]).sum())
+            .collect();
         assert!(ev[0] > 100.0 * ev[1], "ev {ev:?}");
     }
 

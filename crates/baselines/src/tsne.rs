@@ -23,10 +23,6 @@ pub struct TsneConfig {
     pub early_exaggeration: f64,
     /// RNG seed (used only if PCA init degenerates).
     pub seed: u64,
-    /// Worker threads for the gradient (0 = all available cores). The
-    /// parallel path is the Multicore-TSNE counterpart the paper lists but
-    /// could not install; results are identical to the serial path.
-    pub n_threads: usize,
 }
 
 impl Default for TsneConfig {
@@ -38,7 +34,6 @@ impl Default for TsneConfig {
             n_iter: 400,
             early_exaggeration: 12.0,
             seed: 0,
-            n_threads: 1,
         }
     }
 }
@@ -85,13 +80,6 @@ impl Tsne {
         };
         let mut vel = Mat::zeros(n, k);
         let exag_end = config.n_iter / 4;
-        let threads = if config.n_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            config.n_threads
-        };
         for iter in 0..config.n_iter {
             let exag = if iter < exag_end {
                 config.early_exaggeration
@@ -99,7 +87,7 @@ impl Tsne {
                 1.0
             };
             let momentum = if iter < exag_end { 0.5 } else { 0.8 };
-            let grad = gradient(&p, &y, exag, threads);
+            let grad = gradient(&p, &y, exag);
             for i in 0..n {
                 for j in 0..k {
                     let v = momentum * vel[(i, j)] - lr * grad[(i, j)];
@@ -187,9 +175,8 @@ fn joint_probabilities(x: &Mat, perplexity: f64) -> Mat {
     out
 }
 
-/// KL-divergence gradient with Student-t kernel, row-parallel when
-/// `threads > 1` (rows of the gradient are independent given `qnum`).
-fn gradient(p: &Mat, y: &Mat, exaggeration: f64, threads: usize) -> Mat {
+/// KL-divergence gradient with Student-t kernel.
+fn gradient(p: &Mat, y: &Mat, exaggeration: f64) -> Mat {
     let n = y.rows();
     let k = y.cols();
     // qnum[i][j] = (1 + ‖yi−yj‖²)^−1.
@@ -207,39 +194,18 @@ fn gradient(p: &Mat, y: &Mat, exaggeration: f64, threads: usize) -> Mat {
     }
     let qsum = qsum.max(1e-300);
     let mut grad = Mat::zeros(n, k);
-    let row_block = |i0: usize, rows: &mut [f64]| {
-        for (off, row) in rows.chunks_mut(k).enumerate() {
-            let i = i0 + off;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let pij = exaggeration * p[(i, j)];
-                let qij = (qnum[(i, j)] / qsum).max(1e-12);
-                let mult = 4.0 * (pij - qij) * qnum[(i, j)];
-                for (c, g) in row.iter_mut().enumerate() {
-                    *g += mult * (y[(i, c)] - y[(j, c)]);
-                }
+    for (i, row) in grad.as_mut_slice().chunks_mut(k).enumerate() {
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            let pij = exaggeration * p[(i, j)];
+            let qij = (qnum[(i, j)] / qsum).max(1e-12);
+            let mult = 4.0 * (pij - qij) * qnum[(i, j)];
+            for (c, g) in row.iter_mut().enumerate() {
+                *g += mult * (y[(i, c)] - y[(j, c)]);
             }
         }
-    };
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 64 {
-        row_block(0, grad.as_mut_slice());
-    } else {
-        let chunk = n.div_ceil(threads);
-        let blocks: Vec<(usize, &mut [f64])> = grad
-            .as_mut_slice()
-            .chunks_mut(chunk * k)
-            .enumerate()
-            .map(|(ci, s)| (ci * chunk, s))
-            .collect();
-        std::thread::scope(|scope| {
-            for (i0, rows) in blocks {
-                let row_block = &row_block;
-                scope.spawn(move || row_block(i0, rows));
-            }
-        });
     }
     grad
 }
@@ -337,32 +303,5 @@ mod tests {
         let a = Tsne::fit(&x, &cfg);
         let b = Tsne::fit(&x, &cfg);
         assert!(a.embedding().fro_dist(b.embedding()) < 1e-12);
-    }
-
-    #[test]
-    fn multicore_matches_serial_exactly() {
-        let (x, _) = two_blobs(40); // 80 samples, above the parallel floor
-        let serial = Tsne::fit(
-            &x,
-            &TsneConfig {
-                n_iter: 40,
-                perplexity: 10.0,
-                n_threads: 1,
-                ..Default::default()
-            },
-        );
-        let parallel = Tsne::fit(
-            &x,
-            &TsneConfig {
-                n_iter: 40,
-                perplexity: 10.0,
-                n_threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(
-            serial.embedding().fro_dist(parallel.embedding()) < 1e-12,
-            "parallel gradient must be bit-compatible"
-        );
     }
 }

@@ -83,16 +83,11 @@ impl Workloads {
     /// A Polaris GPU-metrics scenario with `n_series` series.
     ///
     /// GPUs come four per node, so `n_series` is rounded down to the nearest
-    /// multiple of four when not divisible (all harness callers use
-    /// multiples of four).
+    /// multiple of four, with at least one node (all harness callers use
+    /// multiples of four). Past Polaris's 560 nodes the machine widens by
+    /// whole racks ([`MachineSpec::scaled`](hpc_telemetry::MachineSpec::scaled)).
     pub fn gpu_metrics(n_series: usize, total_steps: usize, seed: u64) -> Scenario {
-        let mut machine = polaris().scaled(n_series.div_ceil(4).max(1));
-        // 4 GPUs per node; trim to exactly n_series via scaled node count.
-        machine.series_per_node = 4;
-        while machine.n_series() > n_series && machine.n_nodes > 1 {
-            machine.n_nodes -= 1;
-        }
-        Scenario::gpu_metrics(machine, total_steps, seed)
+        Scenario::gpu_metrics(polaris().scaled(n_series / 4), total_steps, seed)
     }
 
     /// The paper's standard I-mrDMD configuration for a scenario.
@@ -131,6 +126,11 @@ mod tests {
         assert_eq!(sc.n_series(), 100);
         let gpu = Workloads::gpu_metrics(100, 500, 1);
         assert_eq!(gpu.n_series(), 100);
+    }
+
+    #[test]
+    fn paper_gpu_shape_is_not_capped_at_polaris() {
+        assert_eq!(Workloads::gpu_metrics(5824, 8, 1).n_series(), 5824);
     }
 
     #[test]

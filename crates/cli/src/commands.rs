@@ -151,8 +151,8 @@ fn synth(nodes: usize, steps: usize, seed: u64, out: &Path) -> Result<String, Cl
 /// A [`Shard`] cold start under `stream`'s default `reject` policy.
 fn fit(input: &Path, config: &IMrDmdConfig, model_path: &Path) -> Result<String, CliError> {
     let (data, _) = load_csv(input)?;
-    let mut shard = Shard::new(STREAM_SHARD, None);
-    shard.ingest(&data, None, config, GapPolicy::Reject)?;
+    let mut shard = Shard::new(STREAM_SHARD, config, GapPolicy::Reject, None);
+    shard.ingest(&data, None)?;
     let model = save_model(model_path, &shard)?.model;
     Ok(format!(
         "fitted {} series × {} snapshots: {} modes across {} levels → {}",
@@ -165,8 +165,9 @@ fn fit(input: &Path, config: &IMrDmdConfig, model_path: &Path) -> Result<String,
 }
 
 /// One [`Shard::ingest`] round on the loaded snapshot: gaps repair under
-/// the policy stored in its guard, and the CSV's first step must be the
-/// step the model expects next.
+/// the policy stored in its guard, the round runs under the model's own
+/// configuration, and the CSV's first step must be the step the model
+/// expects next.
 fn update(
     model_path: &Path,
     input: &Path,
@@ -179,9 +180,8 @@ fn update(
     }
     let (batch, first_step) = load_csv(input)?;
     check_series(&snap.model, &batch)?;
-    let (config, policy) = (*snap.model.config(), snap.guard.policy());
     let mut shard = Shard::from_snapshot(snap, None);
-    let reply = shard.ingest(&batch, Some(first_step), &config, policy)?;
+    let reply = shard.ingest(&batch, Some(first_step))?;
     let out = model_out.unwrap_or(model_path);
     save_model(out, &shard)?;
     let (drift, new_modes) = reply
@@ -333,7 +333,7 @@ fn stream(a: &StreamArgs) -> Result<String, CliError> {
             }
             rec.shard
         }
-        None => Shard::new(STREAM_SHARD, checkpointer),
+        None => Shard::new(STREAM_SHARD, &a.config, a.policy, checkpointer),
     };
     let skipped = shard.status().steps;
     shard
@@ -350,18 +350,11 @@ fn stream(a: &StreamArgs) -> Result<String, CliError> {
     if a.metrics_every > 0 {
         imrdmd::obs::reset();
     }
-    let (chunks, repairs) = stream_chunks(
-        &mut shard,
-        &data,
-        a.chunk,
-        &a.config,
-        a.policy,
-        |done, chunks| {
-            if a.metrics_every > 0 && chunks.is_multiple_of(a.metrics_every) {
-                let _ = writeln!(out, "{}", MetricsLine::capture(done, chunks).to_json());
-            }
-        },
-    )?;
+    let (chunks, repairs) = stream_chunks(&mut shard, &data, a.chunk, |done, chunks| {
+        if a.metrics_every > 0 && chunks.is_multiple_of(a.metrics_every) {
+            let _ = writeln!(out, "{}", MetricsLine::capture(done, chunks).to_json());
+        }
+    })?;
 
     let _ = writeln!(
         out,
@@ -408,8 +401,6 @@ fn stream_chunks(
     shard: &mut Shard,
     data: &hpc_linalg::Mat,
     chunk: usize,
-    config: &IMrDmdConfig,
-    policy: GapPolicy,
     mut after_chunk: impl FnMut(usize, usize),
 ) -> Result<(usize, RepairReport), CliError> {
     let total = data.cols();
@@ -418,7 +409,7 @@ fn stream_chunks(
     let mut chunks = 0usize;
     while done < total {
         let hi = done.saturating_add(chunk).min(total);
-        let reply = shard.ingest(&data.cols_range(done, hi), Some(done), config, policy)?;
+        let reply = shard.ingest(&data.cols_range(done, hi), Some(done))?;
         repairs.merge(&reply.repairs);
         done = hi;
         chunks += 1;
@@ -439,15 +430,8 @@ fn metrics(
 ) -> Result<String, CliError> {
     let (data, _) = load_csv(input)?;
     imrdmd::obs::reset();
-    let mut shard = Shard::new(STREAM_SHARD, None);
-    stream_chunks(
-        &mut shard,
-        &data,
-        chunk,
-        config,
-        GapPolicy::Reject,
-        |_, _| {},
-    )?;
+    let mut shard = Shard::new(STREAM_SHARD, config, GapPolicy::Reject, None);
+    stream_chunks(&mut shard, &data, chunk, |_, _| {})?;
     let snap = MetricsSnapshot::capture();
     Ok(match format {
         MetricsFormat::Prom => snap.to_prometheus(),

@@ -101,30 +101,12 @@ impl IMrDmdConfig {
     }
 }
 
-/// Summary of one incremental update.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PartialFitReport {
-    /// Snapshots absorbed by this update.
-    pub batch_len: usize,
-    /// Decimated columns appended to the root SVD.
-    pub new_root_cols: usize,
-    /// Frobenius drift of the root reconstruction over the old timeline.
-    pub drift: f64,
-    /// Whether the drift exceeded the configured threshold.
-    pub stale: bool,
-    /// Modes extracted in the new window's subtree.
-    pub new_subtree_modes: usize,
-    /// Snapshots still buffered below `min_window`, awaiting a subtree fit.
-    pub pending: usize,
-    /// Node fits that failed numerically during this update (root or
-    /// subtree); the stream kept going with the failing windows degraded.
-    pub new_faults: usize,
-}
-
-/// Unified outcome of one streaming round ([`IMrDmd::try_partial_fit`]):
-/// what the decomposition did, what the ingest guard repaired, the node
-/// fits that failed during this round, and the post-round health snapshot,
-/// so no follow-up [`IMrDmd::fit_faults`]/[`IMrDmd::health`] call is needed.
+/// Outcome of one streaming round, whichever entry point ran it
+/// ([`IMrDmd::partial_fit`], [`IMrDmd::try_partial_fit`] or the fleet
+/// engine): what the decomposition did, what the ingest guard repaired, the
+/// node fits that failed during this round, and the post-round health
+/// snapshot, so no follow-up [`IMrDmd::fit_faults`]/[`IMrDmd::health`] call
+/// is needed.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RoundReport {
     /// Snapshots absorbed by this round.
@@ -142,28 +124,13 @@ pub struct RoundReport {
     /// Node fits that failed numerically during this round, root failures
     /// included (the root degrades in place and leaves no [`FitFault`]).
     pub new_faults: usize,
-    /// What the ingest guard repaired before the update (all-zero for the
-    /// unguarded [`IMrDmd::partial_fit`] path).
+    /// What the ingest guard repaired before the update (all-zero when
+    /// [`IMrDmd::partial_fit`] ran it: that path repairs nothing itself).
     pub repairs: RepairReport,
     /// The node-fit faults recorded during this round, in occurrence order.
     pub faults: Vec<FitFault>,
     /// Health of the whole tree after the round.
     pub health: HealthSnapshot,
-}
-
-impl RoundReport {
-    /// The decomposition-only summary (the former `partial_fit` return).
-    pub fn fit_summary(&self) -> PartialFitReport {
-        PartialFitReport {
-            batch_len: self.batch_len,
-            new_root_cols: self.new_root_cols,
-            drift: self.drift,
-            stale: self.stale,
-            new_subtree_modes: self.new_subtree_modes,
-            pending: self.pending,
-            new_faults: self.new_faults,
-        }
-    }
 }
 
 /// Streaming multiresolution DMD state.
@@ -479,17 +446,19 @@ impl IMrDmd {
     }
 
     /// Absorbs a batch of `T₁` new snapshots (columns) and updates the tree
-    /// per Algorithm 1. Returns a report of what changed.
+    /// per Algorithm 1. Returns the round's [`RoundReport`], with all-zero
+    /// `repairs`.
     ///
-    /// Unguarded form of [`Self::try_partial_fit`]; panics on a row-count
-    /// mismatch where the `try_` variant returns an error.
-    pub fn partial_fit(&mut self, batch: &Mat) -> PartialFitReport {
+    /// Unguarded form of [`Self::try_partial_fit`], for a batch that is
+    /// already finite (e.g. one an [`IngestGuard`] has just repaired); panics
+    /// on a row-count mismatch where the `try_` variant returns an error.
+    pub fn partial_fit(&mut self, batch: &Mat) -> RoundReport {
         assert_eq!(
             batch.rows(),
             self.p,
             "batch row count must match the stream"
         );
-        self.round(batch, RepairReport::default()).fit_summary()
+        self.round(batch, RepairReport::default())
     }
 
     /// Gap/NaN-tolerant [`partial_fit`](Self::partial_fit): the batch is

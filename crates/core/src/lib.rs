@@ -30,8 +30,9 @@
 //! });
 //! let cfg = IMrDmdConfig::default();
 //! let mut model = IMrDmd::fit(&data.cols_range(0, 500), &cfg);
+//! // Every round, however it is entered, returns one `RoundReport`.
 //! let report = model.partial_fit(&data.cols_range(500, 600));
-//! assert_eq!(model.n_steps(), 600);
+//! assert_eq!((report.batch_len, model.n_steps()), (100, 600));
 //! assert!(report.drift.is_finite());
 //! let spectrum = mode_spectrum(model.nodes());
 //! assert!(!spectrum.is_empty());
@@ -73,7 +74,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
-    pub use crate::imrdmd::{IMrDmd, IMrDmdConfig, PartialFitReport, RoundReport};
+    pub use crate::imrdmd::{IMrDmd, IMrDmdConfig, RoundReport};
     pub use crate::ingest::{GapPolicy, IngestGuard, RepairReport};
     pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig};
     pub use crate::obs::{MetricsLine, MetricsSnapshot, Observer};

@@ -1,9 +1,8 @@
 //! Per-shard write-ahead log for durable streaming ingest.
 //!
-//! The serving layer acks an ingest batch after the in-memory
-//! `try_partial_fit`, but checkpoints only every `checkpoint_every`
-//! rounds — so without a log, a crash silently loses up to N−1 *acked*
-//! batches per shard. This module closes that gap: an append-only,
+//! The serving layer acks an ingest batch after the in-memory round, but
+//! checkpoints only every `checkpoint_every` rounds — so without a log, a
+//! crash silently loses up to N−1 *acked* batches per shard. This module closes that gap: an append-only,
 //! CRC-framed log records each **repaired** batch (post-[`GapPolicy`]
 //! repair, so replay is deterministic) before the ack goes out, and
 //! recovery replays the tail of the log on top of the newest restored
@@ -198,7 +197,7 @@ pub struct WalFrame {
     /// `model.n_steps()` at the moment the batch was absorbed (0 for the
     /// cold-start batch).
     pub first_step: u64,
-    /// The repaired batch, bitwise as fed to `try_partial_fit`.
+    /// The repaired batch, bitwise as the shard's fit or round absorbed it.
     pub batch: Mat,
 }
 

@@ -132,11 +132,6 @@ impl WindowedMrDmd {
         self.t_total
     }
 
-    /// Number of fitted windows.
-    pub fn n_windows(&self) -> usize {
-        self.fits.len()
-    }
-
     /// Total modes across all retained window fits.
     pub fn n_modes(&self) -> usize {
         self.fits.iter().map(|(_, f)| f.n_modes()).sum()
@@ -225,7 +220,7 @@ mod tests {
         let data = signal(8, 640);
         let w = WindowedMrDmd::fit(&data, &cfg(256, 64));
         // Hops of 192: windows at 0, 192, 384 fit within 640.
-        assert_eq!(w.n_windows(), 3);
+        assert_eq!(w.fits.len(), 3);
         assert_eq!(w.n_steps(), 640);
     }
 
@@ -233,13 +228,13 @@ mod tests {
     fn partial_fit_completes_windows_lazily() {
         let data = signal(8, 700);
         let mut w = WindowedMrDmd::fit(&data.cols_range(0, 300), &cfg(256, 64));
-        assert_eq!(w.n_windows(), 1);
+        assert_eq!(w.fits.len(), 1);
         // Window at 192 completes at t = 448; window at 384 needs t = 640.
         let fitted = w.partial_fit(&data.cols_range(300, 500));
         assert_eq!(fitted, 1, "only the window at 192 was due");
         let fitted = w.partial_fit(&data.cols_range(500, 700));
         assert_eq!(fitted, 1, "the window at 384 completed at t = 640");
-        assert_eq!(w.n_windows(), 3);
+        assert_eq!(w.fits.len(), 3);
         assert_eq!(w.n_steps(), 700);
     }
 
@@ -273,7 +268,7 @@ mod tests {
         for start in (256..640).step_by(96) {
             inc.partial_fit(&data.cols_range(start, (start + 96).min(640)));
         }
-        assert_eq!(once.n_windows(), inc.n_windows());
+        assert_eq!(once.fits.len(), inc.fits.len());
         let d = once.reconstruct().fro_dist(&inc.reconstruct());
         assert!(d < 1e-6, "chunked windowed fit diverged: {d}");
     }
@@ -284,11 +279,11 @@ mod tests {
         let mut w = WindowedMrDmd::fit(&data.cols_range(0, 300), &cfg(256, 64));
         let json = serde_json::to_string(&w).unwrap();
         let mut back: WindowedMrDmd = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_windows(), w.n_windows());
+        assert_eq!(back.fits.len(), w.fits.len());
         // Both absorb the identical continuation identically.
         w.partial_fit(&data.cols_range(300, 512));
         back.partial_fit(&data.cols_range(300, 512));
-        assert_eq!(back.n_windows(), w.n_windows());
+        assert_eq!(back.fits.len(), w.fits.len());
         assert!(back.reconstruct().fro_dist(&w.reconstruct()) < 1e-12);
     }
 

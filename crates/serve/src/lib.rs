@@ -6,9 +6,11 @@
 //! machine partition) behind a small vendored HTTP/1.1 layer:
 //!
 //! * **Ingest**: `POST /v1/{tenant}/ingest` routes CSV telemetry
-//!   batches through the shard's ingest guard and
-//!   `try_partial_fit`, sharing the process-wide `hpc_linalg::pool`
-//!   worker budget across tenants.
+//!   batches to the tenant's [`Shard`], born with the daemon's model
+//!   configuration and gap policy. The shard's ingest guard repairs each
+//!   batch once and one `partial_fit` round folds it in; the reply carries
+//!   that round's `RoundReport`. Rounds share the process-wide
+//!   `hpc_linalg::pool` worker budget across tenants.
 //! * **Reads**: `health`, `spectrum`, `forecast`, `reconstruct`, and
 //!   `status` per tenant, served straight from the shard's state as the
 //!   same serde JSON the in-process APIs produce — responses are

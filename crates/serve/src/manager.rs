@@ -220,7 +220,13 @@ impl ShardManager {
         if map.len() >= self.opts.max_tenants {
             return Err(ServeError::TenantLimit(self.opts.max_tenants));
         }
-        let shard = self.attach_persistence(Shard::new(tenant, self.checkpointer_for(tenant)));
+        let shard = Shard::new(
+            tenant,
+            &self.opts.model,
+            self.opts.policy,
+            self.checkpointer_for(tenant),
+        );
+        let shard = self.attach_persistence(shard);
         let cell = Arc::new(Mutex::new(shard));
         map.insert(tenant.to_string(), cell.clone());
         // Only the cheap count gauge under the write lock; the corrupt-state

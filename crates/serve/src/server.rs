@@ -386,9 +386,7 @@ fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, 
     let _permit = state.manager.admit_ingest()?;
     let (batch, first_step) = parse_batch(req)?;
     let cell = state.manager.shard_or_create(tenant)?;
-    let cfg = state.manager.config();
-    let reply: IngestReply =
-        lock_shard(&cell).ingest(&batch, Some(first_step), &cfg.model, cfg.policy)?;
+    let reply: IngestReply = lock_shard(&cell).ingest(&batch, Some(first_step))?;
     Ok(json_response(&reply))
 }
 

@@ -12,18 +12,23 @@
 //! tenants, `imrdmd-cli stream` and the `streaming_monitor` example all
 //! cold-start, absorb, checkpoint and resume through a `Shard`.
 //!
-//! Lifecycle: a shard is **empty** until its first batch (cold start:
-//! configuration check, guard repair + [`IMrDmd::fit`]), then **ready**
-//! (batches flow through [`IMrDmd::try_partial_fit`]), or **corrupt** if
-//! its checkpoint failed to restore — a corrupt shard answers 503 on every
-//! route but never takes the daemon down. A configuration enters a stream
-//! only through those two doors, and both check it: the cold start with
-//! [`IMrDmdConfig::validate`], the restore with [`ShardSnapshot::load`].
+//! Lifecycle: a shard is born **empty** holding the configuration and
+//! [`GapPolicy`] its first batch cold-starts with (configuration check,
+//! guard repair, [`IMrDmd::fit`]). It is then **ready**: each batch is
+//! repaired once by the shard's [`IngestGuard`] and the repaired batch runs
+//! one [`IMrDmd::partial_fit`] round, whose [`RoundReport`] the reply
+//! carries. A shard is **corrupt** if its checkpoint failed to restore: it
+//! answers 503 on every route but never takes the daemon down. A
+//! configuration enters a stream only through those two doors, and both
+//! check it: the cold start with [`IMrDmdConfig::validate`], the restore
+//! with [`ShardSnapshot::load`]. A restored shard keeps the configuration
+//! and guard policy it was checkpointed with.
 //!
 //! Durability: when a [`Wal`] is attached, every acked batch is logged —
 //! **repaired** (post-[`GapPolicy`]) so replay is deterministic — before
 //! the reply is built, and [`Shard::recover`] rebuilds the exact
-//! pre-crash state from the newest valid checkpoint plus the WAL tail.
+//! pre-crash state from the newest valid checkpoint plus the WAL tail,
+//! replaying each frame through the same absorb step as live ingest.
 //! A WAL write failure moves the shard to **durability-degraded**: it
 //! keeps absorbing and serving (checkpoint-interval durability only) and
 //! reports the cause through `/status` and `serve.wal.*` metrics rather
@@ -58,8 +63,9 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Reads a shard checkpoint and checks the restored model with
-    /// [`IMrDmd::validate`]: a payload that passed its checksum but carries
-    /// an out-of-domain configuration or decimation state is refused as
+    /// [`IMrDmd::validate`] and the guard against the model's sensor count:
+    /// a payload that passed its checksum but carries an out-of-domain
+    /// configuration, decimation state or guard is refused as
     /// [`CheckpointError::Codec`], like one that fails to decode, so
     /// recovery falls back past it instead of panicking on the next round.
     pub fn load(path: &Path) -> Result<ShardSnapshot, CheckpointError> {
@@ -67,6 +73,13 @@ impl ShardSnapshot {
         snap.model
             .validate()
             .map_err(|e| CheckpointError::Codec(e.to_string()))?;
+        if snap.guard.n_rows() != snap.model.n_rows() {
+            return Err(CheckpointError::Codec(format!(
+                "ingest guard tracks {} sensors, the model {}",
+                snap.guard.n_rows(),
+                snap.model.n_rows()
+            )));
+        }
         Ok(snap)
     }
 }
@@ -126,6 +139,8 @@ pub struct IngestReply {
 
 /// What one absorb step did to a batch.
 struct Absorbed {
+    /// The shard clock before the batch: the batch's first step.
+    first_step: usize,
     /// The repaired copy of the batch, when it had gaps.
     repaired: Option<Mat>,
     /// What the guard repaired.
@@ -149,28 +164,57 @@ pub struct RecoveredShard {
     pub torn_wal: bool,
 }
 
+/// Where a shard is in its lifecycle; see the module doc.
+#[derive(Debug)]
+enum Lifecycle {
+    /// No batch absorbed yet: what the first batch cold-starts with.
+    Empty {
+        cfg: IMrDmdConfig,
+        policy: GapPolicy,
+    },
+    /// Fitted: the model and the guard whose carry repairs its next batch
+    /// (each holds its own configuration from here on).
+    Ready {
+        model: Box<IMrDmd>,
+        guard: IngestGuard,
+    },
+    /// The checkpoint failed to restore; every route is refused with this
+    /// cause.
+    Corrupt(String),
+}
+
 /// One tenant's decomposition plus its durable lifecycle.
 #[derive(Debug)]
 pub struct Shard {
     tenant: String,
-    model: Option<IMrDmd>,
-    guard: Option<IngestGuard>,
+    lifecycle: Lifecycle,
     rounds: u64,
-    corrupt_cause: Option<String>,
     checkpointer: Option<Checkpointer>,
     wal: Option<Wal>,
     degraded_cause: Option<String>,
 }
 
 impl Shard {
-    /// An empty shard, checkpointing into `checkpointer` if given.
-    pub fn new(tenant: &str, checkpointer: Option<Checkpointer>) -> Shard {
+    /// An empty shard that cold-starts its first batch under `cfg` and
+    /// `policy`, checkpointing into `checkpointer` if given.
+    pub fn new(
+        tenant: &str,
+        cfg: &IMrDmdConfig,
+        policy: GapPolicy,
+        checkpointer: Option<Checkpointer>,
+    ) -> Shard {
+        Shard::with_lifecycle(tenant, Lifecycle::Empty { cfg: *cfg, policy }, checkpointer)
+    }
+
+    fn with_lifecycle(
+        tenant: &str,
+        lifecycle: Lifecycle,
+        checkpointer: Option<Checkpointer>,
+    ) -> Shard {
         Shard {
             tenant: tenant.to_string(),
-            model: None,
-            guard: None,
+            lifecycle,
             rounds: 0,
-            corrupt_cause: None,
             checkpointer,
             wal: None,
             degraded_cause: None,
@@ -190,33 +234,23 @@ impl Shard {
         self
     }
 
-    /// A shard restored from a checkpoint snapshot.
+    /// A shard restored from a checkpoint snapshot. It streams on under the
+    /// snapshot's own configuration and gap policy.
     pub fn from_snapshot(snap: ShardSnapshot, checkpointer: Option<Checkpointer>) -> Shard {
+        let ready = Lifecycle::Ready {
+            model: Box::new(snap.model),
+            guard: snap.guard,
+        };
         Shard {
-            tenant: snap.tenant,
-            model: Some(snap.model),
-            guard: Some(snap.guard),
             rounds: snap.rounds,
-            corrupt_cause: None,
-            checkpointer,
-            wal: None,
-            degraded_cause: None,
+            ..Shard::with_lifecycle(&snap.tenant, ready, checkpointer)
         }
     }
 
     /// A shard whose checkpoint failed integrity checks. It holds its
     /// tenant slot (so the operator sees it) but answers 503 everywhere.
     pub fn corrupt(tenant: &str, cause: &CheckpointError) -> Shard {
-        Shard {
-            tenant: tenant.to_string(),
-            model: None,
-            guard: None,
-            rounds: 0,
-            corrupt_cause: Some(cause.to_string()),
-            checkpointer: None,
-            wal: None,
-            degraded_cause: None,
-        }
+        Shard::with_lifecycle(tenant, Lifecycle::Corrupt(cause.to_string()), None)
     }
 
     /// Tenant id.
@@ -226,41 +260,49 @@ impl Shard {
 
     /// Lifecycle state.
     pub fn state(&self) -> ShardState {
-        if self.corrupt_cause.is_some() {
-            ShardState::Corrupt
-        } else if self.degraded_cause.is_some() {
-            ShardState::DurabilityDegraded
-        } else if self.model.is_some() {
-            ShardState::Ready
-        } else {
-            ShardState::Empty
+        match self.lifecycle {
+            Lifecycle::Corrupt(_) => ShardState::Corrupt,
+            _ if self.degraded_cause.is_some() => ShardState::DurabilityDegraded,
+            Lifecycle::Ready { .. } => ShardState::Ready,
+            Lifecycle::Empty { .. } => ShardState::Empty,
+        }
+    }
+
+    /// The fitted model, if the shard is ready.
+    fn model(&self) -> Option<&IMrDmd> {
+        match &self.lifecycle {
+            Lifecycle::Ready { model, .. } => Some(model),
+            _ => None,
         }
     }
 
     /// The `/status` document.
     pub fn status(&self) -> ShardStatus {
+        let model = self.model();
         ShardStatus {
             tenant: self.tenant.clone(),
             state: self.state(),
-            steps: self.model.as_ref().map_or(0, |m| m.n_steps()),
+            steps: model.map_or(0, IMrDmd::n_steps),
             rounds: self.rounds,
-            pending: self.model.as_ref().map_or(0, |m| m.pending_len()),
-            modes: self.model.as_ref().map_or(0, |m| m.n_modes()),
-            corrupt_cause: self.corrupt_cause.clone(),
+            pending: model.map_or(0, IMrDmd::pending_len),
+            modes: model.map_or(0, IMrDmd::n_modes),
+            corrupt_cause: match &self.lifecycle {
+                Lifecycle::Corrupt(cause) => Some(cause.clone()),
+                _ => None,
+            },
             degraded_cause: self.degraded_cause.clone(),
         }
     }
 
     fn fitted(&self) -> Result<&IMrDmd, ServeError> {
-        if let Some(cause) = &self.corrupt_cause {
-            return Err(ServeError::ShardCorrupt {
+        match &self.lifecycle {
+            Lifecycle::Ready { model, .. } => Ok(model),
+            Lifecycle::Empty { .. } => Err(ServeError::UnknownTenant(self.tenant.clone())),
+            Lifecycle::Corrupt(cause) => Err(ServeError::ShardCorrupt {
                 tenant: self.tenant.clone(),
                 cause: cause.clone(),
-            });
+            }),
         }
-        self.model
-            .as_ref()
-            .ok_or_else(|| ServeError::UnknownTenant(self.tenant.clone()))
     }
 
     /// Health snapshot of a fitted shard.
@@ -277,111 +319,111 @@ impl Shard {
     /// The persistent state — model, ingest guard and round count — as
     /// one checkpoint payload; `None` while the shard is empty or corrupt.
     pub fn snapshot(&self) -> Option<ShardSnapshot> {
+        let Lifecycle::Ready { model, guard } = &self.lifecycle else {
+            return None;
+        };
         Some(ShardSnapshot {
             tenant: self.tenant.clone(),
-            model: self.model.clone()?,
-            guard: self.guard.clone()?,
+            model: IMrDmd::clone(model),
+            guard: guard.clone(),
             rounds: self.rounds,
         })
     }
 
-    /// Absorbs one batch: cold-start fit on the first, `try_partial_fit`
-    /// after, and a checkpoint tick on success. `first_step` (from the
-    /// CSV header) is validated against the shard clock so duplicated
-    /// batches from at-least-once collectors are rejected with 409
-    /// instead of silently skewing the timeline.
-    ///
-    /// The [`GapPolicy`] repair runs before the round so the WAL records
-    /// the deterministic repaired batch; the round's own repair of it is a
-    /// bitwise no-op, and the reply carries what the real repair did.
+    /// Absorbs one batch — a cold-start fit on the first, one repaired
+    /// round after — then logs the repaired batch to the WAL and advances
+    /// the checkpoint schedule. `first_step` (from the CSV header) is
+    /// validated against the shard clock so duplicated batches from
+    /// at-least-once collectors are rejected with 409 instead of silently
+    /// skewing the timeline.
     pub fn ingest(
         &mut self,
         batch: &Mat,
         first_step: Option<usize>,
-        cfg: &IMrDmdConfig,
-        policy: GapPolicy,
     ) -> Result<IngestReply, ServeError> {
         let _span = obs::INGEST_NS.span();
-        if let Some(cause) = &self.corrupt_cause {
-            return Err(ServeError::ShardCorrupt {
-                tenant: self.tenant.clone(),
-                cause: cause.clone(),
-            });
-        }
-        let steps_now = self.model.as_ref().map_or(0, |m| m.n_steps());
-        if let Some(got) = first_step {
-            if got != steps_now {
-                return Err(ServeError::OutOfOrder {
-                    expected: steps_now,
-                    got,
-                });
-            }
-        }
-        if self.model.is_none() && batch.cols() < 2 {
-            return Err(ServeError::BadBody(format!(
-                "cold-start batch needs at least 2 snapshots, got {}",
-                batch.cols()
-            )));
-        }
-        let absorbed = self.absorb(batch, cfg, policy)?;
+        let absorbed = self.absorb(batch, first_step)?;
         // The WAL append comes before the reply (the ack) is built, so an
         // acked batch is always recoverable; the cold-start frame starts
         // the shard's WAL at step 0.
-        self.wal_append(steps_now, absorbed.repaired.as_ref().unwrap_or(batch));
+        self.wal_append(
+            absorbed.first_step,
+            absorbed.repaired.as_ref().unwrap_or(batch),
+        );
         obs::INGEST_BATCHES.inc();
         obs::INGEST_SNAPSHOTS.add(batch.cols() as u64);
         self.tick_checkpoint();
         Ok(IngestReply {
             tenant: self.tenant.clone(),
             round: self.rounds,
-            steps: self.model.as_ref().map_or(0, |m| m.n_steps()),
+            steps: self.model().map_or(0, IMrDmd::n_steps),
             cold_start: absorbed.report.is_none(),
             repairs: absorbed.repairs,
             report: absorbed.report,
         })
     }
 
-    /// The one absorb step behind live ingest and WAL replay: gap repair
-    /// under `policy`, then a cold-start fit on the first batch or a
-    /// guarded round after. A WAL frame is already repaired, so its repair
-    /// pass is a bitwise no-op that advances `last_good` exactly as the
-    /// original round did. The cold start checks `cfg` first, so an
-    /// out-of-domain configuration is an [`InvalidConfig`] error rather
-    /// than a panic inside the fit; a failed cold start leaves the shard
-    /// empty.
+    /// The one absorb step behind live ingest and WAL replay: the order
+    /// check, one gap repair under the shard's [`GapPolicy`], then a
+    /// cold-start fit on the first batch or one [`IMrDmd::partial_fit`]
+    /// round on the repaired batch after. A WAL frame is already repaired,
+    /// so its repair pass leaves it unchanged and advances the guard's
+    /// carry exactly as the original round did. The cold start checks its
+    /// configuration first, so an out-of-domain one is an
+    /// [`InvalidConfig`] error rather than a panic inside the fit; a failed
+    /// cold start leaves the shard empty.
     ///
     /// [`InvalidConfig`]: imrdmd::CoreError::InvalidConfig
-    fn absorb(
-        &mut self,
-        batch: &Mat,
-        cfg: &IMrDmdConfig,
-        policy: GapPolicy,
-    ) -> Result<Absorbed, imrdmd::CoreError> {
-        let Some(model) = &mut self.model else {
-            cfg.validate()?;
-            let mut guard = IngestGuard::new(policy, batch.rows());
-            let (repaired, repairs) = guard.repair(batch)?;
-            self.model = Some(IMrDmd::fit(repaired.as_ref().unwrap_or(batch), cfg));
-            self.guard = Some(guard);
-            self.rounds = 1;
-            return Ok(Absorbed {
-                repaired,
-                repairs,
-                report: None,
-            });
+    fn absorb(&mut self, batch: &Mat, first_step: Option<usize>) -> Result<Absorbed, ServeError> {
+        let in_order = |expected: usize| match first_step {
+            Some(got) if got != expected => Err(ServeError::OutOfOrder { expected, got }),
+            _ => Ok(()),
         };
-        let guard = self
-            .guard
-            .get_or_insert_with(|| IngestGuard::new(policy, batch.rows()));
-        let (repaired, repairs) = guard.repair(batch)?;
-        let mut report = model.try_partial_fit(repaired.as_ref().unwrap_or(batch), guard)?;
-        report.repairs = repairs.clone();
+        let absorbed = match &mut self.lifecycle {
+            Lifecycle::Corrupt(cause) => {
+                return Err(ServeError::ShardCorrupt {
+                    tenant: self.tenant.clone(),
+                    cause: cause.clone(),
+                })
+            }
+            Lifecycle::Empty { cfg, policy } => {
+                in_order(0)?;
+                if batch.cols() < 2 {
+                    return Err(ServeError::BadBody(format!(
+                        "cold-start batch needs at least 2 snapshots, got {}",
+                        batch.cols()
+                    )));
+                }
+                cfg.validate()?;
+                let mut guard = IngestGuard::new(*policy, batch.rows());
+                let (repaired, repairs) = guard.repair(batch)?;
+                let model = Box::new(IMrDmd::fit(repaired.as_ref().unwrap_or(batch), cfg));
+                self.lifecycle = Lifecycle::Ready { model, guard };
+                Absorbed {
+                    first_step: 0,
+                    repaired,
+                    repairs,
+                    report: None,
+                }
+            }
+            Lifecycle::Ready { model, guard } => {
+                let steps_now = model.n_steps();
+                in_order(steps_now)?;
+                // The guard checks the row count, which a ready shard's
+                // guard and model share, before the round can see it.
+                let (repaired, repairs) = guard.repair(batch)?;
+                let mut report = model.partial_fit(repaired.as_ref().unwrap_or(batch));
+                report.repairs = repairs.clone();
+                Absorbed {
+                    first_step: steps_now,
+                    repaired,
+                    repairs,
+                    report: Some(report),
+                }
+            }
+        };
         self.rounds += 1;
-        Ok(Absorbed {
-            repaired,
-            repairs,
-            report: Some(report),
-        })
+        Ok(absorbed)
     }
 
     /// Appends one repaired batch to the WAL. A failed append is *not* an
@@ -472,6 +514,11 @@ impl Shard {
     ///
     /// Only when *no* checkpoint validates and the WAL cannot rebuild
     /// from step 0 does the shard come back [`ShardState::Corrupt`].
+    ///
+    /// `cfg` and `policy` are what a shard with no usable checkpoint is
+    /// born with before its WAL replays from step 0. A restored checkpoint
+    /// keeps its own configuration and gap policy; only the thread budget
+    /// `cfg.mr.n_threads` follows the caller.
     pub fn recover(
         dir: &Path,
         tenant: &str,
@@ -524,18 +571,19 @@ impl Shard {
                         torn_wal,
                     };
                 }
-                Shard::new(tenant, checkpointer)
+                Shard::new(tenant, cfg, policy, checkpointer)
             }
         };
 
         let mut replayed = 0usize;
         for frame in &replay.frames {
-            let steps_now = shard.model.as_ref().map_or(0, |m| m.n_steps()) as u64;
+            let steps_now = shard.model().map_or(0, IMrDmd::n_steps) as u64;
             if frame.first_step < steps_now {
                 // Already inside the restored checkpoint.
                 continue;
             }
-            if frame.first_step > steps_now || shard.absorb(&frame.batch, cfg, policy).is_err() {
+            let first_step = Some(frame.first_step as usize);
+            if shard.absorb(&frame.batch, first_step).is_err() {
                 // A gap (stale log vs a newer checkpoint) or a replay
                 // fault: stop here and serve what was rebuilt.
                 break;
@@ -566,29 +614,15 @@ mod tests {
     #[test]
     fn cold_start_then_rounds() {
         let sc = Scenario::sc_log(theta().scaled(4), 200, 3);
-        let mut shard = Shard::new("t0", None);
+        let mut shard = Shard::new("t0", &cfg(), GapPolicy::Interpolate, None);
         assert_eq!(shard.state(), ShardState::Empty);
         assert!(shard.health().is_err());
 
-        let r0 = shard
-            .ingest(
-                &sc.generate(0, 100),
-                Some(0),
-                &cfg(),
-                GapPolicy::Interpolate,
-            )
-            .unwrap();
+        let r0 = shard.ingest(&sc.generate(0, 100), Some(0)).unwrap();
         assert!(r0.cold_start);
         assert_eq!(shard.state(), ShardState::Ready);
 
-        let r1 = shard
-            .ingest(
-                &sc.generate(100, 200),
-                Some(100),
-                &cfg(),
-                GapPolicy::Interpolate,
-            )
-            .unwrap();
+        let r1 = shard.ingest(&sc.generate(100, 200), Some(100)).unwrap();
         assert!(!r1.cold_start);
         assert_eq!(r1.steps, 200);
         assert!(r1.report.is_some());
@@ -602,10 +636,8 @@ mod tests {
         batch[(1, 10)] = f64::NAN;
         batch[(2, 0)] = f64::NAN;
         batch[(2, 1)] = f64::NAN;
-        let mut shard = Shard::new("t0", None);
-        let r = shard
-            .ingest(&batch, Some(0), &cfg(), GapPolicy::Interpolate)
-            .unwrap();
+        let mut shard = Shard::new("t0", &cfg(), GapPolicy::Interpolate, None);
+        let r = shard.ingest(&batch, Some(0)).unwrap();
         assert!(r.cold_start);
         assert!(r.report.is_none());
         assert_eq!((r.repairs.gaps, r.repairs.repaired), (3, 3));
@@ -617,9 +649,7 @@ mod tests {
         let mut next = sc.generate(100, 200);
         next[(2, 0)] = f64::NAN;
         for s in [&mut shard, &mut twin] {
-            let r = s
-                .ingest(&next, Some(100), &cfg(), GapPolicy::Interpolate)
-                .unwrap();
+            let r = s.ingest(&next, Some(100)).unwrap();
             assert_eq!(r.report.unwrap().repairs.gaps, 1);
         }
         assert_eq!(
@@ -645,10 +675,8 @@ mod tests {
                 mr,
                 ..IMrDmdConfig::default()
             };
-            let mut shard = Shard::new("t0", None);
-            let err = shard
-                .ingest(&sc.generate(0, 100), Some(0), &bad, GapPolicy::Interpolate)
-                .unwrap_err();
+            let mut shard = Shard::new("t0", &bad, GapPolicy::Interpolate, None);
+            let err = shard.ingest(&sc.generate(0, 100), Some(0)).unwrap_err();
             assert!(
                 matches!(err, ServeError::Core(CoreError::InvalidConfig { .. })),
                 "{err}"
@@ -662,24 +690,10 @@ mod tests {
     #[test]
     fn out_of_order_batch_is_409() {
         let sc = Scenario::sc_log(theta().scaled(4), 200, 3);
-        let mut shard = Shard::new("t0", None);
-        shard
-            .ingest(
-                &sc.generate(0, 100),
-                Some(0),
-                &cfg(),
-                GapPolicy::Interpolate,
-            )
-            .unwrap();
+        let mut shard = Shard::new("t0", &cfg(), GapPolicy::Interpolate, None);
+        shard.ingest(&sc.generate(0, 100), Some(0)).unwrap();
         // Redelivering the same window must be refused, not absorbed twice.
-        let err = shard
-            .ingest(
-                &sc.generate(0, 100),
-                Some(0),
-                &cfg(),
-                GapPolicy::Interpolate,
-            )
-            .unwrap_err();
+        let err = shard.ingest(&sc.generate(0, 100), Some(0)).unwrap_err();
         assert_eq!(err.status(), 409);
     }
 
@@ -690,10 +704,59 @@ mod tests {
         assert_eq!(shard.state(), ShardState::Corrupt);
         assert_eq!(shard.health().unwrap_err().status(), 503);
         let sc = Scenario::sc_log(theta().scaled(4), 50, 3);
-        let err = shard
-            .ingest(&sc.generate(0, 50), None, &cfg(), GapPolicy::Interpolate)
-            .unwrap_err();
+        let err = shard.ingest(&sc.generate(0, 50), None).unwrap_err();
         assert_eq!(err.status(), 503);
         assert!(shard.status().corrupt_cause.is_some());
+    }
+
+    #[test]
+    fn recovery_keeps_the_checkpointed_config_and_policy() {
+        let sc = Scenario::sc_log(theta().scaled(4), 300, 3);
+        let dir = std::env::temp_dir().join(format!("imrdmd-shard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = || Some(Checkpointer::for_shard(&dir, 1, "t0").unwrap());
+        let born = IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt: sc.dt(),
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        };
+        let mut shard = Shard::new("t0", &born, GapPolicy::HoldLast, ck());
+        shard.ingest(&sc.generate(0, 100), Some(0)).unwrap();
+        shard.ingest(&sc.generate(100, 200), Some(100)).unwrap();
+
+        // The daemon restarts under other flags: a different `dt` and a
+        // policy that would refuse the gapped batch below.
+        let flags = IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt: 2.0 * sc.dt(),
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        };
+        let rec = Shard::recover(&dir, "t0", &flags, GapPolicy::Reject, ck());
+        assert!(rec.from_checkpoint);
+        let mut restored = rec.shard;
+
+        let mut gapped = sc.generate(200, 300);
+        gapped[(0, 0)] = f64::NAN;
+        gapped[(3, 40)] = f64::INFINITY;
+        for s in [&mut shard, &mut restored] {
+            let reply = s.ingest(&gapped, Some(200)).unwrap();
+            assert_eq!((reply.repairs.gaps, reply.repairs.repaired), (2, 2));
+            assert_eq!(
+                serde_json::to_string(&reply.report.unwrap().repairs).unwrap(),
+                serde_json::to_string(&reply.repairs).unwrap()
+            );
+        }
+        let snap = restored.snapshot().unwrap();
+        assert_eq!(snap.model.config().mr.dt, sc.dt());
+        assert_eq!(snap.guard.policy(), GapPolicy::HoldLast);
+        assert_eq!(
+            serde_json::to_string(&snap).unwrap(),
+            serde_json::to_string(&shard.snapshot().unwrap()).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

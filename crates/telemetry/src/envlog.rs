@@ -426,32 +426,6 @@ impl Scenario {
         out
     }
 
-    /// Mean reading of each rack's temperature channels over `[t0, t1)` —
-    /// the aggregation behind rack-level digests and dashboards.
-    pub fn rack_means(&self, t0: usize, t1: usize) -> Vec<f64> {
-        let n_racks = self.machine.layout.total_racks();
-        let mut out = Vec::with_capacity(n_racks);
-        for rack in 0..n_racks {
-            let nodes: Vec<usize> = self.machine.nodes_in_rack(rack).collect();
-            if nodes.is_empty() {
-                out.push(f64::NAN);
-                continue;
-            }
-            let rows: Vec<usize> = self
-                .series_of_nodes(&nodes)
-                .into_iter()
-                .filter(|&r| self.kind_of_series(r) == SensorKind::Temperature)
-                .collect();
-            if rows.is_empty() {
-                out.push(f64::NAN);
-                continue;
-            }
-            let m = self.generate_rows(&rows, t0, t1);
-            out.push(m.mean());
-        }
-        out
-    }
-
     /// Series indices belonging to the given nodes (all channels).
     pub fn series_of_nodes(&self, nodes: &[usize]) -> Vec<usize> {
         let spn = self.machine.series_per_node;
@@ -917,17 +891,6 @@ mod tests {
         var = var / n as f64 - mean * mean;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn rack_means_cover_populated_racks() {
-        let s = Scenario::sc_log(theta().scaled(400), 100, 3);
-        let means = s.rack_means(0, 50);
-        assert_eq!(means.len(), 24);
-        // 400 nodes fill the first three racks (192 per rack).
-        assert!(means[0].is_finite() && means[1].is_finite() && means[2].is_finite());
-        assert!(means[5].is_nan(), "unpopulated rack must be NaN");
-        assert!((20.0..90.0).contains(&means[0]), "rack 0 mean {}", means[0]);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl<I> FaultInjector<I> {
         &self.events
     }
 
-    /// Consumes the injector, returning the full ground-truth log.
-    pub fn into_events(self) -> Vec<FaultEvent> {
-        self.events
-    }
-
     /// Cells `(row, batch-local col)` the recorded events corrupt within
     /// `[start, start+len)` — the per-batch ground-truth mask.
     pub fn corrupted_cells(&self, start: usize, len: usize) -> Vec<(usize, usize)> {
@@ -411,7 +406,7 @@ mod tests {
             };
             let mut inj = FaultInjector::new(ChunkStream::new(&sc, 0, 300, 75), cfg);
             let batches: Vec<Mat> = (&mut inj).collect();
-            (batches, inj.into_events())
+            (batches, inj.events().to_vec())
         };
         // Bit-level comparison: NaN cells defeat float equality.
         let bits = |bs: &[Mat]| -> Vec<Vec<u64>> {
@@ -461,10 +456,10 @@ mod tests {
         let mut inj = FaultInjector::new(ChunkStream::new(&sc, 0, 400, 50), cfg);
         let batches: Vec<Mat> = (&mut inj).collect();
         assert_eq!(batches.len(), 8);
-        let events = inj.into_events();
+        let events = inj.events();
         assert_eq!(events.len(), 8, "every batch must be collapsed");
         let mut kinds_seen = std::collections::BTreeSet::new();
-        for (batch, ev) in batches.iter().zip(&events) {
+        for (batch, ev) in batches.iter().zip(events) {
             let FaultEvent::PathologicalBatch { len, kind, .. } = *ev else {
                 panic!("unexpected event {ev:?}");
             };

@@ -109,23 +109,14 @@ impl FleetDriver {
         }
     }
 
-    /// All tenants' batches, indexed by tenant.
-    pub fn all_batches(&self) -> Vec<Vec<Mat>> {
-        (0..self.spec.tenants)
-            .map(|k| self.tenant_batches(k))
-            .collect()
-    }
-
     /// A round-robin `(tenant, batch)` delivery schedule: batch 0 of every
     /// tenant, then batch 1 of every tenant, … Tenants with shorter
     /// streams (fault injectors may drop or duplicate batches) simply stop
     /// appearing. Per-tenant order is preserved, which is the only
     /// ordering the serving layer requires.
     pub fn interleaved(&self) -> Vec<(usize, Mat)> {
-        let mut per_tenant: Vec<std::vec::IntoIter<Mat>> = self
-            .all_batches()
-            .into_iter()
-            .map(|b| b.into_iter())
+        let mut per_tenant: Vec<std::vec::IntoIter<Mat>> = (0..self.spec.tenants)
+            .map(|k| self.tenant_batches(k).into_iter())
             .collect();
         let mut out = Vec::new();
         loop {
@@ -252,7 +243,7 @@ mod tests {
             faults: Some(FaultConfig::default()),
             ..FleetSpec::default()
         });
-        let direct = d.all_batches();
+        let direct: Vec<Vec<Mat>> = (0..4).map(|k| d.tenant_batches(k)).collect();
         let mut replayed: Vec<Vec<Mat>> = vec![Vec::new(); 4];
         for (k, batch) in d.interleaved() {
             replayed[k].push(batch);

@@ -142,17 +142,6 @@ impl HwLog {
         let second = self.nodes_with_any(mid, t1);
         first.intersection(&second).copied().collect()
     }
-
-    /// Event count per node over the whole log.
-    pub fn counts_per_node(&self, n_nodes: usize) -> Vec<usize> {
-        let mut c = vec![0usize; n_nodes];
-        for e in &self.events {
-            if e.node < n_nodes {
-                c[e.node] += 1;
-            }
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -237,9 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn counts_per_node_totals_match() {
+    fn events_stay_on_the_machine() {
         let log = HwLog::synthesize(30, 500, &[], 3.0, 4);
-        let counts = log.counts_per_node(30);
-        assert_eq!(counts.iter().sum::<usize>(), log.events.len());
+        assert!(!log.events.is_empty());
+        assert!(log.events.iter().all(|e| e.node < 30));
     }
 }

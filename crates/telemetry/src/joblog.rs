@@ -38,11 +38,6 @@ impl Job {
         node >= self.first_node && node < self.first_node + self.n_nodes
     }
 
-    /// True if the job is running at `step`.
-    pub fn running_at(&self, step: usize) -> bool {
-        step >= self.start_step && step < self.end_step
-    }
-
     /// Allocated node indices.
     pub fn nodes(&self) -> std::ops::Range<usize> {
         self.first_node..self.first_node + self.n_nodes
@@ -116,24 +111,6 @@ impl JobLog {
         self.node_index.get(node).map_or(&[], Vec::as_slice)
     }
 
-    /// Jobs running on `node` at `step`.
-    pub fn active_on(&self, node: usize, step: usize) -> impl Iterator<Item = &Job> {
-        self.jobs_on_node(node).filter(move |j| j.running_at(step))
-    }
-
-    /// Fraction of nodes busy at `step`.
-    pub fn utilization(&self, step: usize) -> f64 {
-        if self.node_index.is_empty() {
-            return 0.0;
-        }
-        let busy = self
-            .node_index
-            .iter()
-            .filter(|idx| idx.iter().any(|&k| self.jobs[k as usize].running_at(step)))
-            .count();
-        busy as f64 / self.node_index.len() as f64
-    }
-
     /// All nodes used by the given project.
     pub fn project_nodes(&self, project: &str) -> Vec<usize> {
         let mut nodes: Vec<usize> = self
@@ -201,33 +178,6 @@ mod tests {
                 .map(|j| j.id)
                 .collect();
             assert_eq!(via_index, via_scan);
-        }
-    }
-
-    #[test]
-    fn active_on_respects_time() {
-        let jobs = vec![Job {
-            id: 0,
-            project: "p".into(),
-            first_node: 2,
-            n_nodes: 3,
-            start_step: 10,
-            end_step: 20,
-            intensity: 10.0,
-            period_s: 300.0,
-        }];
-        let log = JobLog::new(jobs, 10);
-        assert_eq!(log.active_on(3, 15).count(), 1);
-        assert_eq!(log.active_on(3, 25).count(), 0);
-        assert_eq!(log.active_on(7, 15).count(), 0);
-    }
-
-    #[test]
-    fn utilization_between_zero_and_one() {
-        let log = JobLog::synthesize(80, 600, 15, 5);
-        for step in [0, 100, 300, 599] {
-            let u = log.utilization(step);
-            assert!((0.0..=1.0).contains(&u), "utilization {u}");
         }
     }
 

@@ -28,7 +28,6 @@ pub mod io;
 pub mod joblog;
 pub mod layout;
 pub mod machine;
-pub mod stats;
 pub mod stream;
 
 pub use envlog::{Anomaly, Profile, Scenario, SensorKind};
@@ -42,5 +41,4 @@ pub use io::{
 pub use joblog::{Job, JobLog};
 pub use layout::{Align, IdxRange, LayoutError, LayoutSpec, NodePosition};
 pub use machine::{polaris, theta, MachineSpec};
-pub use stats::{StreamStats, Welford};
 pub use stream::ChunkStream;

@@ -38,26 +38,17 @@ impl MachineSpec {
         i / self.series_per_node
     }
 
-    /// The rack owning telemetry series `i`.
-    pub fn rack_of_series(&self, i: usize) -> usize {
-        self.layout.rack_of(self.node_of_series(i))
-    }
-
-    /// The populated node indices belonging to rack `rack` (row-major rack
-    /// order, clipped to `n_nodes`).
-    pub fn nodes_in_rack(&self, rack: usize) -> std::ops::Range<usize> {
-        let npr = self.layout.nodes_per_rack();
-        let lo = (rack * npr).min(self.n_nodes);
-        let hi = ((rack + 1) * npr).min(self.n_nodes);
-        lo..hi
-    }
-
-    /// A scaled copy with at most `max_nodes` nodes — the benchmark harness
-    /// uses this to shrink paper-sized workloads to container-sized ones
-    /// while keeping the topology shape.
-    pub fn scaled(&self, max_nodes: usize) -> MachineSpec {
+    /// A scaled copy with `n_nodes` nodes (at least one). Shrinking keeps
+    /// the topology shape — the benchmark harness uses this to cut
+    /// paper-sized workloads to container-sized ones. Growing past the
+    /// machine fills its spare node positions first, then widens every rack
+    /// row by whole racks until the nodes fit.
+    pub fn scaled(&self, n_nodes: usize) -> MachineSpec {
         let mut m = self.clone();
-        m.n_nodes = self.n_nodes.min(max_nodes.max(1));
+        m.n_nodes = n_nodes.max(1);
+        while m.layout.total_nodes() < m.n_nodes {
+            m.layout.racks_per_row.hi += 1;
+        }
         m
     }
 }
@@ -114,30 +105,13 @@ mod tests {
     }
 
     #[test]
-    fn series_to_node_to_rack_mapping() {
+    fn series_to_node_mapping() {
         let m = theta();
         assert_eq!(m.node_of_series(0), 0);
         assert_eq!(m.node_of_series(3), 0);
         assert_eq!(m.node_of_series(4), 1);
         let last = m.n_series() - 1;
         assert_eq!(m.node_of_series(last), m.n_nodes - 1);
-        assert!(m.rack_of_series(last) < m.layout.total_racks());
-    }
-
-    #[test]
-    fn nodes_in_rack_partitions_the_machine() {
-        let m = theta().scaled(400);
-        let mut covered = 0;
-        for rack in 0..m.layout.total_racks() {
-            let r = m.nodes_in_rack(rack);
-            covered += r.len();
-            for n in r {
-                assert_eq!(m.layout.rack_of(n), rack);
-            }
-        }
-        assert_eq!(covered, m.n_nodes);
-        // Racks beyond the populated range are empty.
-        assert!(m.nodes_in_rack(23).is_empty() || m.n_nodes > 23 * m.layout.nodes_per_rack());
     }
 
     #[test]
@@ -146,7 +120,25 @@ mod tests {
         assert_eq!(m.n_nodes, 256);
         assert_eq!(m.layout.total_racks(), 24);
         assert_eq!(m.n_series(), 1024);
-        // Scaling never grows.
-        assert_eq!(theta().scaled(10_000).n_nodes, 4392);
+    }
+
+    #[test]
+    fn scaling_up_widens_by_whole_racks() {
+        // Polaris is fully populated: 1,456 nodes take 104 racks of 14.
+        let m = polaris().scaled(1456);
+        assert_eq!((m.n_nodes, m.n_series()), (1456, 5824));
+        assert_eq!(m.layout.total_racks(), 104);
+        assert_eq!(m.layout.nodes_per_rack(), 14);
+        assert_eq!(m.layout.rack_of(1455), 103);
+        // Theta's spare positions fill before any rack is added; past them
+        // each row grows by one rack at a time.
+        assert_eq!(theta().scaled(4608).layout.total_racks(), 24);
+        let wide = theta().scaled(10_000);
+        assert_eq!(wide.n_nodes, 10_000);
+        assert_eq!(wide.layout.total_racks(), 2 * 27);
+        assert_eq!(
+            LayoutSpec::parse(&wide.layout.to_layout_string()).unwrap(),
+            wide.layout
+        );
     }
 }

@@ -11,7 +11,6 @@ use hpc_linalg::Mat;
 /// Iterator over snapshot batches of a scenario.
 pub struct ChunkStream<'a> {
     scenario: &'a Scenario,
-    rows: Option<Vec<usize>>,
     pos: usize,
     end: usize,
     chunk: usize,
@@ -25,17 +24,10 @@ impl<'a> ChunkStream<'a> {
         assert!(t0 <= t1);
         ChunkStream {
             scenario,
-            rows: None,
             pos: t0,
             end: t1,
             chunk,
         }
-    }
-
-    /// Restricts the stream to the given series (rows).
-    pub fn with_rows(mut self, rows: Vec<usize>) -> Self {
-        self.rows = Some(rows);
-        self
     }
 
     /// Remaining snapshots.
@@ -52,10 +44,7 @@ impl Iterator for ChunkStream<'_> {
             return None;
         }
         let hi = (self.pos + self.chunk).min(self.end);
-        let batch = match &self.rows {
-            Some(rows) => self.scenario.generate_rows(rows, self.pos, hi),
-            None => self.scenario.generate(self.pos, hi),
-        };
+        let batch = self.scenario.generate(self.pos, hi);
         self.pos = hi;
         Some(batch)
     }
@@ -95,18 +84,6 @@ mod tests {
         assert_eq!(stream.len(), 4);
         let sizes: Vec<usize> = ChunkStream::new(&s, 0, 100, 30).map(|m| m.cols()).collect();
         assert_eq!(sizes, vec![30, 30, 30, 10]);
-    }
-
-    #[test]
-    fn row_restricted_stream() {
-        let s = Scenario::sc_log(theta().scaled(4), 50, 1);
-        let rows = vec![0, 5, 9];
-        let batches: Vec<Mat> = ChunkStream::new(&s, 0, 50, 25)
-            .with_rows(rows.clone())
-            .collect();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].rows(), 3);
-        assert_eq!(batches[0], s.generate_rows(&rows, 0, 25));
     }
 
     #[test]

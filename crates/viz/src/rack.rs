@@ -9,10 +9,13 @@
 //! and hardware-error nodes outlined, reproducing the annotations of the
 //! paper's case studies.
 
-use crate::color::{glyph, zscore_color, Rgb};
+use crate::color::{glyph, zscore_color};
 use crate::svg::SvgDoc;
 use hpc_telemetry::{Align, MachineSpec};
 use std::collections::BTreeSet;
+
+/// |value| mapped to the colour extremes: the view shows z-scores.
+const SPAN: f64 = 3.0;
 
 /// Builder for a rack layout view.
 #[derive(Clone, Debug)]
@@ -24,8 +27,6 @@ pub struct RackView<'a> {
     outlined: BTreeSet<usize>,
     /// Nodes drawn with a red outline (job allocation / memory issues).
     highlighted: BTreeSet<usize>,
-    /// |value| mapped to the colour extremes.
-    span: f64,
     title: String,
 }
 
@@ -37,7 +38,6 @@ impl<'a> RackView<'a> {
             values: vec![None; machine.n_nodes],
             outlined: BTreeSet::new(),
             highlighted: BTreeSet::new(),
-            span: 3.0,
             title: machine.name.clone(),
         }
     }
@@ -50,13 +50,6 @@ impl<'a> RackView<'a> {
         self
     }
 
-    /// Sets the value of one node.
-    pub fn set_value(&mut self, node: usize, v: f64) {
-        if node < self.values.len() {
-            self.values[node] = Some(v);
-        }
-    }
-
     /// Outlines nodes in black (hardware errors in the case studies).
     pub fn with_outlined(mut self, nodes: impl IntoIterator<Item = usize>) -> Self {
         self.outlined.extend(nodes);
@@ -66,12 +59,6 @@ impl<'a> RackView<'a> {
     /// Highlights nodes in red (job allocations / memory issues).
     pub fn with_highlighted(mut self, nodes: impl IntoIterator<Item = usize>) -> Self {
         self.highlighted.extend(nodes);
-        self
-    }
-
-    /// Sets the |value| mapped to the colour extremes (default 3 — z-scores).
-    pub fn with_span(mut self, span: f64) -> Self {
-        self.span = span.abs().max(1e-9);
         self
     }
 
@@ -144,7 +131,7 @@ impl<'a> RackView<'a> {
             let y = y0 + (cab_y * nodes + node_i) as f64 * cell_h;
 
             let fill = match self.values[node_idx] {
-                Some(v) => zscore_color(v, self.span).hex(),
+                Some(v) => zscore_color(v, SPAN).hex(),
                 None => "#dddddd".to_string(),
             };
             let stroke = if self.outlined.contains(&node_idx) {
@@ -200,7 +187,7 @@ impl<'a> RackView<'a> {
         let steps = 24;
         for s in 0..steps {
             let t = s as f64 / (steps - 1) as f64;
-            let c = zscore_color((t * 2.0 - 1.0) * self.span, self.span);
+            let c = zscore_color((t * 2.0 - 1.0) * SPAN, SPAN);
             doc.rect(
                 lx + t * (lw - lw / steps as f64),
                 ly,
@@ -210,15 +197,9 @@ impl<'a> RackView<'a> {
                 None,
             );
         }
-        doc.text(lx, ly + 22.0, 9.0, "middle", &format!("{:-.1}", -self.span));
+        doc.text(lx, ly + 22.0, 9.0, "middle", &format!("{:-.1}", -SPAN));
         doc.text(lx + lw / 2.0, ly + 22.0, 9.0, "middle", "0");
-        doc.text(
-            lx + lw,
-            ly + 22.0,
-            9.0,
-            "middle",
-            &format!("{:+.1}", self.span),
-        );
+        doc.text(lx + lw, ly + 22.0, 9.0, "middle", &format!("{:+.1}", SPAN));
         doc.finish()
     }
 
@@ -244,21 +225,12 @@ impl<'a> RackView<'a> {
                     out.push('·');
                 } else {
                     let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-                    out.push(glyph((mean / self.span + 1.0) / 2.0));
+                    out.push(glyph((mean / SPAN + 1.0) / 2.0));
                 }
             }
             out.push_str("|\n");
         }
         out
-    }
-
-    /// The colour a node would be painted (for tests and tooling).
-    pub fn node_color(&self, node: usize) -> Option<Rgb> {
-        self.values
-            .get(node)
-            .copied()
-            .flatten()
-            .map(|v| zscore_color(v, self.span))
     }
 }
 
@@ -289,7 +261,6 @@ mod tests {
         let m = small_machine();
         let view = RackView::new(&m);
         assert!(view.to_svg().contains("#dddddd"));
-        assert_eq!(view.node_color(0), None);
     }
 
     #[test]
@@ -308,13 +279,11 @@ mod tests {
     #[test]
     fn hot_nodes_red_cold_nodes_blue() {
         let m = small_machine();
-        let mut view = RackView::new(&m).with_span(3.0);
-        view.set_value(0, 3.0);
-        view.set_value(1, -3.0);
-        let hot = view.node_color(0).unwrap();
-        let cold = view.node_color(1).unwrap();
+        let svg = RackView::new(&m).with_values(&[3.0, -3.0]).to_svg();
+        let (hot, cold) = (zscore_color(3.0, SPAN), zscore_color(-3.0, SPAN));
         assert!(hot.r > hot.b);
         assert!(cold.b > cold.r);
+        assert!(svg.contains(&hot.hex()) && svg.contains(&cold.hex()));
     }
 
     #[test]

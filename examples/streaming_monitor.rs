@@ -4,9 +4,10 @@
 //! runs, dropped samples, sensor dropout, and occasional rank-collapsing
 //! pathological batches — the stream hygiene of real facility feeds); every
 //! chunk is ingested by an `imrdmd_serve::Shard` — the daemon's tenant
-//! lifecycle — which repairs gaps with its ingest guard and folds the chunk
-//! into the I-mrDMD state with `try_partial_fit`. Each round prints the
-//! model's numerical health summary alongside drift and z-score status.
+//! lifecycle — which repairs gaps once with its ingest guard and folds the
+//! repaired chunk into the I-mrDMD state with one `partial_fit` round. Each
+//! round prints the model's numerical health summary alongside drift and
+//! z-score status.
 //! Z-scores are refreshed against a baseline band, hot/idle nodes are
 //! reported. The model runs with `auto_refresh`: a round whose root drift
 //! crosses the configured threshold refits levels 2..L from the retained
@@ -152,7 +153,7 @@ fn main() {
         }
         rec.shard
     } else {
-        Shard::new(SHARD, checkpointer())
+        Shard::new(SHARD, &cfg, policy, checkpointer())
     };
     let start = shard.status().steps;
 
@@ -178,9 +179,7 @@ fn main() {
     let mut total_gaps = 0usize;
 
     for (round, batch) in stream.enumerate() {
-        let reply = shard
-            .ingest(&batch, None, &cfg, policy)
-            .expect("guarded ingest");
+        let reply = shard.ingest(&batch, None).expect("guarded ingest");
         total_gaps += reply.repairs.gaps;
         // The guard repaired `batch`'s gaps before the fit; replaying the
         // clean generator keeps `seen` an honest baseline for the z-scores.

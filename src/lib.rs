@@ -39,7 +39,7 @@ pub mod prelude {
     pub use hpc_telemetry::{
         polaris, theta, Anomaly, ChunkStream, FaultConfig, FaultEvent, FaultInjector, FleetDriver,
         FleetSpec, HwEventKind, HwLog, Job, JobLog, LayoutSpec, MachineSpec, Profile, Scenario,
-        SensorKind, StreamStats,
+        SensorKind,
     };
     pub use imrdmd::prelude::*;
     pub use rackviz::{

@@ -82,10 +82,8 @@ fn fixtures() -> &'static Fixtures {
                 .unwrap();
         }
         drop(wal);
-        let mut shard = Shard::new(SHARD, None);
-        shard
-            .ingest(&data, Some(0), &cfg, GapPolicy::Interpolate)
-            .unwrap();
+        let mut shard = Shard::new(SHARD, &cfg, GapPolicy::Interpolate, None);
+        shard.ingest(&data, Some(0)).unwrap();
         let ckpt = dir.join("model.ckpt");
         save_state_checkpoint(&shard.snapshot().unwrap(), &ckpt).unwrap();
         let fx = Fixtures {

@@ -1,13 +1,11 @@
 //! Integration tests for the suite's extensions of the paper's future-work
 //! items: subtree refresh, incremental sensor addition, forecasting,
-//! compression accounting, the windowed-mrDMD comparator, log I/O, and
-//! streaming statistics.
+//! compression accounting, the windowed-mrDMD comparator and log I/O.
 
 use mrdmd_suite::core::compression::compression_report;
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::{
-    read_hw_log, read_job_log, read_snapshots_csv, write_hw_log, write_job_log,
-    write_snapshots_csv, StreamStats,
+    read_hw_log, read_job_log, read_snapshots_csv, write_hw_log, write_job_log, write_snapshots_csv,
 };
 
 fn scenario(n_nodes: usize, total: usize) -> Scenario {
@@ -162,32 +160,6 @@ fn logs_roundtrip_and_feed_the_pipeline() {
         read_hw_log(&hbuf[..]).unwrap().events.len(),
         hw.events.len()
     );
-}
-
-#[test]
-fn stream_stats_drive_adaptive_baselines() {
-    let s = scenario(32, 600);
-    let mut stats = StreamStats::new(32, 0.05);
-    let c = cfg(s.dt());
-    let mut model: Option<IMrDmd> = None;
-    for batch in ChunkStream::new(&s, 0, 600, 150) {
-        stats.absorb(&batch);
-        match &mut model {
-            None => model = Some(IMrDmd::fit(&batch, &c)),
-            Some(m) => {
-                m.partial_fit(&batch);
-            }
-        }
-    }
-    let model = model.unwrap();
-    // Adaptive baseline: the middle 40% of recent levels.
-    let (lo, hi) = stats.recent_quantile_band(0.3, 0.7);
-    assert!(hi >= lo);
-    let baseline = stats.baseline_rows_recent(lo, hi);
-    assert!(!baseline.is_empty());
-    let mags = row_mode_magnitudes(model.nodes(), &BandFilter::all(), 32);
-    let z = ZScores::from_baseline(&mags, &baseline);
-    assert!(z.z.iter().all(|v| v.is_finite()));
 }
 
 #[test]

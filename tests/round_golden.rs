@@ -48,6 +48,32 @@ impl Fnv {
         self.json(tree);
         self.json(report);
     }
+
+    /// State after an unguarded `partial_fit` round, plus the seven report
+    /// fields that path's digests were recorded with (its report then held
+    /// only the decomposition summary).
+    fn plain_round(&mut self, tree: &IMrDmd, r: &RoundReport) {
+        #[derive(Serialize)]
+        struct FitSummary {
+            batch_len: usize,
+            new_root_cols: usize,
+            drift: f64,
+            stale: bool,
+            new_subtree_modes: usize,
+            pending: usize,
+            new_faults: usize,
+        }
+        let summary = FitSummary {
+            batch_len: r.batch_len,
+            new_root_cols: r.new_root_cols,
+            drift: r.drift,
+            stale: r.stale,
+            new_subtree_modes: r.new_subtree_modes,
+            pending: r.pending,
+            new_faults: r.new_faults,
+        };
+        self.round(tree, &summary);
+    }
 }
 
 fn signal(p: usize, t0: usize, cols: usize, seed: usize) -> Mat {
@@ -87,7 +113,7 @@ fn plain(cfg: &IMrDmdConfig, p: usize, fit_cols: usize, lens: &[usize]) -> u64 {
     let mut t = fit_cols;
     for (k, &len) in lens.iter().enumerate() {
         let report = tree.partial_fit(&signal(p, t, len, k + 1));
-        h.round(&tree, &report);
+        h.plain_round(&tree, &report);
         t += len;
     }
     h.0
@@ -165,14 +191,14 @@ fn add_series_mid_stream() -> u64 {
     // Two rounds, the second leaving a pending tail below min_window.
     for (k, len) in [24usize, 10].into_iter().enumerate() {
         let report = tree.partial_fit(&signal(p_old, t, len, k + 1));
-        h.round(&tree, &report);
+        h.plain_round(&tree, &report);
         t += len;
     }
     tree.add_series(&signal(p_new, 0, t, 7).rows_range(p_old, p_new));
     h.json(&tree);
     for (k, len) in [20usize, 33].into_iter().enumerate() {
         let report = tree.partial_fit(&signal(p_new, t, len, k + 5));
-        h.round(&tree, &report);
+        h.plain_round(&tree, &report);
         t += len;
     }
     h.0
@@ -209,7 +235,7 @@ fn empty_batches() -> u64 {
         let batch = signal(p, t, len, k + 1);
         if k % 2 == 0 {
             let report = tree.partial_fit(&batch);
-            h.round(&tree, &report);
+            h.plain_round(&tree, &report);
         } else {
             let report = tree.try_partial_fit(&batch, &mut guard).expect("clean");
             h.round(&tree, &report);
@@ -225,11 +251,11 @@ fn rank_collapse() -> u64 {
     let mut h = Fnv::new();
     let mut tree = IMrDmd::fit(&signal(p, 0, 96, 0), &c);
     let report = tree.partial_fit(&Mat::zeros(p, 40));
-    h.round(&tree, &report);
+    h.plain_round(&tree, &report);
     let report = tree.partial_fit(&Mat::from_fn(p, 24, |i, _| i as f64 * 0.25));
-    h.round(&tree, &report);
+    h.plain_round(&tree, &report);
     let report = tree.partial_fit(&signal(p, 160, 32, 3));
-    h.round(&tree, &report);
+    h.plain_round(&tree, &report);
     h.0
 }
 
@@ -327,7 +353,7 @@ fn tall_panels() -> u64 {
     let mut t = 480;
     for k in 0..3 {
         let report = tree.partial_fit(&tall_signal(p, t, 240, k + 1));
-        h.round(&tree, &report);
+        h.plain_round(&tree, &report);
         t += 240;
     }
     // Three ancestor levels above the deepest nodes, and ranks wide enough

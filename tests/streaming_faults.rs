@@ -319,6 +319,13 @@ fn flatten_matrix(payload: &str, prefix: &str) -> String {
     format!("{}1,{},{rest}", &payload[..at], rows * cols)
 }
 
+/// Drops the first element of the array that `prefix` opens.
+fn drop_first_element(payload: &str, prefix: &str) -> String {
+    let at = payload.find(prefix).unwrap() + prefix.len();
+    let comma = payload[at..].find(',').unwrap();
+    format!("{}{}", &payload[..at], &payload[at + comma + 1..])
+}
+
 /// Replaces the first number after `prefix` with one that decodes to +∞.
 fn overflow_number(payload: &str, prefix: &str) -> String {
     let at = payload.find(prefix).unwrap() + prefix.len();
@@ -344,15 +351,10 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
         let dir = tmp(&format!("out-of-domain-{field}"));
         let _ = fs::remove_dir_all(&dir);
         let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
-        let mut shard = Shard::new(tenant, ck());
+        let mut shard = Shard::new(tenant, &c, GapPolicy::Interpolate, ck());
         for lo in [0, 128] {
             shard
-                .ingest(
-                    &data.cols_range(lo, lo + 128),
-                    Some(lo),
-                    &c,
-                    GapPolicy::Interpolate,
-                )
+                .ingest(&data.cols_range(lo, lo + 128), Some(lo))
                 .unwrap();
         }
         let history = shard_checkpoint_history(&dir, tenant).unwrap();
@@ -369,14 +371,7 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
         assert_eq!(rec.fallbacks, 1, "{field}");
         let mut shard = rec.shard;
         assert_eq!(shard.status().steps, 128, "{field}");
-        let reply = shard
-            .ingest(
-                &data.cols_range(128, 256),
-                Some(128),
-                &c,
-                GapPolicy::Interpolate,
-            )
-            .unwrap();
+        let reply = shard.ingest(&data.cols_range(128, 256), Some(128)).unwrap();
         assert_eq!(reply.steps, 256);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -388,7 +383,9 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
 /// as `Ready`: a root streaming SVD or sketch basis reshaped with its buffer
 /// intact panicked on the next round's update, a node whose `row_offset`
 /// put its rows past the stream's was cut off in reconstruction without a
-/// sign, and an infinite amplitude poisoned every reading of its node.
+/// sign, and an infinite amplitude poisoned every reading of its node. A
+/// gap guard tracking fewer sensors than the model would let a batch the
+/// guard accepts reach a round of the wrong height.
 #[test]
 fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
     let dt = 20.0;
@@ -402,7 +399,7 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
     };
     let tenant = "rack-y";
     type Tamper = fn(&Path);
-    let cases: [(&str, IMrDmdConfig, Tamper); 4] = [
+    let cases: [(&str, IMrDmdConfig, Tamper); 5] = [
         ("isvd-u", exact, |p| {
             rechecksum_edit(p, |s| flatten_matrix(s, "\"isvd\":{\"u\":["))
         }),
@@ -413,20 +410,18 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
         ("amplitude", exact, |p| {
             rechecksum_edit(p, |s| overflow_number(s, "\"amplitudes\":[["))
         }),
+        ("guard-rows", exact, |p| {
+            rechecksum_edit(p, |s| drop_first_element(s, "\"last_good\":["))
+        }),
     ];
     for (case, c, tamper) in cases {
         let dir = tmp(&format!("inconsistent-{case}"));
         let _ = fs::remove_dir_all(&dir);
         let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
-        let mut shard = Shard::new(tenant, ck());
+        let mut shard = Shard::new(tenant, &c, GapPolicy::Interpolate, ck());
         for lo in [0, 128] {
             shard
-                .ingest(
-                    &data.cols_range(lo, lo + 128),
-                    Some(lo),
-                    &c,
-                    GapPolicy::Interpolate,
-                )
+                .ingest(&data.cols_range(lo, lo + 128), Some(lo))
                 .unwrap();
         }
         let history = shard_checkpoint_history(&dir, tenant).unwrap();
@@ -443,14 +438,7 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
         assert_eq!(rec.fallbacks, 1, "{case}");
         let mut shard = rec.shard;
         assert_eq!(shard.status().steps, 128, "{case}");
-        let reply = shard
-            .ingest(
-                &data.cols_range(128, 256),
-                Some(128),
-                &c,
-                GapPolicy::Interpolate,
-            )
-            .unwrap();
+        let reply = shard.ingest(&data.cols_range(128, 256), Some(128)).unwrap();
         assert_eq!(reply.steps, 256);
         let _ = fs::remove_dir_all(&dir);
     }

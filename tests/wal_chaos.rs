@@ -153,14 +153,15 @@ impl Cell<'_> {
     /// inside the append's `write_all` would.
     fn build_crash_state(&self, dir: &Path) {
         let wal = Wal::open(dir, TENANT, Durability::Batch).unwrap();
-        let mut shard = Shard::new(TENANT, ck(dir, self.every, 3)).with_wal(Some(wal));
+        let mut shard =
+            Shard::new(TENANT, self.cfg, self.policy, ck(dir, self.every, 3)).with_wal(Some(wal));
         let mut pos = 0usize;
         let upto = match self.point {
             CrashPoint::MidCheckpoint => self.k + 1,
             _ => self.k,
         };
         for b in &self.batches[..upto] {
-            shard.ingest(b, Some(pos), self.cfg, self.policy).unwrap();
+            shard.ingest(b, Some(pos)).unwrap();
             pos += b.cols();
         }
         let steps_now = pos as u64;
@@ -256,17 +257,11 @@ impl Cell<'_> {
 /// Runs the client's at-least-once resume against the recovered shard:
 /// every delivery whose ack was not observed is re-sent under its original
 /// first-step label; duplicates come back 409 and are skipped.
-fn resume_stream(
-    shard: &mut Shard,
-    batches: &[Mat],
-    acked: usize,
-    cfg: &IMrDmdConfig,
-    policy: GapPolicy,
-) {
+fn resume_stream(shard: &mut Shard, batches: &[Mat], acked: usize) {
     let mut pos = 0usize;
     for (i, b) in batches.iter().enumerate() {
         if i >= acked {
-            match shard.ingest(b, Some(pos), cfg, policy) {
+            match shard.ingest(b, Some(pos)) {
                 Ok(_) => {}
                 Err(e) => assert_eq!(
                     e.status(),
@@ -296,13 +291,7 @@ fn run_cell(mut cell: Cell<'_>, cell_name: &str) {
         CrashPoint::AfterAckBeforeCheckpoint | CrashPoint::MidCheckpoint => cell.k + 1,
     };
     assert!(acked <= recovered || cell.point == CrashPoint::BeforeAppend);
-    resume_stream(
-        &mut shard,
-        cell.batches,
-        acked.min(recovered),
-        cell.cfg,
-        cell.policy,
-    );
+    resume_stream(&mut shard, cell.batches, acked.min(recovered));
     let expect = oracle(cell.batches, cell.batches.len(), cell.cfg, cell.policy);
     assert_eq!(
         model_json(&shard),
@@ -370,12 +359,11 @@ fn checkpoint_retention_keeps_last_k() {
     let cfg = cfg(dt, 1, FitStrategy::Exact);
     let dir = scratch_dir("retention");
     let wal = Wal::open(&dir, TENANT, Durability::Batch).unwrap();
-    let mut shard = Shard::new(TENANT, ck(&dir, 1, 3)).with_wal(Some(wal));
+    let mut shard =
+        Shard::new(TENANT, &cfg, GapPolicy::Interpolate, ck(&dir, 1, 3)).with_wal(Some(wal));
     let mut pos = 0;
     for b in &batches {
-        shard
-            .ingest(b, Some(pos), &cfg, GapPolicy::Interpolate)
-            .unwrap();
+        shard.ingest(b, Some(pos)).unwrap();
         pos += b.cols();
     }
     drop(shard);
@@ -402,17 +390,14 @@ fn wal_append_failure_degrades_but_keeps_serving() {
     let cfg = cfg(dt, 1, FitStrategy::Exact);
     let dir = scratch_dir("degrade");
     let wal = Wal::open(&dir, TENANT, Durability::Batch).unwrap();
-    let mut shard = Shard::new(TENANT, ck(&dir, 1, 3)).with_wal(Some(wal));
-    shard
-        .ingest(&batches[0], Some(0), &cfg, GapPolicy::Interpolate)
-        .unwrap();
+    let mut shard =
+        Shard::new(TENANT, &cfg, GapPolicy::Interpolate, ck(&dir, 1, 3)).with_wal(Some(wal));
+    shard.ingest(&batches[0], Some(0)).unwrap();
     assert_eq!(shard.state(), ShardState::Ready);
 
     imrdmd::wal::arm_append_failure(1);
     let mut pos = batches[0].cols();
-    let r = shard
-        .ingest(&batches[1], Some(pos), &cfg, GapPolicy::Interpolate)
-        .unwrap();
+    let r = shard.ingest(&batches[1], Some(pos)).unwrap();
     imrdmd::wal::disarm_append_failure();
     assert!(!r.cold_start, "the batch itself must still be absorbed");
     assert_eq!(shard.state(), ShardState::DurabilityDegraded);
@@ -429,9 +414,7 @@ fn wal_append_failure_degrades_but_keeps_serving() {
 
     // Still serving, still absorbing; the WAL stays off (sticky).
     pos += batches[1].cols();
-    shard
-        .ingest(&batches[2], Some(pos), &cfg, GapPolicy::Interpolate)
-        .unwrap();
+    shard.ingest(&batches[2], Some(pos)).unwrap();
     assert!(shard.health().is_ok());
     assert_eq!(shard.state(), ShardState::DurabilityDegraded);
     let _ = std::fs::remove_dir_all(&dir);
