@@ -13,7 +13,9 @@
 //! method of snapshots (Sirovich 1987): one Gram `G = DᵀD` gives `V` and `Σ`
 //! from the eigendecomposition of its block `XᵀX`, and `Ã`, `ΦᴴΦ` and `Φᴴx₀`
 //! all come from `G` in `r × r`, so `U` is never formed and the only
-//! `P`-sized products are `G`, `B = YVΣ⁻¹` and `Φ = B·W`. When the spectrum
+//! `P`-sized products are `G`, `B = YVΣ⁻¹` and `Φ = B·W` — the latter over
+//! only the modes a tree node keeps, when the fit is given its slow-mode
+//! cutoff (`Dmd::try_fit_kept`). When the spectrum
 //! falls below `GRAM_FLOOR` (10⁻⁴·σ₁) where the rank rule reads it, or the
 //! symmetric solve fails, the fit takes the other route, bitwise as before:
 //! the QR-preconditioned Jacobi SVD of `X`, `Ã = Uᵀ·B`, and the amplitude
@@ -379,6 +381,16 @@ impl Dmd {
     /// (`P ≥ 2(T − 1)`) takes the method of snapshots
     /// ([`hpc_linalg::svd_snapshots`]); see the module docs.
     pub fn try_fit(data: &Mat, cfg: &DmdConfig) -> Result<Dmd, CoreError> {
+        Self::try_fit_kept(data, cfg, None)
+    }
+
+    /// [`try_fit`](Self::try_fit) forming only the modes at or below
+    /// `max_hz` (every mode when `None`): see [`Dmd::try_from_svd_kept`].
+    pub(crate) fn try_fit_kept(
+        data: &Mat,
+        cfg: &DmdConfig,
+        max_hz: Option<f64>,
+    ) -> Result<Dmd, CoreError> {
         let t = data.cols();
         if t < 2 {
             return Err(CoreError::InvalidConfig {
@@ -392,9 +404,11 @@ impl Dmd {
             let rule = cfg.rank;
             let rank_of = |s: &[f64]| retained_rank(rule, s, p, n);
             return match svd_snapshots(data, rank_of, |s, r| gram_trusted(rule, s, r)) {
-                SnapshotSvd::Gram { gram, s, v } => Self::try_from_gram(data, &gram, &s, &v, cfg),
+                SnapshotSvd::Gram { gram, s, v } => {
+                    Self::try_from_gram(data, &gram, &s, &v, cfg, max_hz)
+                }
                 SnapshotSvd::Householder(svd_r) => {
-                    Self::try_from_leading(&svd_r, &data.cols_range(1, t), data, cfg)
+                    Self::try_from_leading(&svd_r, &data.cols_range(1, t), data, cfg, max_hz)
                 }
             };
         }
@@ -408,7 +422,7 @@ impl Dmd {
                 // keeps are formed.
                 rule => {
                     let svd_r = svd_leading(&x, |s| retained_rank(rule, s, p, n));
-                    return Self::try_from_leading(&svd_r, &y, data, cfg);
+                    return Self::try_from_leading(&svd_r, &y, data, cfg, max_hz);
                 }
             },
             FitStrategy::Sketched {
@@ -426,7 +440,7 @@ impl Dmd {
                 svd_sketched(&x, probe.max(1), rank_oversample, power_iters, seed)
             }
         };
-        Self::try_from_svd(&svd_x, &y, data, cfg)
+        Self::try_from_svd_kept(&svd_x, &y, data, cfg, max_hz)
     }
 
     /// Fits a DMD reusing a precomputed (possibly incrementally maintained)
@@ -442,17 +456,34 @@ impl Dmd {
         data: &Mat,
         cfg: &DmdConfig,
     ) -> Result<Dmd, CoreError> {
-        let r = retained_rank(cfg.rank, &svd_x.s, y.rows(), svd_x.v.rows());
-        Self::try_from_leading(&svd_x.truncate(r), y, data, cfg)
+        Self::try_from_svd_kept(svd_x, y, data, cfg, None)
     }
 
-    /// [`try_from_svd`](Self::try_from_svd) on an SVD already truncated to
-    /// the retained rank.
+    /// [`try_from_svd`](Self::try_from_svd) keeping only the modes whose
+    /// frequency is at most `max_hz` (every mode when `None`), in mode
+    /// order. The amplitudes are still fitted over all `r` modes, so a kept
+    /// mode is bitwise the same as in the full fit; the method of snapshots
+    /// forms only the kept columns of `Φ = B·W`, whose elements do not
+    /// depend on how many columns the product has.
+    pub(crate) fn try_from_svd_kept(
+        svd_x: &Svd,
+        y: &Mat,
+        data: &Mat,
+        cfg: &DmdConfig,
+        max_hz: Option<f64>,
+    ) -> Result<Dmd, CoreError> {
+        let r = retained_rank(cfg.rank, &svd_x.s, y.rows(), svd_x.v.rows());
+        Self::try_from_leading(&svd_x.truncate(r), y, data, cfg, max_hz)
+    }
+
+    /// [`try_from_svd_kept`](Self::try_from_svd_kept) on an SVD already
+    /// truncated to the retained rank.
     fn try_from_leading(
         svd_r: &Svd,
         y: &Mat,
         data: &Mat,
         cfg: &DmdConfig,
+        max_hz: Option<f64>,
     ) -> Result<Dmd, CoreError> {
         cfg.validate()?;
         let p = y.rows();
@@ -479,35 +510,40 @@ impl Dmd {
         let eig = try_eig_real(&a_tilde).map_err(|e| reduced_operator_error(r, e))?;
         // Exact modes Φ = B·W.
         let modes = CMat::from_real(&b).matmul(&eig.vectors);
-        // Amplitudes from the first snapshot: min ‖Φ·a − x₀‖.
+        // Amplitudes from the first snapshot: min ‖Φ·a − x₀‖, over every
+        // mode, so the kept modes are formed from the full product.
         let x0: Vec<c64> = data.col(0).into_iter().map(c64::from_real).collect();
         let amplitudes = try_lstsq_complex(&modes, &x0).map_err(amplitude_error)?;
+        let omegas = continuous_eigenvalues(&eig.values, cfg.dt);
+        let kept = kept_modes(&omegas, max_hz);
+        let modes = match &kept {
+            Some(kept) => modes.select_cols(kept),
+            None => modes,
+        };
         Ok(Self::assemble(
-            modes, eig.values, amplitudes, eig.stats, cfg.dt,
+            modes, eig.values, omegas, amplitudes, kept, eig.stats, cfg.dt,
         ))
     }
 
-    /// A fitted DMD from its modes, eigenvalues and amplitudes: the
-    /// continuous-time eigenvalues ψ = ln(λ)/Δt.
+    /// A fitted DMD from its modes, eigenvalues and amplitudes over all `r`
+    /// modes, restricted to `kept` (in mode order) when `modes` holds only
+    /// those columns.
     fn assemble(
         modes: CMat,
         lambdas: Vec<c64>,
+        omegas: Vec<c64>,
         amplitudes: Vec<c64>,
+        kept: Option<Vec<usize>>,
         eig_stats: EigStats,
         dt: f64,
     ) -> Dmd {
-        let omegas: Vec<c64> = lambdas
-            .iter()
-            .map(|&l| {
-                if l.abs() < 1e-300 {
-                    // A zero eigenvalue is a dead mode; park it far in the
-                    // left half-plane so exp(ψt) vanishes.
-                    c64::new(-1e6, 0.0)
-                } else {
-                    l.ln() / dt
-                }
-            })
-            .collect();
+        let (lambdas, omegas, amplitudes) = match kept {
+            Some(kept) => {
+                let pick = |v: &[c64]| kept.iter().map(|&i| v[i]).collect::<Vec<_>>();
+                (pick(&lambdas), pick(&omegas), pick(&amplitudes))
+            }
+            None => (lambdas, omegas, amplitudes),
+        };
         Dmd {
             modes,
             lambdas,
@@ -532,6 +568,7 @@ impl Dmd {
         s: &[f64],
         v: &Mat,
         cfg: &DmdConfig,
+        max_hz: Option<f64>,
     ) -> Result<Dmd, CoreError> {
         let (n, r) = (v.rows(), s.len());
         let sinv: Vec<f64> = s.iter().map(|&x| 1.0 / x).collect();
@@ -550,12 +587,18 @@ impl Dmd {
             .map(c64::from_real)
             .collect();
         let eig = try_eig_real(&a_tilde).map_err(|e| reduced_operator_error(r, e))?;
-        let modes = CMat::from_real(&b).matmul(&eig.vectors);
+        let omegas = continuous_eigenvalues(&eig.values, cfg.dt);
+        let kept = kept_modes(&omegas, max_hz);
+        let b = CMat::from_real(&b);
+        let modes = match &kept {
+            Some(kept) => b.matmul(&eig.vectors.select_cols(kept)),
+            None => b.matmul(&eig.vectors),
+        };
         let wh = eig.vectors.conj_transpose();
         let normal = wh.matmul(&CMat::from_real(&btb)).matmul(&eig.vectors);
         let amplitudes = try_solve_normal(normal, &wh.matvec(&btx0)).map_err(amplitude_error)?;
         Ok(Self::assemble(
-            modes, eig.values, amplitudes, eig.stats, cfg.dt,
+            modes, eig.values, omegas, amplitudes, kept, eig.stats, cfg.dt,
         ))
     }
 
@@ -611,6 +654,36 @@ impl Dmd {
         let times: Vec<f64> = (0..n).map(|k| k as f64 * self.dt).collect();
         self.reconstruct_at(&times)
     }
+}
+
+/// The continuous-time eigenvalues `ψ = ln(λ)/Δt` of discrete ones.
+fn continuous_eigenvalues(lambdas: &[c64], dt: f64) -> Vec<c64> {
+    lambdas
+        .iter()
+        .map(|&l| {
+            if l.abs() < 1e-300 {
+                // A zero eigenvalue is a dead mode; park it far in the left
+                // half-plane so exp(ψt) vanishes.
+                c64::new(-1e6, 0.0)
+            } else {
+                l.ln() / dt
+            }
+        })
+        .collect()
+}
+
+/// The modes, in order, whose frequency `|Im ψ|/2π` ([`Dmd::frequencies`])
+/// is at most `max_hz`; `None` keeps every mode.
+fn kept_modes(omegas: &[c64], max_hz: Option<f64>) -> Option<Vec<usize>> {
+    let max_hz = max_hz?;
+    Some(
+        omegas
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.im.abs() / (2.0 * std::f64::consts::PI) <= max_hz)
+            .map(|(i, _)| i)
+            .collect(),
+    )
 }
 
 /// Smallest `σ/σ₁` the method of snapshots trusts. A Gram eigenvalue

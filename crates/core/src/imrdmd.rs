@@ -29,7 +29,7 @@ use crate::error::CoreError;
 use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
 use crate::ingest::{IngestGuard, RepairReport};
 use crate::mrdmd::{
-    fit_halves, fit_tree, reconstruct_nodes, Grid, ModeSet, MrDmd, MrDmdConfig, TreeSource,
+    join_sized, reconstruct_nodes, Grid, ModeSet, MrDmd, MrDmdConfig, Subtree, TreeSource,
 };
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{EigStats, IncrementalSvd, Mat, SketchSvd};
@@ -202,6 +202,34 @@ impl IMrDmd {
         assert!(data.cols() >= 2, "initial fit needs at least two snapshots");
         let p = data.rows();
         let t = data.cols();
+        // The level-2 halves' panels are gathered while the root is built
+        // and solved; they read only `data`.
+        let pool = WorkerPool::new(cfg.mr.n_threads);
+        let (mut state, src) = join_sized(
+            &pool,
+            p * t,
+            || Self::fit_root(data, cfg),
+            || TreeSource::new(data, t, 0, 0, &cfg.mr, &pool, Subtree::Halves(1)),
+        );
+        // The usual recursion over the two halves at level 2, each node
+        // fitted on the residual after the root's slow dynamics.
+        src.fit(&[&state.root], &mut state.subnodes, &mut state.faults);
+        for f in &mut state.faults {
+            f.at_step = t;
+        }
+        if state.last_error.is_none() {
+            if let Some(f) = state.faults.last() {
+                state.last_error = Some(f.cause.clone());
+            }
+        }
+        state
+    }
+
+    /// The streaming state of [`fit`](Self::fit) with its root solved and
+    /// no node below it yet.
+    fn fit_root(data: &Mat, cfg: &IMrDmdConfig) -> IMrDmd {
+        let p = data.rows();
+        let t = data.cols();
         let root_step = cfg.mr.subsample_step(t);
         let sub = data.subsample_cols(root_step);
         let n_sub = sub.cols();
@@ -257,26 +285,6 @@ impl IMrDmd {
             // No previous modes to fall back on at the initial fit: the
             // root stays empty and is reported degraded from step 0.
             Err(e) => state.root_failed(&e, 0),
-        }
-        // The usual recursion over the two halves at level 2, each node
-        // fitted on the residual after the root's slow dynamics.
-        let src = TreeSource::new(data, 0, 0, &cfg.mr);
-        fit_halves(
-            &src,
-            0,
-            t,
-            1,
-            &[&state.root],
-            &mut state.subnodes,
-            &mut state.faults,
-        );
-        for f in &mut state.faults {
-            f.at_step = t;
-        }
-        if state.last_error.is_none() {
-            if let Some(f) = state.faults.last() {
-                state.last_error = Some(f.cause.clone());
-            }
         }
         state
     }
@@ -412,9 +420,11 @@ impl IMrDmd {
             Some(sk) => sk.to_svd(),
             None => self.isvd.to_svd(),
         };
-        let dmd = Dmd::try_from_svd(&root_svd, &y, &self.sub_data, &dmd_cfg)?;
-        let root = ModeSet::slow_modes(&dmd, &self.cfg.mr, 1, 0, window, self.root_step);
-        Ok((root, dmd.eig_stats))
+        let max_hz = self.cfg.mr.slow_cutoff_hz(window);
+        let dmd = Dmd::try_from_svd_kept(&root_svd, &y, &self.sub_data, &dmd_cfg, Some(max_hz))?;
+        let stats = dmd.eig_stats;
+        let root = ModeSet::slow_modes(dmd, &self.cfg.mr, 1, 0, window, self.root_step);
+        Ok((root, stats))
     }
 
     /// Installs a freshly solved root and clears the failure streak.
@@ -512,117 +522,86 @@ impl IMrDmd {
         let mut new_modes = 0usize;
         // An empty batch changes nothing, not even the drift log.
         if t1 > 0 {
-            // (1) Extend the decimated root stream and the streaming SVD.
-            let stage = crate::obs::ROUND_STAGE_ISVD_NS.span();
-            let mut new_cols: Vec<usize> = Vec::new(); // batch-local column indices
-            while self.next_sub_abs < t_new {
-                new_cols.push(self.next_sub_abs - t_old);
-                self.next_sub_abs += self.root_step;
-            }
-            n_new = new_cols.len();
-            let old_sub_cols = self.sub_data.cols();
-            if n_new > 0 {
-                let mut block = Mat::zeros(self.p, n_new);
-                for (k, &c) in new_cols.iter().enumerate() {
-                    block.set_col(k, &batch.col(c));
-                }
-                // The streaming SVD covers X = decimated[..n−1]; the previous
-                // last column now enters X together with all but the last of
-                // the new block.
-                let prev_last = self.sub_data.col(old_sub_cols - 1);
-                let mut x_block = Mat::zeros(self.p, n_new);
-                x_block.set_col(0, &prev_last);
-                for k in 0..n_new - 1 {
-                    x_block.set_col(k + 1, &block.col(k));
-                }
-                // A drift breach is recorded, not fatal: the update is already
-                // applied and the repair pass has done what it could. The
-                // sketched path refreshes its reused basis instead (infallible —
-                // residual directions are folded in, never drifted past).
-                if let Some(sk) = &mut self.sketch {
-                    sk.absorb(&x_block);
-                } else if let Err(e) = self.isvd.try_update(&x_block) {
-                    self.isvd_drift_breaches += 1;
-                    self.last_error = Some(e.to_string());
-                }
-                self.sub_data = self.sub_data.hstack(&block);
-            }
-            drop(stage);
-
-            // (2) Updated level-1 modes over [0, T+T₁). A failed solve keeps
-            // the previous root (window-extended) and marks it degraded — the
-            // stream keeps absorbing batches on the old modes. Without a new
-            // decimated column the root only extends its window.
-            let stage = crate::obs::ROUND_STAGE_ROOT_SOLVE_NS.span();
-            let old_root = if n_new > 0 {
-                let old_root =
-                    std::mem::replace(&mut self.root, empty_root(self.p, t_new, self.root_step));
-                match self.try_solve_root(t_new) {
-                    Ok((root, stats)) => self.root_solved(root, stats),
-                    Err(e) => {
-                        root_failed = true;
-                        self.root_failed(&e, t_new);
-                        self.root = extend_window(old_root.clone(), t_new);
-                    }
-                }
-                Some(old_root)
-            } else if drift_scan_is_provably_zero(
-                &self.root,
-                old_sub_cols,
-                self.root_step,
-                self.cfg.mr.dt,
-            ) {
-                self.root.window = t_new;
+            // (3) The window this round flushes is known before the root
+            // moves. The batch accumulates into the pending window; once
+            // `min_window` snapshots are pending, they are flushed together.
+            // A batch that fills a window alone is fitted where it lies.
+            // Sub-`min_window` batches therefore accumulate instead of
+            // silently losing their residual.
+            let mr = self.cfg.mr;
+            let mut carry = None;
+            let window: Option<&Mat> = if mr.max_levels < 2 {
                 None
+            } else if self.pending.cols() == 0 && t1 >= mr.min_window {
+                // The empty carry takes the current row count, as after any
+                // flush.
+                self.pending = Mat::zeros(self.p, 0);
+                Some(batch)
             } else {
-                let old_root = self.root.clone();
-                self.root.window = t_new;
-                Some(old_root)
-            };
-            drop(stage);
-
-            // (5) Drift of the root reconstruction over the old timeline,
-            // measured on the decimated grid; exactly zero when the root only
-            // extended its window.
-            let stage = crate::obs::ROUND_STAGE_DRIFT_NS.span();
-            if let Some(old_root) = &old_root {
-                drift = self.root_drift(old_root, old_sub_cols);
-            }
-            self.drift_log.push(drift);
-            if let Some(th) = self.cfg.drift_threshold {
-                if drift > th {
-                    self.stale = true;
+                let pending = if self.pending.cols() == 0 {
+                    batch.clone()
+                } else {
+                    self.pending.hstack(batch)
+                };
+                if pending.cols() >= mr.min_window {
+                    self.pending = Mat::zeros(self.p, 0);
+                    Some(&*carry.insert(pending))
+                } else {
+                    self.pending = pending;
+                    None
                 }
-            }
-            drop(stage);
+            };
+            // (1)+(2) Extend the root stream and re-solve the root while the
+            // window's node panels are gathered: a panel is raw data and
+            // needs no root.
+            let pool = WorkerPool::new(mr.n_threads);
+            let cells = window.map_or(0, |w| self.p * w.cols());
+            let (step, src) = join_sized(
+                &pool,
+                cells,
+                || self.advance_root(batch, t_old, t_new),
+                || {
+                    window.map(|w| {
+                        TreeSource::new(
+                            w,
+                            w.cols(),
+                            t_new - w.cols(),
+                            0,
+                            &mr,
+                            &pool,
+                            Subtree::Node(2),
+                        )
+                    })
+                },
+            );
+            n_new = step.n_new;
+            root_failed = step.failed;
 
-            // (3)+(4) Accumulate the batch into the pending window; once
-            // `min_window` snapshots are pending, shift the previous nodes one
-            // level down (Fig. 1(c): the timeline now splits at the pending
-            // window's start) and run the multiresolution recursion over the
-            // pending window only. Sub-`min_window` batches therefore
-            // accumulate instead of silently losing their residual.
+            // (4) The multiresolution recursion over the flushed window, its
+            // level-2 node fitted beside (5) the drift of the root
+            // reconstruction over the old timeline, measured on the
+            // decimated grid; exactly zero when the root only extended its
+            // window.
             let _stage = crate::obs::ROUND_STAGE_FLUSH_NS.span();
             self.t_total = t_new;
             if let Some(h) = &mut self.history {
                 *h = h.hstack(batch);
             }
-            if self.cfg.mr.max_levels >= 2 {
-                if self.pending.cols() == 0 && t1 >= self.cfg.mr.min_window {
-                    // The batch alone fills a window: fit it where it lies.
-                    // The empty carry takes the current row count, as after
-                    // any flush.
-                    self.pending = Mat::zeros(self.p, 0);
-                    new_modes = self.fit_new_window(batch);
-                } else {
-                    self.pending = if self.pending.cols() == 0 {
-                        batch.clone()
-                    } else {
-                        self.pending.hstack(batch)
-                    };
-                    if self.pending.cols() >= self.cfg.mr.min_window {
-                        new_modes = self.flush_pending_window();
-                    }
+            let scan = step.old_root.as_ref().map(|old_root| DriftScan {
+                old_root,
+                old_sub_cols: step.old_sub_cols,
+                root_step: self.root_step,
+                dt: mr.dt,
+                p: self.p,
+            });
+            (new_modes, drift) = match src {
+                Some(src) => self.fit_new_window(src, scan.as_ref()),
+                None => (0, scan.map_or(0.0, |scan| scan.run(&self.root))),
+            };
+            self.drift_log.push(drift);
+            if let Some(th) = self.cfg.drift_threshold {
+                if drift > th {
+                    self.stale = true;
                 }
             }
             if self.stale && self.cfg.auto_refresh {
@@ -651,22 +630,94 @@ impl IMrDmd {
         }
     }
 
-    /// Fits the deferred subtree over the pending window and clears it.
-    /// Returns the number of modes extracted.
-    fn flush_pending_window(&mut self) -> usize {
-        if self.pending.cols() < 2 || self.cfg.mr.max_levels < 2 {
-            return 0;
+    /// Steps (1) and (2) of a round over absolute snapshots
+    /// `[t_old, t_new)`: folds the batch's decimated columns into the root
+    /// stream and its streaming SVD, then re-solves the root over
+    /// `[0, t_new)`. A failed solve keeps the previous root
+    /// (window-extended) and marks it degraded — the stream keeps absorbing
+    /// batches on the old modes. Without a new decimated column the root
+    /// only extends its window.
+    fn advance_root(&mut self, batch: &Mat, t_old: usize, t_new: usize) -> RootStep {
+        let stage = crate::obs::ROUND_STAGE_ISVD_NS.span();
+        let mut new_cols: Vec<usize> = Vec::new(); // batch-local column indices
+        while self.next_sub_abs < t_new {
+            new_cols.push(self.next_sub_abs - t_old);
+            self.next_sub_abs += self.root_step;
         }
-        let pend = std::mem::replace(&mut self.pending, Mat::zeros(self.p, 0));
-        self.fit_new_window(&pend)
+        let n_new = new_cols.len();
+        let old_sub_cols = self.sub_data.cols();
+        if n_new > 0 {
+            let mut block = Mat::zeros(self.p, n_new);
+            for (k, &c) in new_cols.iter().enumerate() {
+                block.set_col(k, &batch.col(c));
+            }
+            // The streaming SVD covers X = decimated[..n−1]; the previous
+            // last column now enters X together with all but the last of
+            // the new block.
+            let prev_last = self.sub_data.col(old_sub_cols - 1);
+            let mut x_block = Mat::zeros(self.p, n_new);
+            x_block.set_col(0, &prev_last);
+            for k in 0..n_new - 1 {
+                x_block.set_col(k + 1, &block.col(k));
+            }
+            // A drift breach is recorded, not fatal: the update is already
+            // applied and the repair pass has done what it could. The
+            // sketched path refreshes its reused basis instead (infallible —
+            // residual directions are folded in, never drifted past).
+            if let Some(sk) = &mut self.sketch {
+                sk.absorb(&x_block);
+            } else if let Err(e) = self.isvd.try_update(&x_block) {
+                self.isvd_drift_breaches += 1;
+                self.last_error = Some(e.to_string());
+            }
+            self.sub_data = self.sub_data.hstack(&block);
+        }
+        drop(stage);
+
+        let _stage = crate::obs::ROUND_STAGE_ROOT_SOLVE_NS.span();
+        let mut failed = false;
+        let old_root = if n_new > 0 {
+            let old_root =
+                std::mem::replace(&mut self.root, empty_root(self.p, t_new, self.root_step));
+            match self.try_solve_root(t_new) {
+                Ok((root, stats)) => self.root_solved(root, stats),
+                Err(e) => {
+                    failed = true;
+                    self.root_failed(&e, t_new);
+                    self.root = extend_window(old_root.clone(), t_new);
+                }
+            }
+            Some(old_root)
+        } else if drift_scan_is_provably_zero(
+            &self.root,
+            old_sub_cols,
+            self.root_step,
+            self.cfg.mr.dt,
+        ) {
+            self.root.window = t_new;
+            None
+        } else {
+            let old_root = self.root.clone();
+            self.root.window = t_new;
+            Some(old_root)
+        };
+        RootStep {
+            n_new,
+            old_sub_cols,
+            old_root,
+            failed,
+        }
     }
 
-    /// Fits the subtree over `window`, the stream's last `window.cols()`
-    /// snapshots (at least two), reading it in place. Returns the number of
-    /// modes extracted.
-    fn fit_new_window(&mut self, window: &Mat) -> usize {
-        let w = window.cols();
-        let start = self.t_total - w;
+    /// Fits the subtree `src` gathered over the stream's newest window
+    /// against the current root, running `scan` (when the root moved)
+    /// beside the window's level-2 node fit. Returns the number of modes
+    /// extracted and the drift (0 without a scan).
+    fn fit_new_window(
+        &mut self,
+        src: TreeSource<'_>,
+        scan: Option<&DriftScan<'_>>,
+    ) -> (usize, f64) {
         // The previous nodes deepen by one: the timeline is now split at the
         // new window's start.
         for node in &mut self.subnodes {
@@ -674,16 +725,16 @@ impl IMrDmd {
         }
         let before = self.subnodes.len();
         let faults_before = self.faults.len();
-        let src = TreeSource::new(window, start, 0, &self.cfg.mr);
-        fit_tree(
-            &src,
-            0,
-            w,
-            2,
-            &[&self.root],
-            &mut self.subnodes,
-            &mut self.faults,
-        );
+        let root = &self.root;
+        let drift = match scan {
+            Some(scan) => src.fit_beside(&[root], &mut self.subnodes, &mut self.faults, || {
+                scan.run(root)
+            }),
+            None => {
+                src.fit(&[root], &mut self.subnodes, &mut self.faults);
+                0.0
+            }
+        };
         let t_total = self.t_total;
         for f in &mut self.faults[faults_before..] {
             f.at_step = t_total;
@@ -691,49 +742,13 @@ impl IMrDmd {
         if let Some(f) = self.faults[faults_before..].last() {
             self.last_error = Some(f.cause.clone());
         }
-        self.subnodes[before..].iter().map(ModeSet::n_modes).sum()
+        let modes = self.subnodes[before..].iter().map(ModeSet::n_modes).sum();
+        (modes, drift)
     }
 
     /// Snapshots buffered below `min_window`, awaiting their subtree fit.
     pub fn pending_len(&self) -> usize {
         self.pending.cols()
-    }
-
-    /// Frobenius norm of the difference between the current and previous
-    /// root reconstructions over the previous timeline, evaluated at the
-    /// decimated snapshots (`O(P·r·n_sub)`). Both roots go through the grid
-    /// reconstruction kernel, extrapolated past their windows as a forecast
-    /// is, [`DRIFT_CHUNK`] grid columns at a time; each column's squared
-    /// differences are summed in row order and the column sums added in
-    /// column order.
-    fn root_drift(&self, old_root: &ModeSet, old_sub_cols: usize) -> f64 {
-        let dt = self.cfg.mr.dt;
-        let p = self.p;
-        let chunk = DRIFT_CHUNK.min(old_sub_cols);
-        let (mut new, mut old) = (vec![0.0; p * chunk], vec![0.0; p * chunk]);
-        let mut acc = 0.0f64;
-        for c0 in (0..old_sub_cols).step_by(chunk.max(1)) {
-            let grid = Grid {
-                start: c0 * self.root_step,
-                step: self.root_step,
-                cols: chunk.min(old_sub_cols - c0),
-            };
-            let (new, old) = (&mut new[..p * grid.cols], &mut old[..p * grid.cols]);
-            new.fill(0.0);
-            old.fill(0.0);
-            self.root
-                .apply_reconstruction_rows(new, 0, p, grid, dt, 1.0, true);
-            old_root.apply_reconstruction_rows(old, 0, p, grid, dt, 1.0, true);
-            for c in 0..grid.cols {
-                let mut col = 0.0f64;
-                for i in 0..p {
-                    let d = new[i * grid.cols + c] - old[i * grid.cols + c];
-                    col += d * d;
-                }
-                acc += col;
-            }
-        }
-        acc.sqrt()
     }
 
     /// Current level-1 mode set.
@@ -911,10 +926,14 @@ impl IMrDmd {
         let t = self.t_total;
         let mut fresh: Vec<ModeSet> = Vec::new();
         let mut fresh_faults: Vec<FitFault> = Vec::new();
-        // fit_halves fans the halves — and their own halves, down to the
-        // size cutoff — across the worker pool.
-        let src = TreeSource::new(data, 0, 0, &self.cfg.mr);
-        fit_halves(&src, 0, t, 1, &[&self.root], &mut fresh, &mut fresh_faults);
+        // The fit fans the halves — and their own halves, down to the size
+        // cutoff — across the worker pool.
+        let pool = WorkerPool::new(self.cfg.mr.n_threads);
+        TreeSource::new(data, t, 0, 0, &self.cfg.mr, &pool, Subtree::Halves(1)).fit(
+            &[&self.root],
+            &mut fresh,
+            &mut fresh_faults,
+        );
         // Degraded-window retention: a window whose refresh failed keeps the
         // node the previous tree served for it (if any) instead of going
         // dark. The fault stays on record so health() reports the window as
@@ -1016,16 +1035,17 @@ impl IMrDmd {
                 ..self.root.clone()
             };
             let faults_before = self.faults.len();
-            let src = TreeSource::new(new_rows, 0, p_old, &self.cfg.mr);
-            fit_halves(
-                &src,
-                0,
+            let pool = WorkerPool::new(self.cfg.mr.n_threads);
+            let src = TreeSource::new(
+                new_rows,
                 t_cov,
-                1,
-                &[&root_rows],
-                &mut self.subnodes,
-                &mut self.faults,
+                0,
+                p_old,
+                &self.cfg.mr,
+                &pool,
+                Subtree::Halves(1),
             );
+            src.fit(&[&root_rows], &mut self.subnodes, &mut self.faults);
             let t_total = self.t_total;
             for f in &mut self.faults[faults_before..] {
                 f.at_step = t_total;
@@ -1109,9 +1129,72 @@ fn extend_window(mut node: ModeSet, window: usize) -> ModeSet {
     node
 }
 
+/// What a round's root step ([`IMrDmd::advance_root`]) leaves for the rest
+/// of the round.
+struct RootStep {
+    /// Decimated columns appended to the root stream.
+    n_new: usize,
+    /// Decimated columns before the round.
+    old_sub_cols: usize,
+    /// The root before the round, when the drift scan must compare against
+    /// it.
+    old_root: Option<ModeSet>,
+    /// Whether the root solve failed.
+    failed: bool,
+}
+
+/// The drift scan's inputs besides the new root: the root it replaced and
+/// the decimated grid of the previous timeline.
+struct DriftScan<'o> {
+    old_root: &'o ModeSet,
+    old_sub_cols: usize,
+    root_step: usize,
+    dt: f64,
+    p: usize,
+}
+
+impl DriftScan<'_> {
+    /// Frobenius norm of the difference between the current and previous
+    /// root reconstructions over the previous timeline, evaluated at the
+    /// decimated snapshots (`O(P·r·n_sub)`). Both roots go through the grid
+    /// reconstruction kernel, extrapolated past their windows as a forecast
+    /// is, [`DRIFT_CHUNK`] grid columns at a time; each column's squared
+    /// differences are summed in row order and the column sums added in
+    /// column order.
+    fn run(&self, root: &ModeSet) -> f64 {
+        let _stage = crate::obs::ROUND_STAGE_DRIFT_NS.span();
+        let (dt, p, old_sub_cols) = (self.dt, self.p, self.old_sub_cols);
+        let chunk = DRIFT_CHUNK.min(old_sub_cols);
+        let (mut new, mut old) = (vec![0.0; p * chunk], vec![0.0; p * chunk]);
+        let mut acc = 0.0f64;
+        for c0 in (0..old_sub_cols).step_by(chunk.max(1)) {
+            let grid = Grid {
+                start: c0 * self.root_step,
+                step: self.root_step,
+                cols: chunk.min(old_sub_cols - c0),
+            };
+            let (new, old) = (&mut new[..p * grid.cols], &mut old[..p * grid.cols]);
+            new.fill(0.0);
+            old.fill(0.0);
+            root.apply_reconstruction_rows(new, 0, p, grid, dt, 1.0, true);
+            self.old_root
+                .apply_reconstruction_rows(old, 0, p, grid, dt, 1.0, true);
+            for c in 0..grid.cols {
+                let mut col = 0.0f64;
+                for i in 0..p {
+                    let d = new[i * grid.cols + c] - old[i * grid.cols + c];
+                    col += d * d;
+                }
+                acc += col;
+            }
+        }
+        acc.sqrt()
+    }
+}
+
 /// True when the `n_new == 0` drift scan may be skipped outright: extending
 /// the root window rewrites only `ModeSet::window`, which the extrapolating
-/// scan ([`IMrDmd::root_drift`]) ignores, so the scan subtracts each
+/// scan ([`DriftScan::run`]) ignores, so the scan subtracts each
 /// reconstruction column from a bitwise-identical copy of itself — every term
 /// is `x − x`, which is exactly `+0.0` whenever `x` is finite, and the
 /// accumulated drift is exactly `+0.0`. The guard proves every intermediate

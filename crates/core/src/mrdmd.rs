@@ -10,8 +10,9 @@
 //! reproduces the signal minus the high-frequency noise floor (Eqs. 7–8).
 //!
 //! The residual is never materialised at full resolution. A node reads only
-//! its decimated columns, so the tree fit gathers exactly those from the raw
-//! source and subtracts its ancestors' reconstructions there, coarsest
+//! its decimated columns, so a `TreeSource` gathers exactly those from the
+//! raw window, for every node of the subtree before the fit starts, and
+//! each node subtracts its ancestors' reconstructions there, coarsest
 //! first; each gathered element receives the same subtractions in the same
 //! order as in a whole-window, level-by-level residual, so the fit is
 //! bitwise that of the textbook recursion. Leaves subtract nothing, and no
@@ -24,8 +25,9 @@ use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{c64, CMat, Mat};
 use serde::{Deserialize, Serialize};
 
-/// Minimum size (`rows × window` snapshots) of a subtree before the
-/// recursion forks it onto another worker; also the row-block size of
+/// Minimum size (`rows × window` snapshots) of the work before a tree fit
+/// or a streaming round forks it onto another worker ([`join_sized`]) or
+/// gathers node panels across the pool; also the row-block size of
 /// [`reconstruct_nodes`]. Mirrors the role of `PAR_FLOP_THRESHOLD` in the
 /// matmul kernel: below this the ~0.1 ms thread spawn would rival the
 /// subtree's own arithmetic.
@@ -178,28 +180,21 @@ pub struct ModeSet {
 }
 
 impl ModeSet {
-    /// The slow modes of `dmd`, fitted on a window of `window` snapshots
-    /// from absolute snapshot `start` decimated by `step`: the modes at or
-    /// below [`MrDmdConfig::slow_cutoff_hz`], growth-clamped to
-    /// `max_window_growth` over the window. Row-local (`row_offset` 0).
-    /// The root solve and every tree node build their node through this.
+    /// The node of `dmd`, a fit that kept only the modes at or below
+    /// [`MrDmdConfig::slow_cutoff_hz`] of its window of `window` snapshots
+    /// from absolute snapshot `start`, decimated by `step`: those modes,
+    /// growth-clamped to `max_window_growth` over the window. Row-local
+    /// (`row_offset` 0). The root solve and every tree node build their
+    /// node through this.
     pub(crate) fn slow_modes(
-        dmd: &Dmd,
+        dmd: Dmd,
         cfg: &MrDmdConfig,
         level: usize,
         start: usize,
         window: usize,
         step: usize,
     ) -> ModeSet {
-        let cutoff = cfg.slow_cutoff_hz(window);
-        let slow: Vec<usize> = dmd
-            .frequencies()
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f <= cutoff)
-            .map(|(i, _)| i)
-            .collect();
-        let mut omegas: Vec<c64> = slow.iter().map(|&i| dmd.omegas[i]).collect();
+        let mut omegas = dmd.omegas;
         clamp_growth(&mut omegas, window as f64 * cfg.dt, cfg.max_window_growth);
         ModeSet {
             level,
@@ -207,10 +202,10 @@ impl ModeSet {
             window,
             step,
             row_offset: 0,
-            modes: dmd.modes.select_cols(&slow),
-            lambdas: slow.iter().map(|&i| dmd.lambdas[i]).collect(),
+            modes: dmd.modes,
+            lambdas: dmd.lambdas,
             omegas,
-            amplitudes: slow.iter().map(|&i| dmd.amplitudes[i]).collect(),
+            amplitudes: dmd.amplitudes,
         }
     }
 
@@ -412,8 +407,12 @@ impl MrDmd {
         config.validate()?;
         let mut nodes = Vec::new();
         let mut faults = Vec::new();
-        let src = TreeSource::new(data, 0, 0, config);
-        fit_tree(&src, 0, data.cols(), 1, &[], &mut nodes, &mut faults);
+        let pool = WorkerPool::new(config.n_threads);
+        TreeSource::new(data, data.cols(), 0, 0, config, &pool, Subtree::Node(1)).fit(
+            &[],
+            &mut nodes,
+            &mut faults,
+        );
         Ok(MrDmd {
             config: *config,
             nodes,
@@ -533,58 +532,231 @@ pub(crate) fn reconstruct_nodes(
     out
 }
 
-/// What every node of one subtree fit reads: the raw snapshots and where
-/// they sit in the stream. Shared by reference down the recursion and across
-/// forked halves — no node ever writes to it.
+/// Which nodes over a window a [`TreeSource`] serves.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Subtree {
+    /// The node over the whole window at this level, and its descendants.
+    Node(usize),
+    /// The two halves of the window below a node at this level that is
+    /// fitted elsewhere (the streaming root), and their descendants.
+    Halves(usize),
+}
+
+/// What one subtree fit reads: the decimated raw panel of every node it
+/// fits, gathered from the window when the source is built, in depth-first
+/// order (node, left subtree, right subtree). A node's raw panel depends on
+/// the window alone, never on an ancestor, so the gather may run while the
+/// ancestors the fit subtracts — the streaming root — are still being
+/// solved. This gather is the only place node panels are read from raw
+/// data.
 pub(crate) struct TreeSource<'a> {
-    /// Raw snapshots; column 0 is absolute snapshot `abs0`.
-    data: &'a Mat,
-    /// Absolute snapshot of `data`'s column 0.
+    /// Absolute snapshot of the window's column 0.
     abs0: usize,
-    /// Global sensor row of `data`'s row 0, stamped on every fitted node.
+    /// Global sensor row of the window's row 0, stamped on every fitted node.
     row_offset: usize,
+    /// Sensor rows of the window.
+    rows: usize,
+    /// Snapshots in the window.
+    cols: usize,
+    /// The nodes served.
+    subtree: Subtree,
     /// The multiresolution configuration.
     cfg: &'a MrDmdConfig,
-    /// Pool the recursion forks subtrees onto, sized by `cfg.n_threads`.
-    pool: WorkerPool,
+    /// Pool the gather and the recursion fork onto.
+    pool: &'a WorkerPool,
+    /// Each served node's panel, depth-first; `None` for a window too short
+    /// to decimate to two columns, which is not fitted.
+    panels: Vec<Option<Mat>>,
 }
 
 impl<'a> TreeSource<'a> {
-    /// A source whose column 0 is absolute snapshot `abs0` and whose row 0
-    /// is global sensor row `row_offset`.
+    /// Gathers the panels of `subtree` over the first `cols` snapshots of
+    /// `data`, whose column 0 is absolute snapshot `abs0` and whose row 0
+    /// is global sensor row `row_offset`. A window of at least
+    /// [`PAR_TREE_MIN_ELEMS`] cells gathers across `pool`.
     pub(crate) fn new(
-        data: &'a Mat,
+        data: &Mat,
+        cols: usize,
         abs0: usize,
         row_offset: usize,
         cfg: &'a MrDmdConfig,
+        pool: &'a WorkerPool,
+        subtree: Subtree,
     ) -> TreeSource<'a> {
+        let rows = data.rows();
+        let mut slots: Vec<(usize, usize, Option<Mat>)> = Vec::new();
+        if rows > 0 {
+            let mut visit = |lo, hi| slots.push((lo, hi, None));
+            match subtree {
+                Subtree::Node(level) => plan_tree(cfg, 0, cols, level, &mut visit),
+                Subtree::Halves(level) => plan_halves(cfg, 0, cols, level, &mut visit),
+            }
+        }
+        let gather = |(lo, hi, panel): &mut (usize, usize, Option<Mat>)| {
+            let step = cfg.subsample_step(*hi - *lo);
+            if (*hi - *lo).div_ceil(step) >= 2 {
+                *panel = Some(data.subsample_cols_range(*lo, *hi, step));
+            }
+        };
+        if rows * cols >= PAR_TREE_MIN_ELEMS {
+            pool.for_each(&mut slots, &gather);
+        } else {
+            slots.iter_mut().for_each(gather);
+        }
         TreeSource {
-            data,
             abs0,
             row_offset,
+            rows,
+            cols,
+            subtree,
             cfg,
-            pool: WorkerPool::new(cfg.n_threads),
+            pool,
+            panels: slots.into_iter().map(|(_, _, panel)| panel).collect(),
         }
+    }
+
+    /// Fits every served node against `ancestors` (row-local mode sets,
+    /// coarsest first), pushing nodes into `nodes` depth-first and failed
+    /// fits into `faults`.
+    pub(crate) fn fit(
+        mut self,
+        ancestors: &[&ModeSet],
+        nodes: &mut Vec<ModeSet>,
+        faults: &mut Vec<FitFault>,
+    ) {
+        let mut panels = std::mem::take(&mut self.panels);
+        match self.subtree {
+            Subtree::Node(level) => fit_tree(
+                &self,
+                &mut panels,
+                0,
+                self.cols,
+                level,
+                ancestors,
+                nodes,
+                faults,
+            ),
+            Subtree::Halves(level) => fit_halves(
+                &self,
+                &mut panels,
+                0,
+                self.cols,
+                level,
+                ancestors,
+                nodes,
+                faults,
+            ),
+        }
+    }
+
+    /// [`fit`](Self::fit) that runs `beside` alongside the fit of the top
+    /// node ([`join_sized`] over the window), then fits the halves. The
+    /// join has returned its permit by then, so the halves can still fork.
+    /// Returns `beside`'s result; a [`Subtree::Halves`] source runs it
+    /// first.
+    pub(crate) fn fit_beside<R: Send>(
+        mut self,
+        ancestors: &[&ModeSet],
+        nodes: &mut Vec<ModeSet>,
+        faults: &mut Vec<FitFault>,
+        beside: impl FnOnce() -> R + Send,
+    ) -> R {
+        let Subtree::Node(level) = self.subtree else {
+            let r = beside();
+            self.fit(ancestors, nodes, faults);
+            return r;
+        };
+        let mut panels = std::mem::take(&mut self.panels);
+        let Some((top, rest)) = panels.split_first_mut() else {
+            return beside();
+        };
+        let (fitted, r) = join_sized(
+            self.pool,
+            self.rows * self.cols,
+            || fit_node(&self, top, 0, self.cols, level, ancestors, faults),
+            beside,
+        );
+        finish_tree(
+            &self, rest, 0, self.cols, level, ancestors, fitted, nodes, faults,
+        );
+        r
     }
 }
 
-/// Fits the node over columns `[lo, hi)` of `src.data` at `level`, then its
+/// Runs `f` and `g` on two workers when `cells` (the snapshots, rows ×
+/// columns, their work covers) reach [`PAR_TREE_MIN_ELEMS`] and `pool`
+/// grants a permit, in turn (`f`, then `g`) otherwise. Every fork of the
+/// tree fit and of the streaming round goes through here.
+pub(crate) fn join_sized<A: Send, B: Send>(
+    pool: &WorkerPool,
+    cells: usize,
+    f: impl FnOnce() -> A + Send,
+    g: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if cells >= PAR_TREE_MIN_ELEMS {
+        if let Some(fork) = pool.try_fork() {
+            return fork.join(f, g);
+        }
+    }
+    (f(), g())
+}
+
+/// Where [`fit_halves`] splits `[lo, hi)` below a node at `parent_level`:
+/// `None` at the depth cap, or when a half would be shorter than
+/// `min_window`.
+fn split(cfg: &MrDmdConfig, lo: usize, hi: usize, parent_level: usize) -> Option<usize> {
+    let w = hi.saturating_sub(lo);
+    (parent_level < cfg.max_levels && w / 2 >= cfg.min_window).then_some(lo + w / 2)
+}
+
+/// Visits the windows [`fit_tree`] fits over `[lo, hi)` at `level`, in its
+/// depth-first order: the node (none under two snapshots), then its halves.
+fn plan_tree(
+    cfg: &MrDmdConfig,
+    lo: usize,
+    hi: usize,
+    level: usize,
+    visit: &mut impl FnMut(usize, usize),
+) {
+    if hi.saturating_sub(lo) < 2 {
+        return;
+    }
+    visit(lo, hi);
+    plan_halves(cfg, lo, hi, level, visit);
+}
+
+/// Visits the windows [`fit_halves`] fits below `[lo, hi)` at
+/// `parent_level`, in its depth-first order.
+fn plan_halves(
+    cfg: &MrDmdConfig,
+    lo: usize,
+    hi: usize,
+    parent_level: usize,
+    visit: &mut impl FnMut(usize, usize),
+) {
+    if let Some(mid) = split(cfg, lo, hi, parent_level) {
+        plan_tree(cfg, lo, mid, parent_level + 1, visit);
+        plan_tree(cfg, mid, hi, parent_level + 1, visit);
+    }
+}
+
+/// Fits the node over columns `[lo, hi)` of the window at `level`, then its
 /// subtree, pushing nodes into `nodes` in depth-first order (node, left
-/// subtree, right subtree) and failed fits into `faults`.
+/// subtree, right subtree) and failed fits into `faults`. `panels` holds
+/// the subtree's gathered panels in that order, this node's first.
 ///
 /// The node sees the residual of its window after every coarser level
-/// (Eq. 8, second term) without any full-resolution residual buffer: it
-/// gathers only its decimated columns from the raw source and subtracts
-/// `ancestors` — row-local mode sets, coarsest first — on those columns
-/// alone. Each gathered element therefore receives exactly the
-/// subtractions, in the same order, that an in-place recursion over a
-/// shared residual would have applied to it, so every fit is bitwise the
-/// same. A fitted node is then an ancestor of both halves.
-///
-/// Shared by the batch fit (level 1, no ancestors) and the incremental
-/// update (level 2 over the new window, the root as the only ancestor).
-pub(crate) fn fit_tree(
+/// (Eq. 8, second term) without any full-resolution residual buffer: its
+/// panel holds only its decimated columns of the raw window, and
+/// [`fit_node`] subtracts `ancestors` — row-local mode sets, coarsest
+/// first — on those columns alone. Each gathered element therefore
+/// receives exactly the subtractions, in the same order, that an in-place
+/// recursion over a shared residual would have applied to it, so every fit
+/// is bitwise the same. A fitted node is then an ancestor of both halves.
+#[allow(clippy::too_many_arguments)] // a flat (source, span, context) tuple is clearest here
+fn fit_tree(
     src: &TreeSource<'_>,
+    panels: &mut [Option<Mat>],
     lo: usize,
     hi: usize,
     level: usize,
@@ -592,63 +764,92 @@ pub(crate) fn fit_tree(
     nodes: &mut Vec<ModeSet>,
     faults: &mut Vec<FitFault>,
 ) {
-    let w = hi.saturating_sub(lo);
-    if w < 2 || src.data.rows() == 0 {
+    let Some((top, rest)) = panels.split_first_mut() else {
         return;
-    }
+    };
+    let fitted = fit_node(src, top, lo, hi, level, ancestors, faults);
+    finish_tree(src, rest, lo, hi, level, ancestors, fitted, nodes, faults);
+}
+
+/// Fits one node from its gathered `panel`, which it takes (and frees once
+/// fitted): subtracts `ancestors` on the panel's columns, then keeps the
+/// DMD's slow modes. `None` when the window has no panel, no mode is slow,
+/// or the fit fails; a failure is recorded in `faults` and subtracts
+/// nothing, so the halves still see the residual of the levels above.
+fn fit_node(
+    src: &TreeSource<'_>,
+    panel: &mut Option<Mat>,
+    lo: usize,
+    hi: usize,
+    level: usize,
+    ancestors: &[&ModeSet],
+    faults: &mut Vec<FitFault>,
+) -> Option<ModeSet> {
+    let mut sub = panel.take()?;
     let cfg = src.cfg;
+    let w = hi - lo;
     let start_abs = src.abs0 + lo;
     let step = cfg.subsample_step(w);
-    let mut fitted = None;
-    if w.div_ceil(step) >= 2 {
-        let mut sub = src.data.subsample_cols_range(lo, hi, step);
-        let grid = Grid {
-            start: start_abs,
-            step,
-            cols: sub.cols(),
-        };
-        let rows = sub.rows();
-        for a in ancestors {
-            a.apply_reconstruction_rows(sub.as_mut_slice(), 0, rows, grid, cfg.dt, -1.0, false);
-        }
-        // Salt from the node's absolute position (level, start, width):
-        // independent of traversal order and thread count, unique per node.
-        let salt = ((level as u64) << 48) ^ ((start_abs as u64) << 16) ^ w as u64;
-        let dmd_cfg = DmdConfig {
-            dt: cfg.dt * step as f64,
-            rank: cfg.rank,
-            strategy: cfg.strategy.for_node(salt),
-        };
-        match Dmd::try_fit(&sub, &dmd_cfg) {
-            // Row-local while it serves as an ancestor; the global offset
-            // is attached when it is stored.
-            Ok(dmd) => {
-                fitted = Some(ModeSet::slow_modes(&dmd, cfg, level, start_abs, w, step))
-                    .filter(|n| n.n_modes() > 0);
-            }
-            Err(e) => {
-                // Degrade, don't die: record the fault, subtract nothing for
-                // this level (nothing was explained) and keep recursing — the
-                // halves see shorter, better-conditioned windows and often
-                // still converge.
-                faults.push(FitFault {
-                    level,
-                    start: start_abs,
-                    window: w,
-                    row_offset: src.row_offset,
-                    at_step: 0, // stamped by the streaming layer
-                    cause: e.to_string(),
-                });
-            }
+    let grid = Grid {
+        start: start_abs,
+        step,
+        cols: sub.cols(),
+    };
+    for a in ancestors {
+        a.apply_reconstruction_rows(sub.as_mut_slice(), 0, src.rows, grid, cfg.dt, -1.0, false);
+    }
+    // Salt from the node's absolute position (level, start, width):
+    // independent of traversal order and thread count, unique per node.
+    let salt = ((level as u64) << 48) ^ ((start_abs as u64) << 16) ^ w as u64;
+    let dmd_cfg = DmdConfig {
+        dt: cfg.dt * step as f64,
+        rank: cfg.rank,
+        strategy: cfg.strategy.for_node(salt),
+    };
+    match Dmd::try_fit_kept(&sub, &dmd_cfg, Some(cfg.slow_cutoff_hz(w))) {
+        // Row-local while it serves as an ancestor; the global offset is
+        // attached when it is stored.
+        Ok(dmd) => Some(ModeSet::slow_modes(dmd, cfg, level, start_abs, w, step))
+            .filter(|n| n.n_modes() > 0),
+        Err(e) => {
+            // Degrade, don't die: record the fault and keep recursing — the
+            // halves see shorter, better-conditioned windows and often
+            // still converge.
+            faults.push(FitFault {
+                level,
+                start: start_abs,
+                window: w,
+                row_offset: src.row_offset,
+                at_step: 0, // stamped by the streaming layer
+                cause: e.to_string(),
+            });
+            None
         }
     }
+}
+
+/// The rest of [`fit_tree`] once the node over `[lo, hi)` is `fitted`: its
+/// halves (from `panels`, its descendants' panels), under the node when it
+/// kept modes; then the node takes its place ahead of its descendants.
+#[allow(clippy::too_many_arguments)] // a flat (source, span, context) tuple is clearest here
+fn finish_tree(
+    src: &TreeSource<'_>,
+    panels: &mut [Option<Mat>],
+    lo: usize,
+    hi: usize,
+    level: usize,
+    ancestors: &[&ModeSet],
+    fitted: Option<ModeSet>,
+    nodes: &mut Vec<ModeSet>,
+    faults: &mut Vec<FitFault>,
+) {
     let Some(mut node) = fitted else {
-        fit_halves(src, lo, hi, level, ancestors, nodes, faults);
+        fit_halves(src, panels, lo, hi, level, ancestors, nodes, faults);
         return;
     };
     let at = nodes.len();
     let chain: Vec<&ModeSet> = ancestors.iter().copied().chain([&node]).collect();
-    fit_halves(src, lo, hi, level, &chain, nodes, faults);
+    fit_halves(src, panels, lo, hi, level, &chain, nodes, faults);
     // The subtree borrowed the node as an ancestor; it takes its place
     // ahead of its descendants now (only they were pushed after `at`).
     node.row_offset = src.row_offset;
@@ -656,16 +857,18 @@ pub(crate) fn fit_tree(
 }
 
 /// Recurses on the two halves of `[lo, hi)` at `parent_level + 1`, both
-/// under the same `ancestors`, forking the right half onto another worker
-/// when the pool has a permit and the half is big enough to amortise the
-/// spawn (`rows × half-width ≥ PAR_TREE_MIN_ELEMS`).
+/// under the same `ancestors`, the right half on another worker when
+/// [`join_sized`] grants one for it (`rows × half-width`).
 ///
-/// Both halves read the one shared source. The forked right half collects
-/// its nodes and faults into private vectors appended after the join, so
-/// the depth-first order — and every fitted mode — is bitwise-identical to
-/// the serial recursion at any thread count.
-pub(crate) fn fit_halves(
+/// `panels` splits between the halves at the left subtree's node count,
+/// so each side owns its nodes' panels without a lock. The right half
+/// collects its nodes and faults into private vectors appended after the
+/// join, so the depth-first order — and every fitted mode — is
+/// bitwise-identical to the serial recursion at any thread count.
+#[allow(clippy::too_many_arguments)] // a flat (source, span, context) tuple is clearest here
+fn fit_halves(
     src: &TreeSource<'_>,
+    panels: &mut [Option<Mat>],
     lo: usize,
     hi: usize,
     parent_level: usize,
@@ -673,37 +876,33 @@ pub(crate) fn fit_halves(
     nodes: &mut Vec<ModeSet>,
     faults: &mut Vec<FitFault>,
 ) {
-    let w = hi.saturating_sub(lo);
-    if parent_level >= src.cfg.max_levels || w / 2 < src.cfg.min_window {
+    let Some(mid) = split(src.cfg, lo, hi, parent_level) else {
         return;
-    }
-    let mid = lo + w / 2;
+    };
     let level = parent_level + 1;
-    if src.data.rows() * (hi - mid) >= PAR_TREE_MIN_ELEMS {
-        if let Some(fork) = src.pool.try_fork() {
-            let mut right_nodes = Vec::new();
-            let mut right_faults = Vec::new();
-            fork.join(
-                || fit_tree(src, lo, mid, level, ancestors, nodes, faults),
-                || {
-                    fit_tree(
-                        src,
-                        mid,
-                        hi,
-                        level,
-                        ancestors,
-                        &mut right_nodes,
-                        &mut right_faults,
-                    )
-                },
-            );
-            nodes.append(&mut right_nodes);
-            faults.append(&mut right_faults);
-            return;
-        }
-    }
-    fit_tree(src, lo, mid, level, ancestors, nodes, faults);
-    fit_tree(src, mid, hi, level, ancestors, nodes, faults);
+    let mut n_left = 0;
+    plan_tree(src.cfg, lo, mid, level, &mut |_, _| n_left += 1);
+    let (left, right) = panels.split_at_mut(n_left);
+    let (mut right_nodes, mut right_faults) = (Vec::new(), Vec::new());
+    join_sized(
+        src.pool,
+        src.rows * (hi - mid),
+        || fit_tree(src, left, lo, mid, level, ancestors, nodes, faults),
+        || {
+            fit_tree(
+                src,
+                right,
+                mid,
+                hi,
+                level,
+                ancestors,
+                &mut right_nodes,
+                &mut right_faults,
+            )
+        },
+    );
+    nodes.append(&mut right_nodes);
+    faults.append(&mut right_faults);
 }
 
 #[cfg(test)]

@@ -50,13 +50,16 @@ pub static ROUND_STAGE_ROOT_SOLVE_NS: Histogram = Histogram::new(
     "round.stage.root_solve.ns",
     "Wall time per round of the root DMD solve",
 );
-/// Wall time of a round's stage 5: the root drift scan.
+/// Wall time of a round's stage 5: the root drift scan, in rounds whose
+/// root moved (it runs beside the level-2 node fit when the round flushes a
+/// window).
 pub static ROUND_STAGE_DRIFT_NS: Histogram = Histogram::new(
     "round.stage.drift.ns",
     "Wall time per round of the root drift scan",
 );
-/// Wall time of a round's stages 3–4: the pending carry and subtree flush
-/// (plus an inline auto-refresh).
+/// Wall time of a round's stages 3–4 and 5: the subtree flush (its node
+/// panels already gathered beside the root chain), the drift scan that runs
+/// beside it, and an inline auto-refresh.
 pub static ROUND_STAGE_FLUSH_NS: Histogram = Histogram::new(
     "round.stage.flush.ns",
     "Wall time per round of the pending carry and subtree flush",

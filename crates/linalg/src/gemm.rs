@@ -142,9 +142,22 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Trans, b: &Mat, tb: Trans, beta: f64, c: &m
     gemm_unrecorded(alpha, av, bv, beta, c);
 }
 
-/// The Gram matrix `DᵀD` on the [`gemm`] kernel, without its `gemm.*`
-/// metrics: the method-of-snapshots SVD reports it under its own span.
+/// The Gram matrix `DᵀD`, without the `gemm.*` metrics: the
+/// method-of-snapshots SVD reports it under its own span.
+///
+/// The AVX2 tier computes only the `MR × NR` tiles on or above the
+/// diagonal, reading `D` row-major in place (no packing, ragged edges
+/// masked), and mirrors them into the lower triangle. Each element keeps
+/// the packed kernel's order — per `KC`-row depth block a chain `acc += a·b`
+/// from zero, then `c = 1·acc` on the first block and `c += 1·acc` after —
+/// and `dᵢ·dⱼ` is bitwise `dⱼ·dᵢ`, so the result is bitwise [`gemm`]'s
+/// `Dᵀ·D`, which the scalar tier still computes and serves as reference.
 pub(crate) fn gram_unrecorded(d: &Mat) -> Mat {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2() {
+        // SAFETY: AVX2 verified at run time.
+        return unsafe { gram_symmetric_avx2(d) };
+    }
     let mut g = Mat::zeros(d.cols(), d.cols());
     gemm_unrecorded(
         1.0,
@@ -154,6 +167,84 @@ pub(crate) fn gram_unrecorded(d: &Mat) -> Mat {
         &mut g,
     );
     g
+}
+
+/// AVX2 body of [`gram_unrecorded`]: for each `KC`-row depth block of `D`
+/// (`P × n`, row-major), every `MR × NR` tile of `G` that reaches the
+/// diagonal accumulates one register tile straight from `D`'s rows — a
+/// broadcast of `D[p][i]` per tile row times masked loads of
+/// `D[p][j0..j0 + NR]` — and is written back as [`write_back_tile`] does
+/// for the packed kernel. The strict lower triangle is then copied from
+/// the upper one.
+///
+/// # Safety
+/// Caller must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gram_symmetric_avx2(d: &Mat) -> Mat {
+    use std::arch::x86_64::*;
+    let (p, n) = (d.rows(), d.cols());
+    let mut g = Mat::zeros(n, n);
+    if n == 0 {
+        return g;
+    }
+    // Every read stays inside `d`: rows run below `p`, broadcast columns are
+    // clamped below `n`, and masked-off lanes are never accessed.
+    let dp = d.as_slice().as_ptr();
+    for pc in (0..p).step_by(KC) {
+        let kc = KC.min(p - pc);
+        let beta = if pc == 0 { 0.0 } else { 1.0 };
+        for i0 in (0..n).step_by(MR) {
+            let mr = MR.min(n - i0);
+            // Tile rows past the edge broadcast the last column; they are
+            // never written back.
+            let ic = [0, 1, 2, 3].map(|ii| (i0 + ii).min(n - 1));
+            for j0 in ((i0 / NR) * NR..n).step_by(NR) {
+                let nr = NR.min(n - j0);
+                let (m0, m1) = (lane_mask(nr), lane_mask(nr.saturating_sub(4)));
+                // The upper half starts past the edge when `nr ≤ 4`; its
+                // fully masked load reads nothing.
+                let j1 = (j0 + 4).min(n);
+                let mut acc = [_mm256_setzero_pd(); 2 * MR];
+                for row in pc..pc + kc {
+                    let r = dp.add(row * n);
+                    let b0 = _mm256_maskload_pd(r.add(j0), m0);
+                    let b1 = _mm256_maskload_pd(r.add(j1), m1);
+                    for (ii, &i) in ic.iter().enumerate() {
+                        let a = _mm256_broadcast_sd(&*r.add(i));
+                        acc[2 * ii] = _mm256_add_pd(acc[2 * ii], _mm256_mul_pd(a, b0));
+                        acc[2 * ii + 1] = _mm256_add_pd(acc[2 * ii + 1], _mm256_mul_pd(a, b1));
+                    }
+                }
+                let mut tile = [0.0f64; MR * NR];
+                for (q, a) in acc.iter().enumerate() {
+                    _mm256_storeu_pd(tile.as_mut_ptr().add(4 * q), *a);
+                }
+                let c = &mut g.as_mut_slice()[i0 * n + j0..];
+                write_back_tile(&tile, 1.0, beta, c, n, mr, nr);
+            }
+        }
+    }
+    let gs = g.as_mut_slice();
+    for i in 1..n {
+        for j in 0..i {
+            gs[i * n + j] = gs[j * n + i];
+        }
+    }
+    g
+}
+
+/// A `vmaskmovpd` mask enabling the first `lanes` (at most four) lanes.
+///
+/// # Safety
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn lane_mask(lanes: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let on = |l: usize| if l < lanes { -1i64 } else { 0 };
+    _mm256_setr_epi64x(on(0), on(1), on(2), on(3))
 }
 
 /// The body of [`gemm`] on checked operands.
@@ -927,8 +1018,10 @@ const MODE_BLOCK: usize = 16;
 /// weights are row `j` of each plane). Each element accumulates from `0.0`
 /// in mode order as `(acc + φ.re·w.re) − φ.im·w.im`, then adds `sign·acc`
 /// to its output: one sequential chain per element. The AVX2 tier runs four
-/// lanes across columns and holds a 16-column block in
-/// registers over every mode, so it is bitwise the scalar tier.
+/// lanes across columns: it holds 16-column blocks in registers over every
+/// mode, then single four-lane groups, and takes the last one to three
+/// columns as one masked group, so it is bitwise the scalar tier and never
+/// touches a column past the row.
 ///
 /// # Panics
 /// Panics if the weight planes differ in length or are not `modes.cols()`
@@ -987,8 +1080,8 @@ pub fn accumulate_mode_rows(
 }
 
 /// AVX2 body of [`accumulate_mode_rows`]: [`MODE_BLOCK`]-column register
-/// blocks, then single 4-lane groups, then one scalar chain per column for
-/// the last `cols mod 4` columns.
+/// blocks, then single 4-lane groups, then one masked 4-lane group
+/// ([`mode_tail`]) for the last `cols mod 4` columns.
 ///
 /// # Safety
 /// Caller must have verified AVX2 support and the bounds
@@ -1017,14 +1110,55 @@ unsafe fn accumulate_mode_rows_avx2(
             mode_block::<1>(phi, w_re, w_im, cols, c0, sign, o);
             c0 += 4;
         }
-        for (c, ov) in o.iter_mut().enumerate().skip(c0) {
-            let mut acc = 0.0;
-            for (j, f) in phi.iter().enumerate() {
-                acc = acc + f.re * w_re[j * cols + c] - f.im * w_im[j * cols + c];
-            }
-            *ov += sign * acc;
+        if c0 < cols {
+            mode_tail(phi, w_re, w_im, cols, c0, sign, o);
         }
     }
+}
+
+/// The last `cols − c0` (one to three) columns of one output row as a single
+/// masked four-lane group: the lane operations of [`mode_block`], with
+/// masked loads and a masked store, so no column past the row is read from
+/// a weight row or written in `o`.
+///
+/// # Safety
+/// AVX2 must be available; `c0 < cols ≤ o.len()`, `cols − c0 < 4`, and
+/// every weight row of stride `cols` must lie within the planes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mode_tail(
+    phi: &[c64],
+    w_re: &[f64],
+    w_im: &[f64],
+    cols: usize,
+    c0: usize,
+    sign: f64,
+    o: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(c0 < cols && cols - c0 < 4 && cols <= o.len());
+    let mask = lane_mask(cols - c0);
+    let mut acc = _mm256_setzero_pd();
+    for (j, f) in phi.iter().enumerate() {
+        let pr = _mm256_set1_pd(f.re);
+        let pi = _mm256_set1_pd(f.im);
+        let re = _mm256_mul_pd(
+            pr,
+            _mm256_maskload_pd(w_re.as_ptr().add(j * cols + c0), mask),
+        );
+        let im = _mm256_mul_pd(
+            pi,
+            _mm256_maskload_pd(w_im.as_ptr().add(j * cols + c0), mask),
+        );
+        acc = _mm256_sub_pd(_mm256_add_pd(acc, re), im);
+    }
+    let p = o.as_mut_ptr().add(c0);
+    let sum = _mm256_add_pd(
+        _mm256_maskload_pd(p, mask),
+        _mm256_mul_pd(_mm256_set1_pd(sign), acc),
+    );
+    _mm256_maskstore_pd(p, mask, sum);
 }
 
 /// `G` four-lane column groups from `c0` of one output row, accumulated in
@@ -1282,13 +1416,24 @@ mod tests {
         let mut rnd = lcg(0xa11ce);
         // Column counts hitting register blocks, single groups and the
         // scalar tail; sign ±1 and a non-unit one.
-        for &(rows, k, cols, sign) in &[
+        // Then every width in 1..=40: each masked tail after zero, one and
+        // two register blocks.
+        let fixed = [
             (9usize, 1usize, 3usize, 1.0),
             (5, 7, 16, -1.0),
             (4, 3, 37, 1.0),
             (3, 17, 256, -0.5),
             (2, 8, 4, 1.0),
-        ] {
+        ];
+        let widths = (1..=40).map(|cols| {
+            (
+                3,
+                1 + cols % 9,
+                cols,
+                if cols % 2 == 0 { -1.0 } else { 0.5 },
+            )
+        });
+        for (rows, k, cols, sign) in fixed.into_iter().chain(widths) {
             let modes = CMat::from_fn(rows + 2, k, |_, _| c64::new(rnd(), rnd()));
             let w_re: Vec<f64> = (0..k * cols).map(|_| rnd()).collect();
             let w_im: Vec<f64> = (0..k * cols).map(|_| rnd()).collect();
@@ -1306,6 +1451,35 @@ mod tests {
                 assert_eq!(
                     bits(&got[r * ldo + cols..r * ldo + ldo]),
                     bits(&init[r * ldo + cols..r * ldo + ldo])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gram_is_bitwise_the_packed_product() {
+        let mut rnd = lcg(0x9a4a);
+        for k in [1usize, 2, KC - 1, KC, KC + 1, 2 * KC + 3, 1000] {
+            for m in 1..=40usize {
+                // Signed zeros throughout, and one column (the middle one)
+                // holding an infinity, so its Gram row and column carry
+                // infinities and NaNs.
+                let inf_col = m / 2;
+                let d = Mat::from_fn(k, m, |i, j| match (i * 7 + j * 3) % 11 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ if j == inf_col && i == k / 2 => f64::INFINITY,
+                    _ => rnd(),
+                });
+                let mut want = Mat::zeros(m, m);
+                gemm(1.0, &d, Trans::Yes, &d, Trans::No, 0.0, &mut want);
+                let got = gram_unrecorded(&d);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{k}x{m}");
+                let scalar = crate::simd::with_scalar_kernels(|| gram_unrecorded(&d));
+                assert_eq!(
+                    bits(scalar.as_slice()),
+                    bits(want.as_slice()),
+                    "scalar {k}x{m}"
                 );
             }
         }

@@ -166,7 +166,8 @@ pub enum SnapshotSvd {
 
 /// The SVD of the snapshot block `X = D[:, ..n]` of a panel `D`
 /// (`P × (n + 1)`) by the method of snapshots (Sirovich 1987): one Gram
-/// `G = DᵀD` of the whole panel on the GEMM kernel, then
+/// `G = DᵀD` of the whole panel (its upper tiles under AVX2, mirrored,
+/// bitwise the GEMM kernel's product), then
 /// [`try_eig_symmetric`](crate::eig::try_eig_symmetric) of its leading
 /// block `XᵀX = V·Λ·Vᵀ`, so `σᵢ = √λᵢ`. No left singular vector is formed:
 /// the rest of `G` serves the caller's products against `Y = D[:, 1..]`.

@@ -126,18 +126,25 @@ proptest! {
         }
     }
 
-    /// The incremental paths — initial fit, partial fit, and the stale
-    /// subtree refresh — are bitwise-identical at every thread count.
+    /// The incremental paths — initial fit, partial fits, and the stale
+    /// subtree refresh — are bitwise-identical at every thread count, and
+    /// so is every round's report. The rounds' flushed windows clear the
+    /// fork cutoff (`rows × window ≥ 32,768`, at least 44 × 760), so the
+    /// node-panel gather overlaps the root chain and the level-2 node fit
+    /// overlaps the drift scan: once on a batch that fills a window alone,
+    /// and once on a pending carry (a sub-`min_window` batch followed by
+    /// one that completes the window).
     #[test]
     fn incremental_paths_are_bitwise_identical_across_thread_counts(
         n_nodes in 44usize..52,
         seed in 0u64..1000,
     ) {
-        let total = 1600;
         let t0 = 1100;
+        // Batch alone, then a pending carry of 10 steps flushed with 750.
+        let batches = [760usize, 10, 750];
+        let total = t0 + batches.iter().sum::<usize>();
         let scenario = forking_scenario(n_nodes, total, seed);
         let initial = scenario.generate(0, t0);
-        let batch = scenario.generate(t0, total);
         let run = |n_threads: usize| {
             let cfg = IMrDmdConfig {
                 mr: mr_config(&scenario, 4, n_threads),
@@ -146,20 +153,31 @@ proptest! {
             };
             let mut model = IMrDmd::fit(&initial, &cfg);
             let after_fit = tree_bits(model.nodes());
-            model.partial_fit(&batch);
+            let mut reports = Vec::new();
+            let mut at = t0;
+            for len in batches {
+                let report = model.partial_fit(&scenario.generate(at, at + len));
+                reports.push(serde_json::to_string(&report).expect("serialize report"));
+                at += len;
+            }
             let after_partial = tree_bits(model.nodes());
             model.try_refresh_subtrees().expect("history is kept");
             let after_refresh = tree_bits(model.nodes());
             let rec = mat_bits(&model.reconstruct_range(t0 / 2, total));
-            (after_fit, after_partial, after_refresh, rec)
+            (after_fit, after_partial, after_refresh, rec, reports)
         };
         let reference = run(1);
+        // The carry really is pending after the short batch, and flushed by
+        // the next.
+        prop_assert!(reference.4[1].contains("\"pending\":10"), "{}", reference.4[1]);
+        prop_assert!(reference.4[2].contains("\"pending\":0"), "{}", reference.4[2]);
         for k in THREAD_COUNTS {
             let got = run(k);
             prop_assert!(got.0 == reference.0, "initial-fit tree differs at n_threads={}", k);
             prop_assert!(got.1 == reference.1, "partial-fit tree differs at n_threads={}", k);
             prop_assert!(got.2 == reference.2, "refreshed tree differs at n_threads={}", k);
             prop_assert!(got.3 == reference.3, "reconstruction differs at n_threads={}", k);
+            prop_assert!(got.4 == reference.4, "round reports differ at n_threads={}", k);
         }
     }
 
