@@ -19,6 +19,15 @@
 //! [u64 index-offset][u32 crc][IMRDMDIX]        20-byte fixed trailer
 //! ```
 //!
+//! Writing streams the file in that order. [`encode_archive`] emits the
+//! header, the metadata frame, each node's frame, the index frame and the
+//! trailer one after another, counting offsets as the bytes go out; the
+//! index comes last, so nothing is back-patched. The encoder itself holds
+//! one encoded node block and the index (32 bytes a node), never a second
+//! copy of the tree: [`write_archive`] streams into the buffered temp file
+//! of [`storage::atomic_write`], and the daemon encodes into its response
+//! body. The bytes are the layout above, unchanged.
+//!
 //! Every node block stores its eigenvalues and amplitudes as exact `f64`
 //! bit patterns at every tier — quantizing ω would compound through
 //! `exp(ω t)` — and only the `rows × k` mode matrix is tiered:
@@ -51,7 +60,7 @@ use crate::mrdmd::{reconstruct_nodes, ModeSet};
 use crate::storage::{self, BlockError, ByteReader, HeaderError};
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{c64, CMat, Mat};
-use std::io::{Read as _, Seek as _};
+use std::io::{Read as _, Seek as _, Write};
 use std::path::Path;
 
 /// First token of every archive file.
@@ -290,10 +299,13 @@ fn encode_modes(out: &mut Vec<u8>, modes: &CMat, tier: QuantTier) {
     }
 }
 
-fn encode_node(node: &ModeSet, tier: QuantTier) -> Vec<u8> {
+/// Encodes one node block into `out`, which is cleared first so one
+/// buffer serves every node of an archive.
+fn encode_node(out: &mut Vec<u8>, node: &ModeSet, tier: QuantTier) {
     let (rows, k) = (node.modes.rows(), node.modes.cols());
     let column = 48 + tier.column_bytes(rows).unwrap_or(0);
-    let mut out = Vec::with_capacity(NODE_PREFIX + k * column);
+    out.clear();
+    out.reserve(NODE_PREFIX + k * column);
     for v in [
         node.level as u64,
         node.start as u64,
@@ -308,11 +320,10 @@ fn encode_node(node: &ModeSet, tier: QuantTier) -> Vec<u8> {
     // Eigenvalues and amplitudes stay exact at every tier: replay scales
     // them through exp(ω t), which would amplify any quantization error
     // across the window.
-    push_c64_exact(&mut out, &node.lambdas);
-    push_c64_exact(&mut out, &node.omegas);
-    push_c64_exact(&mut out, &node.amplitudes);
-    encode_modes(&mut out, &node.modes, tier);
-    out
+    push_c64_exact(out, &node.lambdas);
+    push_c64_exact(out, &node.omegas);
+    push_c64_exact(out, &node.amplitudes);
+    encode_modes(out, &node.modes, tier);
 }
 
 /// `k` exact complex values.
@@ -414,76 +425,85 @@ pub struct ArchiveInfo {
     pub bytes: u64,
 }
 
-/// Serialises a fitted model into the archive byte image. Infallible in
-/// memory; pair with [`write_archive`] for the durable on-disk form.
-pub fn archive_bytes(model: &IMrDmd, tier: QuantTier) -> (Vec<u8>, ArchiveInfo) {
+/// Streams `model` to `w` as an archive, in file order: the header line,
+/// the metadata frame, one frame per tree node, the index frame and the
+/// trailer. Offsets are counted as the bytes go out, and the index comes
+/// last, so nothing is back-patched: `w` may be any writer, and the
+/// encoder holds only one node block and the index. This is the one
+/// archive encoder; [`write_archive`] is it run inside
+/// [`storage::atomic_write`]. Returns the archive's summary, with `bytes`
+/// the number of bytes written.
+pub fn encode_archive(
+    model: &IMrDmd,
+    tier: QuantTier,
+    w: &mut impl Write,
+) -> std::io::Result<ArchiveInfo> {
     let dt = model.config().mr.dt;
-    let mut out =
-        storage::format_text_header(ARCHIVE_MAGIC, ARCHIVE_VERSION, &[tier.as_str()]).into_bytes();
-    let nodes: Vec<&ModeSet> = model.nodes().collect();
+    let n_nodes = model.nodes().count();
+    let header = storage::format_text_header(ARCHIVE_MAGIC, ARCHIVE_VERSION, &[tier.as_str()]);
+    w.write_all(header.as_bytes())?;
+    let mut at = header.len() as u64;
+    let mut frame = |w: &mut _, payload: &[u8]| {
+        storage::write_frame(w, payload)?;
+        let start = at;
+        at += (storage::FRAME_HEAD + payload.len()) as u64;
+        Ok::<_, std::io::Error>(start)
+    };
     let mut meta = Vec::with_capacity(32);
     meta.extend_from_slice(&tier.code().to_le_bytes());
-    meta.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+    meta.extend_from_slice(&(n_nodes as u32).to_le_bytes());
     meta.extend_from_slice(&(model.n_rows() as u64).to_le_bytes());
     meta.extend_from_slice(&(model.n_steps() as u64).to_le_bytes());
     meta.extend_from_slice(&dt.to_bits().to_le_bytes());
-    storage::append_frame(&mut out, &meta);
+    frame(w, &meta)?;
     // Blocks are written in tree-iteration order; replay preserves file
-    // order, which is what keeps f64 replay bitwise.
-    let mut entries = Vec::with_capacity(nodes.len());
-    for node in &nodes {
-        let payload = encode_node(node, tier);
-        let offset = out.len() as u64;
-        entries.push((
-            node.start as u64,
-            node.window as u64,
-            offset,
-            payload.len() as u32,
-            node.level as u32,
-        ));
-        storage::append_frame(&mut out, &payload);
-    }
-    let mut index = Vec::with_capacity(4 + 32 * entries.len());
-    index.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (start, window, offset, len, level) in &entries {
-        index.extend_from_slice(&start.to_le_bytes());
-        index.extend_from_slice(&window.to_le_bytes());
+    // order, which is what keeps f64 replay bitwise. The index collects
+    // `(start, window, offset, len, level)` per block as they go out.
+    let mut index = Vec::with_capacity(4 + 32 * n_nodes);
+    index.extend_from_slice(&(n_nodes as u32).to_le_bytes());
+    let mut block = Vec::new();
+    for node in model.nodes() {
+        encode_node(&mut block, node, tier);
+        let offset = frame(w, &block)?;
+        index.extend_from_slice(&(node.start as u64).to_le_bytes());
+        index.extend_from_slice(&(node.window as u64).to_le_bytes());
         index.extend_from_slice(&offset.to_le_bytes());
-        index.extend_from_slice(&len.to_le_bytes());
-        index.extend_from_slice(&level.to_le_bytes());
+        index.extend_from_slice(&(block.len() as u32).to_le_bytes());
+        index.extend_from_slice(&(node.level as u32).to_le_bytes());
     }
-    let index_offset = out.len() as u64;
-    storage::append_frame(&mut out, &index);
-    let offset_bytes = index_offset.to_le_bytes();
-    out.extend_from_slice(&offset_bytes);
-    out.extend_from_slice(&storage::crc32(&offset_bytes).to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
+    let offset_bytes = frame(w, &index)?.to_le_bytes();
+    w.write_all(&offset_bytes)?;
+    w.write_all(&storage::crc32(&offset_bytes).to_le_bytes())?;
+    w.write_all(TRAILER_MAGIC)?;
     let info = ArchiveInfo {
         tier,
-        n_nodes: nodes.len(),
+        n_nodes,
         n_rows: model.n_rows(),
         n_steps: model.n_steps(),
         dt,
-        bytes: out.len() as u64,
+        bytes: at + TRAILER_LEN as u64,
     };
     // Recorded here rather than in `write_archive` so served archives
-    // (encoded straight onto the wire, never touching disk) count too.
+    // (encoded into the response, never touching disk) count too.
     crate::obs::ARCHIVE_SAVES.inc();
     crate::obs::ARCHIVE_BYTES.add(info.bytes);
-    (out, info)
+    Ok(info)
 }
 
 /// Writes `model` as an archive at `path` — atomically (temp sibling +
-/// rename + fsync), like every other persistent artefact.
+/// rename + fsync), like every other persistent artefact. The archive is
+/// streamed through [`encode_archive`] into the buffered temp file, so the
+/// write holds one node block rather than a second copy of the tree; on
+/// any error nothing appears under `path`.
 pub fn write_archive(
     model: &IMrDmd,
     path: &Path,
     tier: QuantTier,
 ) -> Result<ArchiveInfo, ArchiveError> {
     let _span = crate::obs::ARCHIVE_NS.span();
-    let (bytes, info) = archive_bytes(model, tier);
-    storage::atomic_write(path, &bytes, true)?;
-    Ok(info)
+    Ok(storage::atomic_write(path, true, |w| {
+        encode_archive(model, tier, w)
+    })?)
 }
 
 // ---------------------------------------------------------------------------
@@ -944,11 +964,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A write into a directory that does not exist is an I/O error and
+    /// leaves nothing behind: no archive, no temp sibling, no directory.
+    #[test]
+    fn write_into_a_missing_directory_is_an_io_error() {
+        let dir = scratch("missing");
+        let missing = dir.join("no-such-dir");
+        let result = write_archive(&fitted(8, 128), &missing.join("model.arch"), QuantTier::F64);
+        assert!(matches!(result, Err(ArchiveError::Io(_))), "{result:?}");
+        assert!(!missing.exists());
+        assert_eq!(std::fs::read_dir(&dir).expect("scan").count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn q16_is_much_smaller_than_the_checkpoint_form() {
         let model = fitted(48, 2048);
-        let (f64_bytes, _) = archive_bytes(&model, QuantTier::F64);
-        let (q16_bytes, _) = archive_bytes(&model, QuantTier::Q16);
+        let encode = |tier| {
+            let mut bytes = Vec::new();
+            let info = encode_archive(&model, tier, &mut bytes).expect("encode");
+            assert_eq!(info.bytes, bytes.len() as u64);
+            bytes
+        };
+        let (f64_bytes, q16_bytes) = (encode(QuantTier::F64), encode(QuantTier::Q16));
         assert!(
             (q16_bytes.len() as f64) < 0.4 * f64_bytes.len() as f64,
             "q16 {} vs f64 {}",

@@ -32,6 +32,7 @@
 //! [`IMrDmd::reconstruct`]: crate::imrdmd::IMrDmd::reconstruct
 
 use crate::storage::{self, crc32, HeaderError};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// First token of every checkpoint file.
@@ -105,32 +106,30 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Serialises `state` into the checkpoint wire format (header + payload).
-fn encode<T: serde::Serialize>(state: &T) -> Result<String, CheckpointError> {
-    let payload =
-        serde_json::to_string(state).map_err(|e| CheckpointError::Codec(e.to_string()))?;
-    let crc = crc32(payload.as_bytes());
-    let len = payload.len().to_string();
-    let crc_hex = format!("{crc:08x}");
-    let mut out =
-        storage::format_text_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[&len, &crc_hex]);
-    out.push_str(&payload);
-    Ok(out)
-}
-
 /// Writes any serialisable `state` to `path` atomically (unique temp
-/// sibling + rename + fsync) in the versioned, checksummed wire format.
-/// The serving layer persists whole shards (model + ingest guard) this
-/// way; a bare [`IMrDmd`](crate::imrdmd::IMrDmd) round-trips the same.
+/// sibling + rename + fsync) in the versioned, checksummed wire format:
+/// the header line, then the payload, streamed through
+/// [`storage::atomic_write`] without joining the two in memory. The
+/// serving layer persists whole shards (model + ingest guard) this way; a
+/// bare [`IMrDmd`](crate::imrdmd::IMrDmd) round-trips the same.
 pub fn save_state_checkpoint<T: serde::Serialize>(
     state: &T,
     path: &Path,
 ) -> Result<(), CheckpointError> {
     let _span = crate::obs::CHECKPOINT_NS.span();
-    let bytes = encode(state)?;
+    let payload =
+        serde_json::to_string(state).map_err(|e| CheckpointError::Codec(e.to_string()))?;
+    let len = payload.len().to_string();
+    let crc_hex = format!("{:08x}", crc32(payload.as_bytes()));
+    let header =
+        storage::format_text_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[&len, &crc_hex]);
     crate::obs::CHECKPOINT_SAVES.inc();
-    crate::obs::CHECKPOINT_BYTES.add(bytes.len() as u64);
-    storage::atomic_write(path, bytes.as_bytes(), true).map_err(CheckpointError::Io)
+    crate::obs::CHECKPOINT_BYTES.add((header.len() + payload.len()) as u64);
+    storage::atomic_write(path, true, |w| {
+        w.write_all(header.as_bytes())?;
+        w.write_all(payload.as_bytes())
+    })
+    .map_err(CheckpointError::Io)
 }
 
 /// Restores any state written by [`save_state_checkpoint`], verifying

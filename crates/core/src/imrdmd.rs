@@ -32,7 +32,7 @@ use crate::mrdmd::{
     join_sized, reconstruct_nodes, Grid, ModeSet, MrDmd, MrDmdConfig, Subtree, TreeSource,
 };
 use hpc_linalg::pool::WorkerPool;
-use hpc_linalg::{EigStats, IncrementalSvd, Mat, SketchSvd};
+use hpc_linalg::{EigStats, IncrementalSvd, LinAlgError, Mat, SketchSvd};
 use serde::{Deserialize, Serialize};
 
 /// Decimated columns per pass of the drift scan: bounds its two
@@ -520,6 +520,7 @@ impl IMrDmd {
         let mut drift = 0.0f64;
         let mut root_failed = false;
         let mut new_modes = 0usize;
+        let mut isvd_drift = None;
         // An empty batch changes nothing, not even the drift log.
         if t1 > 0 {
             // (3) The window this round flushes is known before the root
@@ -576,6 +577,7 @@ impl IMrDmd {
             );
             n_new = step.n_new;
             root_failed = step.failed;
+            isvd_drift = step.isvd_drift;
 
             // (4) The multiresolution recursion over the flushed window, its
             // level-2 node fitted beside (5) the drift of the root
@@ -614,7 +616,7 @@ impl IMrDmd {
         crate::obs::FIT_FAULTS.add(new_faults as u64);
         crate::obs::ROUND_PENDING.set(self.pending.cols() as f64);
         crate::obs::ROUND_DRIFT.set(drift);
-        let health = self.health();
+        let health = self.health_with(isvd_drift);
         crate::obs::HEALTH_COVERAGE.set(health.coverage);
         RoundReport {
             batch_len: t1,
@@ -646,6 +648,7 @@ impl IMrDmd {
         }
         let n_new = new_cols.len();
         let old_sub_cols = self.sub_data.cols();
+        let mut isvd_drift = None;
         if n_new > 0 {
             let mut block = Mat::zeros(self.p, n_new);
             for (k, &c) in new_cols.iter().enumerate() {
@@ -666,9 +669,18 @@ impl IMrDmd {
             // residual directions are folded in, never drifted past).
             if let Some(sk) = &mut self.sketch {
                 sk.absorb(&x_block);
-            } else if let Err(e) = self.isvd.try_update(&x_block) {
-                self.isvd_drift_breaches += 1;
-                self.last_error = Some(e.to_string());
+            } else {
+                isvd_drift = match self.isvd.try_update(&x_block) {
+                    Ok(drift) => Some(drift),
+                    Err(e) => {
+                        self.isvd_drift_breaches += 1;
+                        self.last_error = Some(e.to_string());
+                        match e {
+                            LinAlgError::OrthogonalityDrift { drift, .. } => Some(drift),
+                            _ => None,
+                        }
+                    }
+                };
             }
             self.sub_data = self.sub_data.hstack(&block);
         }
@@ -706,6 +718,7 @@ impl IMrDmd {
             old_sub_cols,
             old_root,
             failed,
+            isvd_drift,
         }
     }
 
@@ -801,6 +814,12 @@ impl IMrDmd {
     /// statistics. Derived from serialized state, so a model restored from a
     /// checkpoint reports the identical snapshot.
     pub fn health(&self) -> HealthSnapshot {
+        self.health_with(None)
+    }
+
+    /// [`IMrDmd::health`] with the streaming SVD's drift already measured
+    /// (`Some`), as a round that updated it has; `None` measures it here.
+    fn health_with(&self, isvd_drift: Option<f64>) -> HealthSnapshot {
         // Per-level tallies: materialised nodes are healthy by construction
         // (a failed fit never produces a node); recorded faults are the
         // degraded windows. The root's slot at level 1 follows root_health.
@@ -847,7 +866,7 @@ impl IMrDmd {
                 last_eig_iterations: self.last_eig_iterations,
                 last_eig_restarts: self.last_eig_restarts,
                 last_inner_svd_sweeps: self.isvd.last_inner_sweeps(),
-                isvd_drift: self.isvd.orthogonality_drift(),
+                isvd_drift: isvd_drift.unwrap_or_else(|| self.isvd.orthogonality_drift()),
                 isvd_drift_breaches: self.isvd_drift_breaches,
             },
         }
@@ -1141,6 +1160,10 @@ struct RootStep {
     old_root: Option<ModeSet>,
     /// Whether the root solve failed.
     failed: bool,
+    /// The streaming SVD's post-repair orthogonality drift, when this round
+    /// updated it exactly; the round's health snapshot reports it instead
+    /// of taking the Gram product again.
+    isvd_drift: Option<f64>,
 }
 
 /// The drift scan's inputs besides the new root: the root it replaced and

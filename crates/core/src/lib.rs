@@ -59,7 +59,7 @@ pub mod windowed;
 /// Convenient glob import of the main types.
 pub mod prelude {
     pub use crate::archive::{
-        archive_bytes, write_archive, ArchiveError, ArchiveInfo, ArchiveReader, QuantTier,
+        encode_archive, write_archive, ArchiveError, ArchiveInfo, ArchiveReader, QuantTier,
     };
     pub use crate::baseline::{
         classify, embedding_2d, row_mode_magnitudes, select_baseline_rows, NodeState, ZScores,

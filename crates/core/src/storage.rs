@@ -10,19 +10,23 @@
 //! * [`format_text_header`] / [`read_text_header`] — the one-line
 //!   `MAGIC v<version> <tokens...>\n` versioned header, read with a
 //!   bounded read that decodes only that line as text;
-//! * [`atomic_write`] — unique temp sibling + rename + file fsync +
-//!   parent-directory fsync, so a crash mid-write can never leave a torn
-//!   file under the final name;
-//! * [`append_frame`] / [`BlockReader`] / [`read_block_at`] — the
-//!   `[u32 len LE][u32 crc32 LE][payload]` block framing, with sequential
-//!   intact-prefix scans (WAL recovery) and seekable single-block reads
-//!   (archive replay);
+//! * [`atomic_write`] — the one durable write: it hands the caller a
+//!   buffered writer on a unique temp sibling, then flushes, fsyncs,
+//!   renames and fsyncs the parent directory, so a crash mid-write can
+//!   never leave a torn file under the final name. Callers stream into it
+//!   (the archive one node block at a time, the WAL rewrite one frame at a
+//!   time), so no caller has to assemble the whole file in memory first;
+//! * [`write_frame`] / [`BlockReader`] / [`read_block_at`] — the
+//!   `[u32 len LE][u32 crc32 LE][payload]` block framing: one frame writer
+//!   for every sink ([`encode_frame`] is it applied to a `Vec`), with
+//!   sequential intact-prefix scans (WAL recovery) and seekable
+//!   single-block reads (archive replay);
 //! * [`ByteReader`] — the checked reader every payload decodes through;
 //! * [`list_dir`] — the directory walk behind checkpoint and WAL discovery;
 //! * [`prune_keep_last`] — keep-last-K retention over `(sort-key, path)`
 //!   file lists, returning the truncation floor a WAL may advance to.
 
-use std::io::{Read, Seek, Write};
+use std::io::{BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,18 +105,31 @@ pub fn unique_tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Writes `bytes` to `path` atomically: unique temp sibling, then rename.
-/// With `durable` set, the file is fsynced before the rename and the
-/// parent directory after it, so a crash can neither tear the file nor
-/// revert an acked write. Without it the fsyncs are skipped — the caller
-/// has decided the content is already covered by some other durable
-/// artefact (e.g. a WAL retention rewrite right after a durable
-/// checkpoint). On failure the temp sibling is removed best-effort.
-pub fn atomic_write(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result<()> {
+/// Capacity of the buffered writer [`atomic_write`] hands its caller:
+/// large enough that small frame heads and header lines coalesce into few
+/// writes, while a payload at least this long goes straight to the file.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// Writes a file at `path` atomically by streaming: `write` fills a
+/// buffered writer on a unique temp sibling, which is then flushed and
+/// renamed into place. With `durable` set, the file is fsynced before the
+/// rename and the parent directory after it, so a crash can neither tear
+/// the file nor revert an acked write. Without it the fsyncs are skipped —
+/// the caller has decided the content is already covered by some other
+/// durable artefact (e.g. a WAL retention rewrite right after a durable
+/// checkpoint). On any failure, including an error `write` returns
+/// mid-stream, the temp sibling is removed best-effort and the previous
+/// content at `path` is untouched. Returns what `write` returned.
+pub fn atomic_write<T>(
+    path: &Path,
+    durable: bool,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<T>,
+) -> std::io::Result<T> {
     let tmp = unique_tmp_path(path);
     let wrote = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let mut w = BufWriter::with_capacity(WRITE_BUFFER, std::fs::File::create(&tmp)?);
+        let out = write(&mut w)?;
+        let f = w.into_inner().map_err(|e| e.into_error())?;
         if durable {
             // Flush to stable storage before the rename makes the file
             // visible under its final name; a crash before this point
@@ -126,13 +143,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result
             // A bare relative filename has `Some("")` as its parent,
             // which opens as ENOENT — that means the current directory.
             match path.parent() {
-                Some(parent) if parent.as_os_str().is_empty() => fsync_dir(Path::new(".")),
-                Some(parent) => fsync_dir(parent),
-                None => Ok(()),
+                Some(parent) if parent.as_os_str().is_empty() => fsync_dir(Path::new("."))?,
+                Some(parent) => fsync_dir(parent)?,
+                None => {}
             }
-        } else {
-            Ok(())
         }
+        Ok(out)
     })();
     if wrote.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -350,18 +366,21 @@ impl From<std::io::Error> for BlockError {
     }
 }
 
-/// Appends `[u32 len LE][u32 crc32 LE][payload]` to `out`.
-pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.reserve(FRAME_HEAD + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Writes one frame, `[u32 len LE][u32 crc32 LE][payload]`, to `w`: the
+/// one framing body every format's blocks go through.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(payload)
 }
 
-/// One block as a standalone frame byte vector.
+/// One block as a standalone frame byte vector: [`write_frame`] applied
+/// to a `Vec`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEAD + payload.len());
-    append_frame(&mut out, payload);
+    // Writing into a `Vec` cannot fail.
+    #[allow(clippy::expect_used)]
+    write_frame(&mut out, payload).expect("a Vec sink is infallible");
     out
 }
 
@@ -559,9 +578,9 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"HDR\n");
         let a = buf.len() as u64;
-        append_frame(&mut buf, b"first");
+        write_frame(&mut buf, b"first").expect("frame");
         let b = buf.len() as u64;
-        append_frame(&mut buf, b"second-block");
+        write_frame(&mut buf, b"second-block").expect("frame");
         assert_eq!(a, 4);
         assert_eq!(b, 4 + FRAME_HEAD as u64 + 5);
         let mut cur = std::io::Cursor::new(&buf);
@@ -572,10 +591,10 @@ mod tests {
     #[test]
     fn sequential_scan_stops_at_damage() {
         let mut buf = Vec::new();
-        append_frame(&mut buf, b"one");
-        append_frame(&mut buf, b"two");
+        write_frame(&mut buf, b"one").expect("frame");
+        write_frame(&mut buf, b"two").expect("frame");
         let intact_len = buf.len();
-        append_frame(&mut buf, b"three");
+        write_frame(&mut buf, b"three").expect("frame");
         let at = buf.len() - 2;
         buf[at] ^= 0x10; // bit-flip inside the last payload
         let mut r = BlockReader::new(&buf, 0);
@@ -644,8 +663,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("file.bin");
-        atomic_write(&path, b"v1", true).expect("write");
-        atomic_write(&path, b"v2", false).expect("overwrite");
+        atomic_write(&path, true, |w| w.write_all(b"v1")).expect("write");
+        atomic_write(&path, false, |w| w.write_all(b"v2")).expect("overwrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"v2");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .expect("scan")
@@ -653,6 +672,34 @@ mod tests {
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty(), "no temp siblings survive");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A writer that fails after streaming part of the file leaves the
+    /// previous content at the target and no temp sibling behind.
+    #[test]
+    fn atomic_write_failing_mid_stream_keeps_the_old_file() {
+        let dir = std::env::temp_dir().join(format!("imrdmd-storage-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("file.bin");
+        atomic_write(&path, true, |w| w.write_all(b"old")).expect("write");
+        let failed = atomic_write(&path, true, |w| {
+            // Past the buffer, so part of it has reached the temp file.
+            w.write_all(&vec![7u8; 2 * WRITE_BUFFER])?;
+            Err::<(), _>(std::io::Error::other("encoder failed"))
+        });
+        assert_eq!(
+            failed.expect_err("error propagates").to_string(),
+            "encoder failed"
+        );
+        assert_eq!(std::fs::read(&path).expect("read"), b"old");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("scan")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["file.bin"], "no temp sibling survives");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -666,7 +713,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let prev = std::env::current_dir().expect("cwd");
         std::env::set_current_dir(&dir).expect("chdir");
-        let result = atomic_write(Path::new("bare.bin"), b"payload", true);
+        let result = atomic_write(Path::new("bare.bin"), true, |w| w.write_all(b"payload"));
         let content = std::fs::read("bare.bin");
         std::env::set_current_dir(prev).expect("chdir back");
         result.expect("durable write with empty parent");

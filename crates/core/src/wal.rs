@@ -396,13 +396,14 @@ impl Wal {
         if scan.valid_end == bytes.len() && scan.frames.iter().all(|(_, f)| keep(f)) {
             return Ok(());
         }
-        let mut out = Vec::with_capacity(bytes.len());
-        out.extend_from_slice(&bytes[..scan.header_end]);
-        for (payload, _) in scan.frames.iter().filter(|(_, f)| keep(f)) {
-            storage::append_frame(&mut out, payload);
-        }
         let durable = self.durability == Durability::Batch;
-        storage::atomic_write(&self.path, &out, durable)?;
+        storage::atomic_write(&self.path, durable, |w| {
+            w.write_all(&bytes[..scan.header_end])?;
+            for (payload, _) in scan.frames.iter().filter(|(_, f)| keep(f)) {
+                storage::write_frame(w, payload)?;
+            }
+            Ok(())
+        })?;
         self.file = std::fs::OpenOptions::new()
             .read(true)
             .append(true)

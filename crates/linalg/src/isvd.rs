@@ -17,7 +17,7 @@
 //! a tolerance.
 
 use crate::error::LinAlgError;
-use crate::gemm::{gemm, Trans};
+use crate::gemm::{gemm, gram_unrecorded, Trans};
 use crate::mat::Mat;
 use crate::qr::{orthonormal_complement, orthonormal_complement_rows, qr};
 use crate::svd::{scale_cols, svd_truncated, svd_with_stats, Svd};
@@ -128,16 +128,21 @@ impl IncrementalSvd {
     /// [`LinAlgError::OrthogonalityDrift`]. The update itself has been
     /// applied in either case; the error is a health signal, not a rollback.
     ///
+    /// On success returns the post-repair drift the update measured —
+    /// bitwise [`IncrementalSvd::orthogonality_drift`] of the new basis — so
+    /// a caller that reports it need not take the Gram product again. An
+    /// empty block changes nothing and returns the current drift.
+    ///
     /// # Panics
     /// Panics if the row count differs from the initial block.
-    pub fn try_update(&mut self, block: &Mat) -> Result<(), LinAlgError> {
+    pub fn try_update(&mut self, block: &Mat) -> Result<f64, LinAlgError> {
         assert_eq!(
             block.rows(),
             self.u.rows(),
             "row count must match the stream"
         );
         if block.cols() == 0 {
-            return Ok(());
+            return Ok(self.orthogonality_drift());
         }
         let _span = crate::obs::ISVD_UPDATE_NS.span();
         crate::obs::ISVD_UPDATES.inc();
@@ -224,14 +229,14 @@ impl IncrementalSvd {
     }
 
     /// Post-repair drift verdict shared by the fallible updates.
-    fn check_drift(&self, drift: f64) -> Result<(), LinAlgError> {
+    fn check_drift(&self, drift: f64) -> Result<f64, LinAlgError> {
         if drift > self.reorth_tol {
             Err(LinAlgError::OrthogonalityDrift {
                 drift,
                 tolerance: self.reorth_tol,
             })
         } else {
-            Ok(())
+            Ok(drift)
         }
     }
 
@@ -340,9 +345,11 @@ impl IncrementalSvd {
         self.last_inner_sweeps
     }
 
-    /// Largest deviation of the left basis from orthonormality.
+    /// Largest deviation of the left basis from orthonormality,
+    /// `‖UᵀU − I‖_F`. The Gram product is a health measurement, not fit
+    /// work, so it stays out of the gemm counters.
     pub fn orthogonality_drift(&self) -> f64 {
-        let g = self.u.t_matmul(&self.u);
+        let g = gram_unrecorded(&self.u);
         g.sub(&Mat::identity(self.u.cols())).fro_norm()
     }
 
@@ -543,8 +550,14 @@ mod tests {
         let a = test_matrix(20, 40);
         let mut inc = IncrementalSvd::new(&a.cols_range(0, 10), 8);
         for start in (10..40).step_by(6) {
-            inc.try_update(&a.cols_range(start, (start + 6).min(40)))
+            let drift = inc
+                .try_update(&a.cols_range(start, (start + 6).min(40)))
                 .unwrap();
+            let recomputed = inc.orthogonality_drift();
+            assert_eq!(drift.to_bits(), recomputed.to_bits(), "reported drift");
+            let t_matmul = inc.u().t_matmul(inc.u());
+            let reference = t_matmul.sub(&Mat::identity(inc.rank())).fro_norm();
+            assert_eq!(drift.to_bits(), reference.to_bits(), "Gram route");
         }
         assert!(inc.last_inner_sweeps() >= 1);
         // Rank-collapsing blocks (all-constant columns) must also pass.

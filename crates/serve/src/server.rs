@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use hpc_linalg::Mat;
 use hpc_telemetry::read_snapshots_csv;
-use imrdmd::archive::{archive_bytes, QuantTier};
+use imrdmd::archive::{encode_archive, QuantTier};
 use imrdmd::wal::Durability;
 use imrdmd::{mode_spectrum, GapPolicy, IMrDmdConfig};
 use serde::Serialize;
@@ -342,11 +342,16 @@ fn dispatch(state: &ServerState, req: &Request) -> Result<Response, ServeError> 
             };
             let cell = state.manager.existing_shard(tenant)?;
             let shard = lock_shard(&cell);
-            let (bytes, _info) = shard.with_model(|m| archive_bytes(m, tier))?;
+            let mut body = Vec::new();
+            // Encoding into a `Vec` cannot fail.
+            #[allow(clippy::expect_used)]
+            shard
+                .with_model(|m| encode_archive(m, tier, &mut body))?
+                .expect("a Vec sink is infallible");
             Ok(Response {
                 status: 200,
                 content_type: "application/octet-stream",
-                body: bytes,
+                body,
                 close: false,
                 retry_after: None,
             })

@@ -3,6 +3,11 @@
 //! reconstructs within its advertised relative-error bound, the f64 tier is
 //! bitwise, and arbitrary time ranges replay identically to the in-memory
 //! reconstruction of the same range — from the archive file alone.
+//!
+//! `tests/fixtures/archive_digests.txt` pins the archive bytes themselves:
+//! the FNV-1a 64-bit digest of each tier's archive of one fixed streamed
+//! model, so any change to the encoder's output shows up as a changed
+//! digest. On a mismatch the test prints the freshly computed fixture.
 
 use mrdmd_suite::prelude::*;
 use proptest::prelude::*;
@@ -29,6 +34,78 @@ fn fitted(n_nodes: usize, total: usize, seed: u64, levels: usize, rank: RankSele
         ..IMrDmdConfig::default()
     };
     IMrDmd::fit(&data, &cfg)
+}
+
+const DIGESTS: &str = "tests/fixtures/archive_digests.txt";
+
+/// FNV-1a, 64-bit, of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A tree fitted on 128 snapshots and streamed through four rounds with
+/// `min_window = 16`: a 48-step batch flushed where it lies, two short
+/// batches (5 and 9 steps) held as a pending carry, and a 40-step batch
+/// that flushes the carry together with itself.
+fn streamed() -> IMrDmd {
+    let signal = |t0: usize, cols: usize, seed: usize| {
+        Mat::from_fn(12, cols, |i, j| {
+            let t = (t0 + j) as f64 * 0.5;
+            let x = i as f64 / 12.0;
+            (0.03 * t + 2.0 * x + seed as f64).sin()
+                + 0.4 * (0.7 * t + 4.0 * x).cos()
+                + 0.05 * (3.1 * t + 9.0 * x + 0.3 * seed as f64).sin()
+        })
+    };
+    let cfg = IMrDmdConfig {
+        mr: MrDmdConfig {
+            dt: 0.5,
+            max_levels: 3,
+            max_cycles: 2,
+            rank: RankSelection::Svht,
+            min_window: 16,
+            ..MrDmdConfig::default()
+        },
+        ..IMrDmdConfig::default()
+    };
+    let mut model = IMrDmd::fit(&signal(0, 128, 0), &cfg);
+    let mut t = 128;
+    for (k, len) in [48, 5, 9, 40].into_iter().enumerate() {
+        let report = model.partial_fit(&signal(t, len, k + 1));
+        assert_eq!(report.pending > 0, k == 1 || k == 2, "round {k} carry");
+        t += len;
+    }
+    model
+}
+
+/// Every tier's archive of [`streamed`] is byte-for-byte the recorded one.
+#[test]
+fn archive_bytes_match_recorded_digests() {
+    let model = streamed();
+    let got: String = [QuantTier::F64, QuantTier::F32, QuantTier::Q16]
+        .into_iter()
+        .map(|tier| {
+            let path = scratch(&format!("digest-{}.{tier}.arch", std::process::id()));
+            let info = write_archive(&model, &path, tier).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(info.bytes, bytes.len() as u64);
+            format!("{tier} {:016x}\n", fnv1a(&bytes))
+        })
+        .collect();
+    let path = format!("{}/{DIGESTS}", env!("CARGO_MANIFEST_DIR"));
+    let want: String = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        got == want,
+        "archive digests diverged from {DIGESTS}\n--- recorded ---\n{want}--- computed ---\n{got}"
+    );
 }
 
 proptest! {

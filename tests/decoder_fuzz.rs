@@ -88,8 +88,8 @@ fn fixtures() -> &'static Fixtures {
         save_state_checkpoint(&shard.snapshot().unwrap(), &ckpt).unwrap();
         let fx = Fixtures {
             wal: std::fs::read(Wal::path_for(&dir, SHARD)).unwrap(),
-            f64_archive: archive_bytes(&model, QuantTier::F64).0,
-            q16_archive: archive_bytes(&model, QuantTier::Q16).0,
+            f64_archive: archive(&model, QuantTier::F64),
+            q16_archive: archive(&model, QuantTier::Q16),
             checkpoint: std::fs::read(&ckpt).unwrap(),
             csv: {
                 let mut csv = Vec::new();
@@ -100,6 +100,12 @@ fn fixtures() -> &'static Fixtures {
         let _ = std::fs::remove_dir_all(&dir);
         fx
     })
+}
+
+fn archive(model: &IMrDmd, tier: QuantTier) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_archive(model, tier, &mut bytes).unwrap();
+    bytes
 }
 
 fn header_end(bytes: &[u8]) -> usize {
