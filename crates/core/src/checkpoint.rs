@@ -247,8 +247,13 @@ pub fn shard_checkpoint_history(
 /// Periodic checkpoint driver for one shard namespace: call
 /// [`Checkpointer::due`] once per absorbed batch, and when it says so write
 /// the state with [`Checkpointer::write_state`] as
-/// `ckpt-<shard>-<steps>.ckpt`, pruning all but the newest
-/// [`Checkpointer::with_retention`] files after each write.
+/// `ckpt-<shard>-<steps>.ckpt`, keeping the newest
+/// [`Checkpointer::with_retention`] files.
+///
+/// Retention runs from memory: the checkpointer lists its namespace in the
+/// directory once, on its first save, and from then on records its own
+/// writes and deletions. It assumes it is the one writer of its namespace,
+/// which the daemon's one shard per tenant guarantees.
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
@@ -256,6 +261,9 @@ pub struct Checkpointer {
     since: usize,
     shard: String,
     keep: usize,
+    /// This namespace's checkpoints as `(steps, path)`, the latest save
+    /// first: `None` until the first save lists the directory.
+    retained: Option<Vec<(u64, PathBuf)>>,
 }
 
 impl Checkpointer {
@@ -283,6 +291,7 @@ impl Checkpointer {
             since: 0,
             shard: shard.to_string(),
             keep: 3,
+            retained: None,
         })
     }
 
@@ -293,6 +302,11 @@ impl Checkpointer {
     pub fn with_retention(mut self, keep: usize) -> Checkpointer {
         self.keep = keep;
         self
+    }
+
+    /// The keep-last-K retention budget.
+    pub fn retention(&self) -> usize {
+        self.keep
     }
 
     /// Registers one absorbed batch; true when a checkpoint is due (every
@@ -307,37 +321,172 @@ impl Checkpointer {
     }
 
     /// Writes arbitrary serialisable state unconditionally, keyed by
-    /// `steps` in the file name.
+    /// `steps` in the file name, applies retention, and returns the steps
+    /// of the oldest checkpoint still on disk: the floor a WAL can
+    /// truncate to while every retained checkpoint stays a valid replay
+    /// base. A file whose deletion failed stays counted, so the floor
+    /// never passes it.
+    ///
+    /// With `keep ≥ 2` the files this save retires are unlinked *before*
+    /// the new file is written, so the directory fsync that makes the
+    /// rename durable commits the unlinks too: one file fsync and one
+    /// directory fsync per save. The newest checkpoint already on disk is
+    /// never among them, so a crash at any point leaves it in place. With
+    /// `keep == 1` the one old file can go only after the new one is
+    /// durable, which costs a second directory fsync.
+    ///
+    /// The first save lists the directory; later ones list nothing. A
+    /// failed listing fails the save before anything is written.
     pub fn write_state<T: serde::Serialize>(
-        &self,
+        &mut self,
         steps: usize,
         state: &T,
-    ) -> Result<PathBuf, CheckpointError> {
+    ) -> Result<u64, CheckpointError> {
         let path = self
             .dir
             .join(format!("ckpt-{}-{steps:012}.ckpt", self.shard));
-        save_state_checkpoint(state, &path)?;
-        // Retention is best-effort: a failed prune never fails the save
-        // that just succeeded.
-        let _ = self.prune();
-        Ok(path)
+        let steps = steps as u64;
+        let mut retained = match self.retained.take() {
+            Some(r) => r,
+            None => shard_checkpoint_history(&self.dir, &self.shard)?,
+        };
+        // The new file replaces any checkpoint at its own path.
+        retained.retain(|(s, _)| *s != steps);
+        let mut deleted = 0;
+        if self.keep >= 2 {
+            deleted += storage::prune_keep_last(&mut retained, self.keep - 1);
+        }
+        let saved = save_state_checkpoint(state, &path);
+        if saved.is_ok() {
+            retained.insert(0, (steps, path));
+            if self.keep == 1 {
+                let late = storage::prune_keep_last(&mut retained, 1);
+                if late > 0 {
+                    let _ = storage::fsync_dir(&self.dir);
+                }
+                deleted += late;
+            }
+        }
+        crate::obs::CHECKPOINT_PRUNED.add(deleted as u64);
+        let floor = retained.iter().map(|(s, _)| *s).min();
+        self.retained = Some(retained);
+        saved?;
+        Ok(floor.unwrap_or(steps))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("imrdmd-ckpt-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
     }
 
-    /// Deletes all but the newest `keep` checkpoints in this namespace
-    /// (never the newest — the file most recently written) and returns
-    /// the steps of the oldest *surviving* checkpoint, which is the floor
-    /// a WAL can truncate to while every retained checkpoint stays a
-    /// valid replay base. No-op (returning the current floor) when
-    /// retention is disabled or nothing is due.
-    pub fn prune(&self) -> Result<Option<u64>, CheckpointError> {
-        let files = shard_checkpoint_history(&self.dir, &self.shard)?;
-        let pruned = storage::prune_keep_last(&files, self.keep);
-        for _ in 0..pruned.deleted {
-            crate::obs::CHECKPOINT_PRUNED.inc();
+    fn plant(dir: &Path, shard: &str, steps: u64) -> PathBuf {
+        let path = dir.join(format!("ckpt-{shard}-{steps:012}.ckpt"));
+        std::fs::write(&path, b"older").expect("plant");
+        path
+    }
+
+    fn steps_on_disk(dir: &Path, shard: &str) -> Vec<u64> {
+        shard_checkpoint_history(dir, shard)
+            .expect("list")
+            .into_iter()
+            .map(|(s, _)| s)
+            .collect()
+    }
+
+    /// The first save lists what earlier runs left, keeps exactly `keep`
+    /// files of its own namespace, leaves other namespaces alone and
+    /// reports the oldest retained file as the floor.
+    #[test]
+    fn first_save_prunes_what_earlier_runs_left() {
+        let dir = scratch("inherit");
+        for s in [10, 20, 30, 40, 50] {
+            plant(&dir, "a", s);
         }
-        if pruned.deleted > 0 {
-            let _ = storage::fsync_dir(&self.dir);
+        let others = [plant(&dir, "b", 5), plant(&dir, "b", 60)];
+        let mut ck = Checkpointer::for_shard(&dir, 1, "a")
+            .expect("ck")
+            .with_retention(3);
+        assert_eq!(ck.write_state(60, &vec![1.0f64]).expect("save"), 40);
+        assert_eq!(steps_on_disk(&dir, "a"), [60, 50, 40]);
+        assert_eq!(ck.write_state(70, &vec![2.0f64]).expect("save"), 50);
+        assert_eq!(steps_on_disk(&dir, "a"), [70, 60, 50]);
+        assert!(others.iter().all(|p| p.exists()), "namespace b untouched");
+        assert_eq!(steps_on_disk(&dir, "b"), [60, 5]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After its first save a checkpointer lists nothing: a file planted
+    /// behind its back is not its own and is never pruned, so the floor
+    /// follows the files it wrote.
+    #[test]
+    fn later_saves_run_from_memory() {
+        let dir = scratch("memory");
+        let mut ck = Checkpointer::for_shard(&dir, 1, "a")
+            .expect("ck")
+            .with_retention(2);
+        assert_eq!(ck.write_state(10, &1u64).expect("save"), 10);
+        let stray = plant(&dir, "a", 1);
+        assert_eq!(ck.write_state(20, &2u64).expect("save"), 10);
+        assert_eq!(ck.write_state(30, &3u64).expect("save"), 20);
+        assert!(stray.exists());
+        assert_eq!(steps_on_disk(&dir, "a"), [30, 20, 1]);
+        // Saving again at the same steps replaces that file in place.
+        assert_eq!(ck.write_state(30, &4u64).expect("save"), 20);
+        assert_eq!(steps_on_disk(&dir, "a"), [30, 20, 1]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn keep_one_and_keep_zero() {
+        let dir = scratch("keep01");
+        for s in [10, 20] {
+            plant(&dir, "one", s);
+            plant(&dir, "all", s);
         }
-        Ok(pruned.floor)
+        let mut one = Checkpointer::for_shard(&dir, 1, "one")
+            .expect("ck")
+            .with_retention(1);
+        assert_eq!(one.write_state(30, &1u64).expect("save"), 30);
+        assert_eq!(steps_on_disk(&dir, "one"), [30]);
+        assert_eq!(one.write_state(40, &2u64).expect("save"), 40);
+        assert_eq!(steps_on_disk(&dir, "one"), [40]);
+        let mut all = Checkpointer::for_shard(&dir, 1, "all")
+            .expect("ck")
+            .with_retention(0);
+        assert_eq!(all.write_state(30, &1u64).expect("save"), 10);
+        assert_eq!(all.write_state(40, &2u64).expect("save"), 10);
+        assert_eq!(steps_on_disk(&dir, "all"), [40, 30, 20, 10]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that cannot be deleted (here a directory under a
+    /// checkpoint's name) stays counted: the floor stops at it instead of
+    /// passing a file still on disk, and later saves retry it.
+    #[test]
+    fn an_undeletable_checkpoint_holds_the_floor() {
+        let dir = scratch("stuck");
+        for s in [20, 30] {
+            plant(&dir, "a", s);
+        }
+        let stuck = dir.join(format!("ckpt-a-{:012}.ckpt", 10));
+        std::fs::create_dir(&stuck).expect("mkdir");
+        let mut ck = Checkpointer::for_shard(&dir, 1, "a")
+            .expect("ck")
+            .with_retention(2);
+        assert_eq!(ck.write_state(40, &1u64).expect("save"), 10);
+        assert_eq!(steps_on_disk(&dir, "a"), [40, 30, 10]);
+        assert_eq!(ck.write_state(50, &2u64).expect("save"), 10);
+        assert_eq!(steps_on_disk(&dir, "a"), [50, 40, 10]);
+        std::fs::remove_dir(&stuck).expect("rmdir");
+        assert_eq!(ck.write_state(60, &3u64).expect("save"), 50);
+        assert_eq!(steps_on_disk(&dir, "a"), [60, 50]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,8 +23,8 @@
 //!   single-block reads (archive replay);
 //! * [`ByteReader`] — the checked reader every payload decodes through;
 //! * [`list_dir`] — the directory walk behind checkpoint and WAL discovery;
-//! * [`prune_keep_last`] — keep-last-K retention over `(sort-key, path)`
-//!   file lists, returning the truncation floor a WAL may advance to.
+//! * [`prune_keep_last`] — keep-last-K retention over a `(sort-key, path)`
+//!   file list, which keeps listing every file it could not delete.
 
 use std::io::{BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -41,12 +41,16 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 30;
 // Checksum
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`.
+/// CRC-32 (IEEE 802.3, reflected) of `data`, eight bytes per step
+/// (slicing-by-8): table `k` advances the register past a byte followed
+/// by `k` zero bytes, so one step folds eight input bytes with eight
+/// independent lookups. A tail shorter than eight bytes goes bytewise.
+/// The values are those of the bytewise table loop.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 == 1 {
@@ -57,11 +61,32 @@ pub fn crc32(data: &[u8]) -> u32 {
             }
             *slot = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
         t
     });
+    let at = |k: usize, x: u32| t[k][(x & 0xFF) as usize];
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        let x = u64::from_le_bytes(*w);
+        let lo = x as u32 ^ crc;
+        let hi = (x >> 32) as u32;
+        crc = at(7, lo)
+            ^ at(6, lo >> 8)
+            ^ at(5, lo >> 16)
+            ^ at(4, lo >> 24)
+            ^ at(3, hi)
+            ^ at(2, hi >> 8)
+            ^ at(1, hi >> 16)
+            ^ at(0, hi >> 24);
+    }
+    for &b in tail {
+        crc = at(0, crc ^ u32::from(b)) ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -493,44 +518,34 @@ pub fn list_dir<T>(
 // Retention
 // ---------------------------------------------------------------------------
 
-/// What a [`prune_keep_last`] pass did.
-#[derive(Debug)]
-pub struct Pruned {
-    /// Files deleted.
-    pub deleted: usize,
-    /// Sort key of the oldest *surviving* file — the floor a dependent
-    /// log may truncate to. `None` when there were no files at all.
-    pub floor: Option<u64>,
-}
-
-/// Keep-last-K retention over `(sort-key, path)` pairs sorted newest
-/// first: deletes everything past the first `keep` entries (never the
-/// newest) and reports the surviving floor. `keep == 0` disables
-/// deletion. Failures to delete are skipped — retention is best-effort
-/// and must never fail the save that triggered it.
-pub fn prune_keep_last(files: &[(u64, PathBuf)], keep: usize) -> Pruned {
-    if files.is_empty() {
-        return Pruned {
-            deleted: 0,
-            floor: None,
-        };
-    }
+/// Keep-last-K retention over a `(sort-key, path)` list ordered newest
+/// first: unlinks every file past the first `keep` and drops it from the
+/// list once it is gone (a file already missing counts as gone). A file
+/// whose unlink fails stays listed, so a floor taken over the list never
+/// passes a file still on disk, and the next pass retries it. `keep == 0`
+/// disables deletion. Failures are not errors: retention is best-effort
+/// and must never fail the save that triggered it. Returns how many files
+/// were deleted.
+pub fn prune_keep_last(files: &mut Vec<(u64, PathBuf)>, keep: usize) -> usize {
     if keep == 0 || files.len() <= keep {
-        return Pruned {
-            deleted: 0,
-            floor: files.last().map(|(s, _)| *s),
-        };
+        return 0;
     }
     let mut deleted = 0;
-    for (_, path) in &files[keep..] {
-        if std::fs::remove_file(path).is_ok() {
-            deleted += 1;
+    let mut rank = 0;
+    files.retain(|(_, path)| {
+        rank += 1;
+        if rank <= keep {
+            return true;
         }
-    }
-    Pruned {
-        deleted,
-        floor: files.get(keep - 1).map(|(s, _)| *s),
-    }
+        match std::fs::remove_file(path) {
+            Ok(()) => {
+                deleted += 1;
+                false
+            }
+            Err(e) => e.kind() != std::io::ErrorKind::NotFound,
+        }
+    });
+    deleted
 }
 
 #[cfg(test)]
@@ -541,7 +556,49 @@ mod tests {
     fn crc32_matches_known_vectors() {
         // IEEE 802.3 reference values.
         assert_eq!(crc32(b""), 0x0000_0000);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    /// The sliced CRC equals the bytewise table loop at every length
+    /// 0..=72 (no, one or several 8-byte steps, with every tail length)
+    /// and at every start offset 0..8 into a seeded buffer.
+    #[test]
+    fn crc32_by_slices_matches_the_bytewise_loop() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 == 1 {
+                        0xEDB8_8320 ^ (crc >> 1)
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            crc ^ 0xFFFF_FFFF
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..80)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=72 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), bytewise(data), "start {start} len {len}");
+            }
+        }
+        assert_eq!(bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -722,11 +779,11 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_newest_and_reports_floor() {
+    fn prune_keeps_newest_and_lists_survivors() {
         let dir = std::env::temp_dir().join(format!("imrdmd-prune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let files: Vec<(u64, PathBuf)> = [40u64, 30, 20, 10]
+        let all: Vec<(u64, PathBuf)> = [40u64, 30, 20, 10]
             .iter()
             .map(|s| {
                 let p = dir.join(format!("f-{s}"));
@@ -734,13 +791,20 @@ mod tests {
                 (*s, p)
             })
             .collect();
-        let pr = prune_keep_last(&files, 2);
-        assert_eq!(pr.deleted, 2);
-        assert_eq!(pr.floor, Some(30));
-        assert!(files[0].1.exists() && files[1].1.exists());
-        assert!(!files[2].1.exists() && !files[3].1.exists());
-        let pr = prune_keep_last(&files[..2], 0);
-        assert_eq!((pr.deleted, pr.floor), (0, Some(30)));
+        let mut files = all.clone();
+        assert_eq!(prune_keep_last(&mut files, 2), 2);
+        assert_eq!(files, all[..2]);
+        assert!(all[0].1.exists() && all[1].1.exists());
+        assert!(!all[2].1.exists() && !all[3].1.exists());
+        assert_eq!(prune_keep_last(&mut files, 0), 0);
+        assert_eq!(files.len(), 2);
+        // A file already gone counts as gone; one that cannot be unlinked
+        // (here a directory) stays listed.
+        std::fs::create_dir(&all[3].1).expect("mkdir entry");
+        let mut files = all.clone();
+        assert_eq!(prune_keep_last(&mut files, 1), 1);
+        assert_eq!(files, [all[0].clone(), all[3].clone()]);
+        assert!(all[3].1.is_dir());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -192,6 +192,9 @@ pub struct Shard {
     checkpointer: Option<Checkpointer>,
     wal: Option<Wal>,
     degraded_cause: Option<String>,
+    /// Checkpoint saves still to pass before the WAL is next rewritten:
+    /// 0 at birth, so the first save trims what came before it.
+    wal_saves_left: usize,
 }
 
 impl Shard {
@@ -218,6 +221,7 @@ impl Shard {
             checkpointer,
             wal: None,
             degraded_cause: None,
+            wal_saves_left: 0,
         }
     }
 
@@ -447,43 +451,48 @@ impl Shard {
     /// ingest failure: the batch is already absorbed and the response
     /// must report that truthfully; durability degrades to the previous
     /// checkpoint and the failure is counted on `serve.checkpoint_failures`.
-    /// After a successful write, checkpoint retention prunes to keep-last-K
-    /// and the WAL drops every frame older than the oldest *retained*
-    /// checkpoint — so any retained checkpoint plus the remaining tail
-    /// can still rebuild the shard.
+    ///
+    /// A successful write has already applied keep-last-K retention and
+    /// returned the oldest retained checkpoint's steps. The WAL drops every
+    /// frame below that floor once per retention window: on the first save
+    /// and then after every `keep` saves. Between rewrites the log keeps
+    /// frames older than the floor, which recovery skips, so it holds at
+    /// most `2·keep` checkpoint intervals of frames, and any retained
+    /// checkpoint plus the log can still rebuild the shard.
     fn tick_checkpoint(&mut self) {
         if !self.checkpointer.as_mut().is_some_and(Checkpointer::due) {
             return;
         }
         match self.write_checkpoint() {
-            Ok(true) => self.truncate_wal(),
-            Ok(false) => {}
+            Ok(Some(floor)) if self.wal_saves_left == 0 => self.truncate_wal(floor),
+            Ok(Some(_)) => self.wal_saves_left -= 1,
+            Ok(None) => {}
             Err(_) => obs::CHECKPOINT_FAILURES.inc(),
         }
     }
 
-    /// Writes [`Shard::snapshot`] through the checkpointer. `Ok(false)`
-    /// when there is nothing to write: no checkpointer, or an empty or
-    /// corrupt shard.
-    fn write_checkpoint(&self) -> Result<bool, CheckpointError> {
-        let Some(ck) = &self.checkpointer else {
-            return Ok(false);
-        };
+    /// Writes [`Shard::snapshot`] through the checkpointer and returns the
+    /// WAL floor it reports. `Ok(None)` when there is nothing to write: no
+    /// checkpointer, or an empty or corrupt shard.
+    fn write_checkpoint(&mut self) -> Result<Option<u64>, CheckpointError> {
         let Some(snap) = self.snapshot() else {
-            return Ok(false);
+            return Ok(None);
         };
-        ck.write_state(snap.model.n_steps(), &snap)?;
-        Ok(true)
+        let Some(ck) = &mut self.checkpointer else {
+            return Ok(None);
+        };
+        ck.write_state(snap.model.n_steps(), &snap).map(Some)
     }
 
-    /// Drops WAL frames made redundant by checkpoint retention.
+    /// Drops WAL frames below `floor` and starts a new retention window.
     /// Best-effort: a failed truncation only leaves extra (skippable)
     /// frames behind.
-    fn truncate_wal(&mut self) {
-        let (Some(ck), Some(wal)) = (&self.checkpointer, &mut self.wal) else {
-            return;
-        };
-        if let Ok(Some(floor)) = ck.prune() {
+    fn truncate_wal(&mut self, floor: u64) {
+        self.wal_saves_left = self
+            .checkpointer
+            .as_ref()
+            .map_or(0, |ck| ck.retention().saturating_sub(1));
+        if let Some(wal) = &mut self.wal {
             if wal.retain_from(floor).is_ok() {
                 obs::WAL_TRUNCATIONS.inc();
             }
@@ -493,13 +502,13 @@ impl Shard {
     /// Writes a final checkpoint unconditionally (graceful shutdown),
     /// then syncs and trims the WAL. No-op for empty or corrupt shards.
     pub fn checkpoint_now(&mut self) -> Result<(), CheckpointError> {
-        if !self.write_checkpoint()? {
+        let Some(floor) = self.write_checkpoint()? else {
             return Ok(());
-        }
+        };
         if let Some(wal) = &mut self.wal {
             let _ = wal.sync();
         }
-        self.truncate_wal();
+        self.truncate_wal(floor);
         Ok(())
     }
 
@@ -755,6 +764,60 @@ mod tests {
         assert_eq!(snap.guard.policy(), GapPolicy::HoldLast);
         assert_eq!(
             serde_json::to_string(&snap).unwrap(),
+            serde_json::to_string(&shard.snapshot().unwrap()).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Over `3·keep + 1` checkpointed ingests the WAL is rewritten once per
+    /// retention window, so it never holds more than `2·keep` frames (one
+    /// per checkpoint interval here), always reaches back to the oldest
+    /// retained checkpoint, and recovery from the store rebuilds the live
+    /// shard bitwise.
+    #[test]
+    fn wal_is_rewritten_once_per_retention_window() {
+        let keep = 3;
+        let sc = Scenario::sc_log(theta().scaled(4), 40 * (3 * keep + 2), 5);
+        let dir = std::env::temp_dir().join(format!("imrdmd-shard-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = || {
+            Some(
+                Checkpointer::for_shard(&dir, 1, "t0")
+                    .unwrap()
+                    .with_retention(keep),
+            )
+        };
+        let wal = Wal::open(&dir, "t0", imrdmd::wal::Durability::Interval).unwrap();
+        let born = IMrDmdConfig {
+            mr: MrDmdConfig {
+                dt: sc.dt(),
+                ..MrDmdConfig::default()
+            },
+            ..IMrDmdConfig::default()
+        };
+        let mut shard = Shard::new("t0", &born, GapPolicy::HoldLast, ck()).with_wal(Some(wal));
+        let mut frames_seen = Vec::new();
+        for k in 0..=3 * keep {
+            let lo = 40 * k;
+            shard.ingest(&sc.generate(lo, lo + 40), Some(lo)).unwrap();
+            let frames = Wal::recover(&dir, "t0").unwrap().frames;
+            let history = shard_checkpoint_history(&dir, "t0").unwrap();
+            let floor = history.last().unwrap().0;
+            assert!(history.len() <= keep);
+            assert!(
+                frames.len() <= 2 * keep,
+                "ingest {k}: {} frames",
+                frames.len()
+            );
+            assert!(frames.iter().any(|f| f.first_step == floor) || floor == lo as u64 + 40);
+            frames_seen.push(frames.len());
+        }
+        // Rewrites on the first save and then every `keep` saves.
+        assert_eq!(frames_seen, [0, 1, 2, 2, 3, 4, 2, 3, 4, 2]);
+        let rec = Shard::recover(&dir, "t0", &born, GapPolicy::Reject, ck());
+        assert!(rec.from_checkpoint);
+        assert_eq!(
+            serde_json::to_string(&rec.shard.snapshot().unwrap()).unwrap(),
             serde_json::to_string(&shard.snapshot().unwrap()).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
