@@ -531,20 +531,13 @@ pub fn prune_keep_last(files: &mut Vec<(u64, PathBuf)>, keep: usize) -> usize {
         return 0;
     }
     let mut deleted = 0;
-    let mut rank = 0;
-    files.retain(|(_, path)| {
-        rank += 1;
-        if rank <= keep {
-            return true;
+    for (key, path) in files.split_off(keep) {
+        match std::fs::remove_file(&path) {
+            Ok(()) => deleted += 1,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(_) => files.push((key, path)),
         }
-        match std::fs::remove_file(path) {
-            Ok(()) => {
-                deleted += 1;
-                false
-            }
-            Err(e) => e.kind() != std::io::ErrorKind::NotFound,
-        }
-    });
+    }
     deleted
 }
 

@@ -301,7 +301,8 @@ pub struct WalReplay {
 /// An open per-shard write-ahead log.
 ///
 /// Opened by the serving layer next to the shard's checkpoints; one
-/// append per acked ingest batch, one retention pass per checkpoint.
+/// append per acked ingest batch, one retention pass per `keep`
+/// checkpoints.
 #[derive(Debug)]
 pub struct Wal {
     shard: String,
