@@ -11,6 +11,10 @@
 //!   so recovery exercises only the interval checkpoints a real crash
 //!   would leave behind.
 //!
+//! Either way [`Server::run`] closes the connections still open and
+//! returns only once every connection thread it started has ended, so no
+//! request touches the shards or the store after it returns.
+//!
 //! ## Routes
 //!
 //! | Route | Method | Body / reply |
@@ -33,10 +37,12 @@
 //! is checked against the shard clock, so a re-delivered batch gets 409.
 //! It is the only ingest format; the `Content-Type` header is not read.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hpc_linalg::Mat;
@@ -105,6 +111,15 @@ struct ServerState {
     stop: AtomicBool,
     final_checkpoint: AtomicBool,
     open_conns: AtomicUsize,
+    /// A second handle on each open connection's socket, by connection
+    /// number, for closing it on stop; its thread removes it on the way out.
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+}
+
+impl ServerState {
+    fn live(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+        self.live.lock().unwrap_or_else(|p| p.into_inner())
+    }
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks; grab a
@@ -165,6 +180,7 @@ impl Server {
             stop: AtomicBool::new(false),
             final_checkpoint: AtomicBool::new(true),
             open_conns: AtomicUsize::new(0),
+            live: Mutex::new(BTreeMap::new()),
         });
         Ok((Server { listener, state }, restored, corrupt))
     }
@@ -181,8 +197,11 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`] or [`ServerHandle::kill`].
+    /// Serves until [`ServerHandle::shutdown`] or [`ServerHandle::kill`],
+    /// then closes the connections still open and waits for their threads.
     pub fn run(self) -> std::io::Result<()> {
+        let mut workers: Vec<JoinHandle<()>> = Vec::new();
+        let mut next_id = 0u64;
         for conn in self.listener.incoming() {
             if self.state.stop.load(Ordering::SeqCst) {
                 break;
@@ -202,11 +221,19 @@ impl Server {
                 continue;
             }
             self.state.open_conns.fetch_add(1, Ordering::SeqCst);
+            let id = next_id;
+            next_id += 1;
+            if let Ok(peer) = stream.try_clone() {
+                self.state.live().insert(id, peer);
+            }
+            workers.retain(|w| !w.is_finished());
             let state = self.state.clone();
-            std::thread::spawn(move || {
+            workers.push(std::thread::spawn(move || {
                 handle_connection(stream, &state);
+                // Dropping the last handle closes the socket.
+                state.live().remove(&id);
                 state.open_conns.fetch_sub(1, Ordering::SeqCst);
-            });
+            }));
         }
         if self.state.final_checkpoint.load(Ordering::SeqCst) {
             // Drain in-flight requests (bounded) so the final checkpoints
@@ -217,6 +244,17 @@ impl Server {
             {
                 std::thread::sleep(Duration::from_millis(5));
             }
+        }
+        // Close what is still open (every connection, after a kill): a
+        // thread blocked on its socket wakes and ends, one inside a request
+        // finishes it first.
+        for peer in self.state.live().values() {
+            let _ = peer.shutdown(Shutdown::Both);
+        }
+        for worker in workers {
+            let _ = worker.join();
+        }
+        if self.state.final_checkpoint.load(Ordering::SeqCst) {
             self.state.manager.checkpoint_all();
         }
         Ok(())
@@ -402,4 +440,87 @@ fn parse_batch(req: &Request) -> Result<(Mat, usize), ServeError> {
         return Err(ServeError::BadBody("empty body".into()));
     }
     read_snapshots_csv(&req.body[..]).map_err(|e| ServeError::BadBody(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// A kill closes an idle keep-alive connection at once instead of
+    /// leaving its thread blocked until the read timeout: once `run`
+    /// returns no connection thread is left and the client sees the
+    /// connection closed.
+    #[test]
+    fn kill_closes_open_connections_and_joins_their_threads() {
+        let cfg = ServeConfig {
+            read_timeout: Duration::from_secs(60),
+            ..ServeConfig::default()
+        };
+        let (server, _, _) = Server::bind("127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let state = server.state.clone();
+        let worker = std::thread::spawn(move || server.run());
+
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut reply = [0u8; 12];
+        idle.read_exact(&mut reply).unwrap();
+        assert_eq!(&reply, b"HTTP/1.1 200");
+        while state.live().is_empty() {
+            std::thread::yield_now();
+        }
+
+        let killed = std::time::Instant::now();
+        handle.kill();
+        worker.join().unwrap().unwrap();
+        assert!(killed.elapsed() < Duration::from_secs(10));
+        // Only this test and the handle still hold the state: every
+        // connection thread has ended and dropped its share.
+        assert_eq!(Arc::strong_count(&state), 2);
+        assert_eq!(state.open_conns.load(Ordering::SeqCst), 0);
+        assert!(state.live().is_empty());
+        let mut rest = Vec::new();
+        idle.read_to_end(&mut rest)
+            .expect("the connection is closed, not left open until the read timeout");
+    }
+
+    /// A kill that lands while a cold-start fit is running returns only
+    /// after that request has finished with the shard.
+    #[test]
+    fn kill_waits_for_the_request_in_flight() {
+        let (server, _, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let state = server.state.clone();
+        let worker = std::thread::spawn(move || server.run());
+
+        let batch = Mat::from_fn(16, 512, |i, j| {
+            let f = 0.01 * (i + 1) as f64;
+            (f * j as f64).sin() + 0.1 * i as f64
+        });
+        let mut body = Vec::new();
+        hpc_telemetry::write_snapshots_csv(&mut body, &batch, 0).unwrap();
+        let mut request = format!(
+            "POST /v1/t0/ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(&body);
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&request).unwrap();
+        // The shard exists once the batch is parsed; its fit is under way.
+        while state.manager.tenants().is_empty() {
+            std::thread::yield_now();
+        }
+
+        handle.kill();
+        worker.join().unwrap().unwrap();
+        assert_eq!(Arc::strong_count(&state), 2);
+        assert_eq!(state.open_conns.load(Ordering::SeqCst), 0);
+    }
 }
