@@ -756,8 +756,9 @@ mod tests {
         .unwrap();
         let info = format!("info --model {}", model.display());
         cli(&info).unwrap();
-        let good = fs::read_to_string(&model).unwrap();
-        // Change one digit of one number in the payload.
+        // The model's state as v1 JSON, for the re-checksummed edit below.
+        let good = serde_json::to_string(&load_model(&model).unwrap()).unwrap();
+        // Change one byte of the payload: the last that reads as a digit.
         let mut bytes = fs::read(&model).unwrap();
         let at = bytes.iter().rposition(u8::is_ascii_digit).unwrap();
         bytes[at] = if bytes[at] == b'9' {
@@ -770,11 +771,7 @@ mod tests {
         assert!(err.0.contains("checkpoint checksum mismatch"), "{err}");
         // A payload re-checksummed around `"nyquist_factor":0` passes the
         // header checks; the model check refuses it with a typed error.
-        let payload = good[good.find('\n').unwrap() + 1..].replacen(
-            "\"nyquist_factor\":4",
-            "\"nyquist_factor\":0",
-            1,
-        );
+        let payload = good.replacen("\"nyquist_factor\":4", "\"nyquist_factor\":0", 1);
         let crc = imrdmd::storage::crc32(payload.as_bytes());
         let header = format!("IMRDMD-CKPT v1 {} {crc:08x}\n", payload.len());
         fs::write(&model, header + &payload).unwrap();
@@ -1031,8 +1028,8 @@ mod tests {
             assert!(r.contains("fitted 16 series"), "{r}");
         }
         assert_eq!(
-            fs::read_to_string(&m1).unwrap(),
-            fs::read_to_string(&m2).unwrap(),
+            fs::read(&m1).unwrap(),
+            fs::read(&m2).unwrap(),
             "sketched fit must be seed-reproducible"
         );
         // Unknown strategies are a clean error.

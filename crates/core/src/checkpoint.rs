@@ -20,25 +20,52 @@
 //! On-disk layout (one header line, then the payload):
 //!
 //! ```text
-//! IMRDMD-CKPT v1 <payload-bytes> <crc32-hex>\n
-//! { ...serde-JSON state... }
+//! IMRDMD-CKPT v2 <payload-bytes> <crc32-hex>\n
+//! <binary encoding of the state's serde `Content` tree>
 //! ```
 //!
-//! Floats serialise via Rust's shortest round-trip representation, so a
-//! restored model's [`IMrDmd::reconstruct`] is bitwise-identical to the
-//! checkpointed one.
+//! The v2 payload is one value, written depth first. Every value starts
+//! with a tag byte; all integers are little-endian:
+//!
+//! | tag | value    | body                                                 |
+//! |-----|----------|------------------------------------------------------|
+//! | 0   | null     | none                                                 |
+//! | 1   | false    | none                                                 |
+//! | 2   | true     | none                                                 |
+//! | 3   | `i64`    | 8 bytes                                              |
+//! | 4   | `u64`    | 8 bytes                                              |
+//! | 5   | `f64`    | its 8-byte bit pattern                               |
+//! | 6   | string   | `u32` byte length, then UTF-8                        |
+//! | 7   | sequence | `u32` count, then the items                          |
+//! | 8   | map      | `u32` count, then per entry a string body and a value |
+//!
+//! Floats keep their bit patterns, NaN payloads included, so a restored
+//! model's [`IMrDmd::reconstruct`] is bitwise-identical to the
+//! checkpointed one and load-then-save rewrites the same bytes. The
+//! decoder is total: a count larger than the bytes left, nesting deeper
+//! than [`serde::MAX_DEPTH`], a string that is not UTF-8, an unknown tag
+//! or bytes after the value are all [`CheckpointError::Codec`].
+//!
+//! Version policy: saves write v2. Loads also accept v1, whose payload is
+//! the state as compact serde JSON (floats in Rust's shortest round-trip
+//! text, non-finite ones as `null`), so stores written by earlier
+//! releases still restore; that reader is kept for one release. Any
+//! other version is [`CheckpointError::UnsupportedVersion`].
 //!
 //! [`IMrDmd`]: crate::imrdmd::IMrDmd
 //! [`IMrDmd::reconstruct`]: crate::imrdmd::IMrDmd::reconstruct
 
-use crate::storage::{self, crc32, HeaderError};
+use crate::storage::{self, crc32, ByteReader, HeaderError};
+use serde::Content;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// First token of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &str = "IMRDMD-CKPT";
-/// Current on-disk format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The on-disk format version saves write: the binary payload.
+pub const CHECKPOINT_VERSION: u32 = 2;
+/// The JSON-payload version that loads still accept.
+const JSON_VERSION: u32 = 1;
 
 /// Why a checkpoint could not be written or restored.
 #[derive(Debug)]
@@ -48,7 +75,7 @@ pub enum CheckpointError {
     /// The file does not start with [`CHECKPOINT_MAGIC`] (or the header
     /// line is malformed).
     BadHeader(String),
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is one this build does not read.
     UnsupportedVersion(u32),
     /// The payload is shorter or longer than the header promised (torn
     /// write or truncation).
@@ -78,7 +105,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "checkpoint format v{v} is newer than supported v{CHECKPOINT_VERSION}"
+                    "checkpoint format v{v} is not supported: this build reads \
+                     v{JSON_VERSION} to v{CHECKPOINT_VERSION}"
                 )
             }
             CheckpointError::LengthMismatch { expected, got } => {
@@ -108,7 +136,7 @@ impl From<std::io::Error> for CheckpointError {
 
 /// Writes any serialisable `state` to `path` atomically (unique temp
 /// sibling + rename + fsync) in the versioned, checksummed wire format:
-/// the header line, then the payload, streamed through
+/// the header line, then the binary payload, streamed through
 /// [`storage::atomic_write`] without joining the two in memory. The
 /// serving layer persists whole shards (model + ingest guard) this way; a
 /// bare [`IMrDmd`](crate::imrdmd::IMrDmd) round-trips the same.
@@ -117,23 +145,32 @@ pub fn save_state_checkpoint<T: serde::Serialize>(
     path: &Path,
 ) -> Result<(), CheckpointError> {
     let _span = crate::obs::CHECKPOINT_NS.span();
-    let payload =
-        serde_json::to_string(state).map_err(|e| CheckpointError::Codec(e.to_string()))?;
+    let payload = {
+        let content = state
+            .serialize(serde::ContentSerializer)
+            .map_err(|e| CheckpointError::Codec(e.to_string()))?;
+        // A growing buffer, not one sized up front: a large reservation
+        // stays resident in the allocator after every save.
+        let mut payload = Vec::new();
+        encode_value(&mut payload, &content)?;
+        payload
+    };
     let len = payload.len().to_string();
-    let crc_hex = format!("{:08x}", crc32(payload.as_bytes()));
+    let crc_hex = format!("{:08x}", crc32(&payload));
     let header =
         storage::format_text_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &[&len, &crc_hex]);
     crate::obs::CHECKPOINT_SAVES.inc();
     crate::obs::CHECKPOINT_BYTES.add((header.len() + payload.len()) as u64);
     storage::atomic_write(path, true, |w| {
         w.write_all(header.as_bytes())?;
-        w.write_all(payload.as_bytes())
+        w.write_all(&payload)
     })
     .map_err(CheckpointError::Io)
 }
 
 /// Restores any state written by [`save_state_checkpoint`], verifying
-/// magic, version, length, and checksum before decoding.
+/// magic, version, length, and checksum before decoding. Files in the v1
+/// JSON format load too.
 pub fn load_state_checkpoint<T: serde::de::DeserializeOwned>(
     path: &Path,
 ) -> Result<T, CheckpointError> {
@@ -179,9 +216,160 @@ pub fn load_state_checkpoint<T: serde::de::DeserializeOwned>(
             got: got_crc,
         });
     }
-    let payload =
-        std::str::from_utf8(payload).map_err(|e| CheckpointError::Codec(e.to_string()))?;
-    serde_json::from_str(payload).map_err(|e| CheckpointError::Codec(e.to_string()))
+    match header.version {
+        CHECKPOINT_VERSION => {
+            let content = decode_payload(payload)?;
+            serde::from_content(content)
+                .map_err(|e: serde::ContentError| CheckpointError::Codec(e.0))
+        }
+        JSON_VERSION => {
+            let text =
+                std::str::from_utf8(payload).map_err(|e| CheckpointError::Codec(e.to_string()))?;
+            serde_json::from_str(text).map_err(|e| CheckpointError::Codec(e.to_string()))
+        }
+        v => Err(CheckpointError::UnsupportedVersion(v)),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The v2 payload codec
+// ---------------------------------------------------------------------------
+
+const TAG_NULL: u8 = 0;
+const TAG_FALSE: u8 = 1;
+const TAG_TRUE: u8 = 2;
+const TAG_I64: u8 = 3;
+const TAG_U64: u8 = 4;
+const TAG_F64: u8 = 5;
+const TAG_STR: u8 = 6;
+const TAG_SEQ: u8 = 7;
+const TAG_MAP: u8 = 8;
+
+/// Appends a `u32` length or count, refusing one that does not fit.
+fn put_len(out: &mut Vec<u8>, n: usize) -> Result<(), CheckpointError> {
+    let n = u32::try_from(n)
+        .map_err(|_| CheckpointError::Codec(format!("{n} items exceed the u32 count field")))?;
+    out.extend_from_slice(&n.to_le_bytes());
+    Ok(())
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), CheckpointError> {
+    put_len(out, s.len())?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+/// Appends the v2 encoding of `c` to `out`.
+fn encode_value(out: &mut Vec<u8>, c: &Content) -> Result<(), CheckpointError> {
+    match c {
+        Content::Null => out.push(TAG_NULL),
+        Content::Bool(false) => out.push(TAG_FALSE),
+        Content::Bool(true) => out.push(TAG_TRUE),
+        Content::I64(v) => {
+            out.push(TAG_I64);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Content::U64(v) => {
+            out.push(TAG_U64);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Content::F64(v) => {
+            out.push(TAG_F64);
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        Content::Str(s) => {
+            out.push(TAG_STR);
+            put_str(out, s)?;
+        }
+        Content::Seq(items) => {
+            out.push(TAG_SEQ);
+            put_len(out, items.len())?;
+            for item in items {
+                encode_value(out, item)?;
+            }
+        }
+        Content::Map(entries) => {
+            out.push(TAG_MAP);
+            put_len(out, entries.len())?;
+            for (key, value) in entries {
+                put_str(out, key)?;
+                encode_value(out, value)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a whole v2 payload into its `Content` tree.
+fn decode_payload(payload: &[u8]) -> Result<Content, CheckpointError> {
+    let mut r = ByteReader::new(payload);
+    let value = decode_value(&mut r, 1);
+    let at = payload.len() - r.remaining();
+    match value {
+        Ok(value) if r.remaining() == 0 => Ok(value),
+        Ok(_) => Err("trailing bytes after the value"),
+        Err(what) => Err(what),
+    }
+    .map_err(|what| CheckpointError::Codec(format!("{what} at payload byte {at}")))
+}
+
+const TRUNCATED: &str = "payload ends inside a value";
+
+/// Reads a `u32` count of items that each take at least `min_bytes`,
+/// refusing one the bytes left cannot hold, so a damaged count never
+/// allocates more than the payload's size allows.
+fn read_count(r: &mut ByteReader, min_bytes: usize) -> Result<usize, &'static str> {
+    let n = r.u32().ok_or(TRUNCATED)? as usize;
+    if n > r.remaining() / min_bytes {
+        return Err("count exceeds the bytes left");
+    }
+    Ok(n)
+}
+
+fn read_str(r: &mut ByteReader) -> Result<String, &'static str> {
+    let n = r.u32().ok_or(TRUNCATED)? as usize;
+    let bytes = r.bytes(n).ok_or(TRUNCATED)?;
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|_| "string is not UTF-8")
+}
+
+/// Decodes one value whose nesting level is `depth` (the top is 1).
+fn decode_value(r: &mut ByteReader, depth: usize) -> Result<Content, &'static str> {
+    if depth > serde::MAX_DEPTH {
+        return Err("nesting deeper than the cap");
+    }
+    let tag = r.bytes(1).ok_or(TRUNCATED)?[0];
+    Ok(match tag {
+        TAG_NULL => Content::Null,
+        TAG_FALSE => Content::Bool(false),
+        TAG_TRUE => Content::Bool(true),
+        // The bit pattern the encoder wrote with `i64::to_le_bytes`.
+        TAG_I64 => Content::I64(r.u64().ok_or(TRUNCATED)? as i64),
+        TAG_U64 => Content::U64(r.u64().ok_or(TRUNCATED)?),
+        TAG_F64 => Content::F64(r.f64().ok_or(TRUNCATED)?),
+        TAG_STR => Content::Str(read_str(r)?),
+        TAG_SEQ => {
+            // Every item is at least its tag byte.
+            let n = read_count(r, 1)?;
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                items.push(decode_value(r, depth + 1)?);
+            }
+            Content::Seq(items)
+        }
+        TAG_MAP => {
+            // Every entry is at least a key length and a value tag.
+            let n = read_count(r, 5)?;
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                let key = read_str(r)?;
+                entries.push((key, decode_value(r, depth + 1)?));
+            }
+            Content::Map(entries)
+        }
+        _ => return Err("unknown tag"),
+    })
 }
 
 /// True if `shard` is usable as a checkpoint-file namespace: non-empty,
@@ -390,6 +578,125 @@ mod tests {
         let path = dir.join(format!("ckpt-{shard}-{steps:012}.ckpt"));
         std::fs::write(&path, b"older").expect("plant");
         path
+    }
+
+    /// Writes `payload` under a header declaring `version` and the
+    /// payload's true length and checksum.
+    fn seal(path: &Path, version: u32, payload: &[u8]) {
+        let (len, crc) = (payload.len().to_string(), format!("{:08x}", crc32(payload)));
+        let mut bytes =
+            storage::format_text_header(CHECKPOINT_MAGIC, version, &[&len, &crc]).into_bytes();
+        bytes.extend_from_slice(payload);
+        std::fs::write(path, bytes).expect("write");
+    }
+
+    fn codec_error<T: serde::de::DeserializeOwned + std::fmt::Debug>(path: &Path) -> String {
+        match load_state_checkpoint::<T>(path) {
+            Err(CheckpointError::Codec(m)) => m,
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
+    /// Every `Content` variant survives a v2 save and load, floats by bit
+    /// pattern (NaN and -0.0 included), and saving the loaded value again
+    /// writes the same bytes. The same state written as v1 JSON loads to
+    /// the same value.
+    #[test]
+    fn v2_round_trips_bitwise_and_v1_still_loads() {
+        type State = (Vec<f64>, Option<i64>, Vec<(String, bool)>, u64, Option<u8>);
+        let state: State = (
+            vec![0.1, -0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, 1.0 / 3.0],
+            Some(-7),
+            vec![("ü-key".to_string(), true), (String::new(), false)],
+            u64::MAX,
+            None,
+        );
+        let dir = scratch("roundtrip");
+        let path = dir.join("state.ckpt");
+        save_state_checkpoint(&state, &path).expect("save");
+        let first = std::fs::read(&path).expect("read");
+        assert!(first.starts_with(b"IMRDMD-CKPT v2 "));
+        let back: State = load_state_checkpoint(&path).expect("load");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.0), bits(&state.0));
+        assert_eq!(
+            (&back.1, &back.2, back.3, back.4),
+            (&state.1, &state.2, state.3, state.4)
+        );
+        save_state_checkpoint(&back, &path).expect("resave");
+        assert_eq!(std::fs::read(&path).expect("read"), first);
+
+        let nan = vec![f64::from_bits(0x7ff8_0000_dead_beef)];
+        save_state_checkpoint(&nan, &path).expect("save");
+        let back: Vec<f64> = load_state_checkpoint(&path).expect("load");
+        assert_eq!(back[0].to_bits(), nan[0].to_bits());
+
+        let json = serde_json::to_string(&state).expect("json");
+        seal(&path, 1, json.as_bytes());
+        let v1: State = load_state_checkpoint(&path).expect("v1 loads");
+        assert_eq!(bits(&v1.0), bits(&state.0));
+        assert_eq!(
+            (&v1.1, &v1.2, v1.3, v1.4),
+            (&state.1, &state.2, state.3, state.4)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A payload nested 200,000 levels deep is a codec error in both
+    /// versions, not a stack overflow; nesting up to the cap decodes.
+    #[test]
+    fn deep_nesting_is_a_codec_error_in_both_versions() {
+        let dir = scratch("deep");
+        let path = dir.join("deep.ckpt");
+        seal(&path, 1, &vec![b'['; 200_000]);
+        assert!(codec_error::<u64>(&path).contains("nesting deeper than 128 levels"));
+        let level = [TAG_SEQ, 1, 0, 0, 0];
+        seal(&path, 2, &level.repeat(200_000));
+        assert!(codec_error::<u64>(&path).starts_with("nesting deeper than the cap"));
+
+        let mut deepest = level.repeat(serde::MAX_DEPTH - 1);
+        deepest.push(TAG_NULL);
+        assert!(decode_payload(&deepest).is_ok());
+        let mut deeper = level.repeat(serde::MAX_DEPTH);
+        deeper.push(TAG_NULL);
+        assert!(decode_payload(&deeper).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sealed payloads that are not a well-formed v2 value fail typed, and
+    /// versions outside v1–v2 are refused.
+    #[test]
+    fn malformed_v2_payloads_and_other_versions_are_refused() {
+        let dir = scratch("malformed");
+        let path = dir.join("bad.ckpt");
+        let cases: [(&[u8], &str); 7] = [
+            (&[], "payload ends inside a value"),
+            (&[TAG_F64, 0, 0, 0], "payload ends inside a value"),
+            (&[9], "unknown tag"),
+            (
+                &[TAG_SEQ, 0xff, 0xff, 0xff, 0xff, TAG_NULL],
+                "count exceeds the bytes left",
+            ),
+            (
+                &[TAG_MAP, 1, 0, 0, 0, 0, 0, 0, 0],
+                "count exceeds the bytes left",
+            ),
+            (&[TAG_STR, 2, 0, 0, 0, 0xc3, 0x28], "string is not UTF-8"),
+            (&[TAG_NULL, TAG_NULL], "trailing bytes after the value"),
+        ];
+        for (payload, want) in cases {
+            seal(&path, 2, payload);
+            let got = codec_error::<Option<u64>>(&path);
+            assert!(got.starts_with(want), "{payload:?}: {got}");
+        }
+        for version in [0, 3] {
+            seal(&path, version, &[TAG_NULL]);
+            assert!(matches!(
+                load_state_checkpoint::<Option<u64>>(&path),
+                Err(CheckpointError::UnsupportedVersion(v)) if v == version
+            ));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn steps_on_disk(dir: &Path, shard: &str) -> Vec<u64> {

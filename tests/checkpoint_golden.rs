@@ -5,15 +5,23 @@
 //! fixed `FleetDriver` stream, as FNV-1a 64-bit digests keyed by the
 //! checkpoint's step count. The stream carries one gapped batch, repaired
 //! under `hold`, and one batch shorter than `min_window`, so the guard's
-//! carry and the pending buffer both reach the payload. The fixture also
-//! pins the JSON text of a list of edge-case floats. Any change to the
-//! JSON writer, the header line or the CRC shows up as a changed digest;
-//! the WAL is not pinned, since its length depends on when retention
-//! rewrites it. On a mismatch the test prints the freshly computed fixture.
+//! carry and the pending buffer both reach the payload.
+//!
+//! Each file is pinned twice. A `ckpt2` line is the digest of the binary
+//! (v2) file the shard writes. A `ckpt` line is the digest of the same
+//! state re-encoded as a v1 file (the header line plus compact JSON); those
+//! lines were recorded when saves still wrote v1, so matching them shows
+//! that decoding the binary payload gives back the state bit for bit. The
+//! v1 file must also load, and saving what it loads must rewrite the v2
+//! file byte for byte. The fixture also pins the JSON text of a list of
+//! edge-case floats. Any change to the binary codec, the JSON writer, the
+//! header line or the CRC shows up as a changed digest; the WAL is not
+//! pinned, since its length depends on when retention rewrites it. On a
+//! mismatch the test prints the freshly computed fixture.
 
 use std::path::PathBuf;
 
-use imrdmd_serve::Shard;
+use imrdmd_serve::{Shard, ShardSnapshot};
 use mrdmd_suite::prelude::*;
 
 const DIGESTS: &str = "tests/fixtures/checkpoint_digests.txt";
@@ -83,6 +91,13 @@ fn edge_floats() -> Vec<f64> {
     ]
 }
 
+/// `state` as a v1 checkpoint file: the header line, then compact JSON.
+fn v1_file(state: &ShardSnapshot) -> Vec<u8> {
+    let json = serde_json::to_string(state).unwrap();
+    let crc = mrdmd_suite::core::storage::crc32(json.as_bytes());
+    format!("IMRDMD-CKPT v1 {} {crc:08x}\n{json}", json.len()).into_bytes()
+}
+
 #[test]
 fn checkpoint_bytes_match_recorded_digests() {
     let (dt, batches) = stream();
@@ -103,7 +118,8 @@ fn checkpoint_bytes_match_recorded_digests() {
         .with_retention(3);
     let wal = Wal::open(&dir, TENANT, Durability::Interval).unwrap();
     let mut shard = Shard::new(TENANT, &cfg, GapPolicy::HoldLast, Some(ck)).with_wal(Some(wal));
-    let mut got = String::new();
+    let mut v1_lines = String::new();
+    let mut v2_lines = String::new();
     let mut pos = 0;
     for (k, b) in batches.iter().enumerate() {
         let reply = shard.ingest(b, Some(pos)).unwrap();
@@ -113,12 +129,25 @@ fn checkpoint_bytes_match_recorded_digests() {
         let pending = reply.report.map_or(0, |r| r.pending);
         assert_eq!(pending > 0, k == 2, "batch {k} carry");
         let path = dir.join(format!("ckpt-{TENANT}-{pos:012}.ckpt"));
-        let bytes = std::fs::read(&path).unwrap();
-        got.push_str(&format!("ckpt {pos} {:016x}\n", fnv1a(&bytes)));
+        let v2 = std::fs::read(&path).unwrap();
+        v2_lines.push_str(&format!("ckpt2 {pos} {:016x}\n", fnv1a(&v2)));
+
+        let snap: ShardSnapshot = load_state_checkpoint(&path).unwrap();
+        let v1 = v1_file(&snap);
+        v1_lines.push_str(&format!("ckpt {pos} {:016x}\n", fnv1a(&v1)));
+        let v1_path = dir.join("v1.ckpt");
+        std::fs::write(&v1_path, &v1).unwrap();
+        let reloaded: ShardSnapshot = load_state_checkpoint(&v1_path).unwrap();
+        save_state_checkpoint(&reloaded, &v1_path).unwrap();
+        assert!(std::fs::read(&v1_path).unwrap() == v2, "v1 → v2 at {pos}");
+        std::fs::remove_file(&v1_path).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
     let json = serde_json::to_string(&edge_floats()).unwrap();
-    got.push_str(&format!("floats {:016x}\n", fnv1a(json.as_bytes())));
+    let got = format!(
+        "{v1_lines}{v2_lines}floats {:016x}\n",
+        fnv1a(json.as_bytes())
+    );
 
     let path = format!("{}/{DIGESTS}", env!("CARGO_MANIFEST_DIR"));
     let want: String = std::fs::read_to_string(&path)

@@ -1,6 +1,7 @@
 //! Byte-mutation fuzzing of every on-disk decoder — a write-ahead log, an
-//! f64 and a q16 mode archive, and a shard checkpoint read through
-//! [`ShardSnapshot::load`], as recovery and the CLI read it — and of the
+//! f64 and a q16 mode archive, and a shard checkpoint in its binary (v2)
+//! and JSON (v1) formats read through [`ShardSnapshot::load`], as recovery
+//! and the CLI read it — and of the
 //! wire decoders: the daemon's HTTP request parser and the snapshot-CSV
 //! body reader.
 //!
@@ -48,6 +49,7 @@ struct Fixtures {
     f64_archive: Vec<u8>,
     q16_archive: Vec<u8>,
     checkpoint: Vec<u8>,
+    checkpoint_v1: Vec<u8>,
     csv: Vec<u8>,
 }
 
@@ -85,12 +87,14 @@ fn fixtures() -> &'static Fixtures {
         let mut shard = Shard::new(SHARD, &cfg, GapPolicy::Interpolate, None);
         shard.ingest(&data, Some(0)).unwrap();
         let ckpt = dir.join("model.ckpt");
-        save_state_checkpoint(&shard.snapshot().unwrap(), &ckpt).unwrap();
+        let snap = shard.snapshot().unwrap();
+        save_state_checkpoint(&snap, &ckpt).unwrap();
         let fx = Fixtures {
             wal: std::fs::read(Wal::path_for(&dir, SHARD)).unwrap(),
             f64_archive: archive(&model, QuantTier::F64),
             q16_archive: archive(&model, QuantTier::Q16),
             checkpoint: std::fs::read(&ckpt).unwrap(),
+            checkpoint_v1: sealed(1, serde_json::to_string(&snap).unwrap().as_bytes()),
             csv: {
                 let mut csv = Vec::new();
                 write_snapshots_csv(&mut csv, &data.cols_range(0, 12), 0).unwrap();
@@ -105,6 +109,19 @@ fn fixtures() -> &'static Fixtures {
 fn archive(model: &IMrDmd, tier: QuantTier) -> Vec<u8> {
     let mut bytes = Vec::new();
     encode_archive(model, tier, &mut bytes).unwrap();
+    bytes
+}
+
+/// A checkpoint file of format `version` around `payload`, with the
+/// payload's true length and checksum in its header.
+fn sealed(version: u32, payload: &[u8]) -> Vec<u8> {
+    let header = format!(
+        "IMRDMD-CKPT v{version} {} {:08x}\n",
+        payload.len(),
+        crc32(payload)
+    );
+    let mut bytes = header.into_bytes();
+    bytes.extend_from_slice(payload);
     bytes
 }
 
@@ -154,7 +171,9 @@ fn damage(target: &mut Vec<u8>, (kind, pos, val): Mutation, may_truncate: bool) 
         0 => target[at] ^= (val % 255 + 1) as u8,
         1 | 2 => {
             // A 4-aligned little-endian edge value (4 or 8 bytes), clipped
-            // at the end: every field of every format is 4-aligned.
+            // at the end: every field of the WAL and archive formats is
+            // 4-aligned. A binary checkpoint's fields follow one-byte tags,
+            // so there an edge value lands across fields as often as on one.
             let at = at & !3;
             let width = if kind == 1 { 4 } else { 8 };
             let edge = EDGES[(val % EDGES.len() as u64) as usize].to_le_bytes();
@@ -315,27 +334,22 @@ proptest! {
     }
 
     #[test]
-    fn checkpoint_raw_mutations_load_or_fail_typed(m in mutation()) {
-        let mut bytes = fixtures().checkpoint.clone();
+    fn checkpoint_raw_mutations_load_or_fail_typed(v1 in 0u8..2, m in mutation()) {
+        let fx = fixtures();
+        let mut bytes = if v1 == 1 { fx.checkpoint_v1.clone() } else { fx.checkpoint.clone() };
         damage(&mut bytes, m, true);
         check_checkpoint("ckpt-raw", &bytes);
     }
 
     /// The payload is damaged and the header rewritten to match, so the
-    /// JSON decoder sees every mutation.
+    /// binary or JSON decoder sees every mutation.
     #[test]
-    fn checkpoint_rechecksummed_mutations_load_or_fail_typed(m in mutation()) {
-        let good = &fixtures().checkpoint;
+    fn checkpoint_rechecksummed_mutations_load_or_fail_typed(v1 in 0u8..2, m in mutation()) {
+        let fx = fixtures();
+        let (version, good) = if v1 == 1 { (1, &fx.checkpoint_v1) } else { (2, &fx.checkpoint) };
         let mut payload = good[header_end(good)..].to_vec();
         damage(&mut payload, m, true);
-        let header = format!(
-            "IMRDMD-CKPT v1 {} {:08x}\n",
-            payload.len(),
-            crc32(&payload)
-        );
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(&payload);
-        check_checkpoint("ckpt-crc", &bytes);
+        check_checkpoint("ckpt-crc", &sealed(version, &payload));
     }
 
     #[test]

@@ -246,8 +246,8 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
         Err(CheckpointError::ChecksumMismatch { .. })
     ));
 
-    // A flipped high bit makes the JSON payload invalid UTF-8: still a
-    // checksum error, since only the header line is decoded as text.
+    // A flipped high bit: still a checksum error, since only the header
+    // line is decoded as text.
     let mut high = good.clone();
     high[at] ^= 0x80;
     fs::write(&path, &high).unwrap();
@@ -266,9 +266,12 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     ));
 
     // A version from the future is refused, not misparsed.
-    let future = String::from_utf8(good.clone())
+    let body = good.iter().position(|&b| b == b'\n').unwrap();
+    let mut future = std::str::from_utf8(&good[..body])
         .unwrap()
-        .replacen(" v1 ", " v9 ", 1);
+        .replacen(" v2 ", " v9 ", 1)
+        .into_bytes();
+    future.extend_from_slice(&good[body..]);
     fs::write(&path, future).unwrap();
     assert!(matches!(
         load_state_checkpoint::<IMrDmd>(&path),
@@ -281,9 +284,10 @@ fn torn_and_corrupt_checkpoints_are_rejected() {
     assert_eq!(bits(&restored.reconstruct()), bits(&m.reconstruct()));
 }
 
-/// Rewrites the first `"field":<integer>` of a checkpoint's payload to
-/// `"field":value` and recomputes the header, so the damage passes the
-/// length and checksum checks and only the model check can see it.
+/// Rewrites the first `"field":<integer>` of a shard checkpoint's state,
+/// as v1 JSON, to `"field":value` and recomputes the header, so the damage
+/// passes the length and checksum checks and only the model check can see
+/// it.
 fn rechecksum_with(path: &Path, field: &str, value: u64) {
     rechecksum_edit(path, |payload| {
         let key = format!("\"{field}\":");
@@ -293,18 +297,39 @@ fn rechecksum_with(path: &Path, field: &str, value: u64) {
     });
 }
 
-/// Rewrites a checkpoint's payload with `edit` and seals it with a fresh
-/// header and checksum, so only the model's own validation stands between
-/// the edit and the next round.
+/// Rewrites a shard checkpoint as a v1 file: its state as JSON, edited by
+/// `edit` and sealed with a fresh header and checksum, so only the model's
+/// own validation stands between the edit and the next round.
 fn rechecksum_edit(path: &Path, edit: impl FnOnce(&str) -> String) {
-    let raw = fs::read_to_string(path).unwrap();
-    let edited = edit(&raw[raw.find('\n').unwrap() + 1..]);
+    let snap: ShardSnapshot = load_state_checkpoint(path).unwrap();
+    let edited = edit(&serde_json::to_string(&snap).unwrap());
     let crc = mrdmd_suite::core::storage::crc32(edited.as_bytes());
     fs::write(
         path,
         format!("IMRDMD-CKPT v1 {} {crc:08x}\n{edited}", edited.len()),
     )
     .unwrap();
+}
+
+/// Rewrites the first `field` of a v2 checkpoint's binary payload (its
+/// key, then a `u64`) to `value` and reseals the v2 header, so the damage
+/// passes the length and checksum checks and only the model check can
+/// see it.
+fn rechecksum_binary(path: &Path, field: &str, value: u64) {
+    let raw = fs::read(path).unwrap();
+    assert!(raw.starts_with(b"IMRDMD-CKPT v2 "));
+    let body = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut payload = raw[body..].to_vec();
+    // The key's length and bytes, then the value's `u64` tag byte.
+    let mut key = (field.len() as u32).to_le_bytes().to_vec();
+    key.extend_from_slice(field.as_bytes());
+    key.push(4);
+    let at = payload.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let crc = mrdmd_suite::core::storage::crc32(&payload);
+    let mut sealed = format!("IMRDMD-CKPT v2 {} {crc:08x}\n", payload.len()).into_bytes();
+    sealed.extend_from_slice(&payload);
+    fs::write(path, sealed).unwrap();
 }
 
 /// Reshapes the matrix that follows `prefix` (serialized `[rows,cols,[…]]`)
@@ -347,8 +372,11 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
     let data = signal(6, 384, dt);
     let c = cfg(dt, 3);
     let tenant = "rack-x";
-    for field in ["nyquist_factor", "max_cycles", "root_step"] {
-        let dir = tmp(&format!("out-of-domain-{field}"));
+    type Tamper = fn(&Path, &str, u64);
+    let fields = ["nyquist_factor", "max_cycles", "root_step"];
+    let encodings: [(&str, Tamper); 2] = [("v1", rechecksum_with), ("v2", rechecksum_binary)];
+    for (field, (encoding, tamper)) in fields.into_iter().flat_map(|f| encodings.map(|e| (f, e))) {
+        let dir = tmp(&format!("out-of-domain-{field}-{encoding}"));
         let _ = fs::remove_dir_all(&dir);
         let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
         let mut shard = Shard::new(tenant, &c, GapPolicy::Interpolate, ck());
@@ -360,10 +388,10 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
         let history = shard_checkpoint_history(&dir, tenant).unwrap();
         assert_eq!(history.len(), 2);
         let newest = &history[0].1;
-        rechecksum_with(newest, field, 0);
+        tamper(newest, field, 0);
         assert!(
             matches!(ShardSnapshot::load(newest), Err(CheckpointError::Codec(_))),
-            "{field} 0 must not load"
+            "{field} 0 must not load ({encoding})"
         );
 
         let rec = Shard::recover(&dir, tenant, &c, GapPolicy::Interpolate, ck());
@@ -399,7 +427,7 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
     };
     let tenant = "rack-y";
     type Tamper = fn(&Path);
-    let cases: [(&str, IMrDmdConfig, Tamper); 5] = [
+    let cases: [(&str, IMrDmdConfig, Tamper); 6] = [
         ("isvd-u", exact, |p| {
             rechecksum_edit(p, |s| flatten_matrix(s, "\"isvd\":{\"u\":["))
         }),
@@ -407,6 +435,9 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
             rechecksum_edit(p, |s| flatten_matrix(s, "\"sketch\":{\"q\":["))
         }),
         ("row-offset", exact, |p| rechecksum_with(p, "row_offset", 5)),
+        ("row-offset-v2", exact, |p| {
+            rechecksum_binary(p, "row_offset", 5)
+        }),
         ("amplitude", exact, |p| {
             rechecksum_edit(p, |s| overflow_number(s, "\"amplitudes\":[["))
         }),
