@@ -1481,6 +1481,82 @@ mod tests {
     }
 
     #[test]
+    fn validate_refuses_a_root_factor_the_strategy_does_not_use() {
+        // The configuration and the root factor both come from disk, so no
+        // type can rule out a checkpoint whose factor belongs to the other
+        // strategy: `validate` must. Each case is surgery on the v1 (JSON)
+        // payload of a fitted tree.
+        let dt = 0.5;
+        let data = stream_data(12, 80, dt);
+        let exact = serde_json::to_string(&IMrDmd::fit(&data, &cfg(dt))).unwrap_or_default();
+        let sketched_json =
+            serde_json::to_string(&IMrDmd::fit(&data, &sketched(cfg(dt), 3))).unwrap_or_default();
+        let exact_strategy = "\"strategy\":\"Exact\"";
+        let sketched_strategy =
+            "\"strategy\":{\"Sketched\":{\"rank_oversample\":4,\"power_iters\":1,\"seed\":3}}";
+        assert!(exact.contains("\"sketch\":null"));
+        assert!(sketched_json.contains("\"sketch\":{\"q\":"));
+        let cases = [
+            (
+                "an exact configuration over a sketch",
+                sketched_json.replace(sketched_strategy, exact_strategy),
+                &sketched_json,
+            ),
+            (
+                "a sketched configuration with \"sketch\":null",
+                exact.replace(exact_strategy, sketched_strategy),
+                &exact,
+            ),
+        ];
+        for (case, tampered, original) in cases {
+            assert_ne!(&tampered, original, "{case}: surgery must swap the strategy");
+            let fitted: IMrDmd = serde_json::from_str(original).expect("fitted tree loads");
+            assert!(fitted.validate().is_ok(), "{case}: the untouched tree passes");
+            let tree: IMrDmd = match serde_json::from_str(&tampered) {
+                Ok(t) => t,
+                Err(e) => panic!("{case}: the tampered payload must decode: {e}"),
+            };
+            assert!(
+                matches!(tree.validate(), Err(CoreError::InvalidConfig { .. })),
+                "{case} must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn sketched_stream_resumes_bitwise_after_add_series() {
+        // A sketched tree widened by `add_series` (which re-probes its
+        // sketch over the wider decimated stream), saved as a v2 checkpoint
+        // and loaded, streams on exactly as the uninterrupted tree does.
+        let dt = 0.5;
+        let all = stream_data(15, 240, dt);
+        let old_rows = all.rows_range(0, 12);
+        let mut tree = IMrDmd::fit(&old_rows.cols_range(0, 160), &sketched(cfg(dt), 21));
+        tree.partial_fit(&old_rows.cols_range(160, 200));
+        tree.add_series(&all.rows_range(12, 15).cols_range(0, 200));
+        assert_eq!(tree.n_rows(), 15);
+        let dir = std::env::temp_dir().join(format!(
+            "imrdmd-sketched-add-series-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("tree.ckpt");
+        crate::checkpoint::save_state_checkpoint(&tree, &path).expect("save");
+        let mut back: IMrDmd = crate::checkpoint::load_state_checkpoint(&path).expect("load");
+        let _ = std::fs::remove_dir_all(&dir);
+        back.validate().expect("a saved stream passes validate");
+        let batch = all.cols_range(200, 240);
+        let (want, got) = (tree.partial_fit(&batch), back.partial_fit(&batch));
+        assert_eq!(
+            serde_json::to_string(&got).unwrap_or_default(),
+            serde_json::to_string(&want).unwrap_or_default()
+        );
+        let state = serde_json::to_string(&tree).unwrap_or_default();
+        assert!(!state.is_empty());
+        assert_eq!(serde_json::to_string(&back).unwrap_or_default(), state);
+    }
+
+    #[test]
     fn initial_fit_matches_batch_reconstruction() {
         let dt = 1.0;
         let data = stream_data(8, 512, dt);
