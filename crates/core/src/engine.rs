@@ -148,7 +148,7 @@ impl Engine {
                         t.product = Some(KernelOp::RootProduct {
                             tree: t.index,
                             rows,
-                            inner: tree.root_stream_len() - 1,
+                            inner: tree.root.stream_len() - 1,
                             cols: tree.root_rank(),
                         });
                     }

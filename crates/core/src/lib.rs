@@ -51,6 +51,7 @@ pub mod imrdmd;
 pub mod ingest;
 pub mod mrdmd;
 pub mod obs;
+mod root;
 pub mod spectrum;
 pub mod storage;
 pub mod wal;
