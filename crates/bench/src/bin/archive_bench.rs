@@ -140,7 +140,7 @@ fn main() {
         results.push(TierResult {
             tier,
             bytes: info.bytes,
-            ratio: raw_bytes as f64 / info.bytes as f64,
+            ratio: info.ratio(),
             write_ms,
             replay_ms: replay_s * 1e3,
             replay_mb_s: raw_bytes as f64 / 1e6 / replay_s.max(1e-9),

@@ -1,11 +1,11 @@
 //! **Compression** (Sec. I / VI): the paper motivates mrDMD as reducing log
 //! volumes "from terabytes to megabytes". This experiment measures the
-//! model-vs-raw byte ratio as the timeline grows and as the tree deepens,
-//! together with the reconstruction error the compression costs.
+//! raw-vs-archive byte ratio as the timeline grows and as the tree deepens,
+//! together with the reconstruction error the compression costs. The
+//! archive is encoded at the lossless `f64` tier and at `q16`.
 
 use super::Opts;
 use crate::harness::{row, ExperimentOutput, Workloads};
-use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
 
 /// One measured compression point.
@@ -16,11 +16,15 @@ pub struct CompressionRow {
     /// Tree depth used.
     pub levels: usize,
     /// Raw bytes of the snapshot matrix.
-    pub raw_bytes: usize,
-    /// Bytes of the mode tree.
-    pub model_bytes: usize,
-    /// Compression ratio.
+    pub raw_bytes: u64,
+    /// Bytes of the tree's `f64` archive.
+    pub model_bytes: u64,
+    /// Compression ratio of the `f64` archive.
     pub ratio: f64,
+    /// Bytes of the tree's `q16` archive.
+    pub q16_bytes: u64,
+    /// Compression ratio of the `q16` archive.
+    pub q16_ratio: f64,
     /// Relative reconstruction error paid for it.
     pub rel_error: f64,
 }
@@ -30,7 +34,7 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<CompressionRow>> {
     let mut out = ExperimentOutput::new(&opts.out_dir)?;
     let n = if opts.full { 4096 } else { 512 };
     out.line(format!(
-        "Compression: mode-tree bytes vs raw telemetry ({n} series)"
+        "Compression: mode-tree archive bytes vs raw telemetry ({n} series)"
     ));
     out.line(row(&[
         "T".into(),
@@ -38,6 +42,8 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<CompressionRow>> {
         "raw MB".into(),
         "model MB".into(),
         "ratio".into(),
+        "q16 MB".into(),
+        "q16 ratio".into(),
         "rel err".into(),
     ]));
     let mut rows = Vec::new();
@@ -49,22 +55,30 @@ pub fn run(opts: &Opts) -> std::io::Result<Vec<CompressionRow>> {
         while t <= t_max {
             let data = scenario.generate(0, t);
             let m = MrDmd::fit(&data, &cfg);
-            let rep = compression_report(&m.nodes, m.n_rows, m.n_steps);
+            let measure = |tier| {
+                let sink = &mut std::io::sink();
+                encode_tree(m.nodes.iter(), m.n_rows, m.n_steps, cfg.dt, tier, sink)
+            };
+            let (f64, q16) = (measure(QuantTier::F64)?, measure(QuantTier::Q16)?);
             let rel = m.reconstruct().fro_dist(&data) / data.fro_norm();
             out.line(row(&[
                 t.to_string(),
                 levels.to_string(),
-                format!("{:.2}", rep.raw_bytes as f64 / 1e6),
-                format!("{:.3}", rep.model_bytes as f64 / 1e6),
-                format!("{:.1}x", rep.ratio),
+                format!("{:.2}", f64.raw_bytes() as f64 / 1e6),
+                format!("{:.3}", f64.bytes as f64 / 1e6),
+                format!("{:.1}x", f64.ratio()),
+                format!("{:.3}", q16.bytes as f64 / 1e6),
+                format!("{:.1}x", q16.ratio()),
                 format!("{rel:.4}"),
             ]));
             rows.push(CompressionRow {
                 t,
                 levels,
-                raw_bytes: rep.raw_bytes,
-                model_bytes: rep.model_bytes,
-                ratio: rep.ratio,
+                raw_bytes: f64.raw_bytes(),
+                model_bytes: f64.bytes,
+                ratio: f64.ratio(),
+                q16_bytes: q16.bytes,
+                q16_ratio: q16.ratio(),
                 rel_error: rel,
             });
             t *= 2;

@@ -6,7 +6,6 @@ use crate::CliError;
 use hpc_telemetry::{
     read_snapshots_csv, theta, write_snapshots_csv, LayoutSpec, MachineSpec, Scenario,
 };
-use imrdmd::compression::compression_report;
 use imrdmd::prelude::*;
 use imrdmd_serve::{ServeConfig, Shard, ShardSnapshot};
 use rackviz::RackView;
@@ -441,7 +440,6 @@ fn metrics(
 
 fn info(model_path: &Path) -> Result<String, CliError> {
     let model = load_model(model_path)?.model;
-    let rep = compression_report(model.nodes(), model.n_rows(), model.n_steps());
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -453,12 +451,17 @@ fn info(model_path: &Path) -> Result<String, CliError> {
         if model.is_stale() { " [STALE]" } else { "" }
     );
     let _ = write!(out, "{}", model.as_mrdmd().tree_summary());
+    // Measured by encoding the archive each tier would write.
+    let measure = |tier| encode_archive(&model, tier, &mut std::io::sink());
+    let (f64, q16) = (measure(QuantTier::F64)?, measure(QuantTier::Q16)?);
     let _ = writeln!(
         out,
-        "storage: raw {:.2} MB → model {:.3} MB ({:.1}x)",
-        rep.raw_bytes as f64 / 1e6,
-        rep.model_bytes as f64 / 1e6,
-        rep.ratio
+        "storage: raw {:.2} MB → archive f64 {:.3} MB ({:.1}x), q16 {:.3} MB ({:.1}x)",
+        f64.raw_bytes() as f64 / 1e6,
+        f64.bytes as f64 / 1e6,
+        f64.ratio(),
+        q16.bytes as f64 / 1e6,
+        q16.ratio()
     );
     Ok(out)
 }
@@ -531,7 +534,6 @@ fn archive(
     };
     let info = write_archive(&model, &path, tier)
         .map_err(|e| CliError(format!("cannot write archive: {e}")))?;
-    let raw_bytes = (info.n_rows * info.n_steps * std::mem::size_of::<f64>()) as f64;
     Ok(format!(
         "archived {} series × {} snapshots at tier {}: {} node blocks, {:.3} MB ({:.1}x vs raw) → {}",
         info.n_rows,
@@ -539,7 +541,7 @@ fn archive(
         info.tier,
         info.n_nodes,
         info.bytes as f64 / 1e6,
-        raw_bytes / info.bytes as f64,
+        info.ratio(),
         path.display()
     ))
 }

@@ -1,9 +1,9 @@
 //! Compressed on-disk mode archive with seekable time-range replay.
 //!
 //! The paper's headline storage claim is that the mode tree reduces
-//! telemetry "from terabytes to megabytes". [`crate::compression`] only
-//! *accounts* for that; this module produces the artefact: a fitted
-//! [`IMrDmd`] tree serialised as one CRC-framed block per tree node, with
+//! telemetry "from terabytes to megabytes". This module produces the
+//! artefact, and every storage figure is its size ([`ArchiveInfo::ratio`]):
+//! a fitted tree serialised as one CRC-framed block per tree node, with
 //! the bulky mode matrices quantized and delta-encoded per
 //! [`QuantTier`], plus a seekable index — so any time range can be
 //! reconstructed by streaming only the blocks whose windows overlap it,
@@ -425,21 +425,49 @@ pub struct ArchiveInfo {
     pub bytes: u64,
 }
 
-/// Streams `model` to `w` as an archive, in file order: the header line,
-/// the metadata frame, one frame per tree node, the index frame and the
-/// trailer. Offsets are counted as the bytes go out, and the index comes
-/// last, so nothing is back-patched: `w` may be any writer, and the
-/// encoder holds only one node block and the index. This is the one
-/// archive encoder; [`write_archive`] is it run inside
-/// [`storage::atomic_write`]. Returns the archive's summary, with `bytes`
-/// the number of bytes written.
+impl ArchiveInfo {
+    /// Bytes of the raw `n_rows × n_steps` `f64` snapshots the tree covers.
+    pub fn raw_bytes(&self) -> u64 {
+        // Saturating: an opened archive's shape comes from its file.
+        let values = (self.n_rows as u64).saturating_mul(self.n_steps as u64);
+        values.saturating_mul(std::mem::size_of::<f64>() as u64)
+    }
+
+    /// The compression ratio: raw `f64` bytes over archive bytes.
+    pub fn ratio(&self) -> f64 {
+        self.raw_bytes() as f64 / self.bytes as f64
+    }
+}
+
+/// Streams `model` to `w` as an archive: [`encode_tree`] over its nodes,
+/// shape and `dt`. [`write_archive`] is it run inside
+/// [`storage::atomic_write`].
 pub fn encode_archive(
     model: &IMrDmd,
     tier: QuantTier,
     w: &mut impl Write,
 ) -> std::io::Result<ArchiveInfo> {
     let dt = model.config().mr.dt;
-    let n_nodes = model.nodes().count();
+    encode_tree(model.nodes(), model.n_rows(), model.n_steps(), dt, tier, w)
+}
+
+/// The one archive encoder, for a streamed [`IMrDmd`] and a batch
+/// [`crate::mrdmd::MrDmd`] alike: streams the tree `nodes`, covering
+/// `n_rows × n_steps` snapshots `dt` apart, to `w` in file order — the
+/// header line, the metadata frame, one frame per node, the index frame
+/// and the trailer. Offsets are counted as the bytes go out and the index
+/// comes last, so nothing is back-patched: `w` may be any writer
+/// (`io::sink()` measures a tree), and the encoder holds one node block
+/// and the index. Returns the summary, `bytes` being the bytes written.
+pub fn encode_tree<'a>(
+    nodes: impl Iterator<Item = &'a ModeSet> + Clone,
+    n_rows: usize,
+    n_steps: usize,
+    dt: f64,
+    tier: QuantTier,
+    w: &mut impl Write,
+) -> std::io::Result<ArchiveInfo> {
+    let n_nodes = nodes.clone().count();
     let header = storage::format_text_header(ARCHIVE_MAGIC, ARCHIVE_VERSION, &[tier.as_str()]);
     w.write_all(header.as_bytes())?;
     let mut at = header.len() as u64;
@@ -452,8 +480,8 @@ pub fn encode_archive(
     let mut meta = Vec::with_capacity(32);
     meta.extend_from_slice(&tier.code().to_le_bytes());
     meta.extend_from_slice(&(n_nodes as u32).to_le_bytes());
-    meta.extend_from_slice(&(model.n_rows() as u64).to_le_bytes());
-    meta.extend_from_slice(&(model.n_steps() as u64).to_le_bytes());
+    meta.extend_from_slice(&(n_rows as u64).to_le_bytes());
+    meta.extend_from_slice(&(n_steps as u64).to_le_bytes());
     meta.extend_from_slice(&dt.to_bits().to_le_bytes());
     frame(w, &meta)?;
     // Blocks are written in tree-iteration order; replay preserves file
@@ -462,7 +490,7 @@ pub fn encode_archive(
     let mut index = Vec::with_capacity(4 + 32 * n_nodes);
     index.extend_from_slice(&(n_nodes as u32).to_le_bytes());
     let mut block = Vec::new();
-    for node in model.nodes() {
+    for node in nodes {
         encode_node(&mut block, node, tier);
         let offset = frame(w, &block)?;
         index.extend_from_slice(&(node.start as u64).to_le_bytes());
@@ -478,8 +506,8 @@ pub fn encode_archive(
     let info = ArchiveInfo {
         tier,
         n_nodes,
-        n_rows: model.n_rows(),
-        n_steps: model.n_steps(),
+        n_rows,
+        n_steps,
         dt,
         bytes: at + TRAILER_LEN as u64,
     };

@@ -136,8 +136,10 @@ pub struct RoundReport {
 ///
 /// Serializable: a fitted model is persisted as a shard checkpoint (see
 /// [`crate::checkpoint`]) and resumed in a later session, including the
-/// streaming root factorisation — only the optional full-resolution history
-/// makes the payload large.
+/// streaming root factorisation. The payload grows with stream age even
+/// without the optional full-resolution history: the decimated root stream
+/// and its factorisation (the streaming SVD's `V` keeps one row per
+/// decimated column) grow as columns arrive, and every flush adds nodes.
 #[derive(Clone, Debug)]
 pub struct IMrDmd {
     cfg: IMrDmdConfig,
@@ -262,15 +264,39 @@ impl IMrDmd {
     /// sits on that stream's grid within one step past the absorbed
     /// timeline; the root factorisation — the streaming SVD, or the sketch
     /// exactly when the fit strategy is sketched — shaped `p` rows by the
-    /// stream's columns but its last; and every tree node — rows inside
-    /// `0..p`, one eigenvalue, frequency and amplitude per mode, all
-    /// finite. A fitted or streamed model always passes; a checkpoint that
+    /// stream's columns but its last; the raw snapshots a round stacks
+    /// batches onto — a nonempty pending window of `p` rows, no longer than
+    /// the stream and, when subtrees are fitted, shorter than `min_window`; a
+    /// history of `p` rows by the stream's snapshots; and every tree node —
+    /// rows inside `0..p`, one eigenvalue, frequency and amplitude per mode,
+    /// all finite. A fitted or streamed model always passes; a checkpoint that
     /// fails would divide by zero, loop without end, panic or index out of
     /// range on its next round, or reconstruct garbage without a sign.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.cfg.validate()?;
         self.root.validate(self.p, self.t_total, &self.cfg)?;
+        self.validate_buffers()?;
         self.nodes().try_for_each(|node| self.validate_node(node))
+    }
+
+    /// The pending window and the history. An empty window may keep an
+    /// older row count, as `add_series` leaves it: a round replaces it
+    /// rather than stacking onto it.
+    fn validate_buffers(&self) -> Result<(), CoreError> {
+        let (p, t, mr) = (self.p, self.t_total, &self.cfg.mr);
+        let (rows, k) = self.pending.shape();
+        let history = self.history.as_ref().map(Mat::shape);
+        let what = if k > 0 && rows != p {
+            format!("pending window has {rows} rows, the stream {p}")
+        } else if (mr.max_levels >= 2 && k >= mr.min_window) || k > t {
+            let min = mr.min_window;
+            format!("pending window of {k} snapshots after {t}, min_window {min}")
+        } else if let Some((h_rows, h_cols)) = history.filter(|&shape| shape != (p, t)) {
+            format!("history is {h_rows}x{h_cols}, the stream {p}x{t}")
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidConfig { what })
     }
 
     /// One tree node: its rows inside the stream's, one eigenvalue,
@@ -534,7 +560,7 @@ impl IMrDmd {
     }
 
     /// Every node: root first, then levels ≥ 2 in insertion order.
-    pub fn nodes(&self) -> impl Iterator<Item = &ModeSet> {
+    pub fn nodes(&self) -> impl Iterator<Item = &ModeSet> + Clone {
         std::iter::once(&self.root.modes).chain(self.subnodes.iter())
     }
 
@@ -1295,8 +1321,9 @@ pub(crate) mod tests {
         let dt = 1.0;
         let data = stream_data(16, 1024, dt);
         let inc = IMrDmd::fit(&data, &cfg(dt));
-        let r = crate::compression::compression_report(inc.nodes(), inc.n_rows(), inc.n_steps());
-        assert_eq!(r.n_modes, inc.n_modes());
-        assert!(r.ratio > 1.0, "ratio {}", r.ratio);
+        let tier = crate::archive::QuantTier::F64;
+        let info = crate::archive::encode_archive(&inc, tier, &mut std::io::sink()).unwrap();
+        assert_eq!(info.n_nodes, inc.nodes().count());
+        assert!(info.ratio() > 1.0, "ratio {}", info.ratio());
     }
 }

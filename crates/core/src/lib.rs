@@ -42,7 +42,6 @@
 pub mod archive;
 pub mod baseline;
 pub mod checkpoint;
-pub mod compression;
 pub mod dmd;
 pub mod engine;
 pub mod error;
@@ -60,7 +59,8 @@ pub mod windowed;
 /// Convenient glob import of the main types.
 pub mod prelude {
     pub use crate::archive::{
-        encode_archive, write_archive, ArchiveError, ArchiveInfo, ArchiveReader, QuantTier,
+        encode_archive, encode_tree, write_archive, ArchiveError, ArchiveInfo, ArchiveReader,
+        QuantTier,
     };
     pub use crate::baseline::{
         classify, embedding_2d, row_mode_magnitudes, select_baseline_rows, NodeState, ZScores,
@@ -70,7 +70,6 @@ pub mod prelude {
         is_valid_shard_name, load_state_checkpoint, save_state_checkpoint,
         shard_checkpoint_history, shard_checkpoints, CheckpointError, Checkpointer,
     };
-    pub use crate::compression::{compression_report, CompressionReport};
     pub use crate::dmd::{Dmd, DmdConfig, FitStrategy, RankSelection};
     pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;

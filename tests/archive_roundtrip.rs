@@ -2,7 +2,9 @@
 //! shapes, tree depths, and rank-selection rules, every quantization tier
 //! reconstructs within its advertised relative-error bound, the f64 tier is
 //! bitwise, and arbitrary time ranges replay identically to the in-memory
-//! reconstruction of the same range — from the archive file alone.
+//! reconstruction of the same range — from the archive file alone. The
+//! compression figures are archive sizes too: a batch tree's archive
+//! replays bitwise, and its ratio grows with the timeline.
 //!
 //! `tests/fixtures/archive_digests.txt` pins the archive bytes themselves:
 //! the FNV-1a 64-bit digest of each tier's archive of one fixed streamed
@@ -105,6 +107,66 @@ fn archive_bytes_match_recorded_digests() {
     assert!(
         got == want,
         "archive digests diverged from {DIGESTS}\n--- recorded ---\n{want}--- computed ---\n{got}"
+    );
+}
+
+/// A batch tree over `p × t` snapshots of a smooth two-scale signal, and
+/// its lossless archive measured into a sink.
+fn batch_archive(p: usize, t: usize) -> (MrDmd, ArchiveInfo) {
+    let data = Mat::from_fn(p, t, |i, j| {
+        let x = i as f64 / p as f64;
+        let tt = j as f64;
+        (0.01 * tt + 2.0 * x).sin() + 0.3 * (0.08 * tt + 5.0 * x).cos()
+    });
+    let cfg = MrDmdConfig {
+        dt: 1.0,
+        max_levels: 4,
+        max_cycles: 2,
+        rank: RankSelection::Svht,
+        ..MrDmdConfig::default()
+    };
+    let m = MrDmd::fit(&data, &cfg);
+    let sink = &mut std::io::sink();
+    let info = encode_tree(m.nodes.iter(), p, t, cfg.dt, QuantTier::F64, sink).unwrap();
+    (m, info)
+}
+
+/// The tree is about as large whatever the timeline, so a long timeline's
+/// archive is many times smaller than its raw snapshots.
+#[test]
+fn long_timelines_compress_well() {
+    let (m, info) = batch_archive(64, 4096);
+    assert_eq!(info.raw_bytes(), 64 * 4096 * 8);
+    assert_eq!(info.n_nodes, m.nodes.len());
+    assert!(info.ratio() > 5.0, "compression ratio {}", info.ratio());
+}
+
+#[test]
+fn ratio_grows_with_timeline() {
+    let short = batch_archive(32, 512).1.ratio();
+    let long = batch_archive(32, 4096).1.ratio();
+    assert!(
+        long > short,
+        "ratio should grow with T: short {short}, long {long}"
+    );
+}
+
+/// The one encoder takes a batch tree as it was fitted: its f64 archive
+/// replays bitwise to the batch reconstruction.
+#[test]
+fn batch_tree_archive_replays_bitwise() {
+    let (batch, info) = batch_archive(16, 512);
+    let path = scratch(&format!("batch-{}.f64.arch", std::process::id()));
+    let mut bytes = Vec::new();
+    encode_tree(batch.nodes.iter(), 16, 512, 1.0, QuantTier::F64, &mut bytes).unwrap();
+    assert_eq!(info.bytes, bytes.len() as u64);
+    std::fs::write(&path, &bytes).unwrap();
+    let replayed = ArchiveReader::open(&path).unwrap().replay_all().unwrap();
+    let _ = std::fs::remove_file(&path);
+    let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&replayed) == bits(&batch.reconstruct()),
+        "f64 replay must be bitwise"
     );
 }
 

@@ -1,8 +1,7 @@
 //! Integration tests for the suite's extensions of the paper's future-work
 //! items: subtree refresh, incremental sensor addition, forecasting,
-//! compression accounting, the windowed-mrDMD comparator and log I/O.
+//! archive compression ratios, the windowed-mrDMD comparator and log I/O.
 
-use mrdmd_suite::core::compression::compression_report;
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::{
     read_hw_log, read_job_log, read_snapshots_csv, write_hw_log, write_job_log, write_snapshots_csv,
@@ -131,9 +130,9 @@ fn compression_report_from_streamed_model() {
     let s = scenario(32, 2048);
     let data = s.generate(0, 2048);
     let model = IMrDmd::fit(&data, &cfg(s.dt()));
-    let rep = compression_report(model.nodes(), model.n_rows(), model.n_steps());
-    assert!(rep.ratio > 2.0, "ratio {}", rep.ratio);
-    assert_eq!(rep.raw_bytes, 32 * 2048 * 8);
+    let info = encode_archive(&model, QuantTier::F64, &mut std::io::sink()).unwrap();
+    assert!(info.ratio() > 2.0, "ratio {}", info.ratio());
+    assert_eq!(info.raw_bytes(), 32 * 2048 * 8);
 }
 
 #[test]

@@ -351,6 +351,20 @@ fn drop_first_element(payload: &str, prefix: &str) -> String {
     format!("{}{}", &payload[..at], &payload[at + comma + 1..])
 }
 
+/// Replaces the matrix that follows `prefix` with a zero one of the same
+/// rows and `cols` columns.
+fn widen_matrix(payload: &str, prefix: &str, cols: usize) -> String {
+    let at = payload.find(prefix).unwrap() + prefix.len();
+    let rows: usize = payload[at..].split(',').next().unwrap().parse().unwrap();
+    let end = at + payload[at..].find(']').unwrap() + 2;
+    let zeros = vec!["0.0"; rows * cols].join(",");
+    format!(
+        "{}{rows},{cols},[{zeros}]]{}",
+        &payload[..at],
+        &payload[end..]
+    )
+}
+
 /// Replaces the first number after `prefix` with one that decodes to +∞.
 fn overflow_number(payload: &str, prefix: &str) -> String {
     let at = payload.find(prefix).unwrap() + prefix.len();
@@ -413,7 +427,10 @@ fn out_of_domain_checkpoints_fall_back_to_an_older_one() {
 /// put its rows past the stream's was cut off in reconstruction without a
 /// sign, and an infinite amplitude poisoned every reading of its node. A
 /// gap guard tracking fewer sensors than the model would let a batch the
-/// guard accepts reach a round of the wrong height.
+/// guard accepts reach a round of the wrong height. A pending window or a
+/// history reshaped to one row panicked in the next round's `hstack`; a
+/// pending window at `min_window` or longer than the stream is one no
+/// round leaves behind.
 #[test]
 fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
     let dt = 20.0;
@@ -427,7 +444,7 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
     };
     let tenant = "rack-y";
     type Tamper = fn(&Path);
-    let cases: [(&str, IMrDmdConfig, Tamper); 6] = [
+    let cases: [(&str, IMrDmdConfig, Tamper); 10] = [
         ("isvd-u", exact, |p| {
             rechecksum_edit(p, |s| flatten_matrix(s, "\"isvd\":{\"u\":["))
         }),
@@ -444,16 +461,32 @@ fn inconsistent_tree_checkpoints_fall_back_to_an_older_one() {
         ("guard-rows", exact, |p| {
             rechecksum_edit(p, |s| drop_first_element(s, "\"last_good\":["))
         }),
+        // A `min_window` past the flattened width, so that only the row
+        // count is wrong.
+        ("pending-rows", exact, |p| {
+            rechecksum_edit(p, |s| flatten_matrix(s, "\"pending\":["));
+            rechecksum_with(p, "min_window", 1000);
+        }),
+        ("pending-full", exact, |p| {
+            rechecksum_with(p, "min_window", 7)
+        }),
+        ("pending-past-stream", exact, |p| {
+            rechecksum_edit(p, |s| widen_matrix(s, "\"pending\":[", 136));
+            rechecksum_with(p, "min_window", 1000);
+        }),
+        ("history-rows", exact, |p| {
+            rechecksum_edit(p, |s| flatten_matrix(s, "\"history\":["))
+        }),
     ];
     for (case, c, tamper) in cases {
         let dir = tmp(&format!("inconsistent-{case}"));
         let _ = fs::remove_dir_all(&dir);
         let ck = || Some(Checkpointer::for_shard(&dir, 1, tenant).unwrap());
         let mut shard = Shard::new(tenant, &c, GapPolicy::Interpolate, ck());
-        for lo in [0, 128] {
-            shard
-                .ingest(&data.cols_range(lo, lo + 128), Some(lo))
-                .unwrap();
+        // The newest checkpoint holds 7 pending snapshots (below
+        // `min_window`) and, under `keep_history`, a 6 × 135 history.
+        for (lo, hi) in [(0, 128), (128, 135)] {
+            shard.ingest(&data.cols_range(lo, hi), Some(lo)).unwrap();
         }
         let history = shard_checkpoint_history(&dir, tenant).unwrap();
         assert_eq!(history.len(), 2);
