@@ -213,8 +213,12 @@ impl<'de> Deserialize<'de> for IMrDmd {
 }
 
 impl IMrDmd {
-    /// Initial fit: identical tree to the batch [`MrDmd`] (same root, same
-    /// recursion), plus the streaming SVD state for subsequent updates.
+    /// Initial fit: a multi-resolution tree plus the streaming SVD state
+    /// for subsequent updates. Below the root the recursion is the batch
+    /// [`MrDmd`]'s. The root is solved from the streaming SVD's capped
+    /// spectrum (at most `isvd_max_rank` values), so its SVHT rank, and
+    /// hence the tree, can differ from [`MrDmd::fit`]'s on the same data
+    /// (ROADMAP item 17).
     ///
     /// Expects a configuration that passes [`IMrDmdConfig::validate`]; an
     /// out-of-domain one (e.g. `nyquist_factor` 0) may panic here or in a

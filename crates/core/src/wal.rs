@@ -71,6 +71,14 @@ const PAYLOAD_PREFIX: usize = 16;
 // ---------------------------------------------------------------------------
 
 /// How aggressively the WAL flushes before acking an ingest batch.
+///
+/// What each ack waits for:
+/// - `interval`: the WAL frame, written;
+/// - `batch`: the WAL frame, fsynced;
+/// - `none`, or a degraded WAL: the due checkpoint.
+///
+/// With a healthy WAL the due checkpoint is written after the ack, before
+/// the daemon reads that connection's next request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Durability {
     /// No write-ahead log: acked batches since the last checkpoint are

@@ -18,7 +18,9 @@
 //! * **Durability**: each shard checkpoints into a shared directory
 //!   under its own namespace (`ckpt-<tenant>-<steps>.ckpt`); on boot the
 //!   daemon restores every shard it finds, and a torn checkpoint yields a
-//!   `Corrupt` shard answering 503 — never a crashed daemon.
+//!   `Corrupt` shard answering 503 — never a crashed daemon. A write-ahead
+//!   log frame covers each acked batch, so the due checkpoint is written
+//!   after the reply; without a healthy log, before it.
 //! * **Observability**: `GET /metrics` renders the whole process
 //!   catalogue (linalg kernels, core pipeline, `serve.*` request series)
 //!   in the Prometheus text format.

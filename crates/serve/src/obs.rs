@@ -91,8 +91,9 @@ pub static INGEST_INFLIGHT: Gauge = Gauge::new(
 );
 /// End-to-end request latency (parse to response flushed).
 pub static REQUEST_NS: Histogram = Histogram::new("serve.request_ns", "Wall time per HTTP request");
-/// Ingest-only latency inside the shard: gap repair, the cold start or
-/// round, WAL append and checkpoint tick.
+/// Ingest-only latency inside the shard's ack half: gap repair, the cold
+/// start or round, and the WAL append; the due checkpoint too when no
+/// healthy WAL covers the batch (otherwise it is written after the reply).
 pub static INGEST_NS: Histogram = Histogram::new("serve.ingest_ns", "Wall time per ingest batch");
 
 /// The `serve.*` catalogue, after the linalg and core catalogues on

@@ -15,6 +15,14 @@
 //! returns only once every connection thread it started has ended, so no
 //! request touches the shards or the store after it returns.
 //!
+//! An ingest is answered at its [`Shard::ack`](crate::Shard::ack). The
+//! connection thread writes the reply, then runs the shard's
+//! [`Shard::settle`](crate::Shard::settle) (the due checkpoint) before it
+//! reads that connection's next request, even when the write failed. Both
+//! stops join the connection threads, so no settle is lost. With a healthy
+//! WAL the reply waits for the frame only; without one, the ack has
+//! already written the checkpoint.
+//!
 //! ## Routes
 //!
 //! | Route | Method | Body / reply |
@@ -54,7 +62,7 @@ use serde::Serialize;
 
 use crate::error::ServeError;
 use crate::http::{read_request, HttpLimits, Request, Response};
-use crate::manager::{lock_shard, ShardManager};
+use crate::manager::{lock_shard, ShardCell, ShardManager};
 use crate::obs;
 use crate::shard::IngestReply;
 
@@ -272,9 +280,16 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
         match read_request(&mut stream, &cfg.limits) {
             Ok(None) => break,
             Ok(Some(req)) => {
-                let mut resp = route(state, &req);
+                let mut unsettled = None;
+                let mut resp = route(state, &req, &mut unsettled);
                 resp.close |= req.wants_close();
-                if resp.write_to(&mut stream).is_err() || resp.close {
+                let written = resp.write_to(&mut stream);
+                // The ack is out (or lost): its due checkpoint is written
+                // before this connection's next request is read.
+                if let Some(cell) = unsettled {
+                    lock_shard(&cell).settle();
+                }
+                if written.is_err() || resp.close {
                     break;
                 }
             }
@@ -297,11 +312,14 @@ fn json_response<T: Serialize>(v: &T) -> Response {
     }
 }
 
-fn route(state: &ServerState, req: &Request) -> Response {
+/// Answers one request. An acked ingest leaves its shard in `unsettled`,
+/// for the caller to [`Shard::settle`](crate::Shard::settle) once the reply
+/// is written.
+fn route(state: &ServerState, req: &Request, unsettled: &mut Option<ShardCell>) -> Response {
     obs::REQUESTS.inc();
     obs::BYTES_IN.add(req.body.len() as u64);
     let _span = obs::REQUEST_NS.span();
-    let resp = match dispatch(state, req) {
+    let resp = match dispatch(state, req, unsettled) {
         Ok(r) => r,
         Err(e) => Response::error(e.status(), &e.to_string()).with_retry_after(e.retry_after()),
     };
@@ -309,7 +327,11 @@ fn route(state: &ServerState, req: &Request) -> Response {
     resp
 }
 
-fn dispatch(state: &ServerState, req: &Request) -> Result<Response, ServeError> {
+fn dispatch(
+    state: &ServerState,
+    req: &Request,
+    unsettled: &mut Option<ShardCell>,
+) -> Result<Response, ServeError> {
     let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segs.as_slice()) {
         ("GET", ["healthz"]) => {
@@ -326,7 +348,7 @@ fn dispatch(state: &ServerState, req: &Request) -> Result<Response, ServeError> 
             Ok(Response::text(200, obs::fleet_snapshot().to_prometheus()))
         }
         ("GET", ["v1", "tenants"]) => Ok(json_response(&state.manager.tenants())),
-        ("POST", ["v1", tenant, "ingest"]) => ingest(state, tenant, req),
+        ("POST", ["v1", tenant, "ingest"]) => ingest(state, tenant, req, unsettled),
         ("GET", ["v1", tenant, "health"]) => {
             let cell = state.manager.existing_shard(tenant)?;
             let health = lock_shard(&cell).health()?;
@@ -423,13 +445,19 @@ fn parse_query_usize(req: &Request, name: &str) -> Result<Option<usize>, ServeEr
     }
 }
 
-fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, ServeError> {
+fn ingest(
+    state: &ServerState,
+    tenant: &str,
+    req: &Request,
+    unsettled: &mut Option<ShardCell>,
+) -> Result<Response, ServeError> {
     // Admission first: a shed request must cost nothing — no body parse,
     // no shard creation — and frees its slot the moment this frame exits.
     let _permit = state.manager.admit_ingest()?;
     let (batch, first_step) = parse_batch(req)?;
     let cell = state.manager.shard_or_create(tenant)?;
-    let reply: IngestReply = lock_shard(&cell).ingest(&batch, Some(first_step))?;
+    let reply: IngestReply = lock_shard(&cell).ack(&batch, Some(first_step))?;
+    *unsettled = Some(cell);
     Ok(json_response(&reply))
 }
 
@@ -446,6 +474,132 @@ fn parse_batch(req: &Request) -> Result<(Mat, usize), ServeError> {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+
+    /// Sends one request on a keep-alive connection and reads its reply by
+    /// `Content-Length`, leaving the connection open: `(status, body)`.
+    fn exchange(conn: &mut TcpStream, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        conn.write_all(head.as_bytes()).unwrap();
+        conn.write_all(body).unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            conn.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let mut reply = vec![0u8; len];
+        conn.read_exact(&mut reply).unwrap();
+        (status, reply)
+    }
+
+    /// The newest checkpoint's steps for tenant `t0` in `dir`.
+    fn newest_checkpoint(dir: &std::path::Path) -> Option<u64> {
+        imrdmd::checkpoint::shard_checkpoint_history(dir, "t0")
+            .unwrap()
+            .first()
+            .map(|c| c.0)
+    }
+
+    /// A daemon storing into a fresh directory under the default
+    /// durability (a WAL at `interval`, a checkpoint every batch), with one
+    /// keep-alive client connection.
+    struct Durable {
+        dir: PathBuf,
+        handle: ServerHandle,
+        worker: JoinHandle<std::io::Result<()>>,
+        conn: TcpStream,
+        scenario: hpc_telemetry::Scenario,
+    }
+
+    impl Durable {
+        fn start(name: &str) -> Durable {
+            let dir =
+                std::env::temp_dir().join(format!("imrdmd-server-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = ServeConfig {
+                checkpoint_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            };
+            let (server, _, _) = Server::bind("127.0.0.1:0", cfg).unwrap();
+            let (handle, addr) = (server.handle(), server.local_addr());
+            Durable {
+                dir,
+                handle,
+                worker: std::thread::spawn(move || server.run()),
+                conn: TcpStream::connect(addr).unwrap(),
+                scenario: hpc_telemetry::Scenario::sc_log(hpc_telemetry::theta().scaled(4), 300, 3),
+            }
+        }
+
+        /// Posts the 100-step batch from step `lo` for tenant `t0` and
+        /// returns the reply's step count.
+        fn ingest(&mut self, lo: usize) -> u64 {
+            let mut body = Vec::new();
+            let batch = self.scenario.generate(lo, lo + 100);
+            hpc_telemetry::write_snapshots_csv(&mut body, &batch, lo).unwrap();
+            let (status, reply) = exchange(&mut self.conn, "POST", "/v1/t0/ingest", &body);
+            let reply = String::from_utf8(reply).unwrap();
+            assert_eq!(status, 200, "{reply}");
+            serde_json::from_str::<IngestReply>(&reply).unwrap().steps as u64
+        }
+
+        /// Stops the daemon and returns the newest checkpoint it left. A
+        /// kill lands with the client connection still open; a shutdown
+        /// closes it first, so the drain does not wait out its read timeout.
+        fn stop(self, kill: bool) -> Option<u64> {
+            if kill {
+                self.handle.kill();
+            } else {
+                let _ = self.conn.shutdown(Shutdown::Both);
+                self.handle.shutdown();
+            }
+            self.worker.join().unwrap().unwrap();
+            let newest = newest_checkpoint(&self.dir);
+            let _ = std::fs::remove_dir_all(&self.dir);
+            newest
+        }
+    }
+
+    /// The reply to an ingest may go out before its checkpoint, but the
+    /// next request on that connection is served only once the checkpoint
+    /// of the acked steps is on disk.
+    #[test]
+    fn next_request_waits_for_the_ingest_checkpoint() {
+        let mut daemon = Durable::start("settle");
+        for lo in [0, 100, 200] {
+            let steps = daemon.ingest(lo);
+            assert_eq!(exchange(&mut daemon.conn, "GET", "/healthz", b"").0, 200);
+            assert_eq!(
+                newest_checkpoint(&daemon.dir),
+                Some(steps),
+                "after step {lo}"
+            );
+        }
+        daemon.stop(false);
+    }
+
+    /// A kill that lands right after an ingest reply, with no further
+    /// request on the connection, still leaves that batch's checkpoint on
+    /// disk: the connection thread settles before it ends, and the kill
+    /// joins it.
+    #[test]
+    fn kill_right_after_an_ingest_reply_keeps_its_checkpoint() {
+        let mut daemon = Durable::start("kill-settle");
+        daemon.ingest(0);
+        let steps = daemon.ingest(100);
+        assert_eq!(daemon.stop(true), Some(steps));
+    }
 
     /// A kill closes an idle keep-alive connection at once instead of
     /// leaving its thread blocked until the read timeout: once `run`

@@ -33,6 +33,16 @@
 //! keeps absorbing and serving (checkpoint-interval durability only) and
 //! reports the cause through `/status` and `serve.wal.*` metrics rather
 //! than failing ingest.
+//!
+//! An ingest is two halves: [`Shard::ack`] absorbs, logs and builds the
+//! reply; [`Shard::settle`] writes the due checkpoint and the WAL
+//! truncation it triggers. What each ack waits for:
+//! - `interval`: the WAL frame, written;
+//! - `batch`: the WAL frame, fsynced;
+//! - `none`, or a degraded WAL: the due checkpoint.
+//!
+//! So with a healthy WAL the daemon writes the reply before it settles;
+//! otherwise the ack settles first.
 
 use hpc_linalg::Mat;
 use imrdmd::checkpoint::{
@@ -195,6 +205,8 @@ pub struct Shard {
     /// Checkpoint saves still to pass before the WAL is next rewritten:
     /// 0 at birth, so the first save trims what came before it.
     wal_saves_left: usize,
+    /// A checkpoint fell due at an ack and no write has happened since.
+    settle_due: bool,
 }
 
 impl Shard {
@@ -222,6 +234,7 @@ impl Shard {
             wal: None,
             degraded_cause: None,
             wal_saves_left: 0,
+            settle_due: false,
         }
     }
 
@@ -334,13 +347,37 @@ impl Shard {
         })
     }
 
-    /// Absorbs one batch — a cold-start fit on the first, one repaired
-    /// round after — then logs the repaired batch to the WAL and advances
-    /// the checkpoint schedule. `first_step` (from the CSV header) is
-    /// validated against the shard clock so duplicated batches from
-    /// at-least-once collectors are rejected with 409 instead of silently
-    /// skewing the timeline.
+    /// Absorbs one batch and answers it: [`Shard::ack`], then
+    /// [`Shard::settle`]. What each ack waits for:
+    /// - `interval`: the WAL frame, written;
+    /// - `batch`: the WAL frame, fsynced;
+    /// - `none`, or a degraded WAL: the due checkpoint.
+    ///
+    /// The daemon calls the two halves itself, writing the reply between
+    /// them.
     pub fn ingest(
+        &mut self,
+        batch: &Mat,
+        first_step: Option<usize>,
+    ) -> Result<IngestReply, ServeError> {
+        let reply = self.ack(batch, first_step)?;
+        self.settle();
+        Ok(reply)
+    }
+
+    /// The half of [`Shard::ingest`] that builds the reply: absorbs one
+    /// batch — a cold-start fit on the first, one repaired round after —
+    /// logs the repaired batch to the WAL and advances the checkpoint
+    /// schedule. `first_step` (from the CSV header) is validated against
+    /// the shard clock so duplicated batches from at-least-once collectors
+    /// are rejected with 409 instead of silently skewing the timeline.
+    ///
+    /// With a healthy WAL the frame covers the batch, and the due
+    /// checkpoint is left to [`Shard::settle`], which the daemon runs after
+    /// the reply is written and before it reads that connection's next
+    /// request. With no WAL, or a degraded one, the checkpoint is the
+    /// batch's durability, so this half settles before it returns.
+    pub fn ack(
         &mut self,
         batch: &Mat,
         first_step: Option<usize>,
@@ -356,7 +393,12 @@ impl Shard {
         );
         obs::INGEST_BATCHES.inc();
         obs::INGEST_SNAPSHOTS.add(batch.cols() as u64);
-        self.tick_checkpoint();
+        self.settle_due |= self.checkpointer.as_mut().is_some_and(Checkpointer::due);
+        if self.wal.is_none() || self.degraded_cause.is_some() {
+            // No healthy log covers the batch: the checkpoint is its
+            // durability, so it is written before the reply.
+            self.settle();
+        }
         Ok(IngestReply {
             tenant: self.tenant.clone(),
             round: self.rounds,
@@ -447,10 +489,17 @@ impl Shard {
         }
     }
 
-    /// Advances the checkpoint schedule. A failed write is *not* an
-    /// ingest failure: the batch is already absorbed and the response
-    /// must report that truthfully; durability degrades to the previous
-    /// checkpoint and the failure is counted on `serve.checkpoint_failures`.
+    /// The half of [`Shard::ingest`] that may follow the reply: writes the
+    /// checkpoint an ack left due, and the WAL truncation it triggers.
+    /// Writes nothing when no checkpoint is due. Every checkpoint write
+    /// clears the due mark, so a settle finds nothing to write once the
+    /// newest checkpoint covers the shard's steps: when two acks ran before
+    /// either settle, or after [`Shard::checkpoint_now`].
+    ///
+    /// A failed write is *not* an ingest failure: the batch is already
+    /// absorbed and the response must report that truthfully; durability
+    /// degrades to the previous checkpoint and the failure is counted on
+    /// `serve.checkpoint_failures`.
     ///
     /// A successful write has already applied keep-last-K retention and
     /// returned the oldest retained checkpoint's steps. The WAL drops every
@@ -459,8 +508,8 @@ impl Shard {
     /// frames older than the floor, which recovery skips, so it holds at
     /// most `2·keep` checkpoint intervals of frames, and any retained
     /// checkpoint plus the log can still rebuild the shard.
-    fn tick_checkpoint(&mut self) {
-        if !self.checkpointer.as_mut().is_some_and(Checkpointer::due) {
+    pub fn settle(&mut self) {
+        if !self.settle_due {
             return;
         }
         match self.write_checkpoint() {
@@ -475,6 +524,7 @@ impl Shard {
     /// WAL floor it reports. `Ok(None)` when there is nothing to write: no
     /// checkpointer, or an empty or corrupt shard.
     fn write_checkpoint(&mut self) -> Result<Option<u64>, CheckpointError> {
+        self.settle_due = false;
         let Some(snap) = self.snapshot() else {
             return Ok(None);
         };
@@ -766,6 +816,90 @@ mod tests {
             serde_json::to_string(&snap).unwrap(),
             serde_json::to_string(&shard.snapshot().unwrap()).unwrap()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The newest checkpoint's steps for tenant `t0` in `dir`.
+    fn newest_checkpoint(dir: &Path) -> Option<u64> {
+        shard_checkpoint_history(dir, "t0")
+            .unwrap()
+            .first()
+            .map(|c| c.0)
+    }
+
+    /// Without a healthy WAL (none attached, degraded from birth, or
+    /// degraded by this very append) the ack writes its due checkpoint
+    /// before it returns. With one, the checkpoint waits for the settle.
+    #[test]
+    fn ack_checkpoints_first_unless_a_healthy_wal_covers_the_batch() {
+        let sc = Scenario::sc_log(theta().scaled(4), 200, 3);
+        for case in ["no-wal", "born-degraded", "append-fails", "healthy"] {
+            let dir = std::env::temp_dir()
+                .join(format!("imrdmd-shard-ack-{case}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ck = Checkpointer::for_shard(&dir, 1, "t0").unwrap();
+            let wal = (case != "no-wal")
+                .then(|| Wal::open(&dir, "t0", imrdmd::wal::Durability::Interval).unwrap());
+            let mut shard = Shard::new("t0", &cfg(), GapPolicy::Interpolate, Some(ck))
+                .with_wal(wal)
+                .with_degraded_cause((case == "born-degraded").then(|| "disk full".into()));
+            if case == "append-fails" {
+                imrdmd::wal::arm_append_failure(1);
+            }
+            let mut settled = None;
+            for lo in [0, 100] {
+                let reply = shard.ack(&sc.generate(lo, lo + 100), Some(lo)).unwrap();
+                imrdmd::wal::disarm_append_failure();
+                let acked = Some(reply.steps as u64);
+                let degraded = matches!(case, "born-degraded" | "append-fails");
+                assert_eq!(shard.state() == ShardState::DurabilityDegraded, degraded);
+                let deferred = case == "healthy";
+                assert_eq!(
+                    newest_checkpoint(&dir),
+                    if deferred { settled } else { acked },
+                    "{case}: on disk when the ack returned at step {lo}"
+                );
+                shard.settle();
+                assert_eq!(newest_checkpoint(&dir), acked, "{case}: after the settle");
+                settled = acked;
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A settle writes nothing once the newest checkpoint covers the
+    /// shard's steps: after a second ack that an earlier settle already
+    /// covered, and after `checkpoint_now`. Removing the covering file
+    /// shows it: a write would put it back.
+    #[test]
+    fn settle_writes_nothing_once_the_steps_are_checkpointed() {
+        let sc = Scenario::sc_log(theta().scaled(4), 300, 3);
+        let dir = std::env::temp_dir().join(format!("imrdmd-shard-settle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = Checkpointer::for_shard(&dir, 1, "t0").unwrap();
+        let wal = Wal::open(&dir, "t0", imrdmd::wal::Durability::Interval).unwrap();
+        let mut shard =
+            Shard::new("t0", &cfg(), GapPolicy::Interpolate, Some(ck)).with_wal(Some(wal));
+        let covering = |steps: usize| dir.join(format!("ckpt-t0-{steps:012}.ckpt"));
+
+        // Two acks (two connections) before either settles.
+        shard.ack(&sc.generate(0, 100), Some(0)).unwrap();
+        shard.ack(&sc.generate(100, 200), Some(100)).unwrap();
+        shard.settle();
+        assert_eq!(newest_checkpoint(&dir), Some(200));
+        std::fs::remove_file(covering(200)).unwrap();
+        shard.settle();
+        assert!(
+            !covering(200).exists(),
+            "the second settle rewrote step 200"
+        );
+
+        // A final checkpoint between an ack and its settle.
+        shard.ack(&sc.generate(200, 300), Some(200)).unwrap();
+        shard.checkpoint_now().unwrap();
+        std::fs::remove_file(covering(300)).unwrap();
+        shard.settle();
+        assert!(!covering(300).exists(), "the settle rewrote step 300");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
